@@ -16,12 +16,12 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from ..errors import AnnotationMismatch, ScbenchError
 from ..taxonomy import Taxonomy, default_taxonomy
-from .lexer import (BACKEND, count_loc, has_pragma, normalize_source,
-                    strip_comments)
+from .lexer import (BACKEND, _loc, _pragma, _squeeze, count_loc, has_pragma,
+                    normalize_source, strip_comments)
 
 __all__ = [
     "BACKEND",
@@ -56,13 +56,33 @@ class ContractCase:
     expected: Mapping[str, frozenset[int]] = field(default_factory=dict)
     created_at: datetime | None = None
     tx_value: int | None = None  # wei
+    # Derived from the comment-stripped source. The loaders pass them from
+    # the scan that parses the annotations; otherwise one scan fills them.
+    loc: int | None = field(default=None, compare=False)
+    pragma: bool | None = field(default=None, compare=False)
+    checksum: str | None = field(default=None, compare=False)  # dedup key
+
+    def __post_init__(self):
+        if self.checksum is None:
+            stripped = strip_comments(self.source, strict=False)
+            for name, value in _derived(stripped).items():
+                object.__setattr__(self, name, value)
 
     @property
     def safe(self) -> bool:
         return not self.expected
 
-    def line_count(self) -> int:
-        return len(self.source.splitlines())
+
+def _derived(stripped: str) -> dict:
+    """The :class:`ContractCase` fields computed from its stripped source.
+
+    The checksum is a dedup key, not a security boundary, so MD5 will do.
+    """
+    return {
+        "loc": _loc(stripped),
+        "pragma": _pragma(stripped),
+        "checksum": hashlib.md5(_squeeze(stripped).encode("utf-8")).hexdigest(),
+    }
 
 
 def parse_annotations(
@@ -77,8 +97,14 @@ def parse_annotations(
     :class:`AnnotationMismatch` warning, as does any header whose line set
     disagrees with the inline markers.
     """
-    taxonomy = taxonomy or default_taxonomy()
-    stripped_lines = strip_comments(source, strict=False).splitlines()
+    return _annotations(source, strip_comments(source, strict=False),
+                        taxonomy or default_taxonomy())
+
+
+def _annotations(
+    source: str, stripped: str, taxonomy: Taxonomy
+) -> dict[str, frozenset[int]]:
+    stripped_lines = stripped.splitlines()
     raw_lines = source.splitlines()
 
     inline: dict[str, set[int]] = {}
@@ -140,31 +166,23 @@ def parse_annotations(
     return {cid: frozenset(lines) for cid, lines in result.items()}
 
 
-def dedup(
-    cases: Iterable[ContractCase],
-    digest: Callable[[bytes], "hashlib._Hash"] = hashlib.md5,
-) -> tuple[list[ContractCase], int]:
-    """Drop cases whose normalized source repeats an earlier checksum.
-
-    The checksum is a dedup key, not a security boundary, so MD5 is the
-    default; pass any hashlib constructor to swap it.
-    """
+def dedup(cases: Iterable[ContractCase]) -> tuple[list[ContractCase], int]:
+    """Drop cases whose normalized source repeats an earlier checksum."""
     seen: set[str] = set()
     kept: list[ContractCase] = []
     removed = 0
     for case in cases:
-        key = digest(normalize_source(case.source, strict=False).encode("utf-8")).hexdigest()
-        if key in seen:
+        if case.checksum in seen:
             removed += 1
         else:
-            seen.add(key)
+            seen.add(case.checksum)
             kept.append(case)
     return kept, removed
 
 
 def pragma_filter(cases: Iterable[ContractCase]) -> list[ContractCase]:
     """Keep only cases with a ``pragma solidity`` directive outside comments."""
-    return [case for case in cases if has_pragma(case.source)]
+    return [case for case in cases if case.pragma]
 
 
 @dataclass(frozen=True)
@@ -198,13 +216,12 @@ def stats(cases: Iterable[ContractCase], taxonomy: Taxonomy | None = None) -> Co
     safe_count = 0
     safe_loc = 0
     for case in cases:
-        loc = count_loc(case.source)
         if case.safe:
             safe_count += 1
-            safe_loc += loc
+            safe_loc += case.loc
         for cid in case.expected:
             counts[cid] += 1
-            locs[cid] += loc
+            locs[cid] += case.loc
     return CorpusStats(
         per_class=tuple(
             ClassStat(c.id, c.name, counts[c.id], locs[c.id]) for c in taxonomy
@@ -229,11 +246,12 @@ def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | No
     return meta
 
 
-def _attach_metadata(case: ContractCase, meta) -> ContractCase:
-    if case.id not in meta:
-        return case
-    ts, value = meta[case.id]
-    return ContractCase(case.id, case.source, case.expected, ts, value)
+def _load_case(case_id: str, source: str, taxonomy: Taxonomy, meta) -> ContractCase:
+    """One comment-stripping scan gives the labels and every derived field."""
+    stripped = strip_comments(source, strict=False)
+    created_at, tx_value = meta.get(case_id, (None, None))
+    return ContractCase(case_id, source, _annotations(source, stripped, taxonomy),
+                        created_at, tx_value, **_derived(stripped))
 
 
 def load_labelled(
@@ -249,16 +267,11 @@ def load_labelled(
     meta = load_metadata(metadata) if metadata else (
         load_metadata(root / "metadata.csv") if (root / "metadata.csv").is_file() else {}
     )
-    cases = []
-    for path in sorted(root.glob("*/*.sol")):
-        source = path.read_text("utf-8")
-        case = ContractCase(
-            id=path.relative_to(root).with_suffix("").as_posix(),
-            source=source,
-            expected=parse_annotations(source, taxonomy),
-        )
-        cases.append(_attach_metadata(case, meta))
-    return cases
+    return [
+        _load_case(path.relative_to(root).with_suffix("").as_posix(),
+                   path.read_text("utf-8"), taxonomy, meta)
+        for path in sorted(root.glob("*/*.sol"))
+    ]
 
 
 def load_flat(
@@ -268,18 +281,11 @@ def load_flat(
 ) -> list[ContractCase]:
     """Load a flat directory of ``*.sol`` files (scaled-corpus layout)."""
     taxonomy = taxonomy or default_taxonomy()
-    directory = Path(directory)
     meta = load_metadata(metadata) if metadata else {}
-    cases = []
-    for path in sorted(directory.glob("*.sol")):
-        source = path.read_text("utf-8")
-        case = ContractCase(
-            id=path.stem,
-            source=source,
-            expected=parse_annotations(source, taxonomy),
-        )
-        cases.append(_attach_metadata(case, meta))
-    return cases
+    return [
+        _load_case(path.stem, path.read_text("utf-8"), taxonomy, meta)
+        for path in sorted(Path(directory).glob("*.sol"))
+    ]
 
 
 def load_csv_corpus(
@@ -290,16 +296,9 @@ def load_csv_corpus(
     """Load a CSV export with ``address`` and ``source`` columns."""
     taxonomy = taxonomy or default_taxonomy()
     meta = load_metadata(metadata) if metadata else {}
-    cases = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            case = ContractCase(
-                id=row["address"],
-                source=row["source"],
-                expected=parse_annotations(row["source"], taxonomy),
-            )
-            cases.append(_attach_metadata(case, meta))
-    return cases
+        return [_load_case(row["address"], row["source"], taxonomy, meta)
+                for row in csv.DictReader(fh)]
 
 
 def scan_problems(root: str | Path, taxonomy: Taxonomy | None = None) -> list[str]:
@@ -314,10 +313,11 @@ def scan_problems(root: str | Path, taxonomy: Taxonomy | None = None) -> list[st
     for path in sorted(root.glob("*/*.sol")):
         rel = path.relative_to(root).as_posix()
         source = path.read_text("utf-8")
+        stripped = strip_comments(source, strict=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                expected = parse_annotations(source, taxonomy)
+                expected = _annotations(source, stripped, taxonomy)
             except ScbenchError as exc:
                 problems.append(f"{rel}: {exc}")
                 continue
@@ -342,6 +342,6 @@ def scan_problems(root: str | Path, taxonomy: Taxonomy | None = None) -> list[st
                 f"{rel}: directory says {dir_class.id} but labels are "
                 f"{sorted(expected) or 'empty'}"
             )
-        if not has_pragma(source):
+        if not _pragma(stripped):
             problems.append(f"{rel}: no pragma solidity directive")
     return problems

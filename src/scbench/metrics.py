@@ -202,12 +202,6 @@ class IndicatorMatrix:
     def row(self, tool: str) -> np.ndarray:
         return self.values[self.tools.index(tool)]
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"tool": t, **dict(zip(INDICATOR_COLUMNS, map(float, row)))}
-            for t, row in zip(self.tools, self.values)
-        ]
-
 
 def indicator_matrix(
     records: RecordSet,

@@ -29,6 +29,9 @@ from .taxonomy import Registry, ToolDescriptor
 
 logger = logging.getLogger(__name__)
 
+# the only substitutions in a command template; other braces are literal
+_PLACEHOLDER_RE = re.compile(r"\{(input|solc)\}")
+
 STATUSES = ("ok", "timeout", "tool_error", "harness_error")
 
 
@@ -159,8 +162,9 @@ def run_scan(
     with tempfile.TemporaryDirectory(prefix="scbench-") as tmp:
         input_path = Path(tmp) / "contract.sol"
         input_path.write_text(case.source, "utf-8")
+        values = {"input": str(input_path), "solc": str(tool.max_solidity)}
         argv = [
-            part.format(input=str(input_path), solc=str(tool.max_solidity))
+            _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], part)
             for part in shlex.split(config.command)
         ]
         start = time.monotonic()

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .adapters import AdapterConfig
 from .errors import ScbenchError, UnknownMarker, UnsupportedVersion
@@ -106,11 +106,6 @@ class ToolDescriptor:
 
     def can_detect(self, class_id: str) -> bool:
         return class_id in self.capabilities
-
-
-def capability(tool: ToolDescriptor, v: VulnClass | str) -> bool:
-    """True iff the tool declares the class in its capability set."""
-    return tool.can_detect(v.id if isinstance(v, VulnClass) else v)
 
 
 class Taxonomy:
@@ -226,11 +221,6 @@ class Registry:
         return cls(tuple(tools))
 
 
-def class_for_marker(marker: str, taxonomy: Taxonomy | None = None) -> VulnClass:
-    """Module-level convenience over the default taxonomy."""
-    return (taxonomy or default_taxonomy()).class_for_marker(marker)
-
-
 _DEFAULT_TAXONOMY: Taxonomy | None = None
 
 
@@ -239,11 +229,3 @@ def default_taxonomy() -> Taxonomy:
     if _DEFAULT_TAXONOMY is None:
         _DEFAULT_TAXONOMY = Taxonomy.load()
     return _DEFAULT_TAXONOMY
-
-
-def capability_matrix(registry: Registry) -> dict[str, Mapping[str, bool]]:
-    """Tool -> {class id -> detectable} over the full V1..V10 grid."""
-    return {
-        t.name: {cid: cid in t.capabilities for cid in CLASS_IDS}
-        for t in registry
-    }

@@ -1,11 +1,13 @@
+import hashlib
 import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbench.corpus import (ContractCase, count_loc, dedup, load_csv_corpus,
-                            load_flat, parse_annotations, pragma_filter,
+from scbench.corpus import (ContractCase, count_loc, dedup, has_pragma, lexer,
+                            load_csv_corpus, load_flat, load_labelled,
+                            normalize_source, parse_annotations, pragma_filter,
                             scan_problems, stats)
 from scbench.errors import AnnotationMismatch, UnknownMarker
 
@@ -125,13 +127,6 @@ class TestDedup:
         once, _ = dedup(cases)
         twice, removed = dedup(once)
         assert twice == once and removed == 0
-
-    def test_custom_digest(self):
-        import hashlib
-
-        cases = [make_case(0, "contract A {}"), make_case(1, "contract B {}")]
-        kept, removed = dedup(cases, digest=hashlib.sha256)
-        assert len(kept) == 2 and removed == 0
 
 
 class TestPragmaFilter:
@@ -261,3 +256,50 @@ class TestStats:
     def test_safe_iff_no_expected(self, labelled_corpus):
         for case in labelled_corpus:
             assert case.safe == (not case.expected)
+
+
+def _checksum(source: str) -> str:
+    return hashlib.md5(normalize_source(source, strict=False).encode("utf-8")).hexdigest()
+
+
+class TestOneScanPerContract:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Every source the lexer kernel is called on, in call order."""
+        calls = []
+        kernel = lexer._scan
+
+        def counting(src):
+            calls.append(src)
+            return kernel(src)
+
+        monkeypatch.setattr(lexer, "_scan", counting)
+        return calls
+
+    def test_curation_scans_each_contract_once(self, scans):
+        cases = load_labelled(LABELLED_DIR)
+        stats(cases)
+        dedup(pragma_filter(cases))
+        assert len(scans) == len(cases) == 389
+
+    def test_scan_problems_scans_each_file_once(self, scans):
+        scan_problems(LABELLED_DIR)
+        assert len(scans) == 389
+
+    def test_hand_built_case_derives_fields_from_one_scan(self, scans):
+        source = "pragma solidity ^0.5.0;\n// note\ncontract C {  }\n"
+        case = ContractCase(id="c", source=source)
+        assert len(scans) == 1
+        assert (case.loc, case.pragma) == (2, True)
+        assert case.checksum == _checksum(source)
+
+    def test_loaded_fields_match_public_functions(self, labelled_corpus):
+        for case in labelled_corpus:
+            assert case.loc == count_loc(case.source), case.id
+            assert case.pragma == has_pragma(case.source), case.id
+            assert case.checksum == _checksum(case.source), case.id
+
+    def test_derived_fields_do_not_affect_equality(self):
+        case = make_case(0, "contract A {}")
+        assert case == ContractCase(case.id, case.source, case.expected, loc=0,
+                                    pragma=False, checksum="")

@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbench.corpus import count_loc, has_pragma, normalize_source, strip_comments
-from scbench.corpus import _lexer_py
-from scbench.corpus.lexer import BACKEND
+from scbench.corpus import (BACKEND, count_loc, has_pragma, normalize_source,
+                            strip_comments)
 from scbench.errors import UnterminatedBlockComment, UnterminatedString
 
 from .oracles import lexer_oracle, normalize_oracle
-
-try:
-    from scbench.corpus import _lexer as _lexer_c
-except ImportError:
-    _lexer_c = None
 
 
 class TestNormalize:
@@ -138,14 +132,6 @@ def test_fuzz_matches_oracle(src):
     assert normalize_source(src, strict=False) == normalize_oracle(src)
 
 
-@pytest.mark.skipif(_lexer_c is None, reason="compiled lexer not built")
-class TestBackendParity:
-    def test_backends_agree_on_generated_sources(self):
-        rng = random.Random(4242)
-        for _ in range(100):
-            src = _random_source(rng)
-            for drop_ws in (True, False):
-                assert _lexer_c.scan(src, drop_ws) == _lexer_py.scan(src, drop_ws)
 
-    def test_selected_backend_reported(self):
-        assert BACKEND in ("compiled", "python")
+def test_backend_is_the_pure_python_kernel():
+    assert BACKEND == "python"

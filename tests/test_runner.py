@@ -136,6 +136,23 @@ class TestCommandAdapters:
         assert rec.raw_ref is not None
         assert "partial output" in open(rec.raw_ref).read()
 
+    def test_literal_braces_in_template_pass_through(self, tmp_path):
+        script = tmp_path / "tool.py"
+        script.write_text(
+            "import os, sys\n"
+            "if sys.argv[1:3] == ['{print $1}', '0.8.x'] and os.path.isfile(sys.argv[3]):\n"
+            "    print('reentrancy at line 17')\n"
+        )
+        tool = make_tool("AwkLike", AdapterConfig(
+            kind="text",
+            command=f"{PY} {script} '{{print $1}}' {{solc}} {{input}}",
+            rule_map={"reentrancy": "V1"},
+            line_pattern=r"line (\d+)",
+        ))
+        rec = run_scan(tool, make_case())
+        assert rec.status == "ok"
+        assert rec.findings == {"V1": frozenset({17})}
+
     def test_missing_binary_is_harness_error(self):
         tool = make_tool("Ghost", AdapterConfig(
             kind="json", command="definitely-not-a-binary-xyz {input}",

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from scbench.errors import ScbenchError, UnknownMarker, UnsupportedVersion
 from scbench.taxonomy import (Registry, Taxonomy, VersionId, VulnClass,
-                              capability, compat_score)
+                              compat_score)
 
 
 class TestMarkers:
@@ -47,11 +47,11 @@ class TestMarkers:
 class TestCapabilities:
     def test_verismart_only_arithmetic(self, registry):
         verismart = registry.get("VeriSmart")
-        assert capability(verismart, "V2") is True
-        assert capability(verismart, "V1") is False
+        assert verismart.can_detect("V2") is True
+        assert verismart.can_detect("V1") is False
 
     def test_maian_detects_suicide(self, registry):
-        assert capability(registry.get("Maian"), "V9") is True
+        assert registry.get("Maian").can_detect("V9") is True
 
     def test_row_sums_match_coverage(self, registry):
         expected = {
