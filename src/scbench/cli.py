@@ -1,6 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation/data error, 2 usage error (argparse).
+
+The numpy-backed modules (``mcdm``, ``metrics``, ``reference``, ``report``)
+are imported by the commands that use them, so ``--help`` and ``run``
+start without numpy.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import mcdm, metrics, reference, report
 from .errors import ScbenchError
-from .runner import RecordSet, execute_campaign, read_records, write_records
+from .records import RecordSet, read_records, write_records
+from .runner import execute_campaign
 from .taxonomy import Registry, default_taxonomy
 
 logger = logging.getLogger(__name__)
@@ -34,6 +38,8 @@ def _load_registry(path: str | None) -> Registry:
 
 
 def _emit(header, rows, fmt: str, out: str | None) -> None:
+    from . import report
+
     if fmt == "md":
         text = report.to_markdown(header, rows)
     elif fmt == "json":
@@ -48,6 +54,8 @@ def _emit(header, rows, fmt: str, out: str | None) -> None:
 
 def _cmd_corpus(args) -> int:
     if args.corpus_cmd == "stats":
+        from . import report
+
         cases = _load_corpus(args.dir, args.metadata)
         header, rows = report.stats_table(corpus_mod.stats(cases))
         _emit(header, rows, args.format, args.out)
@@ -102,6 +110,8 @@ def _restrict_to_recorded(registry: Registry, records: RecordSet) -> Registry:
 
 
 def _cmd_metrics(args) -> int:
+    from . import metrics, report
+
     cases = _load_corpus(args.corpus, args.metadata)
     records = RecordSet(read_records(args.records))
     registry = _restrict_to_recorded(_load_registry(args.registry), records)
@@ -127,6 +137,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from . import mcdm, reference, report
+
     if args.indicators:
         indicators = report.load_indicators_csv(args.indicators)
     else:
@@ -162,6 +174,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import mcdm, metrics, reference, report
+
     cases = _load_corpus(args.corpus, args.metadata)
     records = RecordSet(read_records(args.records))
     registry = _restrict_to_recorded(_load_registry(args.registry), records)
@@ -197,6 +211,8 @@ def _cmd_report(args) -> int:
 
 
 def _distribution_table(records, registry):
+    from . import report
+
     rows = [
         [r["tool"], r["class"], r["count"], "yes" if r["incapable"] else ""]
         for r in report.class_distribution(records, registry)
@@ -266,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--metadata", default=None)
     p_report.add_argument("--matrix", default=None)
     p_report.add_argument("--timeseries", action="store_true")
-    p_report.add_argument("--bucket", choices=report.BUCKETS, default="quarter")
+    p_report.add_argument("--bucket", choices=corpus_mod.BUCKETS, default="quarter")
     p_report.add_argument("--series-tools", default=None)
     p_report.add_argument("--out-dir", required=True)
     return parser

@@ -18,13 +18,14 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ..errors import AnnotationMismatch, ScbenchError
+from ..errors import AnnotationMismatch, ScbenchError, UnknownMarker
 from ..taxonomy import Taxonomy, default_taxonomy
-from .lexer import (BACKEND, _loc, _pragma, _squeeze, count_loc, has_pragma,
-                    normalize_source, strip_comments)
+from .lexer import (BACKEND, _loc, _pragma, _squeeze, _strip, count_loc,
+                    has_pragma, normalize_source, strip_comments)
 
 __all__ = [
     "BACKEND",
+    "BUCKETS",
     "ContractCase",
     "ClassStat",
     "CorpusStats",
@@ -42,6 +43,9 @@ __all__ = [
     "stats",
     "strip_comments",
 ]
+
+# time-series period widths over the metadata timestamps (``report``)
+BUCKETS = ("month", "quarter", "year")
 
 _HEADER_RE = re.compile(r"@vulnerable_at_lines\s*:\s*([0-9][0-9,\s]*)")
 _MARKER_RE = re.compile(r"<yes>\s*<report>\s*([A-Za-z0-9_\-]+)")
@@ -112,7 +116,10 @@ def _annotations(
         m = _MARKER_RE.search(raw)
         if not m:
             continue
-        cls = taxonomy.class_for_marker(m.group(1))
+        try:
+            cls = taxonomy.class_for_marker(m.group(1))
+        except UnknownMarker as exc:
+            raise UnknownMarker(f"line {idx + 1}: {exc}") from None
         target = None
         for k in range(idx + 1, len(stripped_lines)):
             if stripped_lines[k].strip():
@@ -246,12 +253,18 @@ def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | No
     return meta
 
 
-def _load_case(case_id: str, source: str, taxonomy: Taxonomy, meta) -> ContractCase:
-    """One comment-stripping scan gives the labels and every derived field."""
+def _load_case(case_id: str, source: str, taxonomy: Taxonomy, meta,
+               origin: str) -> ContractCase:
+    """One comment-stripping scan gives the labels and every derived field.
+    ``origin`` names the source (its file) in a label error."""
     stripped = strip_comments(source, strict=False)
     created_at, tx_value = meta.get(case_id, (None, None))
-    return ContractCase(case_id, source, _annotations(source, stripped, taxonomy),
-                        created_at, tx_value, **_derived(stripped))
+    try:
+        expected = _annotations(source, stripped, taxonomy)
+    except UnknownMarker as exc:
+        raise UnknownMarker(f"{origin}: {exc}") from None
+    return ContractCase(case_id, source, expected, created_at, tx_value,
+                        **_derived(stripped))
 
 
 def load_labelled(
@@ -267,11 +280,12 @@ def load_labelled(
     meta = load_metadata(metadata) if metadata else (
         load_metadata(root / "metadata.csv") if (root / "metadata.csv").is_file() else {}
     )
-    return [
-        _load_case(path.relative_to(root).with_suffix("").as_posix(),
-                   path.read_text("utf-8"), taxonomy, meta)
-        for path in sorted(root.glob("*/*.sol"))
-    ]
+    cases = []
+    for path in sorted(root.glob("*/*.sol")):
+        rel = path.relative_to(root).as_posix()
+        cases.append(_load_case(rel.removesuffix(".sol"), path.read_text("utf-8"),
+                                taxonomy, meta, rel))
+    return cases
 
 
 def load_flat(
@@ -283,7 +297,7 @@ def load_flat(
     taxonomy = taxonomy or default_taxonomy()
     meta = load_metadata(metadata) if metadata else {}
     return [
-        _load_case(path.stem, path.read_text("utf-8"), taxonomy, meta)
+        _load_case(path.stem, path.read_text("utf-8"), taxonomy, meta, path.name)
         for path in sorted(Path(directory).glob("*.sol"))
     ]
 
@@ -297,7 +311,8 @@ def load_csv_corpus(
     taxonomy = taxonomy or default_taxonomy()
     meta = load_metadata(metadata) if metadata else {}
     with open(path, newline="", encoding="utf-8") as fh:
-        return [_load_case(row["address"], row["source"], taxonomy, meta)
+        return [_load_case(row["address"], row["source"], taxonomy, meta,
+                           f"{path} row {row['address']}")
                 for row in csv.DictReader(fh)]
 
 
@@ -313,7 +328,10 @@ def scan_problems(root: str | Path, taxonomy: Taxonomy | None = None) -> list[st
     for path in sorted(root.glob("*/*.sol")):
         rel = path.relative_to(root).as_posix()
         source = path.read_text("utf-8")
-        stripped = strip_comments(source, strict=False)
+        stripped, lex_error = _strip(source)
+        if lex_error is not None:
+            line = source.count("\n", 0, lex_error.position) + 1
+            problems.append(f"{rel}: line {line}: {lex_error}")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import re
 
-from ..errors import UnterminatedBlockComment, UnterminatedString
+from ..errors import SourceLexError, UnterminatedBlockComment, UnterminatedString
 
 BACKEND = "python"
 
 _OK = 0
 _ERR_BLOCK_COMMENT = 1
 _ERR_STRING = 2
+_ERRORS = {_ERR_BLOCK_COMMENT: UnterminatedBlockComment, _ERR_STRING: UnterminatedString}
 
 _PRAGMA_RE = re.compile(r"pragma\s+solidity")
 
@@ -82,13 +83,17 @@ def _scan(src: str) -> tuple[str, int, int]:
     return "".join(out), err, err_pos
 
 
+def _strip(source: str) -> tuple[str, SourceLexError | None]:
+    """Lenient :func:`strip_comments`, plus the error a strict one raises."""
+    out, err, pos = _scan(source)
+    return out, _ERRORS[err](pos) if err else None
+
+
 def strip_comments(source: str, strict: bool = True) -> str:
     """Comments removed, line structure kept (for LoC and line lookups)."""
-    out, err, pos = _scan(source)
-    if strict and err == _ERR_BLOCK_COMMENT:
-        raise UnterminatedBlockComment(pos)
-    if strict and err == _ERR_STRING:
-        raise UnterminatedString(pos)
+    out, error = _strip(source)
+    if strict and error is not None:
+        raise error
     return out
 
 

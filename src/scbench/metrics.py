@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import ContractCase
 from .errors import (EmptyMatrix, NoSupportedClasses, NotApplicable,
                      NoValidRuns, ScbenchError)
-from .runner import RecordSet
+from .records import RecordSet
 from .taxonomy import Registry, Taxonomy, ToolDescriptor, compat_score, default_taxonomy
 
 INDICATOR_COLUMNS = ("functional", "efficiency", "compatibility", "usability")

@@ -17,17 +17,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ContractCase, CorpusStats
+from .corpus import BUCKETS, ContractCase, CorpusStats
 from .errors import MissingMetadata, NotApplicable, ScbenchError
 from .mcdm import ScoreTable, WeightVector
 from .metrics import (INDICATOR_COLUMNS, IndicatorMatrix, confusion,
                       efficiency_scores, prf, timing, usability_score)
-from .runner import RecordSet
+from .records import RecordSet
 from .taxonomy import CLASS_IDS, Registry, Taxonomy, compat_score, default_taxonomy
 
 WEI_PER_ETHER = 10**18
-
-BUCKETS = ("month", "quarter", "year")
 
 
 def _round3(value: float) -> float:

@@ -226,6 +226,40 @@ class TestLoaders:
         assert "beyond the" in text
         assert "directory says V1" in text
 
+    def test_scan_problems_reports_unterminated_literal_and_comment(self, tmp_path):
+        bad_dir = tmp_path / "reentrancy"
+        bad_dir.mkdir()
+        head = "pragma solidity ^0.5.0;\n// <yes> <report> REENTRANCY\nx.call.value(1)();\n"
+        (bad_dir / "string.sol").write_text(head + 'string s = "oops; }\n')
+        (bad_dir / "comment.sol").write_text(head + "/* never closed\n}\n")
+        (bad_dir / "fine.sol").write_text(head + 'string s = "/* ok */";\n')
+        problems = scan_problems(tmp_path)
+        quote = len(head) + len("string s = ")
+        assert (f"reentrancy/string.sol: line 4: unterminated string literal "
+                f"at offset {quote}") in problems
+        assert (f"reentrancy/comment.sol: line 4: unterminated block comment "
+                f"at offset {len(head)}") in problems
+        assert not [p for p in problems if "fine.sol" in p]
+
+    @pytest.mark.parametrize("layout", ["labelled", "flat", "csv"])
+    def test_unknown_marker_names_its_file_and_line(self, tmp_path, layout):
+        source = "pragma solidity ^0.5.0;\n// <yes> <report> FRONTRUN\nf();\n"
+        if layout == "labelled":
+            (tmp_path / "reentrancy").mkdir()
+            (tmp_path / "reentrancy" / "a.sol").write_text(source)
+            load, where = (lambda: load_labelled(tmp_path)), "reentrancy/a.sol"
+        elif layout == "flat":
+            (tmp_path / "a.sol").write_text(source)
+            load, where = (lambda: load_flat(tmp_path)), "a.sol"
+        else:
+            dump = tmp_path / "dump.csv"
+            dump.write_text('address,source\n0xabc,"' + source + '"\n')
+            load, where = (lambda: load_csv_corpus(dump)), f"{dump} row 0xabc"
+        with pytest.raises(UnknownMarker) as info:
+            load()
+        assert str(info.value) == (f"{where}: line 2: "
+                                   "marker 'FRONTRUN' matches no class alias")
+
 
 class TestStats:
     def test_shipped_statistics(self, labelled_corpus):

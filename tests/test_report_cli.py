@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
 
 import pytest
@@ -144,6 +147,18 @@ class TestCli:
         (bad / "x.sol").write_text("contract C {}\n")  # no pragma, no marker
         assert main(["corpus", "validate", str(tmp_path)]) == 1
 
+    def test_unknown_marker_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "reentrancy"
+        bad.mkdir()
+        (bad / "a.sol").write_text(
+            "pragma solidity ^0.5.0;\ncontract C {\n"
+            "    // <yes> <report> FRONTRUN\n    f();\n}\n"
+        )
+        assert main(["corpus", "stats", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: reentrancy/a.sol: line 3: "
+                       "marker 'FRONTRUN' matches no class alias\n")
+
     def test_corpus_dedup(self, tmp_path, capsys):
         d = tmp_path / "flat"
         d.mkdir()
@@ -184,6 +199,41 @@ class TestCli:
         out_text = capsys.readouterr().out
         assert "Slither" in out_text and "Maian" in out_text
         assert "Mythril" not in out_text
+
+    def test_truncated_records_name_file_and_line(self, tmp_path, capsys):
+        out = tmp_path / "records.jsonl"
+        assert main([
+            "run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+            "--tools", "Slither", "--out", str(out),
+        ]) == 0
+        out.write_bytes(out.read_bytes()[:-40])  # cut into the last line
+        capsys.readouterr()
+        assert main([
+            "metrics", "--records", str(out), "--corpus", str(LABELLED_DIR),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}:389: ")
+
+    def test_help_and_replay_run_never_import_numpy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from scbench import cli\n"
+            "try:\n"
+            "    rc = cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:  # --help\n"
+            "    rc = exc.code\n"
+            "assert rc == 0, rc\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = ["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+               "--jobs", "2", "--out", str(tmp_path / "records.jsonl")]
+        for argv in (run, ["--help"]):
+            proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
 
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"
