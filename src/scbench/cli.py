@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 validation/data error, 2 usage error (argparse).
 
 The numpy-backed modules (``mcdm``, ``metrics``, ``reference``, ``report``)
-are imported by the commands that use them, so ``--help`` and ``run``
-start without numpy.
+are imported by the commands that use them, so ``--help``, ``run`` and
+the ``corpus`` commands start without numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from . import corpus as corpus_mod
 from .errors import ScbenchError
 from .records import RecordSet, read_records, write_records
 from .runner import execute_campaign
-from .taxonomy import Registry, default_taxonomy
+from .tables import stats_table, to_csv, to_markdown
+from .taxonomy import Registry
 
 logger = logging.getLogger(__name__)
 
@@ -38,14 +39,12 @@ def _load_registry(path: str | None) -> Registry:
 
 
 def _emit(header, rows, fmt: str, out: str | None) -> None:
-    from . import report
-
     if fmt == "md":
-        text = report.to_markdown(header, rows)
+        text = to_markdown(header, rows)
     elif fmt == "json":
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
-        text = report.to_csv(header, rows)
+        text = to_csv(header, rows)
     if out:
         Path(out).write_text(text, "utf-8")
     else:
@@ -54,10 +53,8 @@ def _emit(header, rows, fmt: str, out: str | None) -> None:
 
 def _cmd_corpus(args) -> int:
     if args.corpus_cmd == "stats":
-        from . import report
-
         cases = _load_corpus(args.dir, args.metadata)
-        header, rows = report.stats_table(corpus_mod.stats(cases))
+        header, rows = stats_table(corpus_mod.stats(cases))
         _emit(header, rows, args.format, args.out)
         return 0
     if args.corpus_cmd == "dedup":
@@ -109,21 +106,31 @@ def _restrict_to_recorded(registry: Registry, records: RecordSet) -> Registry:
     return registry.subset(names)
 
 
-def _cmd_metrics(args) -> int:
+def _score_campaign(args):
+    """Load the campaign and score it once: the corpus, the records, the
+    recorded tools, the indicator matrix and the four tables that
+    ``metrics`` prints and ``report`` bundles."""
     from . import metrics, report
 
     cases = _load_corpus(args.corpus, args.metadata)
     records = RecordSet(read_records(args.records))
     registry = _restrict_to_recorded(_load_registry(args.registry), records)
-    taxonomy = default_taxonomy()
-    tables = {
-        "classification": report.metrics_grid(records, registry, cases, taxonomy),
-        "timing": report.timing_table(records, registry),
+    scores = metrics.score_campaign(records, registry, cases)
+    indicator = metrics.indicator_matrix(
+        registry, {t: s.functional for t, s in scores.items()},
+        {t: s.timing for t, s in scores.items()})
+    return cases, records, registry, indicator, {
+        "classification": report.metrics_grid(scores),
+        "timing": report.timing_table(scores),
         "capability": report.capability_table(registry),
-        "indicators": report.indicators_table(
-            metrics.indicator_matrix(records, registry, cases, taxonomy)
-        ),
+        "indicators": report.indicators_table(indicator),
     }
+
+
+def _cmd_metrics(args) -> int:
+    from . import report
+
+    *_, tables = _score_campaign(args)
     if args.out_dir:
         manifest = report.write_bundle(args.out_dir, tables, notes=[])
         print(f"wrote {manifest}")
@@ -131,7 +138,7 @@ def _cmd_metrics(args) -> int:
         for name in sorted(tables):
             header, rows = tables[name]
             print(f"# {name}")
-            sys.stdout.write(report.to_markdown(header, rows))
+            sys.stdout.write(to_markdown(header, rows))
             print()
     return 0
 
@@ -174,24 +181,16 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from . import mcdm, metrics, reference, report
+    from . import mcdm, reference, report
 
-    cases = _load_corpus(args.corpus, args.metadata)
-    records = RecordSet(read_records(args.records))
-    registry = _restrict_to_recorded(_load_registry(args.registry), records)
-    taxonomy = default_taxonomy()
-    indicator = metrics.indicator_matrix(records, registry, cases, taxonomy)
+    cases, records, registry, indicator, tables = _score_campaign(args)
     ewm = mcdm.ewm_weights(indicator.values, method="EWM")
-    tables = {
-        "stats": report.stats_table(corpus_mod.stats(cases)),
-        "classification": report.metrics_grid(records, registry, cases, taxonomy),
-        "timing": report.timing_table(records, registry),
-        "capability": report.capability_table(registry),
-        "indicators": report.indicators_table(indicator),
+    tables.update({
+        "stats": stats_table(corpus_mod.stats(cases)),
         "weights": report.weights_table([ewm]),
         "scores_ewm": report.score_table_rows(mcdm.overall_scores(indicator, ewm)),
         "distribution": _distribution_table(records, registry),
-    }
+    })
     if args.matrix:
         pairwise = mcdm.load_pairwise(args.matrix)
         ahp, _ = mcdm.ahp_weights(pairwise, method=f"AHP:{Path(args.matrix).stem}")

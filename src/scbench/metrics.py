@@ -2,9 +2,9 @@
 
 All ratios are computed in double precision; rendering rounds half-to-even
 at three decimals. Scans that did not finish cleanly are excluded from
-confusion matrices (mirroring the valid-run count used for timing); a
-strict mode that scores them as all-negative predictions is available but
-off by default.
+confusion matrices (mirroring the valid-run count used for timing).
+:func:`score_campaign` scores a campaign once; every scoring table is
+rendered from its result.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def confusion(
     tool: ToolDescriptor,
     class_id: str,
     corpus: Sequence[ContractCase],
-    strict_negatives: bool = False,
 ) -> ConfusionMatrix:
     """Contract-level confusion counts for one (tool, class).
 
@@ -108,11 +107,8 @@ def confusion(
             continue
         rec = records.get(tool.name, case.id)
         if rec.status != "ok":
-            if not strict_negatives:
-                continue
-            predicted = False
-        else:
-            predicted = class_id in rec.findings
+            continue
+        predicted = class_id in rec.findings
         if vulnerable and predicted:
             tp += 1
         elif vulnerable:
@@ -129,19 +125,20 @@ def per_class_metrics(
     tool: ToolDescriptor,
     corpus: Sequence[ContractCase],
     taxonomy: Taxonomy | None = None,
-    strict_negatives: bool = False,
 ) -> dict[str, MetricSet]:
-    """MetricSet per supported class (classes with no evaluated cases skip)."""
+    """MetricSet per supported class; a class with no evaluated case (every
+    scan of its population failed) raises :class:`EmptyMatrix`."""
     taxonomy = taxonomy or default_taxonomy()
     out: dict[str, MetricSet] = {}
     for cls in taxonomy:
         if not tool.can_detect(cls.id):
             continue
-        cm = confusion(records, tool, cls.id, corpus, strict_negatives)
         try:
-            out[cls.id] = prf(cm)
+            out[cls.id] = prf(confusion(records, tool, cls.id, corpus))
         except EmptyMatrix:
-            continue
+            raise EmptyMatrix(
+                f"{tool.name}: no evaluated case for {cls.id} ({cls.name}): "
+                "none of its vulnerable or safe contracts has an ok scan") from None
     return out
 
 
@@ -203,33 +200,47 @@ class IndicatorMatrix:
         return self.values[self.tools.index(tool)]
 
 
-def indicator_matrix(
+@dataclass(frozen=True)
+class ToolScores:
+    """One tool's scores from a campaign: a MetricSet per supported class
+    and its timing over cleanly finished scans."""
+
+    classes: Mapping[str, MetricSet]
+    timing: TimingSummary
+
+    @property
+    def functional(self) -> float:
+        return functional_score(self.classes.values())
+
+
+def score_campaign(
     records: RecordSet,
     registry: Registry,
     corpus: Sequence[ContractCase],
     taxonomy: Taxonomy | None = None,
-) -> IndicatorMatrix:
-    """Assemble the four indicators per tool from a finished campaign."""
+) -> dict[str, ToolScores]:
+    """Score every registered tool once, in registry order: one confusion
+    matrix per supported (tool, class) cell and one timing summary per tool.
+    A tool with no ok run or an empty cell raises, naming the tool."""
     taxonomy = taxonomy or default_taxonomy()
-    avg_seconds = {}
-    for tool in registry:
-        try:
-            avg_seconds[tool.name] = timing(records, tool.name).avg_seconds
-        except NoValidRuns as exc:
-            raise ScbenchError(f"{tool.name}: {exc}") from exc
-    s_e = efficiency_scores(avg_seconds)
-    rows = []
-    for tool in registry:
-        try:
-            s_f = functional_score(
-                per_class_metrics(records, tool, corpus, taxonomy).values()
-            )
-        except NoSupportedClasses as exc:
-            raise ScbenchError(f"{tool.name}: {exc}") from exc
-        rows.append([
-            s_f,
-            s_e[tool.name],
-            compat_score(tool.max_solidity),
-            usability_score(tool),
-        ])
+    return {
+        tool.name: ToolScores(timing=timing(records, tool.name),
+                              classes=per_class_metrics(records, tool, corpus, taxonomy))
+        for tool in registry
+    }
+
+
+def indicator_matrix(
+    registry: Registry,
+    functional: Mapping[str, float],
+    timings: Mapping[str, TimingSummary],
+) -> IndicatorMatrix:
+    """Assemble the four indicators per tool, in registry order, from each
+    tool's functional score and timing summary."""
+    s_e = efficiency_scores({t: timings[t].avg_seconds for t in registry.names()})
+    rows = [
+        [functional[tool.name], s_e[tool.name],
+         compat_score(tool.max_solidity), usability_score(tool)]
+        for tool in registry
+    ]
     return IndicatorMatrix(tuple(registry.names()), np.array(rows, dtype=float))

@@ -96,19 +96,25 @@ def read_records(path: str | Path) -> list[ScanRecord]:
 
 
 class RecordSet:
-    """Index over campaign records for metric queries."""
+    """Index over campaign records for metric queries: one record per
+    (tool, contract) pair, a duplicate raises :class:`ScbenchError`."""
 
     def __init__(self, records: Iterable[ScanRecord]):
         self.records = list(records)
         self._by_pair: dict[tuple[str, str], ScanRecord] = {}
+        self._by_tool: dict[str, list[ScanRecord]] = {}
         for rec in self.records:
-            self._by_pair[(rec.tool, rec.contract)] = rec
+            pair = (rec.tool, rec.contract)
+            if pair in self._by_pair:
+                raise ScbenchError(f"duplicate record for ({rec.tool}, {rec.contract})")
+            self._by_pair[pair] = rec
+            self._by_tool.setdefault(rec.tool, []).append(rec)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def tools(self) -> list[str]:
-        return sorted({r.tool for r in self.records})
+        return sorted(self._by_tool)
 
     def get(self, tool: str, contract: str) -> ScanRecord:
         try:
@@ -117,10 +123,4 @@ class RecordSet:
             raise MissingRecord(f"no record for ({tool}, {contract})") from None
 
     def for_tool(self, tool: str) -> list[ScanRecord]:
-        return [r for r in self.records if r.tool == tool]
-
-    def predicted(self, tool: str, contract: str, class_id: str) -> bool:
-        """Contract-level binarization: an ok record with >= 1 finding of
-        the class counts as a positive prediction."""
-        rec = self.get(tool, contract)
-        return rec.status == "ok" and class_id in rec.findings
+        return self._by_tool.get(tool, [])

@@ -13,13 +13,11 @@ import csv
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
+from . import metrics
 from .mcdm import ewm_weights
 from .metrics import (INDICATOR_COLUMNS, IndicatorMatrix, MetricSet,
-                      TimingSummary, efficiency_scores, functional_score,
-                      usability_score)
-from .taxonomy import Registry, compat_score
+                      TimingSummary, functional_score)
+from .taxonomy import Registry
 
 F1_IDENTITY_TOL = 0.002
 EWM_ROW_TOL = 0.02
@@ -101,19 +99,9 @@ def indicator_matrix(registry: Registry | None = None) -> IndicatorMatrix:
     recomputed from total time over valid runs; compatibility and coverage
     come from the registry.
     """
-    registry = registry or Registry.load()
-    averages = classification_averages()
-    summaries = timing_summaries()
-    s_e = efficiency_scores({t: s.avg_seconds for t, s in summaries.items()})
-    rows = []
-    for tool in registry:
-        rows.append([
-            averages[tool.name].f1,
-            s_e[tool.name],
-            compat_score(tool.max_solidity),
-            usability_score(tool),
-        ])
-    return IndicatorMatrix(tuple(registry.names()), np.array(rows, dtype=float))
+    functional = {tool: avg.f1 for tool, avg in classification_averages().items()}
+    return metrics.indicator_matrix(registry or Registry.load(), functional,
+                                    timing_summaries())
 
 
 def validation_notes() -> list[str]:

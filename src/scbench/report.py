@@ -8,7 +8,6 @@ exactly.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 from datetime import datetime
@@ -17,12 +16,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import BUCKETS, ContractCase, CorpusStats
-from .errors import MissingMetadata, NotApplicable, ScbenchError
+from .corpus import BUCKETS, ContractCase
+from .errors import MissingMetadata, ScbenchError
 from .mcdm import ScoreTable, WeightVector
-from .metrics import (INDICATOR_COLUMNS, IndicatorMatrix, confusion,
-                      efficiency_scores, prf, timing, usability_score)
+from .metrics import (INDICATOR_COLUMNS, IndicatorMatrix, ToolScores,
+                      efficiency_scores, usability_score)
 from .records import RecordSet
+from .tables import to_csv, to_markdown
 from .taxonomy import CLASS_IDS, Registry, Taxonomy, compat_score, default_taxonomy
 
 WEI_PER_ETHER = 10**18
@@ -33,71 +33,29 @@ def _round3(value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generic table plumbing
-
-def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def to_markdown(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = ["| " + " | ".join(str(h) for h in header) + " |",
-             "|" + "|".join(" --- " for _ in header) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # table shapes
 
-def stats_table(stats: CorpusStats) -> tuple[list[str], list[list]]:
-    header = ["Type", "Number", "LoC"]
-    rows: list[list] = [
-        [s.name, s.count, s.loc] for s in stats.per_class
-    ]
-    rows.append(["Safe contracts", stats.safe_count, stats.safe_loc])
-    rows.append(["Total", stats.total_cases, stats.total_loc])
-    return header, rows
-
-
 def metrics_grid(
-    records: RecordSet,
-    registry: Registry,
-    corpus: Sequence[ContractCase],
-    taxonomy: Taxonomy | None = None,
+    scores: Mapping[str, ToolScores], taxonomy: Taxonomy | None = None
 ) -> tuple[list[str], list[list]]:
     """Tool x class grid of the four classification metrics; unsupported
-    (tool, class) cells render as "-"."""
+    (tool, class) cells and undefined precision or recall render as "-"."""
     taxonomy = taxonomy or default_taxonomy()
     header = ["Tool", "Metric", *(c.name for c in taxonomy), "Average"]
     rows: list[list] = []
-    for tool in registry:
-        cells: dict[str, dict[str, float]] = {}
-        for cls in taxonomy:
-            try:
-                cm = confusion(records, tool, cls.id, corpus)
-            except NotApplicable:
-                continue
-            ms = prf(cm)
-            cells[cls.id] = {
-                "Accuracy": ms.accuracy,
-                "Precision": ms.precision if ms.precision_defined else None,
-                "Recall": ms.recall if ms.recall_defined else None,
-                "F1-score": ms.f1,
-            }
+    for tool, tool_scores in scores.items():
+        cells = {
+            cid: {"Accuracy": ms.accuracy,
+                  "Precision": ms.precision if ms.precision_defined else None,
+                  "Recall": ms.recall if ms.recall_defined else None,
+                  "F1-score": ms.f1}
+            for cid, ms in tool_scores.classes.items()
+        }
         for metric in ("Accuracy", "Precision", "Recall", "F1-score"):
-            row: list = [tool.name, metric]
+            row: list = [tool, metric]
             values = []
             for cls in taxonomy:
-                cell = cells.get(cls.id)
-                if cell is None:
-                    row.append("-")
-                    continue
-                v = cell[metric]
+                v = cells.get(cls.id, {}).get(metric)
                 if v is None:
                     row.append("-")
                 else:
@@ -108,18 +66,13 @@ def metrics_grid(
     return header, rows
 
 
-def timing_table(
-    records: RecordSet, registry: Registry
-) -> tuple[list[str], list[list]]:
+def timing_table(scores: Mapping[str, ToolScores]) -> tuple[list[str], list[list]]:
     header = ["Tool", "TotalSeconds", "ValidRuns", "AvgSeconds", "Efficiency"]
-    summaries = {}
-    for tool in registry:
-        summaries[tool.name] = timing(records, tool.name)
-    s_e = efficiency_scores({t: s.avg_seconds for t, s in summaries.items()})
+    s_e = efficiency_scores({t: s.timing.avg_seconds for t, s in scores.items()})
     rows = [
-        [t, _round3(s.total_seconds), s.valid_count,
-         _round3(s.avg_seconds), _round3(s_e[t])]
-        for t, s in summaries.items()
+        [t, _round3(s.timing.total_seconds), s.timing.valid_count,
+         _round3(s.timing.avg_seconds), _round3(s_e[t])]
+        for t, s in scores.items()
     ]
     return header, rows
 

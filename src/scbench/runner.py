@@ -19,7 +19,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
@@ -51,13 +53,15 @@ _OWN_GROUP = ({"process_group": 0} if sys.version_info >= (3, 11)
               else {"start_new_session": True})
 
 
-def _filter_to_capabilities(tool: ToolDescriptor, findings: Findings) -> Findings:
-    """Logs each class outside the tool's capabilities, but keeps it."""
-    for cid in findings:
-        if not tool.can_detect(cid):
-            logger.warning("adapter bug: %s emitted %s outside its capability set",
-                           tool.name, cid)
-    return findings
+def _filter_to_capabilities(tool: ToolDescriptor, record: ScanRecord,
+                            dropped: Counter) -> ScanRecord:
+    """The record without the findings outside the tool's capabilities (an
+    adapter bug: no metric can score them), counted per tool in ``dropped``."""
+    if record.findings.keys() <= tool.capabilities:
+        return record
+    kept = {cid: lines for cid, lines in record.findings.items() if tool.can_detect(cid)}
+    dropped[tool.name] += len(record.findings) - len(kept)
+    return replace(record, findings=kept)
 
 
 def _inline_scanner(
@@ -70,7 +74,6 @@ def _inline_scanner(
         payload: Findings = {}
         for cid, lines in config.findings:
             merge_finding(payload, cid, lines)
-        _filter_to_capabilities(tool, payload)
         return lambda case: ScanRecord(tool.name, case.id, "ok", 0, payload)
     try:
         fixture = ReplayFixture.load(resolve_replay_fixture(config, tool.name, replay_dir))
@@ -81,7 +84,7 @@ def _inline_scanner(
     def replay(case: ContractCase) -> ScanRecord:
         status, duration_ms, findings = fixture.lookup(case.id)
         return ScanRecord(tool.name, case.id, status, duration_ms,
-                          _filter_to_capabilities(tool, findings) if status == "ok" else {})
+                          findings if status == "ok" else {})
     return replay
 
 
@@ -99,16 +102,15 @@ def run_scan(
     replay_dir: str | Path | None = None,
     raw_dir: str | Path | None = None,
 ) -> ScanRecord:
-    """Execute one scan task and classify its outcome.
+    """Execute one scan task, as a campaign of one, and classify its outcome.
 
     Spawn or I/O failures on our side are ``harness_error``; a non-zero
     exit from the tool is ``tool_error``; the wall clock is capped at the
     adapter timeout, after which the tool's whole process group is killed.
     Raw output is persisted under ``raw_dir`` when given.
     """
-    if tool.adapter.kind not in _SPAWNED:
-        return _inline_scanner(tool, replay_dir)(case)
-    return _spawn_scan(tool, case, timeout, raw_dir, set())
+    return execute_campaign([tool], [case], timeout=timeout, replay_dir=replay_dir,
+                            raw_dir=raw_dir)[0]
 
 
 def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
@@ -172,8 +174,7 @@ def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
             logger.error("unparseable output from %s: %s", tool.name, exc)
             return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
                               raw_ref=raw_ref)
-        return ScanRecord(tool.name, case.id, "ok", elapsed_ms,
-                          _filter_to_capabilities(tool, findings), raw_ref)
+        return ScanRecord(tool.name, case.id, "ok", elapsed_ms, findings, raw_ref)
 
 
 def _guarded(scan: Callable[[ContractCase], ScanRecord], tool: ToolDescriptor,
@@ -202,12 +203,17 @@ def execute_campaign(
     ``on_record`` is the sink hook (e.g. a JSONL appender), called in this
     thread. An exception it raises, or an interrupt, aborts the campaign:
     queued tasks are cancelled and running tools killed. Nothing else does.
+    Findings outside a tool's capabilities are dropped, and one count per
+    tool is logged at the end.
     """
     if parallelism < 1:
         raise ScbenchError("parallelism must be >= 1")
     records: list[ScanRecord] = []
+    by_name = {tool.name: tool for tool in tools}
+    dropped: Counter = Counter()
 
     def sink(record: ScanRecord) -> None:
+        record = _filter_to_capabilities(by_name[record.tool], record, dropped)
         records.append(record)
         if on_record is not None:
             on_record(record)
@@ -225,21 +231,24 @@ def execute_campaign(
     if parallelism == 1 or not jobs:
         for job in jobs:
             sink(_guarded(*job))
-        return records
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        in_flight: set = set()
-        try:
-            for job in jobs:
-                if len(in_flight) >= _WINDOW_PER_WORKER * parallelism:
-                    done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        sink(future.result())
-                in_flight.add(pool.submit(_guarded, *job))
-            for future in as_completed(in_flight):
-                sink(future.result())
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            for pgid in list(live):
-                _kill_group(pgid)
-            raise
+    else:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            in_flight: set = set()
+            try:
+                for job in jobs:
+                    if len(in_flight) >= _WINDOW_PER_WORKER * parallelism:
+                        done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                        for future in done:
+                            sink(future.result())
+                    in_flight.add(pool.submit(_guarded, *job))
+                for future in as_completed(in_flight):
+                    sink(future.result())
+            except BaseException:
+                pool.shutdown(wait=False, cancel_futures=True)
+                for pgid in list(live):
+                    _kill_group(pgid)
+                raise
+    for name, count in sorted(dropped.items()):
+        logger.warning("adapter bug: dropped %d finding(s) of %s outside its "
+                       "capability set", count, name)
     return records

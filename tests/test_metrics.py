@@ -8,8 +8,8 @@ from scbench.errors import (EmptyMatrix, NoSupportedClasses, NotApplicable,
                             NoValidRuns)
 from scbench.metrics import (ConfusionMatrix, MetricSet, confusion,
                              efficiency_scores, functional_score,
-                             indicator_matrix, per_class_metrics, prf, timing,
-                             usability_score)
+                             indicator_matrix, per_class_metrics, prf,
+                             score_campaign, timing, usability_score)
 from scbench.runner import RecordSet, ScanRecord
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
@@ -92,15 +92,6 @@ class TestConfusion:
         ])
         cm = confusion(records, tool, "V1", vuln)
         assert (cm.tp, cm.fn, cm.total) == (1, 0, 1)
-
-    def test_strict_mode_counts_non_ok_as_negative(self):
-        tool = make_tool()
-        vuln = [vulnerable_case(i) for i in range(2)]
-        records = RecordSet([
-            flag("T", vuln[0], "V1"), clean("T", vuln[1], status="timeout"),
-        ])
-        cm = confusion(records, tool, "V1", vuln, strict_negatives=True)
-        assert (cm.tp, cm.fn, cm.total) == (1, 1, 2)
 
 
 class TestPrf:
@@ -239,7 +230,10 @@ class TestIndicatorMatrix:
 
     def test_matches_hand_computation(self):
         registry, corpus, records = self._tiny_setup()
-        matrix = indicator_matrix(records, registry, corpus)
+        scores = score_campaign(records, registry, corpus)
+        matrix = indicator_matrix(
+            registry, {t: s.functional for t, s in scores.items()},
+            {t: s.timing for t, s in scores.items()})
         assert matrix.tools == ("Alpha", "Beta")
         alpha = matrix.row("Alpha")
         beta = matrix.row("Beta")

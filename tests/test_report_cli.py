@@ -11,8 +11,9 @@ from scbench.cli import main
 from scbench.corpus import ContractCase
 from scbench.errors import MissingMetadata
 from scbench.report import (class_distribution, load_indicators_csv,
-                            stats_table, time_series, to_csv, to_markdown)
-from scbench.runner import RecordSet, ScanRecord
+                            time_series, to_csv, to_markdown)
+from scbench.runner import RecordSet, ScanRecord, write_records
+from scbench.tables import stats_table
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
 from .conftest import LABELLED_DIR, REPLAY_DIR
@@ -230,7 +231,9 @@ class TestCli:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         run = ["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
                "--jobs", "2", "--out", str(tmp_path / "records.jsonl")]
-        for argv in (run, ["--help"]):
+        stats = ["corpus", "stats", str(LABELLED_DIR)]
+        dedup = ["corpus", "dedup", "--pragma", "--list-ids", str(LABELLED_DIR)]
+        for argv in (run, ["--help"], stats, dedup):
             proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
@@ -323,6 +326,76 @@ class TestCli:
                 for p in sorted(out_dir.iterdir())
             })
         assert bundles[0] == bundles[1]
+
+
+def scoring_errors(tmp_path, capsys, records) -> set[str]:
+    """stderr of ``metrics`` and ``report`` on the same records, which
+    both must reject."""
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(r.to_json() + "\n" for r in records))
+    errors = set()
+    for argv in (["metrics"], ["report", "--out-dir", str(tmp_path / "bundle")]):
+        assert main([*argv, "--records", str(path), "--corpus", str(tmp_path / "corpus")]) == 1
+        errors.add(capsys.readouterr().err)
+    return errors
+
+
+class TestScoringOnce:
+    @pytest.fixture
+    def two_case_corpus(self, tmp_path):
+        """One unsafe-suicide (V9) and one reentrancy case, copied from the
+        shipped corpus; Maian detects only V9."""
+        ids = []
+        for class_dir in ("unsafe_suicide", "reentrancy"):
+            src = sorted((LABELLED_DIR / class_dir).glob("*.sol"))[0]
+            (tmp_path / "corpus" / class_dir).mkdir(parents=True)
+            (tmp_path / "corpus" / class_dir / src.name).write_bytes(src.read_bytes())
+            ids.append(f"{class_dir}/{src.stem}")
+        return ids
+
+    def test_empty_cell_is_the_same_error_in_metrics_and_report(
+            self, tmp_path, capsys, two_case_corpus):
+        suicide, reentrancy = two_case_corpus
+        records = [ScanRecord("Maian", suicide, "timeout", 300_000),
+                   ScanRecord("Maian", reentrancy, "ok", 1000)]
+        assert scoring_errors(tmp_path, capsys, records) == {
+            "error: Maian: no evaluated case for V9 (Unsafe Suicide): none of its "
+            "vulnerable or safe contracts has an ok scan\n"}
+
+    def test_no_ok_run_is_the_same_error_in_metrics_and_report(
+            self, tmp_path, capsys, two_case_corpus):
+        records = [ScanRecord("Maian", cid, "timeout", 300_000) for cid in two_case_corpus]
+        assert scoring_errors(tmp_path, capsys, records) == {
+            "error: Maian has no ok-status runs\n"}
+
+    def test_duplicate_records_rejected(self, tmp_path, capsys, two_case_corpus):
+        records = [ScanRecord("Maian", cid, "ok", 1000) for cid in two_case_corpus]
+        assert scoring_errors(tmp_path, capsys, records + records[:1]) == {
+            f"error: duplicate record for (Maian, {two_case_corpus[0]})\n"}
+
+    def test_one_confusion_matrix_per_supported_cell(self, tmp_path, capsys, monkeypatch,
+                                                     registry, replay_records):
+        from scbench import metrics
+
+        records = tmp_path / "records.jsonl"
+        write_records(replay_records.records, records)
+        calls = []
+        confusion = metrics.confusion
+
+        def counted(records, tool, class_id, corpus):
+            calls.append((tool.name, class_id))
+            return confusion(records, tool, class_id, corpus)
+
+        monkeypatch.setattr(metrics, "confusion", counted)
+        cells = sum(len(tool.capabilities) for tool in registry)
+        assert cells == 62
+        for argv in (["metrics"], ["report", "--out-dir", str(tmp_path / "bundle")]):
+            calls.clear()
+            assert main([*argv, "--records", str(records),
+                         "--corpus", str(LABELLED_DIR)]) == 0
+            assert len(calls) == cells
+            assert len(set(calls)) == cells
+        capsys.readouterr()
 
 
 class TestIndicatorCsv:

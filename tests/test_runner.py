@@ -100,6 +100,20 @@ class TestStubAdapter:
         assert rec.status == "ok"
         assert rec.findings == {"V1": frozenset({17})}
 
+    def test_out_of_capability_findings_dropped_and_counted(self, caplog):
+        tool = make_tool("Stub", AdapterConfig(
+            kind="stub", findings=(("V1", (17,)), ("V3", (4,)), ("V5", (9,)))
+        ), capabilities=("V1",))
+        with caplog.at_level("WARNING", logger="scbench.runner"):
+            records = execute_campaign(Registry((tool,)),
+                                       [make_case(i) for i in range(3)])
+            assert [r.findings for r in records] == [{"V1": frozenset({17})}] * 3
+            assert [r.getMessage() for r in caplog.records] == [
+                "adapter bug: dropped 6 finding(s) of Stub outside its capability set"]
+            caplog.clear()
+            assert run_scan(tool, make_case()).findings == {"V1": frozenset({17})}
+            assert len(caplog.records) == 1 and "dropped 2" in caplog.records[0].getMessage()
+
 
 class TestCommandAdapters:
     def test_json_adapter_parses_and_maps_rules(self, tmp_path):
@@ -400,13 +414,9 @@ class TestRecords:
         with pytest.raises(ScbenchError):
             ScanRecord("T", "c", "weird", 1)
 
-    def test_predicted_binarization(self):
-        rs = RecordSet([
-            ScanRecord("T", "c1", "ok", 5, {"V1": frozenset({17})}),
-            ScanRecord("T", "c2", "timeout", 300),
-        ])
-        assert rs.predicted("T", "c1", "V1") is True
-        assert rs.predicted("T", "c1", "V2") is False
-        assert rs.predicted("T", "c2", "V1") is False  # non-ok never predicts
+    def test_lookups_by_pair_and_by_tool(self):
+        rs = RecordSet([ScanRecord("T", "c1", "ok", 5)])
+        assert rs.for_tool("T") == [rs.get("T", "c1")]
+        assert rs.for_tool("U") == []
         with pytest.raises(MissingRecord):
-            rs.predicted("T", "c3", "V1")
+            rs.get("T", "c2")
