@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .errors import ScbenchError
-from .records import RecordSet, read_records, write_records
+from .records import RecordSet, load_record_set, write_records
 from .runner import execute_campaign
 from .tables import stats_table, to_csv, to_markdown
 from .taxonomy import Registry
@@ -113,7 +113,7 @@ def _score_campaign(args):
     from . import metrics, report
 
     cases = _load_corpus(args.corpus, args.metadata)
-    records = RecordSet(read_records(args.records))
+    records = load_record_set(args.records)
     registry = _restrict_to_recorded(_load_registry(args.registry), records)
     scores = metrics.score_campaign(records, registry, cases)
     indicator = metrics.indicator_matrix(

@@ -113,7 +113,8 @@ def _annotations(
 
     inline: dict[str, set[int]] = {}
     for idx, raw in enumerate(raw_lines):
-        m = _MARKER_RE.search(raw)
+        # the pattern starts with the literal "<yes>", so this test is exact
+        m = "<yes>" in raw and _MARKER_RE.search(raw)
         if not m:
             continue
         try:

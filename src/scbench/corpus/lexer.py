@@ -4,8 +4,11 @@ One scan removes comments and keeps line structure (:func:`strip_comments`).
 The checksum form, the LoC count and pragma detection are all computed from
 that scan's output, so a caller holding the stripped text never rescans.
 
-The scan tracks string literals so that comment delimiters inside strings
-survive. Errors do not abort it: an unterminated block comment swallows the
+The scan is one compiled regular expression, searched from the end of each
+match. It matches string literals (with backslash escapes) and skips them,
+so comment delimiters inside strings survive, and it cuts line and block
+comments. A lone quote or ``/*`` marks an unterminated literal or comment.
+Errors do not abort the scan: an unterminated block comment swallows the
 rest of the file, an unterminated string keeps it as content, and the error
 kind plus offset are returned for strict callers to raise on.
 """
@@ -24,63 +27,40 @@ _ERR_STRING = 2
 _ERRORS = {_ERR_BLOCK_COMMENT: UnterminatedBlockComment, _ERR_STRING: UnterminatedString}
 
 _PRAGMA_RE = re.compile(r"pragma\s+solidity")
+# In this order: the two string literals, the two comments, and the lone
+# quotes and ``/*`` that match only where no literal or comment closes.
+# Every alternative starts with a literal character, so the engine can skip
+# plain code without trying them (a ``["']`` class would defeat that).
+_TOKEN_RE = re.compile(
+    r""""[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'"""
+    r"|//[^\n]*|/\*.*?\*/"
+    r"""|"|'|/\*""",
+    re.DOTALL,
+)
 
 
 def _scan(src: str) -> tuple[str, int, int]:
     """Remove comments; newlines spanned by a block comment are re-emitted
     so line numbering stays intact. Returns (text, error kind, offset)."""
     out: list[str] = []
-    n = len(src)
-    i = 0
     run = 0  # start of the pending verbatim copy
-    err = _OK
-    err_pos = -1
-
-    while i < n:
-        ch = src[i]
-
-        if ch == '"' or ch == "'":
-            j = i + 1
-            while j < n:
-                cj = src[j]
-                if cj == "\\":
-                    j += 2
-                elif cj == ch:
-                    break
-                else:
-                    j += 1
-            if j < n:
-                i = j + 1
-            else:
-                err, err_pos = _ERR_STRING, i
-                i = n
-            continue
-
-        if ch == "/" and i + 1 < n:
-            nxt = src[i + 1]
-            if nxt == "/":
-                out.append(src[run:i])
-                j = src.find("\n", i + 2)
-                # the newline (if any) is not part of the comment
-                run = i = n if j < 0 else j
-                continue
-            if nxt == "*":
-                out.append(src[run:i])
-                close = src.find("*/", i + 2)
-                if close < 0:
-                    if err == _OK:
-                        err, err_pos = _ERR_BLOCK_COMMENT, i
-                    out.append("\n" * src.count("\n", i + 2, n))
-                    run = i = n
-                    continue
-                out.append("\n" * src.count("\n", i + 2, close))
-                run = i = close + 2
-                continue
-
-        i += 1
-
-    out.append(src[run:n])
-    return "".join(out), err, err_pos
+    m = _TOKEN_RE.search(src)
+    while m is not None:
+        tok = m.group()
+        if len(tok) == 1:  # lone quote: the tail stays verbatim
+            out.append(src[run:])
+            return "".join(out), _ERR_STRING, m.start()
+        if tok[0] == "/":
+            out.append(src[run:m.start()])
+            if tok == "/*":  # lone opener: only the tail's newlines stay
+                out.append("\n" * src.count("\n", m.end()))
+                return "".join(out), _ERR_BLOCK_COMMENT, m.start()
+            if tok[1] == "*":
+                out.append("\n" * tok.count("\n"))
+            run = m.end()
+        m = _TOKEN_RE.search(src, m.end())
+    out.append(src[run:])
+    return "".join(out), _OK, -1
 
 
 def _strip(source: str) -> tuple[str, SourceLexError | None]:
@@ -107,9 +87,11 @@ def _squeeze(stripped: str) -> str:
     """
     out = "".join(stripped.split())
     while "//" in out or "/*" in out:
-        # delimiters synthesized by the fold are canonicalized leniently;
-        # the caller's source was already error-checked
-        nxt = "".join(_scan(out)[0].split())
+        # delimiters synthesized by the fold are canonicalized leniently (the
+        # caller's source was already error-checked); a whitespace-free text
+        # holds no newline for a cut block comment to re-emit, so the rescan
+        # needs no second fold and is stable when it cuts nothing
+        nxt = _scan(out)[0]
         if nxt == out:
             break
         out = nxt

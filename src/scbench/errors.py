@@ -31,6 +31,10 @@ class UnterminatedString(SourceLexError):
         super().__init__("unterminated string literal", position)
 
 
+class DuplicateRecord(ScbenchError):
+    """Two records name the same (tool, contract) pair."""
+
+
 class MissingRecord(ScbenchError):
     """No scan record exists for the requested (tool, contract) pair."""
 

@@ -221,8 +221,15 @@ def score_campaign(
 ) -> dict[str, ToolScores]:
     """Score every registered tool once, in registry order: one confusion
     matrix per supported (tool, class) cell and one timing summary per tool.
-    A tool with no ok run or an empty cell raises, naming the tool."""
+    A tool with no ok run or an empty cell raises, naming the tool; so does
+    a record for a contract outside the corpus, whose scan would otherwise
+    count in the timings but in no confusion matrix."""
     taxonomy = taxonomy or default_taxonomy()
+    known = {case.id for case in corpus}
+    for rec in records.records:
+        if rec.contract not in known:
+            raise ScbenchError(f"records name contract {rec.contract!r} (tool "
+                               f"{rec.tool}), which is not in the corpus")
     return {
         tool.name: ToolScores(timing=timing(records, tool.name),
                               classes=per_class_metrics(records, tool, corpus, taxonomy))

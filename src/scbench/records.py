@@ -7,9 +7,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
-from .errors import MissingRecord, ScbenchError
+from .errors import DuplicateRecord, MissingRecord, ScbenchError
 
 STATUSES = ("ok", "timeout", "tool_error", "harness_error")
 
@@ -83,21 +83,34 @@ def read_records(path: str | Path) -> list[ScanRecord]:
             return [ScanRecord.from_json(line) for line in fh if line.strip()]
         except (ValueError, KeyError, TypeError, ScbenchError):
             pass  # read again, line by line, to name the first bad one
+    _raise_first_bad_line(path)
+
+
+def _raise_first_bad_line(path: str | Path) -> NoReturn:
+    """Read a rejected records file again, line by line, to name the first
+    malformed line or repeated (tool, contract) pair."""
+    seen: set[tuple[str, str]] = set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8")
-                if line.strip():
-                    ScanRecord.from_json(line)
+                if not line.strip():
+                    continue
+                rec = ScanRecord.from_json(line)
             except (ValueError, KeyError, TypeError, ScbenchError) as exc:
                 detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                 raise ScbenchError(f"{path}:{lineno}: {detail}") from None
+            pair = (rec.tool, rec.contract)
+            if pair in seen:
+                raise ScbenchError(f"{path}:{lineno}: duplicate record for "
+                                   f"({rec.tool}, {rec.contract})")
+            seen.add(pair)
     raise ScbenchError(f"{path}: not a JSON-lines records file")
 
 
 class RecordSet:
     """Index over campaign records for metric queries: one record per
-    (tool, contract) pair, a duplicate raises :class:`ScbenchError`."""
+    (tool, contract) pair, a duplicate raises :class:`DuplicateRecord`."""
 
     def __init__(self, records: Iterable[ScanRecord]):
         self.records = list(records)
@@ -106,7 +119,7 @@ class RecordSet:
         for rec in self.records:
             pair = (rec.tool, rec.contract)
             if pair in self._by_pair:
-                raise ScbenchError(f"duplicate record for ({rec.tool}, {rec.contract})")
+                raise DuplicateRecord(f"duplicate record for ({rec.tool}, {rec.contract})")
             self._by_pair[pair] = rec
             self._by_tool.setdefault(rec.tool, []).append(rec)
 
@@ -124,3 +137,14 @@ class RecordSet:
 
     def for_tool(self, tool: str) -> list[ScanRecord]:
         return self._by_tool.get(tool, [])
+
+
+def load_record_set(path: str | Path) -> RecordSet:
+    """:func:`read_records` indexed as a :class:`RecordSet`. Only a file the
+    index rejects is read again, to name the line of the second record for
+    a (tool, contract)."""
+    records = read_records(path)
+    try:
+        return RecordSet(records)
+    except DuplicateRecord:
+        _raise_first_bad_line(path)

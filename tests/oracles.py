@@ -23,7 +23,18 @@ def lexer_oracle(src: str, drop_ws: bool) -> str:
     recovery (unterminated comment swallows the tail, unterminated string
     keeps it).
     """
+    return _token_walk(src, drop_ws)[0]
+
+
+def lexer_error_oracle(src: str) -> tuple[str, int] | None:
+    """(kind, offset) of the first unterminated construct, kind being
+    ``"string"`` or ``"block comment"``; None when every one closes."""
+    return _token_walk(src, False)[1]
+
+
+def _token_walk(src: str, drop_ws: bool) -> tuple[str, tuple[str, int] | None]:
     kept: list[str] = []
+    error = None
     pos = 0
     n = len(src)
     while pos < n:
@@ -37,6 +48,8 @@ def lexer_oracle(src: str, drop_ws: bool) -> str:
             j = m.start() + 1
             while j < n and src[j] != tok:
                 j = j + 2 if src[j] == "\\" else j + 1
+            if j >= n and error is None:
+                error = ("string", m.start())
             end = min(j + 1, n)
             kept.append(src[m.start():end])
             pos = end
@@ -46,6 +59,8 @@ def lexer_oracle(src: str, drop_ws: bool) -> str:
         else:  # /*
             close = src.find("*/", m.end())
             if close < 0:
+                if error is None:
+                    error = ("block comment", m.start())
                 kept.append("\n" * src.count("\n", m.end()) if not drop_ws else "")
                 pos = n
             else:
@@ -55,7 +70,7 @@ def lexer_oracle(src: str, drop_ws: bool) -> str:
     text = "".join(kept)
     if drop_ws:
         text = "".join(c for c in text if not c.isspace())
-    return text
+    return text, error
 
 
 def normalize_oracle(src: str) -> str:

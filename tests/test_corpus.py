@@ -1,4 +1,5 @@
 import hashlib
+import json
 import textwrap
 
 import pytest
@@ -332,6 +333,18 @@ class TestOneScanPerContract:
             assert case.loc == count_loc(case.source), case.id
             assert case.pragma == has_pragma(case.source), case.id
             assert case.checksum == _checksum(case.source), case.id
+
+    def test_shipped_corpus_outputs_are_pinned(self):
+        """Every label, LoC count, pragma flag and checksum of the shipped
+        corpus, and its validation report, as the char-by-char lexer they
+        were first computed with gave them."""
+        rows = [[c.id, c.loc, c.pragma, c.checksum,
+                 sorted([cid, sorted(lines)] for cid, lines in c.expected.items())]
+                for c in load_labelled(LABELLED_DIR)]
+        blob = json.dumps([rows, scan_problems(LABELLED_DIR)], separators=(",", ":"))
+        assert len(rows) == 389
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+            "8633ba4b427499565f3953be71ba4d61bd2a9d0d80639e8f4a4789dee1e98c29")
 
     def test_derived_fields_do_not_affect_equality(self):
         case = make_case(0, "contract A {}")

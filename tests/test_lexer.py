@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbench.corpus import (BACKEND, count_loc, has_pragma, normalize_source,
-                            strip_comments)
+from scbench.corpus import (BACKEND, count_loc, has_pragma, lexer,
+                            normalize_source, strip_comments)
 from scbench.errors import UnterminatedBlockComment, UnterminatedString
 
-from .oracles import lexer_oracle, normalize_oracle
+from .oracles import lexer_error_oracle, lexer_oracle, normalize_oracle
 
 
 class TestNormalize:
@@ -131,6 +131,22 @@ def test_idempotent_and_whitespace_free(src):
 def test_fuzz_matches_oracle(src):
     assert normalize_source(src, strict=False) == normalize_oracle(src)
 
+
+_ERROR_KINDS = {"string": UnterminatedString, "block comment": UnterminatedBlockComment}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='ab"\'/*\\\n\t ;{}=', max_size=120))
+def test_fuzz_strip_and_error_match_oracle(src):
+    assert strip_comments(src, strict=False) == lexer_oracle(src, False)
+    _, error = lexer._strip(src)
+    expected = lexer_error_oracle(src)
+    if expected is None:
+        assert error is None
+    else:
+        kind, offset = expected
+        assert type(error) is _ERROR_KINDS[kind]
+        assert error.position == offset
 
 
 def test_backend_is_the_pure_python_kernel():

@@ -371,7 +371,15 @@ class TestScoringOnce:
     def test_duplicate_records_rejected(self, tmp_path, capsys, two_case_corpus):
         records = [ScanRecord("Maian", cid, "ok", 1000) for cid in two_case_corpus]
         assert scoring_errors(tmp_path, capsys, records + records[:1]) == {
-            f"error: duplicate record for (Maian, {two_case_corpus[0]})\n"}
+            f"error: {tmp_path / 'records.jsonl'}:3: duplicate record for "
+            f"(Maian, {two_case_corpus[0]})\n"}
+
+    def test_records_outside_the_corpus_rejected(self, tmp_path, capsys, two_case_corpus):
+        records = [ScanRecord("Maian", cid, "ok", 1000)
+                   for cid in ["arithmetic/gone", *two_case_corpus, "safe/gone"]]
+        assert scoring_errors(tmp_path, capsys, records) == {
+            "error: records name contract 'arithmetic/gone' (tool Maian), "
+            "which is not in the corpus\n"}
 
     def test_one_confusion_matrix_per_supported_cell(self, tmp_path, capsys, monkeypatch,
                                                      registry, replay_records):

@@ -10,6 +10,7 @@ from scbench import runner
 from scbench.adapters import AdapterConfig, ReplayFixture
 from scbench.corpus import ContractCase
 from scbench.errors import MissingRecord, ScbenchError
+from scbench.records import load_record_set
 from scbench.runner import (RecordSet, ScanRecord, execute_campaign,
                             read_records, run_scan, write_records)
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
@@ -405,6 +406,16 @@ class TestRecords:
             read_records(path)
         assert str(info.value).startswith(f"{path}:3: ")
         assert detail in str(info.value)
+
+    def test_duplicate_names_file_and_line_of_second_copy(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records([ScanRecord("T", "c1", "ok", 10), ScanRecord("T", "c2", "ok", 10)], path)
+        copy = path.read_bytes().splitlines(keepends=True)[0]
+        path.write_bytes(path.read_bytes() + b"\n" + copy)  # a blank line 3
+        assert len(read_records(path)) == 3
+        with pytest.raises(ScbenchError) as info:
+            load_record_set(path)
+        assert str(info.value) == f"{path}:4: duplicate record for (T, c1)"
 
     def test_findings_require_ok_status(self):
         with pytest.raises(ScbenchError):
