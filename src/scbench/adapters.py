@@ -127,11 +127,12 @@ class ReplayFixture:
     def load(cls, path: str | Path) -> "ReplayFixture":
         return cls(json.loads(Path(path).read_text("utf-8")))
 
-    def lookup(self, contract_id: str) -> tuple[str, int, Findings]:
-        """Return (status, duration_ms, findings); absent ids scan clean."""
+    def lookup(self, contract_id: str) -> tuple[str, int, Findings] | None:
+        """Return (status, duration_ms, findings), or None for an id the
+        fixture does not record."""
         entry = self._entries.get(contract_id)
         if entry is None:
-            return "ok", 0, {}
+            return None
         findings: Findings = {}
         for f in entry.get("findings", ()):
             merge_finding(findings, f["class"], f.get("lines", ()))

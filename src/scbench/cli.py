@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 validation/data error, 2 usage error (argparse).
 
-The numpy-backed modules (``mcdm``, ``metrics``, ``reference``, ``report``)
-are imported by the commands that use them, so ``--help``, ``run`` and
-the ``corpus`` commands start without numpy.
+The scoring modules (``mcdm``, ``metrics``, ``reference``, ``report``)
+are imported by the commands that use them: together they take about
+25 ms to import, which ``--help``, ``run`` and the ``corpus`` commands
+would otherwise pay at every start.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ def _cmd_run(args) -> int:
             [name.strip() for name in args.tools.split(",") if name.strip()]
         )
     cases = _load_corpus(args.corpus, args.metadata)
+    misses: dict[str, list[str]] = {}
     records = execute_campaign(
         registry,
         cases,
@@ -90,11 +92,15 @@ def _cmd_run(args) -> int:
         timeout=args.timeout,
         replay_dir=args.replay,
         raw_dir=args.raw_dir,
+        misses=misses,
     )
     n = write_records(records, args.out)
     statuses = sorted({r.status for r in records})
     print(f"wrote {n} records to {args.out} (statuses: {', '.join(statuses)})")
-    return 0
+    for tool, missed in misses.items():
+        print(f"error: replay fixture for {tool} does not cover {len(missed)} of "
+              f"{len(cases)} contract(s) (first: {missed[0]})", file=sys.stderr)
+    return 1 if misses else 0
 
 
 def _restrict_to_recorded(registry: Registry, records: RecordSet) -> Registry:

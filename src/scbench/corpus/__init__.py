@@ -282,7 +282,7 @@ def load_labelled(
         load_metadata(root / "metadata.csv") if (root / "metadata.csv").is_file() else {}
     )
     cases = []
-    for path in sorted(root.glob("*/*.sol")):
+    for path in sorted(root.glob("*/*.sol"), key=lambda p: p.parts):
         rel = path.relative_to(root).as_posix()
         cases.append(_load_case(rel.removesuffix(".sol"), path.read_text("utf-8"),
                                 taxonomy, meta, rel))
@@ -299,7 +299,7 @@ def load_flat(
     meta = load_metadata(metadata) if metadata else {}
     return [
         _load_case(path.stem, path.read_text("utf-8"), taxonomy, meta, path.name)
-        for path in sorted(Path(directory).glob("*.sol"))
+        for path in sorted(Path(directory).glob("*.sol"), key=lambda p: p.parts)
     ]
 
 
@@ -326,7 +326,7 @@ def scan_problems(root: str | Path, taxonomy: Taxonomy | None = None) -> list[st
     taxonomy = taxonomy or default_taxonomy()
     root = Path(root)
     problems: list[str] = []
-    for path in sorted(root.glob("*/*.sol")):
+    for path in sorted(root.glob("*/*.sol"), key=lambda p: p.parts):
         rel = path.relative_to(root).as_posix()
         source = path.read_text("utf-8")
         stripped, lex_error = _strip(source)

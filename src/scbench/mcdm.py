@@ -11,12 +11,13 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
-import numpy as np
+from typing import Sequence
 
 from .errors import (DimensionMismatch, NonConvergence, NotReciprocal,
                      ScbenchError)
-from .metrics import IndicatorMatrix
+from .metrics import INDICATOR_COLUMNS, IndicatorMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +31,8 @@ RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12,
                 6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45, 10: 1.49}
 
 CONSISTENCY_LIMIT = 0.1
+
+Matrix = Sequence[Sequence[float]]  # rows; an ndarray qualifies too
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,6 @@ class WeightVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -86,28 +86,27 @@ class ScoreTable:
         raise ScbenchError(f"tool {tool!r} not in score table")
 
 
-def standardize(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def standardize(matrix: Matrix) -> tuple[list[list[float]], list[int]]:
     """Range-normalize each column to [0, 1].
 
     Constant columns carry no ranking information; they map to all-zeros
     and their indices are returned as the degeneracy flags.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ScbenchError("decision matrix must be 2-dimensional")
-    if not np.isfinite(m).all():
+    m = [[float(v) for v in row] for row in matrix]
+    if len({len(row) for row in m}) > 1:
+        raise ScbenchError("decision matrix rows differ in length")
+    if not all(math.isfinite(v) for row in m for v in row):
         raise ScbenchError("decision matrix contains non-finite values")
-    lo = m.min(axis=0)
-    hi = m.max(axis=0)
-    degenerate = [j for j in range(m.shape[1]) if hi[j] == lo[j]]
-    span = np.where(hi > lo, hi - lo, 1.0)
-    out = (m - lo) / span
-    for j in degenerate:
-        out[:, j] = 0.0
+    columns = list(zip(*m))
+    lo = [min(col) for col in columns]
+    hi = [max(col) for col in columns]
+    degenerate = [j for j in range(len(columns)) if hi[j] == lo[j]]
+    out = [[(v - a) / (b - a) if b > a else 0.0 for v, a, b in zip(row, lo, hi)]
+           for row in m]
     return out, degenerate
 
 
-def ewm_weights(matrix: np.ndarray, method: str = "EWM") -> WeightVector:
+def ewm_weights(matrix: Matrix, method: str = "EWM") -> WeightVector:
     """Entropy weights: the more dispersed a criterion's standardized
     values, the lower its entropy and the higher its weight.
 
@@ -115,30 +114,24 @@ def ewm_weights(matrix: np.ndarray, method: str = "EWM") -> WeightVector:
     zero. A fully degenerate matrix (every column constant) falls back to
     uniform weights with a warning.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape[0] < 2:
+    if len(matrix) < 2:
         raise ScbenchError("entropy weighting needs at least two alternatives")
-    x, degenerate = standardize(m)
-    n_alt, n_crit = x.shape
-    k = 1.0 / math.log(n_alt)
-    entropy = np.ones(n_crit)
-    for j in range(n_crit):
-        col_sum = x[:, j].sum()
-        if col_sum == 0.0:
-            continue  # degenerate: no information, entropy stays 1
-        p = x[:, j] / col_sum
-        nz = p[p > 0]
-        entropy[j] = -k * float(np.sum(nz * np.log(nz)))
-    divergence = 1.0 - entropy
-    total = divergence.sum()
+    x, _ = standardize(matrix)
+    k = 1.0 / math.log(len(x))
+    divergence = []
+    for col in zip(*x):
+        col_sum = math.fsum(col)  # 0 when degenerate: no information, entropy 1
+        p = [v / col_sum for v in col] if col_sum else []
+        entropy = -k * math.fsum(q * math.log(q) for q in p if q > 0) if p else 1.0
+        divergence.append(1.0 - entropy)
+    total = math.fsum(divergence)
     if total <= 0.0:
         logger.warning("all criteria degenerate; falling back to uniform weights")
-        return WeightVector(tuple([1.0 / n_crit] * n_crit), method)
-    w = divergence / total
-    return WeightVector(tuple(float(v) for v in w), method)
+        return WeightVector((1.0 / len(divergence),) * len(divergence), method)
+    return WeightVector(tuple(d / total for d in divergence), method)
 
 
-def parse_pairwise(text: str) -> np.ndarray:
+def parse_pairwise(text: str) -> list[list[float]]:
     """Parse the plain-text judgment matrix format: the order n on the
     first line, then n rows of space-separated rationals like ``1/4``."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
@@ -157,29 +150,34 @@ def parse_pairwise(text: str) -> np.ndarray:
         if len(entries) != n:
             raise ScbenchError(f"row {ln!r} does not have {n} entries")
         rows.append([float(Fraction(tok)) for tok in entries])
-    return np.array(rows, dtype=float)
+    return rows
 
 
-def load_pairwise(path: str | Path) -> np.ndarray:
-    return parse_pairwise(Path(path).read_text("utf-8"))
+def load_pairwise(path: str | Path) -> list[list[float]]:
+    try:
+        text = Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScbenchError(f"cannot read judgment matrix {path}: {reason}") from None
+    return parse_pairwise(text)
 
 
-def _check_reciprocal(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def _check_reciprocal(a: Matrix) -> None:
+    n = len(a)
+    if not n or any(len(row) != n for row in a):
         raise NotReciprocal("judgment matrix must be square")
-    if (a <= 0).any():
+    if any(v <= 0 for row in a for v in row):
         raise NotReciprocal("judgment matrix entries must be positive")
-    n = a.shape[0]
     for i in range(n):
-        if abs(a[i, i] - 1.0) > RECIPROCITY_TOL:
+        if abs(a[i][i] - 1.0) > RECIPROCITY_TOL:
             raise NotReciprocal(f"diagonal entry a[{i}][{i}] != 1")
         for j in range(i + 1, n):
-            if abs(a[j, i] - 1.0 / a[i, j]) > RECIPROCITY_TOL:
+            if abs(a[j][i] - 1.0 / a[i][j]) > RECIPROCITY_TOL:
                 raise NotReciprocal(f"a[{j}][{i}] != 1/a[{i}][{j}]")
 
 
 def ahp_weights(
-    matrix: np.ndarray, method: str = "AHP"
+    matrix: Matrix, method: str = "AHP"
 ) -> tuple[WeightVector, ConsistencyReport]:
     """Principal-eigenvector weights plus the consistency check.
 
@@ -188,17 +186,18 @@ def ahp_weights(
     (lambda_max - n)/(n - 1); CR is CI over the Saaty random index and is
     defined as 0 for n <= 2.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = [[float(v) for v in row] for row in matrix]
     _check_reciprocal(a)
-    n = a.shape[0]
+    n = len(a)
 
-    w = np.full(n, 1.0 / n)
+    w = [1.0 / n] * n
     lam = float(n)
     for _ in range(POWER_MAX_ITER):
-        aw = a @ w
-        lam = float(w @ aw) / float(w @ w)
-        residual = float(np.max(np.abs(aw - lam * w)))
-        w = aw / aw.sum()
+        aw = [math.fsum(map(mul, row, w)) for row in a]
+        lam = math.fsum(map(mul, w, aw)) / math.fsum(map(mul, w, w))
+        residual = max(abs(x - lam * v) for x, v in zip(aw, w))
+        total = math.fsum(aw)
+        w = [x / total for x in aw]
         if residual < POWER_RESIDUAL:
             break
     else:
@@ -215,7 +214,7 @@ def ahp_weights(
             raise ScbenchError(f"no random-index constant for n={n}") from None
         ci = (lam - n) / (n - 1)
         report = ConsistencyReport(lambda_max=lam, ci=ci, ri=ri, cr=ci / ri)
-    return WeightVector(tuple(float(v) for v in w), method), report
+    return WeightVector(tuple(w), method), report
 
 
 def overall_scores(
@@ -231,16 +230,16 @@ def overall_scores(
     range-normalizes each column first, which rewards relative rather than
     absolute indicator positions.
     """
-    if len(weights) != indicators.values.shape[1]:
+    if len(weights) != len(INDICATOR_COLUMNS):
         raise DimensionMismatch(
-            f"{len(weights)} weights vs {indicators.values.shape[1]} criteria"
+            f"{len(weights)} weights vs {len(INDICATOR_COLUMNS)} criteria"
         )
     values = indicators.values
     if standardize_indicators:
         values, _ = standardize(values)
-    raw = values @ weights.as_array()
+    raw = [math.fsum(map(mul, row, weights.values)) for row in values]
     scored = sorted(
-        ((tool, round(round(float(s), 3) * 100, 1))
+        ((tool, round(round(s, 3) * 100, 1))
          for tool, s in zip(indicators.tools, raw)),
         key=lambda item: (-item[1], item[0]),
     )

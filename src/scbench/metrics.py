@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .corpus import ContractCase
 from .errors import (EmptyMatrix, NoSupportedClasses, NotApplicable,
                      NoValidRuns, ScbenchError)
@@ -190,13 +188,16 @@ class IndicatorMatrix:
     """tools x (functional, efficiency, compatibility, usability)."""
 
     tools: tuple[str, ...]
-    values: np.ndarray  # shape (len(tools), 4), each value in [0, 1]
+    values: tuple[tuple[float, ...], ...]  # a row per tool, each value in [0, 1]
 
     def __post_init__(self):
-        if self.values.shape != (len(self.tools), len(INDICATOR_COLUMNS)):
+        # any nested numeric sequence (an ndarray too) becomes rows of floats
+        values = tuple(tuple(float(v) for v in row) for row in self.values)
+        object.__setattr__(self, "values", values)
+        if [len(row) for row in values] != [len(INDICATOR_COLUMNS)] * len(self.tools):
             raise ScbenchError("indicator matrix shape mismatch")
 
-    def row(self, tool: str) -> np.ndarray:
+    def row(self, tool: str) -> tuple[float, ...]:
         return self.values[self.tools.index(tool)]
 
 
@@ -250,4 +251,4 @@ def indicator_matrix(
          compat_score(tool.max_solidity), usability_score(tool)]
         for tool in registry
     ]
-    return IndicatorMatrix(tuple(registry.names()), np.array(rows, dtype=float))
+    return IndicatorMatrix(tuple(registry.names()), rows)

@@ -14,8 +14,6 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .corpus import BUCKETS, ContractCase
 from .errors import MissingMetadata, ScbenchError
 from .mcdm import ScoreTable, WeightVector
@@ -120,7 +118,7 @@ def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
             rows.append([float(lowered[c]) for c in INDICATOR_COLUMNS])
     if not tools:
         raise ScbenchError(f"no indicator rows in {path}")
-    return IndicatorMatrix(tuple(tools), np.array(rows, dtype=float))
+    return IndicatorMatrix(tuple(tools), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,11 @@ def _filter_to_capabilities(tool: ToolDescriptor, record: ScanRecord,
 
 
 def _inline_scanner(
-    tool: ToolDescriptor, replay_dir: str | Path | None
+    tool: ToolDescriptor, replay_dir: str | Path | None, missed: list[str]
 ) -> Callable[[ContractCase], ScanRecord]:
     """Scan function of a stub or replay tool: the payload or fixture is
-    loaded once, then each case is a lookup."""
+    loaded once, then each case is a lookup. A case the fixture does not
+    record is a ``harness_error``, and its id is appended to ``missed``."""
     config = tool.adapter
     if config.kind == "stub":
         payload: Findings = {}
@@ -79,10 +80,14 @@ def _inline_scanner(
         fixture = ReplayFixture.load(resolve_replay_fixture(config, tool.name, replay_dir))
     except (ScbenchError, OSError, ValueError, TypeError) as exc:
         logger.error("replay fixture for %s unavailable: %s", tool.name, exc)
-        return lambda case: ScanRecord(tool.name, case.id, "harness_error", 0)
+        fixture = ReplayFixture({})  # covers no contract
 
     def replay(case: ContractCase) -> ScanRecord:
-        status, duration_ms, findings = fixture.lookup(case.id)
+        entry = fixture.lookup(case.id)
+        if entry is None:
+            missed.append(case.id)
+            return ScanRecord(tool.name, case.id, "harness_error", 0)
+        status, duration_ms, findings = entry
         return ScanRecord(tool.name, case.id, status, duration_ms,
                           findings if status == "ok" else {})
     return replay
@@ -194,6 +199,7 @@ def execute_campaign(
     replay_dir: str | Path | None = None,
     raw_dir: str | Path | None = None,
     on_record: Callable[[ScanRecord], None] | None = None,
+    misses: dict[str, list[str]] | None = None,
 ) -> list[ScanRecord]:
     """Run every (tool, contract) pair; returns |tools| x |corpus| records.
 
@@ -204,7 +210,9 @@ def execute_campaign(
     thread. An exception it raises, or an interrupt, aborts the campaign:
     queued tasks are cancelled and running tools killed. Nothing else does.
     Findings outside a tool's capabilities are dropped, and one count per
-    tool is logged at the end.
+    tool is logged at the end. A contract that a replay fixture does not
+    record gets a ``harness_error`` record; ``misses``, when given, receives
+    the ids of those contracts per tool.
     """
     if parallelism < 1:
         raise ScbenchError("parallelism must be >= 1")
@@ -225,9 +233,12 @@ def execute_campaign(
             scan = partial(_spawn_scan, tool, timeout=timeout, raw_dir=raw_dir, live=live)
             jobs += [(scan, tool, case) for case in corpus]
         else:
-            scan = _inline_scanner(tool, replay_dir)
+            missed: list[str] = []
+            scan = _inline_scanner(tool, replay_dir, missed)
             for case in corpus:
                 sink(_guarded(scan, tool, case))
+            if missed and misses is not None:
+                misses[tool.name] = missed
     if parallelism == 1 or not jobs:
         for job in jobs:
             sink(_guarded(*job))

@@ -1,6 +1,7 @@
 """Table text: CSV and Markdown from a header and rows, and the corpus
-statistics table. Standard library only, so the corpus commands render
-without importing the numpy-backed scoring modules."""
+statistics table. Kept apart from ``report``, so the corpus commands
+render without importing the scoring modules (``report`` pulls in
+``mcdm`` and ``metrics``)."""
 
 from __future__ import annotations
 

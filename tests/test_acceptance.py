@@ -106,10 +106,10 @@ def test_c03_compatibility_and_usability_exact():
 
 def test_c04_ewm_weights_match_published_row():
     matrix = reference.indicator_matrix()
-    values = matrix.values.copy()
+    values = [list(row) for row in matrix.values]
     usability = INDICATOR_COLUMNS.index("usability")
     for tool, score in PUBLISHED_WEIGHTING_USABILITY.items():
-        values[matrix.tools.index(tool), usability] = score
+        values[matrix.tools.index(tool)][usability] = score
     weights = ewm_weights(values)
     published = reference.published_weights()["EWM"]
     diffs = [abs(w - p) for w, p in zip(weights.values, published)]

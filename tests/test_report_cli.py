@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -10,6 +12,7 @@ from scbench.adapters import AdapterConfig
 from scbench.cli import main
 from scbench.corpus import ContractCase
 from scbench.errors import MissingMetadata
+from scbench.reference import pairwise_path
 from scbench.report import (class_distribution, load_indicators_csv,
                             time_series, to_csv, to_markdown)
 from scbench.runner import RecordSet, ScanRecord, write_records
@@ -215,10 +218,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}:389: ")
 
-    def test_help_and_replay_run_never_import_numpy(self, tmp_path):
+    def test_no_command_imports_numpy(self, tmp_path):
         code = (
             "import sys\n"
-            "from scbench import cli\n"
+            "from scbench import cli, mcdm, metrics, reference, report\n"
             "try:\n"
             "    rc = cli.main(sys.argv[1:])\n"
             "except SystemExit as exc:  # --help\n"
@@ -229,14 +232,59 @@ class TestCli:
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        records = str(tmp_path / "records.jsonl")
+        campaign = ["--records", records, "--corpus", str(LABELLED_DIR)]
         run = ["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
-               "--jobs", "2", "--out", str(tmp_path / "records.jsonl")]
+               "--jobs", "2", "--out", records]
         stats = ["corpus", "stats", str(LABELLED_DIR)]
         dedup = ["corpus", "dedup", "--pragma", "--list-ids", str(LABELLED_DIR)]
-        for argv in (run, ["--help"], stats, dedup):
+        metrics = ["metrics", *campaign]
+        report = ["report", *campaign, "--matrix", str(pairwise_path("a1")),
+                  "--timeseries", "--out-dir", str(tmp_path / "bundle")]
+        ewm = ["score", "--method", "ewm"]
+        ahp = ["score", "--method", "ahp", "--matrix", str(pairwise_path("a2"))]
+        for argv in (run, ["--help"], stats, dedup, metrics, report, ewm, ahp):
             proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
+            assert proc.returncode == 0, (argv[0], proc.stderr)
+
+    def test_replay_misses_fail_the_run(self, tmp_path, capsys):
+        # a flat copy renames every contract, so no fixture entry matches
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        for src in (LABELLED_DIR / "reentrancy").glob("*.sol"):
+            shutil.copy(src, flat / src.name)
+        n = len(list(flat.glob("*.sol")))
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(flat), "--replay", str(REPLAY_DIR),
+                     "--tools", "Slither,Maian", "--out", str(out)]) == 1
+        first = min(p.stem for p in flat.glob("*.sol"))
+        captured = capsys.readouterr()
+        assert captured.err == "".join(
+            f"error: replay fixture for {tool} does not cover {n} of {n} "
+            f"contract(s) (first: {first})\n" for tool in ("Slither", "Maian"))
+        statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
+        assert statuses == ["harness_error"] * 2 * n
+        assert "statuses: harness_error" in captured.out
+
+    def test_score_matrix_that_is_not_a_file(self, capsys):
+        assert main(["score", "--method", "ahp", "--matrix", "a1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot read judgment matrix a1: "
+                                "No such file or directory\n")
+
+    def test_report_matrix_that_is_not_a_file(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--tools", "Slither,Maian", "--out", str(records)]) == 0
+        capsys.readouterr()
+        bundle = tmp_path / "bundle"
+        assert main(["report", "--records", str(records), "--corpus", str(LABELLED_DIR),
+                     "--matrix", "a1", "--out-dir", str(bundle)]) == 1
+        assert capsys.readouterr().err == ("error: cannot read judgment matrix a1: "
+                                           "No such file or directory\n")
+        assert not bundle.exists()
 
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"
@@ -249,8 +297,6 @@ class TestCli:
         ]) == 1
 
     def test_score_ahp_with_bundled_matrix(self, capsys):
-        from scbench.reference import pairwise_path
-
         assert main([
             "score", "--method", "ahp", "--matrix", str(pairwise_path("a1")),
         ]) == 0
@@ -419,4 +465,52 @@ class TestIndicatorCsv:
         path.write_text(to_csv(header, rows))
         loaded = load_indicators_csv(path)
         assert loaded.tools == matrix.tools
-        assert loaded.values == pytest.approx(matrix.values)
+        assert len(loaded.values) == len(matrix.values)
+        for got, want in zip(loaded.values, matrix.values):
+            assert got == pytest.approx(want)
+
+
+# SHA-256 of outputs of the numpy-based scoring code that the standard
+# library arithmetic replaced. Every sum of the two differs by a few ulps
+# at most; the outputs, rounded to three or four decimals, must not move.
+SCORE_DIGESTS = {
+    ("ewm",): "aabed5bc621af41b5070a85ba643db24fe9bdf3816adac3b7c6df252752f5f42",
+    ("ewm", "--standardize"):
+        "60f2bb21c87c5daf452d54694900b5cf8662cde8576f23170e51c8a5204eb3f5",
+    ("a1",): "8c89546defd635fffdc90522f92b67b9aa4409becf1cbb84306399275bd89301",
+    ("a1", "--standardize"):
+        "13487749552757ace6f78769f1c07e521a3fae25669dc147e0b89d83471002ce",
+    ("a2", "--format", "json"):
+        "8c0e15381d73476ab14037c685ff81a37c0aa7e86949f7950c70c969c9ec4cd9",
+    ("a2", "--format", "json", "--standardize"):
+        "24843f8e210124079c69949d8ced4a52759583491968df973dfe205e18bd097a",
+}
+REPORT_A1_TIMESERIES_DIGEST = (
+    "e618a17ade24fd4f9561223bb2fb96e801b88f27fef3941c86d99ad2a1ddf66f")
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("variant", sorted(SCORE_DIGESTS), ids="-".join)
+    def test_score_on_the_reference_matrix(self, variant, capsys):
+        method, *rest = variant
+        argv = (["--method", "ewm"] if method == "ewm" else
+                ["--method", "ahp", "--matrix", str(pairwise_path(method))])
+        assert main(["score", *argv, *rest]) == 0
+        out = capsys.readouterr().out
+        if method == "a1":
+            assert out.startswith("lambda_max=")
+        assert hashlib.sha256(out.encode()).hexdigest() == SCORE_DIGESTS[variant]
+
+    def test_report_bundle_of_the_shipped_campaign(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--out", str(records)]) == 0
+        bundle = tmp_path / "bundle"
+        assert main(["report", "--records", str(records), "--corpus", str(LABELLED_DIR),
+                     "--matrix", str(pairwise_path("a1")), "--timeseries",
+                     "--out-dir", str(bundle)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256()
+        for path in sorted(bundle.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        assert digest.hexdigest() == REPORT_A1_TIMESERIES_DIGEST

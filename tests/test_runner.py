@@ -69,12 +69,30 @@ class TestReplayAdapter:
         assert rec.duration_ms == 42
         assert rec.findings == {"V1": frozenset({17})}
 
-    def test_unlisted_contract_scans_clean(self, tmp_path):
+    def test_unlisted_contract_is_harness_error(self, tmp_path):
         fixture = tmp_path / "Echo.json"
         fixture.write_text("{}")
         tool = make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture)))
         rec = run_scan(tool, make_case())
-        assert rec.status == "ok" and rec.findings == {}
+        assert rec.status == "harness_error" and rec.findings == {}
+
+    def test_misses_counted_per_tool(self, tmp_path):
+        fixture = tmp_path / "Echo.json"
+        fixture.write_text(json.dumps({"contract_1": {"status": "ok"}}))
+        tools = [make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture))),
+                 make_tool("Stub", AdapterConfig(kind="stub")),
+                 make_tool("Ghost", AdapterConfig(kind="replay"))]  # no fixture
+        misses = {}
+        records = execute_campaign(tools, [make_case(i) for i in range(3)],
+                                   misses=misses)
+        assert misses == {"Echo": ["contract_0", "contract_2"],
+                          "Ghost": ["contract_0", "contract_1", "contract_2"]}
+        assert sorted((r.tool, r.contract, r.status) for r in records
+                      if r.tool == "Echo") == [
+            ("Echo", "contract_0", "harness_error"),
+            ("Echo", "contract_1", "ok"),
+            ("Echo", "contract_2", "harness_error"),
+        ]
 
     def test_missing_fixture_is_harness_error(self):
         tool = make_tool("Ghost", AdapterConfig(kind="replay"))
