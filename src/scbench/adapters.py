@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ScbenchError
+from .records import ScanRecord, check_findings
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +83,9 @@ def merge_finding(findings: Findings, class_id: str, lines=()) -> None:
 def parse_json_output(stdout: str, rule_map: Mapping[str, str]) -> Findings:
     """Parse the reference JSON schema and map rule ids to classes.
 
-    Unknown rule ids are logged and dropped; they cannot be scored.
+    Unknown rule ids are logged and dropped; they cannot be scored. Output
+    that is not JSON, or a ``line`` that is neither absent, an integer nor
+    a list of integers, raises :class:`ValueError`.
     """
     doc = json.loads(stdout)
     findings: Findings = {}
@@ -92,8 +95,16 @@ def parse_json_output(stdout: str, rule_map: Mapping[str, str]) -> Findings:
         if class_id is None:
             logger.warning("adapter emitted unmapped rule id %r", rule)
             continue
-        lines = item.get("line")
-        merge_finding(findings, class_id, [lines] if isinstance(lines, int) else lines or [])
+        line = item.get("line")
+        if line is None:
+            lines = ()
+        elif type(line) is int:
+            lines = (line,)
+        elif type(line) is list and all(type(n) is int for n in line):
+            lines = line
+        else:
+            raise ValueError(f"line {line!r} of {rule!r} is not an integer or a list of them")
+        merge_finding(findings, class_id, lines)
     return findings
 
 
@@ -127,16 +138,28 @@ class ReplayFixture:
     def load(cls, path: str | Path) -> "ReplayFixture":
         return cls(json.loads(Path(path).read_text("utf-8")))
 
-    def lookup(self, contract_id: str) -> tuple[str, int, Findings] | None:
-        """Return (status, duration_ms, findings), or None for an id the
-        fixture does not record."""
+    def record(self, tool: str, contract_id: str) -> ScanRecord | None:
+        """The record of ``tool``'s scan of a contract, or None for an id
+        the fixture does not record. A scan that did not end ``ok`` keeps
+        no findings. A malformed entry raises :class:`ScbenchError`, whatever
+        its status: one that is not a mapping, lacks a finding's class, or
+        holds a bad status, duration or line."""
         entry = self._entries.get(contract_id)
         if entry is None:
             return None
-        findings: Findings = {}
-        for f in entry.get("findings", ()):
-            merge_finding(findings, f["class"], f.get("lines", ()))
-        return entry.get("status", "ok"), int(entry.get("duration_ms", 0)), findings
+        try:
+            findings: Findings = {}
+            for f in entry.get("findings", ()):
+                merge_finding(findings, f["class"], f.get("lines", ()))
+            status, duration_ms = entry.get("status", "ok"), int(entry.get("duration_ms", 0))
+        except KeyError as exc:
+            raise ScbenchError(f"missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise ScbenchError(str(exc)) from None
+        if status != "ok" and findings:
+            check_findings(findings)  # the record checks only those it keeps
+            findings = {}
+        return ScanRecord(tool, contract_id, status, duration_ms, findings)
 
 
 def resolve_replay_fixture(config: AdapterConfig, tool_name: str,

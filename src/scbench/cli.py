@@ -84,7 +84,7 @@ def _cmd_run(args) -> int:
             [name.strip() for name in args.tools.split(",") if name.strip()]
         )
     cases = _load_corpus(args.corpus, args.metadata)
-    misses: dict[str, list[str]] = {}
+    problems: dict[str, list[str]] = {}
     records = execute_campaign(
         registry,
         cases,
@@ -92,15 +92,15 @@ def _cmd_run(args) -> int:
         timeout=args.timeout,
         replay_dir=args.replay,
         raw_dir=args.raw_dir,
-        misses=misses,
+        problems=problems,
     )
     n = write_records(records, args.out)
     statuses = sorted({r.status for r in records})
     print(f"wrote {n} records to {args.out} (statuses: {', '.join(statuses)})")
-    for tool, missed in misses.items():
-        print(f"error: replay fixture for {tool} does not cover {len(missed)} of "
-              f"{len(cases)} contract(s) (first: {missed[0]})", file=sys.stderr)
-    return 1 if misses else 0
+    for messages in problems.values():
+        for message in messages:
+            print(f"error: {message}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _restrict_to_recorded(registry: Registry, records: RecordSet) -> Registry:
@@ -189,6 +189,7 @@ def _cmd_score(args) -> int:
 def _cmd_report(args) -> int:
     from . import mcdm, reference, report
 
+    pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
     cases, records, registry, indicator, tables = _score_campaign(args)
     ewm = mcdm.ewm_weights(indicator.values, method="EWM")
     tables.update({
@@ -197,8 +198,7 @@ def _cmd_report(args) -> int:
         "scores_ewm": report.score_table_rows(mcdm.overall_scores(indicator, ewm)),
         "distribution": _distribution_table(records, registry),
     })
-    if args.matrix:
-        pairwise = mcdm.load_pairwise(args.matrix)
+    if pairwise is not None:
         ahp, _ = mcdm.ahp_weights(pairwise, method=f"AHP:{Path(args.matrix).stem}")
         tables["scores_ahp"] = report.score_table_rows(
             mcdm.overall_scores(indicator, ahp)

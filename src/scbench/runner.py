@@ -9,7 +9,6 @@ and individual task failures are recorded, not fatal.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -21,7 +20,6 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
@@ -31,7 +29,7 @@ from .adapters import (Findings, ReplayFixture, merge_finding, parse_json_output
 from .corpus import ContractCase
 from .errors import ScbenchError
 # the records layer stays reachable through the campaign's module
-from .records import RecordSet, ScanRecord, read_records, write_records
+from .records import RecordSet, ScanRecord, gc_paused, read_records, write_records
 from .taxonomy import Registry, ToolDescriptor
 
 __all__ = ["RecordSet", "ScanRecord", "execute_campaign", "read_records", "run_scan",
@@ -61,15 +59,18 @@ def _filter_to_capabilities(tool: ToolDescriptor, record: ScanRecord,
         return record
     kept = {cid: lines for cid, lines in record.findings.items() if tool.can_detect(cid)}
     dropped[tool.name] += len(record.findings) - len(kept)
-    return replace(record, findings=kept)
+    return record._replace(findings=kept)
 
 
 def _inline_scanner(
-    tool: ToolDescriptor, replay_dir: str | Path | None, missed: list[str]
+    tool: ToolDescriptor, replay_dir: str | Path | None,
+    failed: list[tuple[str, str | None]],
 ) -> Callable[[ContractCase], ScanRecord]:
     """Scan function of a stub or replay tool: the payload or fixture is
     loaded once, then each case is a lookup. A case the fixture does not
-    record is a ``harness_error``, and its id is appended to ``missed``."""
+    record, or records in a malformed entry, is a ``harness_error``;
+    ``failed`` receives its id and, for a malformed entry, a message naming
+    the fixture, the entry and the fault."""
     config = tool.adapter
     if config.kind == "stub":
         payload: Findings = {}
@@ -77,20 +78,36 @@ def _inline_scanner(
             merge_finding(payload, cid, lines)
         return lambda case: ScanRecord(tool.name, case.id, "ok", 0, payload)
     try:
-        fixture = ReplayFixture.load(resolve_replay_fixture(config, tool.name, replay_dir))
+        path = resolve_replay_fixture(config, tool.name, replay_dir)
+        fixture = ReplayFixture.load(path)
     except (ScbenchError, OSError, ValueError, TypeError) as exc:
         logger.error("replay fixture for %s unavailable: %s", tool.name, exc)
         fixture = ReplayFixture({})  # covers no contract
 
     def replay(case: ContractCase) -> ScanRecord:
-        entry = fixture.lookup(case.id)
-        if entry is None:
-            missed.append(case.id)
-            return ScanRecord(tool.name, case.id, "harness_error", 0)
-        status, duration_ms, findings = entry
-        return ScanRecord(tool.name, case.id, status, duration_ms,
-                          findings if status == "ok" else {})
+        try:
+            record = fixture.record(tool.name, case.id)
+        except ScbenchError as exc:
+            failed.append((case.id, f"replay fixture {path}: entry {case.id}: {exc}"))
+        else:
+            if record is not None:
+                return record
+            failed.append((case.id, None))
+        return ScanRecord(tool.name, case.id, "harness_error", 0)
     return replay
+
+
+def _replay_problems(tool: str, failed: list[tuple[str, str | None]],
+                     n_cases: int) -> list[str]:
+    """Messages for the failed cases of an inline tool: one for the cases
+    its fixture does not record, and the first malformed entry's."""
+    missed = [contract for contract, fault in failed if fault is None]
+    faults = [fault for _, fault in failed if fault is not None]
+    problems = faults[:1]
+    if missed:
+        problems.insert(0, f"replay fixture for {tool} does not cover {len(missed)} "
+                           f"of {n_cases} contract(s) (first: {missed[0]})")
+    return problems
 
 
 def _kill_group(pgid: int) -> None:
@@ -175,7 +192,7 @@ def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
             else:
                 findings = parse_text_output(stdout, config.rule_map,
                                              config.line_pattern)
-        except (json.JSONDecodeError, re.error) as exc:
+        except (ValueError, re.error) as exc:  # a JSONDecodeError too
             logger.error("unparseable output from %s: %s", tool.name, exc)
             return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
                               raw_ref=raw_ref)
@@ -199,7 +216,7 @@ def execute_campaign(
     replay_dir: str | Path | None = None,
     raw_dir: str | Path | None = None,
     on_record: Callable[[ScanRecord], None] | None = None,
-    misses: dict[str, list[str]] | None = None,
+    problems: dict[str, list[str]] | None = None,
 ) -> list[ScanRecord]:
     """Run every (tool, contract) pair; returns |tools| x |corpus| records.
 
@@ -211,8 +228,10 @@ def execute_campaign(
     queued tasks are cancelled and running tools killed. Nothing else does.
     Findings outside a tool's capabilities are dropped, and one count per
     tool is logged at the end. A contract that a replay fixture does not
-    record gets a ``harness_error`` record; ``misses``, when given, receives
-    the ids of those contracts per tool.
+    record, or records in a malformed entry, gets a ``harness_error``
+    record; ``problems``, when given, receives per such tool the messages
+    that say so. The inline tools run with the cyclic garbage collector
+    paused: their records hold no reference cycles.
     """
     if parallelism < 1:
         raise ScbenchError("parallelism must be >= 1")
@@ -228,17 +247,18 @@ def execute_campaign(
 
     jobs = []
     live: set[int] = set()  # one add or discard per task: atomic under the GIL
-    for tool in tools:
-        if tool.adapter.kind in _SPAWNED:
-            scan = partial(_spawn_scan, tool, timeout=timeout, raw_dir=raw_dir, live=live)
-            jobs += [(scan, tool, case) for case in corpus]
-        else:
-            missed: list[str] = []
-            scan = _inline_scanner(tool, replay_dir, missed)
+    with gc_paused():
+        for tool in tools:
+            if tool.adapter.kind in _SPAWNED:
+                scan = partial(_spawn_scan, tool, timeout=timeout, raw_dir=raw_dir, live=live)
+                jobs += [(scan, tool, case) for case in corpus]
+                continue
+            failed: list[tuple[str, str | None]] = []
+            scan = _inline_scanner(tool, replay_dir, failed)
             for case in corpus:
                 sink(_guarded(scan, tool, case))
-            if missed and misses is not None:
-                misses[tool.name] = missed
+            if failed and problems is not None:
+                problems[tool.name] = _replay_problems(tool.name, failed, len(corpus))
     if parallelism == 1 or not jobs:
         for job in jobs:
             sink(_guarded(*job))

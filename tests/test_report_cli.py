@@ -286,6 +286,65 @@ class TestCli:
                                            "No such file or directory\n")
         assert not bundle.exists()
 
+    def test_report_matrix_checked_before_the_records(self, tmp_path, capsys):
+        assert main(["report", "--records", str(tmp_path / "absent.jsonl"),
+                     "--corpus", str(LABELLED_DIR), "--matrix", "a1",
+                     "--out-dir", str(tmp_path / "bundle")]) == 1
+        assert capsys.readouterr().err == ("error: cannot read judgment matrix a1: "
+                                           "No such file or directory\n")
+
+    def test_absent_records_file_is_an_error(self, tmp_path, capsys):
+        records = tmp_path / "absent.jsonl"
+        assert main(["metrics", "--records", str(records),
+                     "--corpus", str(LABELLED_DIR)]) == 1
+        assert capsys.readouterr().err == (f"error: cannot read records {records}: "
+                                           "No such file or directory\n")
+
+    def test_malformed_replay_entries_fail_the_run(self, tmp_path, capsys):
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        clean = json.loads((REPLAY_DIR / "Slither.json").read_text())
+        first, second = sorted(clean)[:2]
+        bad = dict(clean)
+        bad[first] = {"status": "ok", "duration_ms": 5, "findings": [{"lines": [3]}]}
+        bad[second] = {"status": "ok", "duration_ms": "soon"}
+        (replay / "Slither.json").write_text(json.dumps(bad))
+        shutil.copy(REPLAY_DIR / "Maian.json", replay / "Maian.json")
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(replay),
+                     "--tools", "Slither,Maian", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: replay fixture {replay / 'Slither.json'}: "
+                                f"entry {first}: missing field 'class'\n")
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--tools", "Slither,Maian", "--out", str(tmp_path / "clean.jsonl")]) == 0
+        got = {(r["tool"], r["contract"]): r for r in map(json.loads, out.read_text().splitlines())}
+        want = {(r["tool"], r["contract"]): r
+                for r in map(json.loads, (tmp_path / "clean.jsonl").read_text().splitlines())}
+        for contract in (first, second):
+            assert got.pop(("Slither", contract))["status"] == "harness_error"
+            del want[("Slither", contract)]
+        assert got == want
+
+    def test_json_tool_line_that_is_not_an_integer_is_a_tool_error(self, tmp_path, capsys):
+        # two findings of one class whose lines once merged into {"1", "2", 3}
+        script = tmp_path / "tool.py"
+        script.write_text("import json\nprint(json.dumps({'findings': ["
+                          "{'check': 'r', 'line': '12'}, {'check': 'r', 'line': 3}]}))\n")
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [{
+            "name": "JsonTool", "capabilities": ["V1"], "max_solidity": "0.8",
+            "adapter": {"kind": "json", "command": f"{sys.executable} {script}",
+                        "rule_map": {"r": "V1"}}}]}))
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        shutil.copy(sorted((LABELLED_DIR / "reentrancy").glob("*.sol"))[0], corpus / "a.sol")
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(corpus), "--registry", str(registry),
+                     "--out", str(out)]) == 0
+        assert "statuses: tool_error" in capsys.readouterr().out
+        assert json.loads(out.read_text())["status"] == "tool_error"
+
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"
         rec.write_text(
@@ -485,6 +544,8 @@ SCORE_DIGESTS = {
     ("a2", "--format", "json", "--standardize"):
         "24843f8e210124079c69949d8ced4a52759583491968df973dfe205e18bd097a",
 }
+SHIPPED_RECORDS_DIGEST = (
+    "1c926c96df52abc64241678facda11ea86396627c8e45c8e3ff6e84b0ec53aaf")
 REPORT_A1_TIMESERIES_DIGEST = (
     "e618a17ade24fd4f9561223bb2fb96e801b88f27fef3941c86d99ad2a1ddf66f")
 
@@ -500,6 +561,13 @@ class TestPinnedOutputs:
         if method == "a1":
             assert out.startswith("lambda_max=")
         assert hashlib.sha256(out.encode()).hexdigest() == SCORE_DIGESTS[variant]
+
+    def test_records_of_the_shipped_campaign(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--out", str(records)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == SHIPPED_RECORDS_DIGEST
 
     def test_report_bundle_of_the_shipped_campaign(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import sys
@@ -5,12 +6,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scbench import runner
-from scbench.adapters import AdapterConfig, ReplayFixture
+from scbench.adapters import AdapterConfig, ReplayFixture, parse_json_output
 from scbench.corpus import ContractCase
 from scbench.errors import MissingRecord, ScbenchError
-from scbench.records import load_record_set
+from scbench.records import STATUSES, gc_paused, load_record_set
 from scbench.runner import (RecordSet, ScanRecord, execute_campaign,
                             read_records, run_scan, write_records)
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
@@ -82,11 +85,15 @@ class TestReplayAdapter:
         tools = [make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture))),
                  make_tool("Stub", AdapterConfig(kind="stub")),
                  make_tool("Ghost", AdapterConfig(kind="replay"))]  # no fixture
-        misses = {}
+        problems = {}
         records = execute_campaign(tools, [make_case(i) for i in range(3)],
-                                   misses=misses)
-        assert misses == {"Echo": ["contract_0", "contract_2"],
-                          "Ghost": ["contract_0", "contract_1", "contract_2"]}
+                                   problems=problems)
+        assert problems == {
+            "Echo": ["replay fixture for Echo does not cover 2 of 3 contract(s) "
+                     "(first: contract_0)"],
+            "Ghost": ["replay fixture for Ghost does not cover 3 of 3 contract(s) "
+                      "(first: contract_0)"],
+        }
         assert sorted((r.tool, r.contract, r.status) for r in records
                       if r.tool == "Echo") == [
             ("Echo", "contract_0", "harness_error"),
@@ -108,6 +115,37 @@ class TestReplayAdapter:
         tool = make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture)))
         rec = run_scan(tool, make_case())
         assert rec.status == "timeout" and rec.findings == {}
+
+    @pytest.mark.parametrize("entry, detail", [
+        ({"status": "finished"}, "unknown status 'finished'"),
+        ({"duration_ms": "soon"}, "invalid literal for int() with base 10: 'soon'"),
+        ({"duration_ms": -1}, "negative duration"),
+        ({"findings": [{"class": "V1", "lines": ["7"]}]}, "line '7' of V1 is not an integer"),
+        ({"findings": [{"class": "V1", "lines": "7"}]}, "line '7' of V1 is not an integer"),
+        ({"status": "timeout", "findings": [{"class": "V1", "lines": [True]}]},
+         "line True of V1 is not an integer"),
+        ({"findings": [{"lines": [7]}]}, "missing field 'class'"),
+        ([1, 2], "'list' object has no attribute 'get'"),
+    ])
+    def test_malformed_entry_fails_only_its_own_task(self, tmp_path, entry, detail):
+        fixture = tmp_path / "Echo.json"
+        fixture.write_text(json.dumps({
+            "contract_0": {"status": "ok", "duration_ms": 5},
+            "contract_1": entry,
+            "contract_2": {"status": "ok", "duration_ms": 6,
+                           "findings": [{"class": "V1", "lines": [3]}]},
+        }))
+        tool = make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture)))
+        problems = {}
+        records = execute_campaign([tool], [make_case(i) for i in range(3)],
+                                   problems=problems)
+        assert [(r.contract, r.status, r.duration_ms, r.findings) for r in records] == [
+            ("contract_0", "ok", 5, {}),
+            ("contract_1", "harness_error", 0, {}),
+            ("contract_2", "ok", 6, {"V1": frozenset({3})}),
+        ]
+        assert problems == {
+            "Echo": [f"replay fixture {fixture}: entry contract_1: {detail}"]}
 
 
 class TestStubAdapter:
@@ -152,6 +190,19 @@ class TestCommandAdapters:
         assert rec.status == "ok"
         assert rec.findings == {"V1": frozenset({17})}
         assert rec.raw_ref and "JsonTool" in rec.raw_ref
+
+    @pytest.mark.parametrize("line, lines", [
+        (None, set()), (0, {0}), (17, {17}), ([], set()), ([3, 1, 3], {1, 3}),
+    ])
+    def test_json_adapter_line_values(self, line, lines):
+        out = json.dumps({"findings": [{"check": "r", "line": line}]})
+        assert parse_json_output(out, {"r": "V1"}) == {"V1": frozenset(lines)}
+
+    @pytest.mark.parametrize("line", ["12", [True, 3], True, 1.0, ["1"], {"n": 1}])
+    def test_json_adapter_rejects_other_line_values(self, line):
+        out = json.dumps({"findings": [{"check": "r", "line": line}]})
+        with pytest.raises(ValueError, match="is not an integer or a list of them"):
+            parse_json_output(out, {"r": "V1"})
 
     def test_text_adapter_matches_substrings(self, tmp_path):
         script = tmp_path / "tool.py"
@@ -449,3 +500,143 @@ class TestRecords:
         assert rs.for_tool("U") == []
         with pytest.raises(MissingRecord):
             rs.get("T", "c2")
+
+
+# one line of the records file, keys sorted as the writer sorts them
+def record_line(contract: str) -> str:
+    return ('{"contract": "%s", "duration_ms": 10, "findings": [], "raw_ref": null, '
+            '"status": "ok", "tool": "T"}' % contract)
+
+
+def drawn_text():
+    """Text with quotes, backslashes, control, non-ASCII and astral
+    characters; lone surrogates aside, which JSON cannot carry through."""
+    special = st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u00e9\u2028\ufeff\U0001f600')
+    return st.text(st.characters(blacklist_categories=("Cs",)) | special, max_size=12)
+
+
+@st.composite
+def scan_records(draw):
+    status = draw(st.sampled_from(STATUSES))
+    findings = draw(st.dictionaries(
+        drawn_text(), st.frozensets(st.integers(), max_size=4), max_size=3)
+        if status == "ok" else st.just({}))
+    return ScanRecord(draw(drawn_text()), draw(drawn_text()), status,
+                      draw(st.integers(min_value=0)), findings,
+                      draw(st.none() | drawn_text()))
+
+
+class TestRecordCodec:
+    @given(scan_records())
+    @settings(max_examples=300, deadline=None)
+    def test_to_json_is_the_sorted_key_document(self, rec):
+        doc = {
+            "tool": rec.tool, "contract": rec.contract, "status": rec.status,
+            "duration_ms": rec.duration_ms,
+            "findings": [{"class": cid, "lines": sorted(lines)}
+                         for cid, lines in sorted(rec.findings.items())],
+            "raw_ref": rec.raw_ref,
+        }
+        assert rec.to_json() == json.dumps(doc, sort_keys=True)
+        assert ScanRecord.from_json(rec.to_json()) == rec
+
+    @given(st.lists(scan_records(), max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_file_round_trip(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("codec") / "records.jsonl"
+        write_records(records, path)
+        assert read_records(path) == sorted(records, key=lambda r: (r.tool, r.contract))
+
+    @pytest.mark.parametrize("text, contracts", [
+        (" \t" + record_line("c1") + " \t\n" + record_line("c2"), ["c1", "c2"]),
+        ("\n\n" + record_line("c1") + "\n \t\n\n" + record_line("c2") + "\n\n",
+         ["c1", "c2"]),
+        (record_line("c1") + "\r\n" + record_line("c2") + "\r\n", ["c1", "c2"]),
+        (record_line("c1") + "\r\n\r\n \r\n", ["c1"]),
+        ("\x0c\n" + record_line("c1") + "\n\u3000\n", ["c1"]),  # str.strip() blanks
+        (record_line("\u00e9\U0001f600") + "\n", ["\u00e9\U0001f600"]),  # raw UTF-8
+        ("", []),
+    ], ids=["surrounding-space", "blank-lines", "crlf", "crlf-blank-lines",
+            "non-json-space-blanks", "raw-utf8", "empty"])
+    def test_accepted_layouts(self, tmp_path, text, contracts):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert [r.contract for r in read_records(path)] == contracts
+
+    @pytest.mark.parametrize("text, lineno, detail", [
+        (record_line("c1") + " " + record_line("c2") + "\n", 1, "Extra data"),
+        (record_line("c1") + record_line("c2") + "\n", 1, "Extra data"),
+        (record_line("c1") + "\n" + record_line("c2").replace(", ", ",\n", 1) + "\n",
+         2, "Expecting property name"),
+        (record_line("c1").replace(": ", ":\n", 1) + "\n", 1, "Expecting value"),
+        (record_line("c1") + "\n\x0c" + record_line("c2") + "\n", 2, "Expecting value"),
+        (record_line("c1") + "\n" + record_line("c2") + " x\n", 2, "Extra data"),
+        (record_line("c1").replace("[]", '[{"class": "V1", "lines": ["1"]}]') + "\n", 1,
+         "line '1' of V1 is not an integer"),
+        (record_line("c1").replace("[]", '[{"class": "V1", "lines": [true]}]') + "\n", 1,
+         "line True of V1 is not an integer"),
+        (record_line("c1").replace("10", "Infinity") + "\n", 1,
+         "cannot convert float infinity to integer"),
+    ], ids=["two-on-a-line-spaced", "two-on-a-line", "split-after-comma", "split-after-colon",
+            "non-json-space-before", "trailing-garbage", "string-line", "bool-line",
+            "infinite-duration"])
+    def test_rejected_layouts_name_the_first_bad_line(self, tmp_path, text, lineno, detail):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ScbenchError) as info:
+            read_records(path)
+        assert str(info.value).startswith(f"{path}:{lineno}: ")
+        assert detail in str(info.value)
+
+    def test_unreadable_file_is_an_error(self, tmp_path):
+        with pytest.raises(ScbenchError, match="cannot read records .*: No such file"):
+            read_records(tmp_path / "absent.jsonl")
+
+
+class TestScanRecord:
+    @pytest.mark.parametrize("args, detail", [
+        (("T", "c", "ok", 1, {"V1": frozenset({"1"})}), "line '1' of V1 is not an integer"),
+        (("T", "c", "ok", 1, {"V1": frozenset({True})}), "line True of V1 is not an integer"),
+        (("T", "c", "ok", 1, {1: frozenset()}), "class id 1 is not a string"),
+        (("T", "c", "ok", 1.5), "duration_ms 1.5 is not an integer"),
+        (("T", "c", "ok", -1), "negative duration"),
+        (("T", 7, "ok", 1), "must be strings"),
+        (("T", "c", "ok", 1, {}, 3), "must be strings"),
+    ])
+    def test_fields_checked(self, args, detail):
+        with pytest.raises(ScbenchError, match=detail):
+            ScanRecord(*args)
+
+    def test_immutable_and_equal_only_to_records(self):
+        rec = ScanRecord("T", "c", "ok", 1, {"V1": frozenset({2})})
+        assert rec == ScanRecord(tool="T", contract="c", status="ok", duration_ms=1,
+                                 findings={"V1": frozenset({2})})
+        assert rec != ScanRecord("T", "c", "ok", 2, {"V1": frozenset({2})})
+        assert rec != tuple(rec) and tuple(rec) != rec
+        assert ScanRecord("T", "c", "timeout", 1).findings == {}
+        with pytest.raises(AttributeError):
+            rec.status = "timeout"
+        with pytest.raises(TypeError):
+            hash(rec)
+
+    def test_replace_checks_the_new_record(self):
+        rec = ScanRecord("T", "c", "ok", 1, {"V1": frozenset({2})})
+        assert rec._replace(findings={}) == ScanRecord("T", "c", "ok", 1)
+        with pytest.raises(ScbenchError, match="findings must be empty"):
+            rec._replace(status="timeout")
+
+
+def test_gc_paused_restores_the_collector():
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        with gc_paused():
+            assert not gc.isenabled()
+            raise RuntimeError
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with gc_paused():
+            pass
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
