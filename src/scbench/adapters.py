@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -48,6 +49,8 @@ class AdapterConfig:
     fixture: str | None = None       # replay: file, or dir resolved per tool
     findings: tuple[tuple[str, tuple[int, ...]], ...] = ()  # stub payload
     line_pattern: str | None = None  # text: regex with one integer group
+    # the command template split into arguments, once per tool
+    argv: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ADAPTER_KINDS:
@@ -59,6 +62,12 @@ class AdapterConfig:
         bad = set(self.rule_map.values()) - _CLASS_IDS
         if bad:
             raise ScbenchError(f"rule_map targets outside V1..V10: {sorted(bad)}")
+        try:
+            argv = tuple(shlex.split(self.command)) if self.command else ()
+        except ValueError as exc:  # an unterminated quote or escape
+            raise ScbenchError(f"command template {self.command!r} cannot be split: "
+                               f"{exc}") from None
+        object.__setattr__(self, "argv", argv)
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "AdapterConfig":
@@ -84,14 +93,20 @@ def parse_json_output(stdout: str, rule_map: Mapping[str, str]) -> Findings:
     """Parse the reference JSON schema and map rule ids to classes.
 
     Unknown rule ids are logged and dropped; they cannot be scored. Output
-    that is not JSON, or a ``line`` that is neither absent, an integer nor
-    a list of integers, raises :class:`ValueError`.
+    that is not a JSON object, ``findings`` that are not a list of objects,
+    or a ``line`` that is neither absent, an integer nor a list of integers,
+    raises :class:`ValueError`.
     """
     doc = json.loads(stdout)
+    if type(doc) is not dict:
+        raise ValueError(f"top level is a {type(doc).__name__}, not an object")
+    items = doc.get("findings", [])
+    if type(items) is not list or not all(type(item) is dict for item in items):
+        raise ValueError("findings are not a list of objects")
     findings: Findings = {}
-    for item in doc.get("findings", ()):
+    for item in items:
         rule = item.get("check")
-        class_id = rule_map.get(rule)
+        class_id = rule_map.get(rule) if type(rule) is str else None
         if class_id is None:
             logger.warning("adapter emitted unmapped rule id %r", rule)
             continue
@@ -142,11 +157,11 @@ class ReplayFixture:
         """The record of ``tool``'s scan of a contract, or None for an id
         the fixture does not record. A scan that did not end ``ok`` keeps
         no findings. A malformed entry raises :class:`ScbenchError`, whatever
-        its status: one that is not a mapping, lacks a finding's class, or
-        holds a bad status, duration or line."""
-        entry = self._entries.get(contract_id)
-        if entry is None:
+        its status: one that is not a mapping (``null`` too), lacks a
+        finding's class, or holds a bad status, duration or line."""
+        if contract_id not in self._entries:
             return None
+        entry = self._entries[contract_id]
         try:
             findings: Findings = {}
             for f in entry.get("findings", ()):

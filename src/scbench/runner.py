@@ -9,10 +9,11 @@ and individual task failures are recorded, not fatal.
 
 from __future__ import annotations
 
+import locale
 import logging
 import os
 import re
-import shlex
+import selectors
 import signal
 import subprocess
 import sys
@@ -135,6 +136,50 @@ def run_scan(
                             raw_dir=raw_dir)[0]
 
 
+def _decode(data: bytes, errors: str = "strict") -> str:
+    """Tool output as ``Popen(text=True)`` decodes it: the locale's
+    preferred encoding (UTF-8 in UTF-8 mode) and universal newlines."""
+    text = data.decode(locale.getpreferredencoding(False), errors)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _communicate(proc: subprocess.Popen, cap: float) -> tuple[bytes, bytes]:
+    """Both pipes of ``proc`` read to EOF and the tool reaped, within ``cap``
+    seconds of wall clock; :class:`subprocess.TimeoutExpired` past it.
+
+    Where ``os.pidfd_open`` works, one selector waits on the two pipes and
+    on the tool's exit, so the task wakes on each of those events and never
+    on a timer. Elsewhere ``Popen.communicate`` waits, which sleep-polls for
+    the exit once the pipes are closed.
+    """
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):  # not Linux, or a kernel without pidfds
+        return proc.communicate(timeout=cap)
+    deadline = time.monotonic() + cap
+    chunks: dict[int, list[bytes]] = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
+    try:
+        with selectors.PollSelector() as selector:
+            for fd in (*chunks, pidfd):
+                selector.register(fd, selectors.EVENT_READ)
+            while selector.get_map():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise subprocess.TimeoutExpired(proc.args, cap)
+                for key, _ in selector.select(remaining):
+                    if key.fd == pidfd:  # the tool has exited
+                        selector.unregister(pidfd)
+                    elif data := os.read(key.fd, 32768):
+                        chunks[key.fd].append(data)
+                    else:  # EOF
+                        selector.unregister(key.fd)
+    finally:
+        os.close(pidfd)
+    proc.wait()  # an exited child: reaped at once
+    out, err = chunks.values()
+    return b"".join(out), b"".join(err)
+
+
 def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
                 raw_dir: str | Path | None, live: set[int]) -> ScanRecord:
     """:func:`run_scan` of a command tool; ``live`` holds the process
@@ -147,28 +192,29 @@ def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
         input_path = Path(tmp) / "contract.sol"
         input_path.write_text(case.source, "utf-8")
         values = {"input": str(input_path), "solc": str(tool.max_solidity)}
-        argv = [
-            _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], part)
-            for part in shlex.split(config.command)
-        ]
+        argv = [_PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], part)
+                for part in config.argv]
         start = time.monotonic()
         try:
             proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                    stderr=subprocess.PIPE, text=True, **_OWN_GROUP)
+                                    stderr=subprocess.PIPE, **_OWN_GROUP)
         except (OSError, ValueError) as exc:
             logger.error("failed to spawn %s: %s", tool.name, exc)
             return ScanRecord(tool.name, case.id, "harness_error", 0)
         live.add(proc.pid)
         try:
-            stdout, stderr = proc.communicate(timeout=cap)
+            stdout, stderr = _communicate(proc, cap)
         except BaseException as exc:  # a timeout or an interrupt
-            _kill_group(proc.pid)
-            proc.communicate()
+            if proc.returncode is None:  # a reaped pid may name another group
+                _kill_group(proc.pid)
+            proc.wait()
             if isinstance(exc, subprocess.TimeoutExpired):
                 return ScanRecord(tool.name, case.id, "timeout", int(cap * 1000))
             raise
         finally:
             live.discard(proc.pid)
+            proc.stdout.close()
+            proc.stderr.close()
         elapsed_ms = int((time.monotonic() - start) * 1000)
 
         if raw_dir is not None:
@@ -176,7 +222,9 @@ def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
                 out_dir = Path(raw_dir) / tool.name
                 out_dir.mkdir(parents=True, exist_ok=True)
                 raw_path = out_dir / (case.id.replace("/", "__") + ".out")
-                raw_path.write_text(stdout + stderr, "utf-8")
+                # stdout is decoded strictly below; here a bad byte is U+FFFD
+                raw_path.write_text(_decode(stdout, "replace") + _decode(stderr, "replace"),
+                                    "utf-8")
                 raw_ref = str(raw_path)
             except OSError as exc:
                 logger.error("could not persist raw output for %s: %s",
@@ -187,12 +235,13 @@ def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
             return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
                               raw_ref=raw_ref)
         try:
+            text = _decode(stdout)
             if config.kind == "json":
-                findings = parse_json_output(stdout, config.rule_map)
+                findings = parse_json_output(text, config.rule_map)
             else:
-                findings = parse_text_output(stdout, config.rule_map,
+                findings = parse_text_output(text, config.rule_map,
                                              config.line_pattern)
-        except (ValueError, re.error) as exc:  # a JSONDecodeError too
+        except (ValueError, re.error) as exc:  # a Unicode- or JSONDecodeError too
             logger.error("unparseable output from %s: %s", tool.name, exc)
             return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
                               raw_ref=raw_ref)

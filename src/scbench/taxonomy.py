@@ -209,13 +209,17 @@ class Registry:
         raw = json.loads(text)
         tools = []
         for entry in raw["tools"]:
+            try:
+                adapter = AdapterConfig.from_mapping(entry.get("adapter", {}))
+            except ScbenchError as exc:
+                raise ScbenchError(f"tool {entry['name']}: {exc}") from None
             tools.append(
                 ToolDescriptor(
                     name=entry["name"],
                     methods=frozenset(entry.get("methods", ())),
                     capabilities=frozenset(entry["capabilities"]),
                     max_solidity=VersionId.parse(entry["max_solidity"]),
-                    adapter=AdapterConfig.from_mapping(entry.get("adapter", {})),
+                    adapter=adapter,
                 )
             )
         return cls(tuple(tools))

@@ -345,6 +345,22 @@ class TestCli:
         assert "statuses: tool_error" in capsys.readouterr().out
         assert json.loads(out.read_text())["status"] == "tool_error"
 
+    def test_command_template_that_cannot_be_split_fails_before_any_task(self, tmp_path,
+                                                                          capsys):
+        started = tmp_path / "started"
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [{
+            "name": "Broken", "capabilities": ["V1"], "max_solidity": "0.8",
+            "adapter": {"kind": "json",
+                        "command": f"sh -c 'touch {started}; unterminated {{input}}"}}]}))
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--registry", str(registry),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tool Broken: command template ") and \
+            err.endswith(" cannot be split: No closing quotation\n")
+        assert not out.exists() and not started.exists()
+
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"
         rec.write_text(

@@ -1,6 +1,8 @@
+import errno
 import gc
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -38,6 +40,29 @@ def alive(pid: int) -> bool:
         return True
 
 
+@pytest.fixture(params=["pidfd", "fallback"])
+def wait_path(request, monkeypatch):
+    """Run the test on each way a spawned task can wait for its tool; the
+    fallback is forced by making ``os.pidfd_open`` fail, as it does on a
+    kernel without pidfds. Checks that the chosen path is the one taken."""
+    if request.param == "fallback":
+        def no_pidfd(pid):
+            raise OSError(errno.ENOSYS, "pidfd_open unavailable")
+        monkeypatch.setattr(os, "pidfd_open", no_pidfd, raising=False)
+    elif not hasattr(os, "pidfd_open"):
+        pytest.skip("os.pidfd_open is Linux-only")
+    calls = []
+    communicate = subprocess.Popen.communicate
+
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs.get("timeout"))
+        return communicate(self, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", spy)
+    yield request.param
+    assert bool(calls) == (request.param == "fallback"), calls
+
+
 def make_tool(name: str, adapter: AdapterConfig,
               capabilities=("V1", "V2")) -> ToolDescriptor:
     return ToolDescriptor(
@@ -47,6 +72,13 @@ def make_tool(name: str, adapter: AdapterConfig,
         max_solidity=VersionId(8),
         adapter=adapter,
     )
+
+
+def assert_gone(pid: int) -> None:
+    deadline = time.monotonic() + 1.0
+    while alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not alive(pid), f"process {pid} outlived the timeout"
 
 
 def make_case(idx: int = 0) -> ContractCase:
@@ -126,6 +158,7 @@ class TestReplayAdapter:
          "line True of V1 is not an integer"),
         ({"findings": [{"lines": [7]}]}, "missing field 'class'"),
         ([1, 2], "'list' object has no attribute 'get'"),
+        (None, "'NoneType' object has no attribute 'get'"),
     ])
     def test_malformed_entry_fails_only_its_own_task(self, tmp_path, entry, detail):
         fixture = tmp_path / "Echo.json"
@@ -219,7 +252,7 @@ class TestCommandAdapters:
         rec = run_scan(tool, make_case())
         assert rec.findings == {"V1": frozenset({17})}
 
-    def test_timeout_status(self, tmp_path):
+    def test_timeout_status(self, tmp_path, wait_path):
         tool = make_tool("Sleeper", AdapterConfig(
             kind="json",
             command=f"{PY} -c \"import time; time.sleep(5)\"",
@@ -230,7 +263,7 @@ class TestCommandAdapters:
         assert rec.findings == {}
         assert rec.duration_ms <= 300
 
-    def test_timeout_kills_the_whole_process_group(self, tmp_path):
+    def test_timeout_kills_the_whole_process_group(self, tmp_path, wait_path):
         pid_file = tmp_path / "grandchild.pid"
         # one background grandchild: it writes its own pid, then sleeps
         tool = make_tool("Forker", AdapterConfig(
@@ -240,11 +273,65 @@ class TestCommandAdapters:
         ))
         rec = run_scan(tool, make_case())
         assert rec.status == "timeout"
-        pid = int(pid_file.read_text())
-        deadline = time.monotonic() + 1.0
-        while alive(pid) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert not alive(pid), f"grandchild {pid} outlived the timeout"
+        assert_gone(int(pid_file.read_text()))
+
+    def test_closed_pipes_do_not_end_the_task(self, wait_path):
+        tool = make_tool("Closer", AdapterConfig(
+            kind="json", command="sh -c 'exec >&- 2>&-; sleep 5'", timeout=0.5,
+        ))
+        start = time.monotonic()
+        rec = run_scan(tool, make_case())
+        assert rec.status == "timeout" and rec.duration_ms == 500
+        assert time.monotonic() - start < 3
+
+    def test_background_child_holding_stdout_is_a_timeout(self, tmp_path, wait_path):
+        pid_file = tmp_path / "background.pid"
+        script = tmp_path / "tool.sh"
+        script.write_text(f"sleep 5 &\necho $! > {pid_file}\necho '{{\"findings\": []}}'\n")
+        tool = make_tool("Leaver", AdapterConfig(
+            kind="json", command=f"sh {script}", timeout=0.5,
+        ))
+        rec = run_scan(tool, make_case())
+        assert rec.status == "timeout"
+        assert_gone(int(pid_file.read_text()))
+
+    def test_process_outside_the_group_does_not_outlast_the_cap(self, tmp_path, wait_path):
+        # setsid leaves the group, so the kill misses it while it holds stdout
+        pid_file = tmp_path / "escaped.pid"
+        script = tmp_path / "tool.sh"
+        script.write_text(f"setsid sh -c 'echo $$ > {pid_file}; exec sleep 5' &\n"
+                          f"while [ ! -s {pid_file} ]; do :; done\n")
+        tool = make_tool("Escaper", AdapterConfig(
+            kind="json", command=f"sh {script}", timeout=0.5,
+        ))
+        start = time.monotonic()
+        try:
+            rec = run_scan(tool, make_case())
+            assert rec.status == "timeout"
+            assert time.monotonic() - start < 3
+        finally:
+            os.kill(int(pid_file.read_text()), 9)
+
+    @pytest.mark.parametrize("code, status, findings", [
+        ("sys.stdout.buffer.write(b'{\"findings\": []}\\xff')", "tool_error", {}),
+        ("print(json.dumps({'findings': [{'check': 'r', 'line': 4}]})); "
+         "sys.stdout.flush(); sys.stderr.buffer.write(b'warn \\xff')",
+         "ok", {"V1": frozenset({4})}),
+    ], ids=["stdout", "stderr"])
+    def test_undecodable_byte(self, tmp_path, monkeypatch, wait_path,
+                              code, status, findings):
+        # stdout is parsed, so a byte it cannot decode makes it unparseable;
+        # stderr only feeds the raw file, where the byte is replaced
+        kills = []
+        monkeypatch.setattr(runner, "_kill_group", kills.append)
+        tool = make_tool("Bytes", AdapterConfig(
+            kind="json", command=f"{PY} -c \"import json, sys; {code}\"",
+            rule_map={"r": "V1"},
+        ))
+        rec = run_scan(tool, make_case(), raw_dir=tmp_path / "raw")
+        assert (rec.status, rec.findings) == (status, findings)
+        assert "\ufffd" in (tmp_path / "raw" / "Bytes" / "contract_0.out").read_text("utf-8")
+        assert kills == []
 
     def test_nonzero_exit_is_tool_error_with_raw_preserved(self, tmp_path):
         script = tmp_path / "tool.py"
@@ -287,6 +374,38 @@ class TestCommandAdapters:
         ))
         rec = run_scan(tool, make_case())
         assert rec.status == "tool_error"
+
+    def test_json_that_is_not_an_object_is_tool_error(self, caplog):
+        tool = make_tool("Listing", AdapterConfig(
+            kind="json", command=f"{PY} -c \"print('[1, 2]')\"",
+        ))
+        rec = run_scan(tool, make_case())
+        assert rec.status == "tool_error"
+        assert [r.getMessage() for r in caplog.records] == [
+            "unparseable output from Listing: top level is a list, not an object"]
+
+    @pytest.mark.parametrize("out", [
+        "null", '{"findings": 3}', '{"findings": "ab"}', '{"findings": [1]}',
+        '{"findings": [{"check": "r"}, null]}',
+    ])
+    def test_json_adapter_rejects_other_shapes(self, out):
+        with pytest.raises(ValueError, match="not an object|not a list of objects"):
+            parse_json_output(out, {"r": "V1"})
+
+    def test_json_adapter_drops_a_check_that_is_not_a_string(self):
+        out = json.dumps({"findings": [{"check": ["r"]}, {"check": "r", "line": 2}]})
+        assert parse_json_output(out, {"r": "V1"}) == {"V1": frozenset({2})}
+
+    def test_template_split_once_per_tool(self, monkeypatch):
+        config = AdapterConfig(kind="text", command="sh -c 'echo \"$0 {input}\"' x")
+        assert config.argv == ("sh", "-c", 'echo "$0 {input}"', "x")
+        monkeypatch.setattr("shlex.split", None)  # a task splits nothing
+        assert run_scan(make_tool("Echo", config), make_case()).status == "ok"
+
+    @pytest.mark.parametrize("command", ["sh -c 'unterminated {input}", "echo \\"])
+    def test_template_that_cannot_be_split_is_rejected(self, command):
+        with pytest.raises(ScbenchError, match="cannot be split"):
+            AdapterConfig(kind="json", command=command)
 
 
 class TestCampaign:
@@ -353,8 +472,10 @@ class TestCampaign:
 
         def sink(record):
             deadline = time.monotonic() + 5
-            while not pid_file.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)  # until the slow tool runs
+            # until the slow tool runs: the file exists before its pid is in it
+            while not (pid_file.exists() and pid_file.read_text()) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise RuntimeError("sink is full")
 
         start = time.monotonic()
