@@ -35,10 +35,6 @@ def _load_corpus(path: str, metadata: str | None = None):
     return corpus_mod.load_flat(root, metadata=metadata)
 
 
-def _load_registry(path: str | None) -> Registry:
-    return Registry.load(path) if path else Registry.load()
-
-
 def _emit(header, rows, fmt: str, out: str | None) -> None:
     if fmt == "md":
         text = to_markdown(header, rows)
@@ -78,7 +74,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    registry = _load_registry(args.registry)
+    registry = Registry.load(args.registry)
     if args.tools:
         registry = registry.subset(
             [name.strip() for name in args.tools.split(",") if name.strip()]
@@ -120,15 +116,15 @@ def _score_campaign(args):
 
     cases = _load_corpus(args.corpus, args.metadata)
     records = load_record_set(args.records)
-    registry = _restrict_to_recorded(_load_registry(args.registry), records)
+    registry = _restrict_to_recorded(Registry.load(args.registry), records)
     scores = metrics.score_campaign(records, registry, cases)
     indicator = metrics.indicator_matrix(
         registry, {t: s.functional for t, s in scores.items()},
         {t: s.timing for t, s in scores.items()})
     return cases, records, registry, indicator, {
         "classification": report.metrics_grid(scores),
-        "timing": report.timing_table(scores),
-        "capability": report.capability_table(registry),
+        "timing": report.timing_table(scores, indicator),
+        "capability": report.capability_table(registry, indicator),
         "indicators": report.indicators_table(indicator),
     }
 
@@ -157,7 +153,7 @@ def _cmd_score(args) -> int:
     else:
         indicators = reference.indicator_matrix()
     if args.method == "ewm":
-        weights = mcdm.ewm_weights(indicators.values, method="EWM")
+        weights = mcdm.ewm_weights(indicators.values)
         consistency = None
     else:
         if not args.matrix:
@@ -191,7 +187,7 @@ def _cmd_report(args) -> int:
 
     pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
     cases, records, registry, indicator, tables = _score_campaign(args)
-    ewm = mcdm.ewm_weights(indicator.values, method="EWM")
+    ewm = mcdm.ewm_weights(indicator.values)
     tables.update({
         "stats": stats_table(corpus_mod.stats(cases)),
         "weights": report.weights_table([ewm]),

@@ -19,19 +19,19 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ..errors import AnnotationMismatch, ScbenchError, UnknownMarker
-from ..taxonomy import Taxonomy, default_taxonomy
-from .lexer import (BACKEND, _loc, _pragma, _squeeze, _strip, count_loc,
-                    has_pragma, normalize_source, strip_comments)
+from ..taxonomy import default_taxonomy
+from .lexer import BACKEND, _loc, _pragma, _squeeze, _strip, normalize_source, strip_comments
 
+# ``BACKEND`` has no reader in ``scbench``: the set-up probe of
+# ``perfbench/workload.py`` imports it, so it stays until the benchmark
+# stops asking for it.
 __all__ = [
     "BACKEND",
     "BUCKETS",
     "ContractCase",
     "ClassStat",
     "CorpusStats",
-    "count_loc",
     "dedup",
-    "has_pragma",
     "load_csv_corpus",
     "load_flat",
     "load_labelled",
@@ -89,9 +89,7 @@ def _derived(stripped: str) -> dict:
     }
 
 
-def parse_annotations(
-    source: str, taxonomy: Taxonomy | None = None
-) -> dict[str, frozenset[int]]:
+def parse_annotations(source: str) -> dict[str, frozenset[int]]:
     """Extract ground-truth labels from an annotated contract.
 
     Inline ``<yes> <report> MARKER`` comments label the first non-comment
@@ -101,13 +99,11 @@ def parse_annotations(
     :class:`AnnotationMismatch` warning, as does any header whose line set
     disagrees with the inline markers.
     """
-    return _annotations(source, strip_comments(source, strict=False),
-                        taxonomy or default_taxonomy())
+    return _annotations(source, strip_comments(source, strict=False))
 
 
-def _annotations(
-    source: str, stripped: str, taxonomy: Taxonomy
-) -> dict[str, frozenset[int]]:
+def _annotations(source: str, stripped: str) -> dict[str, frozenset[int]]:
+    taxonomy = default_taxonomy()
     stripped_lines = stripped.splitlines()
     raw_lines = source.splitlines()
 
@@ -216,9 +212,9 @@ class CorpusStats:
         return sum(s.loc for s in self.per_class) + self.safe_loc
 
 
-def stats(cases: Iterable[ContractCase], taxonomy: Taxonomy | None = None) -> CorpusStats:
+def stats(cases: Iterable[ContractCase]) -> CorpusStats:
     """Per-class case counts and LoC; a multi-label case counts once per class."""
-    taxonomy = taxonomy or default_taxonomy()
+    taxonomy = default_taxonomy()
     counts = {c.id: 0 for c in taxonomy}
     locs = {c.id: 0 for c in taxonomy}
     safe_count = 0
@@ -254,76 +250,68 @@ def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | No
     return meta
 
 
-def _load_case(case_id: str, source: str, taxonomy: Taxonomy, meta,
-               origin: str) -> ContractCase:
+def _sidecar(directory: Path, metadata: str | Path | None):
+    """The metadata of a corpus directory: ``metadata`` when given, else the
+    directory's own ``metadata.csv`` when it has one, else none."""
+    if metadata:
+        return load_metadata(metadata)
+    own = directory / "metadata.csv"
+    return load_metadata(own) if own.is_file() else {}
+
+
+def _load_case(case_id: str, source: str, meta, origin: str) -> ContractCase:
     """One comment-stripping scan gives the labels and every derived field.
     ``origin`` names the source (its file) in a label error."""
     stripped = strip_comments(source, strict=False)
     created_at, tx_value = meta.get(case_id, (None, None))
     try:
-        expected = _annotations(source, stripped, taxonomy)
+        expected = _annotations(source, stripped)
     except UnknownMarker as exc:
         raise UnknownMarker(f"{origin}: {exc}") from None
     return ContractCase(case_id, source, expected, created_at, tx_value,
                         **_derived(stripped))
 
 
-def load_labelled(
-    root: str | Path,
-    taxonomy: Taxonomy | None = None,
-    metadata: str | Path | None = None,
-) -> list[ContractCase]:
+def load_labelled(root: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
     """Load ``<root>/<class_dir>/*.sol`` (including ``safe/``), sorted by id."""
-    taxonomy = taxonomy or default_taxonomy()
     root = Path(root)
     if not root.is_dir():
         raise ScbenchError(f"corpus root {root} is not a directory")
-    meta = load_metadata(metadata) if metadata else (
-        load_metadata(root / "metadata.csv") if (root / "metadata.csv").is_file() else {}
-    )
+    meta = _sidecar(root, metadata)
     cases = []
     for path in sorted(root.glob("*/*.sol"), key=lambda p: p.parts):
         rel = path.relative_to(root).as_posix()
         cases.append(_load_case(rel.removesuffix(".sol"), path.read_text("utf-8"),
-                                taxonomy, meta, rel))
+                                meta, rel))
     return cases
 
 
-def load_flat(
-    directory: str | Path,
-    taxonomy: Taxonomy | None = None,
-    metadata: str | Path | None = None,
-) -> list[ContractCase]:
+def load_flat(directory: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
     """Load a flat directory of ``*.sol`` files (scaled-corpus layout)."""
-    taxonomy = taxonomy or default_taxonomy()
-    meta = load_metadata(metadata) if metadata else {}
+    directory = Path(directory)
+    meta = _sidecar(directory, metadata)
     return [
-        _load_case(path.stem, path.read_text("utf-8"), taxonomy, meta, path.name)
-        for path in sorted(Path(directory).glob("*.sol"), key=lambda p: p.parts)
+        _load_case(path.stem, path.read_text("utf-8"), meta, path.name)
+        for path in sorted(directory.glob("*.sol"), key=lambda p: p.parts)
     ]
 
 
-def load_csv_corpus(
-    path: str | Path,
-    taxonomy: Taxonomy | None = None,
-    metadata: str | Path | None = None,
-) -> list[ContractCase]:
+def load_csv_corpus(path: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
     """Load a CSV export with ``address`` and ``source`` columns."""
-    taxonomy = taxonomy or default_taxonomy()
     meta = load_metadata(metadata) if metadata else {}
     with open(path, newline="", encoding="utf-8") as fh:
-        return [_load_case(row["address"], row["source"], taxonomy, meta,
+        return [_load_case(row["address"], row["source"], meta,
                            f"{path} row {row['address']}")
                 for row in csv.DictReader(fh)]
 
 
-def scan_problems(root: str | Path, taxonomy: Taxonomy | None = None) -> list[str]:
+def scan_problems(root: str | Path) -> list[str]:
     """Validation sweep over a labelled corpus; returns human-readable issues.
 
     Checks alias totality, annotation line bounds, directory/label
     agreement, missing pragma directives, and annotation mismatches.
     """
-    taxonomy = taxonomy or default_taxonomy()
+    taxonomy = default_taxonomy()
     root = Path(root)
     problems: list[str] = []
     for path in sorted(root.glob("*/*.sol"), key=lambda p: p.parts):
@@ -336,7 +324,7 @@ def scan_problems(root: str | Path, taxonomy: Taxonomy | None = None) -> list[st
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                expected = _annotations(source, stripped, taxonomy)
+                expected = _annotations(source, stripped)
             except ScbenchError as exc:
                 problems.append(f"{rel}: {exc}")
                 continue

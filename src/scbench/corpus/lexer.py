@@ -115,14 +115,3 @@ def normalize_source(source: str, strict: bool = True) -> str:
     ``s = "//x";`` normalizes to ``s="//x";``.
     """
     return _squeeze(strip_comments(source, strict))
-
-
-def count_loc(source: str) -> int:
-    """Lines that remain non-blank once comments (and the annotation
-    markers they carry) are removed."""
-    return _loc(strip_comments(source, strict=False))
-
-
-def has_pragma(source: str) -> bool:
-    """True iff a ``pragma solidity`` directive survives comment removal."""
-    return _pragma(strip_comments(source, strict=False))

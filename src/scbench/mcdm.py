@@ -76,15 +76,6 @@ class ScoreTable:
     method: str
     rows: tuple[ScoreRow, ...]
 
-    def ranked_names(self) -> list[str]:
-        return [r.tool for r in self.rows]
-
-    def score_of(self, tool: str) -> float:
-        for r in self.rows:
-            if r.tool == tool:
-                return r.score
-        raise ScbenchError(f"tool {tool!r} not in score table")
-
 
 def standardize(matrix: Matrix) -> tuple[list[list[float]], list[int]]:
     """Range-normalize each column to [0, 1].
@@ -106,7 +97,7 @@ def standardize(matrix: Matrix) -> tuple[list[list[float]], list[int]]:
     return out, degenerate
 
 
-def ewm_weights(matrix: Matrix, method: str = "EWM") -> WeightVector:
+def ewm_weights(matrix: Matrix) -> WeightVector:
     """Entropy weights: the more dispersed a criterion's standardized
     values, the lower its entropy and the higher its weight.
 
@@ -127,8 +118,8 @@ def ewm_weights(matrix: Matrix, method: str = "EWM") -> WeightVector:
     total = math.fsum(divergence)
     if total <= 0.0:
         logger.warning("all criteria degenerate; falling back to uniform weights")
-        return WeightVector((1.0 / len(divergence),) * len(divergence), method)
-    return WeightVector(tuple(d / total for d in divergence), method)
+        return WeightVector((1.0 / len(divergence),) * len(divergence), "EWM")
+    return WeightVector(tuple(d / total for d in divergence), "EWM")
 
 
 def parse_pairwise(text: str) -> list[list[float]]:
@@ -220,7 +211,6 @@ def ahp_weights(
 def overall_scores(
     indicators: IndicatorMatrix,
     weights: WeightVector,
-    method: str | None = None,
     standardize_indicators: bool = False,
 ) -> ScoreTable:
     """Weighted sum of the indicator columns, on a 0-100 scale.
@@ -246,4 +236,4 @@ def overall_scores(
     rows = tuple(
         ScoreRow(tool=t, score=s, rank=i + 1) for i, (t, s) in enumerate(scored)
     )
-    return ScoreTable(method=method or weights.method or "weighted-sum", rows=rows)
+    return ScoreTable(method=weights.method or "weighted-sum", rows=rows)

@@ -16,11 +16,9 @@ from .corpus import ContractCase
 from .errors import (EmptyMatrix, NoSupportedClasses, NotApplicable,
                      NoValidRuns, ScbenchError)
 from .records import RecordSet
-from .taxonomy import Registry, Taxonomy, ToolDescriptor, compat_score, default_taxonomy
+from .taxonomy import CLASS_IDS, Registry, ToolDescriptor, compat_score, default_taxonomy
 
 INDICATOR_COLUMNS = ("functional", "efficiency", "compatibility", "usability")
-
-SELECTED_CLASS_COUNT = 10  # denominator of the coverage score
 
 
 @dataclass(frozen=True)
@@ -118,17 +116,12 @@ def confusion(
     return ConfusionMatrix(tp, fp, fn, tn)
 
 
-def per_class_metrics(
-    records: RecordSet,
-    tool: ToolDescriptor,
-    corpus: Sequence[ContractCase],
-    taxonomy: Taxonomy | None = None,
-) -> dict[str, MetricSet]:
+def per_class_metrics(records: RecordSet, tool: ToolDescriptor,
+                      corpus: Sequence[ContractCase]) -> dict[str, MetricSet]:
     """MetricSet per supported class; a class with no evaluated case (every
     scan of its population failed) raises :class:`EmptyMatrix`."""
-    taxonomy = taxonomy or default_taxonomy()
     out: dict[str, MetricSet] = {}
-    for cls in taxonomy:
+    for cls in default_taxonomy():
         if not tool.can_detect(cls.id):
             continue
         try:
@@ -177,10 +170,9 @@ def efficiency_scores(avg_seconds: Mapping[str, float]) -> dict[str, float]:
     return {name: 1.0 - (t - lo) / (hi - lo) for name, t in avg_seconds.items()}
 
 
-def usability_score(tool: ToolDescriptor,
-                    selected: int = SELECTED_CLASS_COUNT) -> float:
-    """Fraction of the evaluated vulnerability classes the tool covers."""
-    return len(tool.capabilities) / selected
+def usability_score(tool: ToolDescriptor) -> float:
+    """Fraction of the ten vulnerability classes the tool covers."""
+    return len(tool.capabilities) / len(CLASS_IDS)
 
 
 @dataclass(frozen=True)
@@ -214,18 +206,13 @@ class ToolScores:
         return functional_score(self.classes.values())
 
 
-def score_campaign(
-    records: RecordSet,
-    registry: Registry,
-    corpus: Sequence[ContractCase],
-    taxonomy: Taxonomy | None = None,
-) -> dict[str, ToolScores]:
+def score_campaign(records: RecordSet, registry: Registry,
+                   corpus: Sequence[ContractCase]) -> dict[str, ToolScores]:
     """Score every registered tool once, in registry order: one confusion
     matrix per supported (tool, class) cell and one timing summary per tool.
     A tool with no ok run or an empty cell raises, naming the tool; so does
     a record for a contract outside the corpus, whose scan would otherwise
     count in the timings but in no confusion matrix."""
-    taxonomy = taxonomy or default_taxonomy()
     known = {case.id for case in corpus}
     for rec in records.records:
         if rec.contract not in known:
@@ -233,7 +220,7 @@ def score_campaign(
                                f"{rec.tool}), which is not in the corpus")
     return {
         tool.name: ToolScores(timing=timing(records, tool.name),
-                              classes=per_class_metrics(records, tool, corpus, taxonomy))
+                              classes=per_class_metrics(records, tool, corpus))
         for tool in registry
     }
 
@@ -244,7 +231,9 @@ def indicator_matrix(
     timings: Mapping[str, TimingSummary],
 ) -> IndicatorMatrix:
     """Assemble the four indicators per tool, in registry order, from each
-    tool's functional score and timing summary."""
+    tool's functional score and timing summary. This is the one place that
+    computes efficiency, compatibility and usability; the report tables
+    read them from its rows."""
     s_e = efficiency_scores({t: timings[t].avg_seconds for t in registry.names()})
     rows = [
         [functional[tool.name], s_e[tool.name],

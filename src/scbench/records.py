@@ -99,10 +99,6 @@ class ScanRecord(namedtuple("ScanRecord", "tool contract status duration_ms find
                 f'"findings": [{found}], "raw_ref": {ref}, '
                 f'"status": {_quote(status)}, "tool": {_quote(tool)}}}')
 
-    @classmethod
-    def from_json(cls, line: str) -> "ScanRecord":
-        return _from_doc(json.loads(line))
-
 
 def _from_doc(doc) -> ScanRecord:
     return ScanRecord(

@@ -92,7 +92,7 @@ def published_overall() -> dict[str, dict[str, float]]:
     }
 
 
-def indicator_matrix(registry: Registry | None = None) -> IndicatorMatrix:
+def indicator_matrix() -> IndicatorMatrix:
     """Assemble the reference tools x indicators matrix.
 
     Functional scores are the published average F1 values; efficiency is
@@ -100,8 +100,7 @@ def indicator_matrix(registry: Registry | None = None) -> IndicatorMatrix:
     come from the registry.
     """
     functional = {tool: avg.f1 for tool, avg in classification_averages().items()}
-    return metrics.indicator_matrix(registry or Registry.load(), functional,
-                                    timing_summaries())
+    return metrics.indicator_matrix(Registry.load(), functional, timing_summaries())
 
 
 def validation_notes() -> list[str]:

@@ -17,13 +17,10 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import BUCKETS, ContractCase
 from .errors import MissingMetadata, ScbenchError
 from .mcdm import ScoreTable, WeightVector
-from .metrics import (INDICATOR_COLUMNS, IndicatorMatrix, ToolScores,
-                      efficiency_scores, usability_score)
+from .metrics import INDICATOR_COLUMNS, IndicatorMatrix, ToolScores
 from .records import RecordSet
 from .tables import to_csv, to_markdown
-from .taxonomy import CLASS_IDS, Registry, Taxonomy, compat_score, default_taxonomy
-
-WEI_PER_ETHER = 10**18
+from .taxonomy import CLASS_IDS, Registry, default_taxonomy
 
 
 def _round3(value: float) -> float:
@@ -33,12 +30,11 @@ def _round3(value: float) -> float:
 # ---------------------------------------------------------------------------
 # table shapes
 
-def metrics_grid(
-    scores: Mapping[str, ToolScores], taxonomy: Taxonomy | None = None
-) -> tuple[list[str], list[list]]:
+def metrics_grid(scores: Mapping[str, ToolScores]) -> tuple[list[str], list[list]]:
     """Tool x class grid of the four classification metrics; unsupported
-    (tool, class) cells and undefined precision or recall render as "-"."""
-    taxonomy = taxonomy or default_taxonomy()
+    (tool, class) cells, undefined precision or recall, and the F1 of a
+    cell with neither render as "-" and stay out of the row's average."""
+    taxonomy = default_taxonomy()
     header = ["Tool", "Metric", *(c.name for c in taxonomy), "Average"]
     rows: list[list] = []
     for tool, tool_scores in scores.items():
@@ -46,7 +42,7 @@ def metrics_grid(
             cid: {"Accuracy": ms.accuracy,
                   "Precision": ms.precision if ms.precision_defined else None,
                   "Recall": ms.recall if ms.recall_defined else None,
-                  "F1-score": ms.f1}
+                  "F1-score": ms.f1 if ms.precision_defined or ms.recall_defined else None}
             for cid, ms in tool_scores.classes.items()
         }
         for metric in ("Accuracy", "Precision", "Recall", "F1-score"):
@@ -64,24 +60,28 @@ def metrics_grid(
     return header, rows
 
 
-def timing_table(scores: Mapping[str, ToolScores]) -> tuple[list[str], list[list]]:
+def timing_table(scores: Mapping[str, ToolScores],
+                 indicators: IndicatorMatrix) -> tuple[list[str], list[list]]:
+    """Timing per tool, with the efficiency of its indicator row."""
     header = ["Tool", "TotalSeconds", "ValidRuns", "AvgSeconds", "Efficiency"]
-    s_e = efficiency_scores({t: s.timing.avg_seconds for t, s in scores.items()})
-    rows = [
-        [t, _round3(s.timing.total_seconds), s.timing.valid_count,
-         _round3(s.timing.avg_seconds), _round3(s_e[t])]
-        for t, s in scores.items()
-    ]
+    rows = []
+    for t, s in scores.items():
+        _, efficiency, _, _ = indicators.row(t)
+        rows.append([t, _round3(s.timing.total_seconds), s.timing.valid_count,
+                     _round3(s.timing.avg_seconds), _round3(efficiency)])
     return header, rows
 
 
-def capability_table(registry: Registry) -> tuple[list[str], list[list]]:
+def capability_table(registry: Registry,
+                     indicators: IndicatorMatrix) -> tuple[list[str], list[list]]:
+    """Version and class coverage per tool, with the compatibility and
+    usability of its indicator row."""
     header = ["Tool", "MaxSolidity", "Compatibility", "Coverage", "Usability"]
-    rows = [
-        [t.name, str(t.max_solidity), _round3(compat_score(t.max_solidity)),
-         len(t.capabilities), _round3(usability_score(t))]
-        for t in registry
-    ]
+    rows = []
+    for t in registry:
+        _, _, compatibility, usability = indicators.row(t.name)
+        rows.append([t.name, str(t.max_solidity), _round3(compatibility),
+                     len(t.capabilities), _round3(usability)])
     return header, rows
 
 
@@ -165,9 +165,6 @@ class TimeSeries:
 
     counts: Mapping[str, Mapping[str, int]]
     values_wei: Mapping[str, Mapping[str, int]]
-
-    def value_ether(self, class_id: str, period: str) -> float:
-        return self.values_wei[class_id][period] / WEI_PER_ETHER
 
 
 def time_series(

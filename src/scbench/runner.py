@@ -29,12 +29,13 @@ from .adapters import (Findings, ReplayFixture, merge_finding, parse_json_output
                        parse_text_output, resolve_replay_fixture)
 from .corpus import ContractCase
 from .errors import ScbenchError
-# the records layer stays reachable through the campaign's module
+# RecordSet, read_records and write_records are not used here: their one
+# reader is perfbench/traced.py, which looks them up on this module to time
+# the records layer. They go when it reads them from ``records``.
 from .records import RecordSet, ScanRecord, gc_paused, read_records, write_records
 from .taxonomy import Registry, ToolDescriptor
 
-__all__ = ["RecordSet", "ScanRecord", "execute_campaign", "read_records", "run_scan",
-           "write_records"]
+__all__ = ["RecordSet", "execute_campaign", "read_records", "write_records"]
 
 logger = logging.getLogger(__name__)
 
@@ -118,24 +119,6 @@ def _kill_group(pgid: int) -> None:
         pass  # the whole group is gone already
 
 
-def run_scan(
-    tool: ToolDescriptor,
-    case: ContractCase,
-    timeout: float | None = None,
-    replay_dir: str | Path | None = None,
-    raw_dir: str | Path | None = None,
-) -> ScanRecord:
-    """Execute one scan task, as a campaign of one, and classify its outcome.
-
-    Spawn or I/O failures on our side are ``harness_error``; a non-zero
-    exit from the tool is ``tool_error``; the wall clock is capped at the
-    adapter timeout, after which the tool's whole process group is killed.
-    Raw output is persisted under ``raw_dir`` when given.
-    """
-    return execute_campaign([tool], [case], timeout=timeout, replay_dir=replay_dir,
-                            raw_dir=raw_dir)[0]
-
-
 def _decode(data: bytes, errors: str = "strict") -> str:
     """Tool output as ``Popen(text=True)`` decodes it: the locale's
     preferred encoding (UTF-8 in UTF-8 mode) and universal newlines."""
@@ -182,8 +165,15 @@ def _communicate(proc: subprocess.Popen, cap: float) -> tuple[bytes, bytes]:
 
 def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
                 raw_dir: str | Path | None, live: set[int]) -> ScanRecord:
-    """:func:`run_scan` of a command tool; ``live`` holds the process
-    groups of the campaign's running tools, for an abort to kill."""
+    """Execute one scan task of a command tool and classify its outcome.
+
+    Spawn or I/O failures on our side are ``harness_error``; a non-zero
+    exit from the tool is ``tool_error``; the wall clock is capped at
+    ``timeout`` (default: the adapter's), after which the tool's whole
+    process group is killed. Raw output is persisted under ``raw_dir`` when
+    given. ``live`` holds the process groups of the campaign's running
+    tools, for an abort to kill.
+    """
     config = tool.adapter
     cap = timeout if timeout is not None else config.timeout
 
@@ -279,18 +269,23 @@ def execute_campaign(
     tool is logged at the end. A contract that a replay fixture does not
     record, or records in a malformed entry, gets a ``harness_error``
     record; ``problems``, when given, receives per such tool the messages
-    that say so. The inline tools run with the cyclic garbage collector
-    paused: their records hold no reference cycles.
+    that say so, and per command tool whose every task ended in a
+    ``harness_error`` (it never ran: a missing program, say) a message
+    naming the first task. The inline tools run with the cyclic garbage
+    collector paused: their records hold no reference cycles.
     """
     if parallelism < 1:
         raise ScbenchError("parallelism must be >= 1")
     records: list[ScanRecord] = []
     by_name = {tool.name: tool for tool in tools}
     dropped: Counter = Counter()
+    harness_errors: Counter = Counter()
 
     def sink(record: ScanRecord) -> None:
         record = _filter_to_capabilities(by_name[record.tool], record, dropped)
         records.append(record)
+        if record.status == "harness_error":
+            harness_errors[record.tool] += 1
         if on_record is not None:
             on_record(record)
 
@@ -331,4 +326,9 @@ def execute_campaign(
     for name, count in sorted(dropped.items()):
         logger.warning("adapter bug: dropped %d finding(s) of %s outside its "
                        "capability set", count, name)
+    if problems is not None and corpus:
+        for tool in tools:
+            if tool.adapter.kind in _SPAWNED and harness_errors[tool.name] == len(corpus):
+                problems[tool.name] = [f"tool {tool.name}: all {len(corpus)} task(s) ended "
+                                       f"in harness_error (first: {corpus[0].id})"]
     return records

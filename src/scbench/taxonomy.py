@@ -8,6 +8,7 @@ is immutable after load and safe for concurrent reads.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ CLASS_IDS = tuple(f"V{i}" for i in range(1, 11))
 METHOD_TAGS = frozenset({"SA", "SE", "FV", "FZ", "ML", "IR"})
 
 # Version scale endpoints: 0.4.x scores 0, 0.8.x scores 1.
-DEFAULT_SCALE_LOW = 4
-DEFAULT_SCALE_HIGH = 8
+SCALE_LOW = 4
+SCALE_HIGH = 8
 
 _VERSION_RE = re.compile(r"^v?0\.(\d+)(?:\.(\d+))?$")
 
@@ -56,7 +57,7 @@ class VersionId:
             raise ScbenchError(f"unparseable Solidity version: {text!r}")
         minor = int(m.group(1))
         patch = int(m.group(2)) if m.group(2) is not None else None
-        if minor < DEFAULT_SCALE_LOW:
+        if minor < SCALE_LOW:
             raise UnsupportedVersion(
                 f"version 0.{minor} predates the supported scale (>= 0.4)"
             )
@@ -66,22 +67,18 @@ class VersionId:
         return f"0.{self.minor}" + (f".{self.patch}" if self.patch is not None else ".x")
 
 
-def compat_score(
-    version: VersionId,
-    low: int = DEFAULT_SCALE_LOW,
-    high: int = DEFAULT_SCALE_HIGH,
-) -> float:
+def compat_score(version: VersionId) -> float:
     """Position of a version on the supported scale, clamped to [0, 1].
 
     Patch numbers are ignored: scoring happens at x-series granularity,
     so 0.4.19 and 0.4.24 both map to 0. Minors above the scale top clamp
     to 1 so the scale can outlive the study window it was drawn from.
     """
-    if version.minor < low:
+    if version.minor < SCALE_LOW:
         raise UnsupportedVersion(
-            f"version {version} lies below the scale floor 0.{low}"
+            f"version {version} lies below the scale floor 0.{SCALE_LOW}"
         )
-    return min(1.0, max(0.0, (version.minor - low) / (high - low)))
+    return min(1.0, max(0.0, (version.minor - SCALE_LOW) / (SCALE_HIGH - SCALE_LOW)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,6 @@ class Taxonomy:
             raise ScbenchError(f"expected 10 classes, got {len(self.classes)}")
         if [c.id for c in self.classes] != list(CLASS_IDS):
             raise ScbenchError("class ids must be V1..V10 in order")
-        self._by_id = {c.id: c for c in self.classes}
         self._by_alias: dict[str, VulnClass] = {}
         for c in self.classes:
             for alias in c.aliases:
@@ -131,12 +127,6 @@ class Taxonomy:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def by_id(self, class_id: str) -> VulnClass:
-        try:
-            return self._by_id[class_id]
-        except KeyError:
-            raise ScbenchError(f"unknown class id {class_id!r}") from None
 
     def by_dir(self, dir_name: str) -> VulnClass | None:
         for c in self.classes:
@@ -154,11 +144,9 @@ class Taxonomy:
         return cls
 
     @classmethod
-    def load(cls, path: str | Path | None = None) -> "Taxonomy":
-        if path is None:
-            text = resources.files("scbench.data").joinpath("aliases.json").read_text("utf-8")
-        else:
-            text = Path(path).read_text("utf-8")
+    def load(cls) -> "Taxonomy":
+        """The shipped taxonomy, from ``data/aliases.json``."""
+        text = resources.files("scbench.data").joinpath("aliases.json").read_text("utf-8")
         raw = json.loads(text)
         return cls(
             VulnClass(
@@ -202,7 +190,9 @@ class Registry:
 
     @classmethod
     def load(cls, path: str | Path | None = None) -> "Registry":
-        if path is None:
+        """The registry file at ``path``; without one (or with an empty
+        path), the shipped ``data/registry.json``."""
+        if not path:
             text = resources.files("scbench.data").joinpath("registry.json").read_text("utf-8")
         else:
             text = Path(path).read_text("utf-8")
@@ -225,11 +215,7 @@ class Registry:
         return cls(tuple(tools))
 
 
-_DEFAULT_TAXONOMY: Taxonomy | None = None
-
-
+@functools.cache
 def default_taxonomy() -> Taxonomy:
-    global _DEFAULT_TAXONOMY
-    if _DEFAULT_TAXONOMY is None:
-        _DEFAULT_TAXONOMY = Taxonomy.load()
-    return _DEFAULT_TAXONOMY
+    """The one taxonomy, loaded at its first use: ``--help`` never reads it."""
+    return Taxonomy.load()

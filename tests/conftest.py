@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from scbench.corpus import load_labelled
-from scbench.runner import RecordSet, execute_campaign
+from scbench.records import RecordSet
+from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, default_taxonomy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

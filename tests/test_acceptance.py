@@ -27,7 +27,8 @@ from scbench.mcdm import ahp_weights, ewm_weights, load_pairwise, overall_scores
 from scbench.metrics import (INDICATOR_COLUMNS, ConfusionMatrix, confusion,
                              efficiency_scores, functional_score, prf,
                              usability_score)
-from scbench.runner import RecordSet, execute_campaign, run_scan, write_records
+from scbench.records import RecordSet, write_records
+from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, compat_score
 
 from .conftest import LABELLED_DIR, LISTING_FIXTURE, REPLAY_DIR
@@ -152,17 +153,17 @@ def test_c05_ahp_weights_and_consistency():
 def test_c06_overall_scores_top_ranks():
     indicators = reference.indicator_matrix()
     published = reference.published_overall()
-    vectors = {"ewm": ewm_weights(indicators.values, method="EWM")}
+    vectors = {"ewm": ewm_weights(indicators.values)}
     for key, name in (("ahp1", "a1"), ("ahp2", "a2")):
         w, _ = ahp_weights(load_pairwise(reference.pairwise_path(name)),
                            method=key.upper())
         vectors[key] = w
     for key, weights in vectors.items():
         table = overall_scores(indicators, weights)
-        ranked = table.ranked_names()
+        ranked = [r.tool for r in table.rows]
         assert ranked[0] == "Slither", (key, ranked[:3])
         assert set(ranked[:3]) == {"Slither", "Solhint", "Mythril"}, (key, ranked[:3])
-        got = table.score_of("Slither")
+        got = next(r.score for r in table.rows if r.tool == "Slither")
         want = published["Slither"][key]
         assert abs(got - want) <= SCORE_TOL, (key, got, want)
 
@@ -271,7 +272,7 @@ def test_c10_annotation_round_trip(tmp_path):
         adapter=AdapterConfig(kind="replay", fixture=str(fixture)),
     )
     cases = [c for c in load_labelled(LABELLED_DIR) if c.id == case_id]
-    record = run_scan(tool, cases[0])
+    (record,) = execute_campaign([tool], cases)
     assert record.findings == {"V1": frozenset({17})}
     cm = confusion(RecordSet([record]), tool, "V1", cases)
     assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 0, 0, 0)

@@ -1,15 +1,16 @@
 import hashlib
 import json
 import textwrap
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbench.corpus import (ContractCase, count_loc, dedup, has_pragma, lexer,
-                            load_csv_corpus, load_flat, load_labelled,
-                            normalize_source, parse_annotations, pragma_filter,
-                            scan_problems, stats)
+from scbench.corpus import (ContractCase, dedup, lexer, load_csv_corpus,
+                            load_flat, load_labelled, normalize_source,
+                            parse_annotations, pragma_filter, scan_problems,
+                            stats)
 from scbench.errors import AnnotationMismatch, UnknownMarker
 
 from .conftest import LABELLED_DIR, LISTING_FIXTURE
@@ -204,6 +205,19 @@ class TestLoaders:
         assert [c.id for c in from_csv] == ["0xabc"]
         assert from_csv[0].safe
 
+    def test_flat_directory_reads_its_own_metadata_sidecar(self, tmp_path):
+        (tmp_path / "one.sol").write_text("pragma solidity ^0.5.0;\ncontract One {}\n")
+        (tmp_path / "metadata.csv").write_text(
+            "id,created_at,tx_value_wei\none,2020-02-01T00:00:00+00:00,7\n")
+        (case,) = load_flat(tmp_path)
+        assert case.created_at == datetime(2020, 2, 1, tzinfo=timezone.utc)
+        assert case.tx_value == 7
+        other = tmp_path / "other.csv"
+        other.write_text("id,created_at,tx_value_wei\none,2021-03-04T00:00:00+00:00,\n")
+        (case,) = load_flat(tmp_path, metadata=other)
+        assert case.created_at == datetime(2021, 3, 4, tzinfo=timezone.utc)
+        assert case.tx_value is None
+
     def test_shipped_corpus_is_clean(self):
         assert scan_problems(LABELLED_DIR) == []
 
@@ -281,7 +295,7 @@ class TestStats:
     def test_listing_fixture_loc_hand_count(self):
         # pragma, contract, mapping, function, uint, call, require,
         # assignment, two closing braces: ten code lines
-        assert count_loc(LISTING_FIXTURE.read_text("utf-8")) == 10
+        assert ContractCase("c", LISTING_FIXTURE.read_text("utf-8")).loc == 10
 
     def test_every_expected_class_is_taxonomy_member(self, labelled_corpus):
         valid = {f"V{i}" for i in range(1, 11)}
@@ -330,8 +344,9 @@ class TestOneScanPerContract:
 
     def test_loaded_fields_match_public_functions(self, labelled_corpus):
         for case in labelled_corpus:
-            assert case.loc == count_loc(case.source), case.id
-            assert case.pragma == has_pragma(case.source), case.id
+            fresh = ContractCase(case.id, case.source)
+            assert case.loc == fresh.loc, case.id
+            assert case.pragma == fresh.pragma, case.id
             assert case.checksum == _checksum(case.source), case.id
 
     def test_shipped_corpus_outputs_are_pinned(self):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbench.corpus import (BACKEND, count_loc, has_pragma, lexer,
-                            normalize_source, strip_comments)
+from scbench.corpus import (BACKEND, ContractCase, lexer, normalize_source,
+                            strip_comments)
 from scbench.errors import UnterminatedBlockComment, UnterminatedString
 
 from .oracles import lexer_error_oracle, lexer_oracle, normalize_oracle
@@ -60,26 +60,26 @@ class TestStripComments:
 
 class TestLoc:
     def test_comment_only_file_counts_zero(self):
-        assert count_loc("// a\n\n/* b\n b2 */\n") == 0
+        assert ContractCase("c", "// a\n\n/* b\n b2 */\n").loc == 0
 
     def test_annotation_markers_do_not_count(self):
         src = "pragma solidity ^0.5.0;\n// <yes> <report> REENTRANCY\ncall();\n"
-        assert count_loc(src) == 2
+        assert ContractCase("c", src).loc == 2
 
     def test_brace_only_lines_count(self):
-        assert count_loc("contract C {\n}\n") == 2
+        assert ContractCase("c", "contract C {\n}\n").loc == 2
 
 
 class TestPragma:
     def test_plain_pragma(self):
-        assert has_pragma("pragma solidity ^0.5.0;\ncontract C {}")
+        assert ContractCase("c", "pragma solidity ^0.5.0;\ncontract C {}").pragma
 
     def test_pragma_only_in_comment_does_not_count(self):
-        assert not has_pragma("/* pragma solidity ^0.5.0; */\ncontract C {}")
-        assert not has_pragma("// pragma solidity ^0.5.0;\ncontract C {}")
+        assert not ContractCase("c", "/* pragma solidity ^0.5.0; */\ncontract C {}").pragma
+        assert not ContractCase("c", "// pragma solidity ^0.5.0;\ncontract C {}").pragma
 
     def test_extra_whitespace_allowed(self):
-        assert has_pragma("pragma\t solidity 0.8.0;")
+        assert ContractCase("c", "pragma\t solidity 0.8.0;").pragma
 
 
 def _random_source(rng: random.Random) -> str:

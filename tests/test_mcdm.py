@@ -13,6 +13,14 @@ from scbench.metrics import IndicatorMatrix
 from .oracles import consistent_ahp_oracle, ewm_oracle
 
 
+def score_of(table, tool):
+    return next(r.score for r in table.rows if r.tool == tool)
+
+
+def ranked_names(table):
+    return [r.tool for r in table.rows]
+
+
 def matrix_of(rows):
     return np.array(rows, dtype=float)
 
@@ -163,8 +171,8 @@ class TestOverallScores:
             self._indicators([[1, 1, 1, 1], [0, 0, 0, 0]]),
             WeightVector((0.25, 0.25, 0.25, 0.25)),
         )
-        assert table.score_of("T0") == 100.0
-        assert table.score_of("T1") == 0.0
+        assert score_of(table, "T0") == 100.0
+        assert score_of(table, "T1") == 0.0
 
     def test_hand_computed_dot_products(self):
         ind = self._indicators(
@@ -173,16 +181,16 @@ class TestOverallScores:
         )
         w = WeightVector((0.4, 0.3, 0.2, 0.1))
         table = overall_scores(ind, w)
-        assert table.score_of("a") == pytest.approx(70.0)   # .32+.15+.2+.03
-        assert table.score_of("b") == pytest.approx(63.0)   # .24+.30+0+.09
-        assert table.score_of("c") == pytest.approx(25.0)   # .08+.03+.1+.04
-        assert table.ranked_names() == ["a", "b", "c"]
+        assert score_of(table, "a") == pytest.approx(70.0)   # .32+.15+.2+.03
+        assert score_of(table, "b") == pytest.approx(63.0)   # .24+.30+0+.09
+        assert score_of(table, "c") == pytest.approx(25.0)   # .08+.03+.1+.04
+        assert ranked_names(table) == ["a", "b", "c"]
         assert [r.rank for r in table.rows] == [1, 2, 3]
 
     def test_ties_break_by_name(self):
         ind = self._indicators([[0.5, 0.5, 0.5, 0.5]] * 2, names=("zeta", "alpha"))
         table = overall_scores(ind, WeightVector((0.25,) * 4))
-        assert table.ranked_names() == ["alpha", "zeta"]
+        assert ranked_names(table) == ["alpha", "zeta"]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -199,7 +207,7 @@ class TestOverallScores:
         shuffled = overall_scores(
             self._indicators([rows[2], rows[0], rows[1]], ("z", "x", "y")), w
         )
-        assert straight.ranked_names() == shuffled.ranked_names()
+        assert ranked_names(straight) == ranked_names(shuffled)
         assert [r.score for r in straight.rows] == [r.score for r in shuffled.rows]
 
     def test_standardized_scoring_reproduces_published_rows(self):
@@ -214,7 +222,7 @@ class TestOverallScores:
             w, _ = ahp_weights(load_pairwise(reference.pairwise_path(name)))
             table = overall_scores(indicators, w, standardize_indicators=True)
             for tool in ("Slither", "Solhint", "Mythril", "Conkas", "Oyente"):
-                assert table.score_of(tool) == pytest.approx(
+                assert score_of(table, tool) == pytest.approx(
                     published[tool][key], abs=0.3
                 ), (key, tool)
 
@@ -227,7 +235,7 @@ class TestOverallScores:
         bumped = [row[:] for row in rows]
         bumped[1][column] = min(1.0, bumped[1][column] + bump)
         after = overall_scores(self._indicators(bumped), w)
-        assert after.score_of("T1") >= before.score_of("T1")
+        assert score_of(after, "T1") >= score_of(before, "T1")
         rank_before = [r.rank for r in before.rows if r.tool == "T1"][0]
         rank_after = [r.rank for r in after.rows if r.tool == "T1"][0]
         assert rank_after <= rank_before

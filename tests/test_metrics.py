@@ -10,7 +10,7 @@ from scbench.metrics import (ConfusionMatrix, MetricSet, confusion,
                              efficiency_scores, functional_score,
                              indicator_matrix, per_class_metrics, prf,
                              score_campaign, timing, usability_score)
-from scbench.runner import RecordSet, ScanRecord
+from scbench.records import RecordSet, ScanRecord
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
 

@@ -12,12 +12,13 @@ from scbench.adapters import AdapterConfig
 from scbench.cli import main
 from scbench.corpus import ContractCase
 from scbench.errors import MissingMetadata
+from scbench.metrics import score_campaign
 from scbench.reference import pairwise_path
 from scbench.report import (class_distribution, load_indicators_csv,
-                            time_series, to_csv, to_markdown)
-from scbench.runner import RecordSet, ScanRecord, write_records
+                            metrics_grid, time_series, to_csv, to_markdown)
+from scbench.records import RecordSet, ScanRecord, write_records
 from scbench.tables import stats_table
-from scbench.taxonomy import Registry, ToolDescriptor, VersionId
+from scbench.taxonomy import Registry, ToolDescriptor, VersionId, default_taxonomy
 
 from .conftest import LABELLED_DIR, REPLAY_DIR
 
@@ -78,7 +79,7 @@ class TestTimeSeries:
         ])
         series = time_series(records, corpus)
         assert series.counts["V1"] == {"2020Q1": 2}
-        assert series.value_ether("V1", "2020Q1") == pytest.approx(15.0)
+        assert series.values_wei["V1"]["2020Q1"] == 15 * 10**18
 
     def test_missing_timestamp_is_reported(self):
         corpus = [dated_case(0, None, classes=("V1",))]
@@ -132,6 +133,23 @@ class TestRendering:
         assert header == ["Type", "Number", "LoC"]
         assert rows[-1][0] == "Total" and rows[-1][1] == 389
         assert rows[-2][0] == "Safe contracts" and rows[-2][1] == 17
+
+    def test_f1_without_precision_or_recall_is_a_dash(self):
+        # V2's one vulnerable case timed out and the safe case is a clean
+        # ok: the V2 cell has neither precision nor recall, so no F1
+        registry = Registry((make_tool("T", ("V1", "V2")),))
+        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V2",)),
+                  dated_case(2, None)]
+        records = RecordSet([ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
+                             ScanRecord("T", "c1", "timeout", 9),
+                             ScanRecord("T", "c2", "ok", 1)])
+        scores = score_campaign(records, registry, corpus)
+        header, rows = metrics_grid(scores)
+        grid = {row[1]: dict(zip(header, row)) for row in rows}
+        v2 = default_taxonomy().classes[1].name
+        assert [grid[m][v2] for m in ("Precision", "Recall", "F1-score")] == ["-"] * 3
+        assert grid["F1-score"]["Average"] == 1.0
+        assert scores["T"].functional == 0.5
 
 
 class TestCli:
@@ -360,6 +378,26 @@ class TestCli:
         assert err.startswith("error: tool Broken: command template ") and \
             err.endswith(" cannot be split: No closing quotation\n")
         assert not out.exists() and not started.exists()
+
+    def test_missing_analyzer_program_fails_the_run(self, tmp_path, capsys):
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [
+            {"name": "Absent", "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "json", "command": "no-such-analyzer-binary {input}"}},
+            {"name": "Stub", "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "stub"}}]}))
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        for name, path in zip("ab", sorted((LABELLED_DIR / "reentrancy").glob("*.sol"))):
+            shutil.copy(path, corpus / f"{name}.sol")
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(corpus), "--registry", str(registry),
+                     "--out", str(out)]) == 1
+        assert ("error: tool Absent: all 2 task(s) ended in harness_error (first: a)\n"
+                in capsys.readouterr().err)
+        records = map(json.loads, out.read_text().splitlines())
+        statuses = [(r["tool"], r["status"]) for r in records]
+        assert statuses == [("Absent", "harness_error")] * 2 + [("Stub", "ok")] * 2
 
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"

@@ -1,5 +1,6 @@
 import errno
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -15,14 +16,19 @@ from scbench import runner
 from scbench.adapters import AdapterConfig, ReplayFixture, parse_json_output
 from scbench.corpus import ContractCase
 from scbench.errors import MissingRecord, ScbenchError
-from scbench.records import STATUSES, gc_paused, load_record_set
-from scbench.runner import (RecordSet, ScanRecord, execute_campaign,
-                            read_records, run_scan, write_records)
+from scbench.records import (STATUSES, RecordSet, ScanRecord, _from_doc, gc_paused,
+                             load_record_set, read_records, write_records)
+from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
 from .conftest import REPLAY_DIR
 
 PY = sys.executable
+
+
+def scan_one(tool, case, **options):
+    """One scan task, run as a campaign of one."""
+    return execute_campaign([tool], [case], **options)[0]
 
 
 def alive(pid: int) -> bool:
@@ -99,7 +105,7 @@ class TestReplayAdapter:
             }
         }))
         tool = make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture)))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "ok"
         assert rec.duration_ms == 42
         assert rec.findings == {"V1": frozenset({17})}
@@ -108,7 +114,7 @@ class TestReplayAdapter:
         fixture = tmp_path / "Echo.json"
         fixture.write_text("{}")
         tool = make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture)))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "harness_error" and rec.findings == {}
 
     def test_misses_counted_per_tool(self, tmp_path):
@@ -135,7 +141,7 @@ class TestReplayAdapter:
 
     def test_missing_fixture_is_harness_error(self):
         tool = make_tool("Ghost", AdapterConfig(kind="replay"))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "harness_error"
 
     def test_non_ok_fixture_status_drops_findings(self, tmp_path):
@@ -145,7 +151,7 @@ class TestReplayAdapter:
                            "findings": [{"class": "V1", "lines": [5]}]}
         }))
         tool = make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture)))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "timeout" and rec.findings == {}
 
     @pytest.mark.parametrize("entry, detail", [
@@ -186,7 +192,7 @@ class TestStubAdapter:
         tool = make_tool("Stub", AdapterConfig(
             kind="stub", findings=(("V1", (17,)),)
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "ok"
         assert rec.findings == {"V1": frozenset({17})}
 
@@ -201,7 +207,7 @@ class TestStubAdapter:
             assert [r.getMessage() for r in caplog.records] == [
                 "adapter bug: dropped 6 finding(s) of Stub outside its capability set"]
             caplog.clear()
-            assert run_scan(tool, make_case()).findings == {"V1": frozenset({17})}
+            assert scan_one(tool, make_case()).findings == {"V1": frozenset({17})}
             assert len(caplog.records) == 1 and "dropped 2" in caplog.records[0].getMessage()
 
 
@@ -219,7 +225,7 @@ class TestCommandAdapters:
             command=f"{PY} {script} --input {{input}} --solc {{solc}}",
             rule_map={"reentrancy-eth": "V1"},
         ))
-        rec = run_scan(tool, make_case(), raw_dir=tmp_path / "raw")
+        rec = scan_one(tool, make_case(), raw_dir=tmp_path / "raw")
         assert rec.status == "ok"
         assert rec.findings == {"V1": frozenset({17})}
         assert rec.raw_ref and "JsonTool" in rec.raw_ref
@@ -249,7 +255,7 @@ class TestCommandAdapters:
             rule_map={"reentrancy": "V1"},
             line_pattern=r"line (\d+)",
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.findings == {"V1": frozenset({17})}
 
     def test_timeout_status(self, tmp_path, wait_path):
@@ -258,7 +264,7 @@ class TestCommandAdapters:
             command=f"{PY} -c \"import time; time.sleep(5)\"",
             timeout=0.3,
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "timeout"
         assert rec.findings == {}
         assert rec.duration_ms <= 300
@@ -271,7 +277,7 @@ class TestCommandAdapters:
             command=f"sh -c 'sh -c \"echo \\$\\$ > {pid_file}; exec sleep 30\" & wait'",
             timeout=1.0,
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "timeout"
         assert_gone(int(pid_file.read_text()))
 
@@ -280,7 +286,7 @@ class TestCommandAdapters:
             kind="json", command="sh -c 'exec >&- 2>&-; sleep 5'", timeout=0.5,
         ))
         start = time.monotonic()
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "timeout" and rec.duration_ms == 500
         assert time.monotonic() - start < 3
 
@@ -291,7 +297,7 @@ class TestCommandAdapters:
         tool = make_tool("Leaver", AdapterConfig(
             kind="json", command=f"sh {script}", timeout=0.5,
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "timeout"
         assert_gone(int(pid_file.read_text()))
 
@@ -306,7 +312,7 @@ class TestCommandAdapters:
         ))
         start = time.monotonic()
         try:
-            rec = run_scan(tool, make_case())
+            rec = scan_one(tool, make_case())
             assert rec.status == "timeout"
             assert time.monotonic() - start < 3
         finally:
@@ -328,7 +334,7 @@ class TestCommandAdapters:
             kind="json", command=f"{PY} -c \"import json, sys; {code}\"",
             rule_map={"r": "V1"},
         ))
-        rec = run_scan(tool, make_case(), raw_dir=tmp_path / "raw")
+        rec = scan_one(tool, make_case(), raw_dir=tmp_path / "raw")
         assert (rec.status, rec.findings) == (status, findings)
         assert "\ufffd" in (tmp_path / "raw" / "Bytes" / "contract_0.out").read_text("utf-8")
         assert kills == []
@@ -339,10 +345,11 @@ class TestCommandAdapters:
         tool = make_tool("Crasher", AdapterConfig(
             kind="json", command=f"{PY} {script}",
         ))
-        rec = run_scan(tool, make_case(), raw_dir=tmp_path / "raw")
+        rec = scan_one(tool, make_case(), raw_dir=tmp_path / "raw")
         assert rec.status == "tool_error"
         assert rec.raw_ref is not None
-        assert "partial output" in open(rec.raw_ref).read()
+        with open(rec.raw_ref) as fh:
+            assert "partial output" in fh.read()
 
     def test_literal_braces_in_template_pass_through(self, tmp_path):
         script = tmp_path / "tool.py"
@@ -357,7 +364,7 @@ class TestCommandAdapters:
             rule_map={"reentrancy": "V1"},
             line_pattern=r"line (\d+)",
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "ok"
         assert rec.findings == {"V1": frozenset({17})}
 
@@ -365,21 +372,21 @@ class TestCommandAdapters:
         tool = make_tool("Ghost", AdapterConfig(
             kind="json", command="definitely-not-a-binary-xyz {input}",
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "harness_error"
 
     def test_unparseable_json_is_tool_error(self, tmp_path):
         tool = make_tool("Garbled", AdapterConfig(
             kind="json", command=f"{PY} -c \"print('not json')\"",
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "tool_error"
 
     def test_json_that_is_not_an_object_is_tool_error(self, caplog):
         tool = make_tool("Listing", AdapterConfig(
             kind="json", command=f"{PY} -c \"print('[1, 2]')\"",
         ))
-        rec = run_scan(tool, make_case())
+        rec = scan_one(tool, make_case())
         assert rec.status == "tool_error"
         assert [r.getMessage() for r in caplog.records] == [
             "unparseable output from Listing: top level is a list, not an object"]
@@ -400,7 +407,7 @@ class TestCommandAdapters:
         config = AdapterConfig(kind="text", command="sh -c 'echo \"$0 {input}\"' x")
         assert config.argv == ("sh", "-c", 'echo "$0 {input}"', "x")
         monkeypatch.setattr("shlex.split", None)  # a task splits nothing
-        assert run_scan(make_tool("Echo", config), make_case()).status == "ok"
+        assert scan_one(make_tool("Echo", config), make_case()).status == "ok"
 
     @pytest.mark.parametrize("command", ["sh -c 'unterminated {input}", "echo \\"])
     def test_template_that_cannot_be_split_is_rejected(self, command):
@@ -569,6 +576,32 @@ class TestCampaign:
         assert len(records) == 6
 
 
+class TestNeverStarted:
+    def test_command_tool_whose_every_task_is_a_harness_error(self):
+        absent = make_tool("Absent", AdapterConfig(
+            kind="json", command="no-such-analyzer-binary {input}"))
+        failing = make_tool("Failing", AdapterConfig(
+            kind="json", command=f"{PY} -c 'raise SystemExit(3)'"))
+        problems = {}
+        records = execute_campaign([absent, failing], [make_case(0), make_case(1)],
+                                   problems=problems)
+        assert problems == {"Absent": ["tool Absent: all 2 task(s) ended in "
+                                       "harness_error (first: contract_0)"]}
+        assert sorted((r.tool, r.status) for r in records) == [
+            ("Absent", "harness_error")] * 2 + [("Failing", "tool_error")] * 2
+
+    def test_one_task_that_ran_clears_the_tool(self, tmp_path):
+        # the program exists only while the first task runs
+        program = tmp_path / "once"
+        program.write_text(f"#!/bin/sh\nrm -f {program}\necho '{{}}'\n")
+        program.chmod(0o755)
+        tool = make_tool("Once", AdapterConfig(kind="json", command=f"{program} {{input}}"))
+        problems = {}
+        records = execute_campaign([tool], [make_case(0), make_case(1)], problems=problems)
+        assert [r.status for r in records] == ["ok", "harness_error"]
+        assert problems == {}
+
+
 class TestRecords:
     def test_jsonl_round_trip(self, tmp_path):
         records = [
@@ -659,7 +692,7 @@ class TestRecordCodec:
             "raw_ref": rec.raw_ref,
         }
         assert rec.to_json() == json.dumps(doc, sort_keys=True)
-        assert ScanRecord.from_json(rec.to_json()) == rec
+        assert _from_doc(json.loads(rec.to_json())) == rec
 
     @given(st.lists(scan_records(), max_size=6))
     @settings(max_examples=50, deadline=None)
@@ -761,3 +794,9 @@ def test_gc_paused_restores_the_collector():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("module", ["scbench.corpus", "scbench.runner"])
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -102,9 +102,6 @@ class TestVersionScale:
         lo, hi = sorted((a, b))
         assert compat_score(VersionId(lo)) <= compat_score(VersionId(hi))
 
-    def test_custom_scale(self):
-        assert compat_score(VersionId(6), low=4, high=10) == pytest.approx(1 / 3)
-
 
 class TestRegistryValidation:
     def test_empty_capabilities_rejected(self, registry):
