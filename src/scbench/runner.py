@@ -14,6 +14,7 @@ import logging
 import os
 import re
 import selectors
+import shutil
 import signal
 import subprocess
 import sys
@@ -38,9 +39,6 @@ from .taxonomy import Registry, ToolDescriptor
 __all__ = ["RecordSet", "execute_campaign", "read_records", "write_records"]
 
 logger = logging.getLogger(__name__)
-
-# the only substitutions in a command template; other braces are literal
-_PLACEHOLDER_RE = re.compile(r"\{(input|solc)\}")
 
 _SPAWNED = ("json", "text")  # adapter kinds that run a process per task
 # spawned tasks in flight per worker: every worker stays busy, and a
@@ -163,10 +161,58 @@ def _communicate(proc: subprocess.Popen, cap: float) -> tuple[bytes, bytes]:
     return b"".join(out), b"".join(err)
 
 
-def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
-                raw_dir: str | Path | None, live: set[int]) -> ScanRecord:
+class _TaskDirs:
+    """The input directories of one campaign's spawned tasks, under ``root``.
+
+    A task takes an empty directory and gives it back when its tool is
+    done. It is kept for the next task only when the tool exited by itself
+    and left nothing beside its input; any other is removed. So a tool
+    always starts in a directory that holds only its own input, and no
+    more directories exist than tasks run at once.
+    """
+
+    def __init__(self, root: str):
+        self._root = root
+        self._free: list[str] = []  # one pop or append per task: atomic under the GIL
+
+    def take(self) -> str:
+        try:
+            return self._free.pop()
+        except IndexError:
+            return tempfile.mkdtemp(prefix="task-", dir=self._root)
+
+    def give_back(self, path: str, input_path: str, reusable: bool) -> None:
+        if reusable:
+            try:
+                os.unlink(input_path)
+                if not os.listdir(path):
+                    self._free.append(path)
+                    return
+            except OSError:  # the tool removed or locked its input
+                pass
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def _command(tool: ToolDescriptor) -> tuple[tuple[str, ...], str]:
+    """The tool's command template with its ``{solc}`` filled in, and the
+    absolute path of the program it runs: ``argv[0]`` searched on ``PATH``,
+    or taken as given when it names a path."""
+    solc = str(tool.max_solidity)
+    template = tuple(part.replace("{solc}", solc) for part in tool.adapter.argv)
+    name = template[0] if template else ""
+    program = shutil.which(name)
+    if program is None:
+        raise ScbenchError(f"tool {tool.name}: program {name!r} not found")
+    return template, os.path.abspath(program)
+
+
+def _spawn_scan(tool: ToolDescriptor, template: tuple[str, ...], program: str,
+                case: ContractCase, timeout: float | None, raw_dir: str | Path | None,
+                live: set[int], dirs: _TaskDirs) -> ScanRecord:
     """Execute one scan task of a command tool and classify its outcome.
 
+    The tool runs ``program`` with the ``template`` arguments, ``{input}``
+    naming a ``contract.sol`` alone in a directory taken from ``dirs``.
     Spawn or I/O failures on our side are ``harness_error``; a non-zero
     exit from the tool is ``tool_error``; the wall clock is capped at
     ``timeout`` (default: the adapter's), after which the tool's whole
@@ -177,16 +223,16 @@ def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
     config = tool.adapter
     cap = timeout if timeout is not None else config.timeout
 
-    raw_ref = None
-    with tempfile.TemporaryDirectory(prefix="scbench-") as tmp:
-        input_path = Path(tmp) / "contract.sol"
-        input_path.write_text(case.source, "utf-8")
-        values = {"input": str(input_path), "solc": str(tool.max_solidity)}
-        argv = [_PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], part)
-                for part in config.argv]
+    task_dir = dirs.take()
+    input_path = os.path.join(task_dir, "contract.sol")
+    reusable = False  # the tool exited by itself: no timeout, kill or interrupt
+    try:
+        with open(input_path, "w", encoding="utf-8") as fh:
+            fh.write(case.source)
+        argv = [part.replace("{input}", input_path) for part in template]
         start = time.monotonic()
         try:
-            proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+            proc = subprocess.Popen(argv, executable=program, stdout=subprocess.PIPE,
                                     stderr=subprocess.PIPE, **_OWN_GROUP)
         except (OSError, ValueError) as exc:
             logger.error("failed to spawn %s: %s", tool.name, exc)
@@ -206,36 +252,40 @@ def _spawn_scan(tool: ToolDescriptor, case: ContractCase, timeout: float | None,
             proc.stdout.close()
             proc.stderr.close()
         elapsed_ms = int((time.monotonic() - start) * 1000)
+        reusable = proc.returncode >= 0  # no signal ended it: an abort's kill, say
+    finally:
+        dirs.give_back(task_dir, input_path, reusable)
 
-        if raw_dir is not None:
-            try:
-                out_dir = Path(raw_dir) / tool.name
-                out_dir.mkdir(parents=True, exist_ok=True)
-                raw_path = out_dir / (case.id.replace("/", "__") + ".out")
-                # stdout is decoded strictly below; here a bad byte is U+FFFD
-                raw_path.write_text(_decode(stdout, "replace") + _decode(stderr, "replace"),
-                                    "utf-8")
-                raw_ref = str(raw_path)
-            except OSError as exc:
-                logger.error("could not persist raw output for %s: %s",
-                             tool.name, exc)
-                return ScanRecord(tool.name, case.id, "harness_error", elapsed_ms)
-
-        if proc.returncode != 0:
-            return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
-                              raw_ref=raw_ref)
+    raw_ref = None
+    if raw_dir is not None:
         try:
-            text = _decode(stdout)
-            if config.kind == "json":
-                findings = parse_json_output(text, config.rule_map)
-            else:
-                findings = parse_text_output(text, config.rule_map,
-                                             config.line_pattern)
-        except (ValueError, re.error) as exc:  # a Unicode- or JSONDecodeError too
-            logger.error("unparseable output from %s: %s", tool.name, exc)
-            return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
-                              raw_ref=raw_ref)
-        return ScanRecord(tool.name, case.id, "ok", elapsed_ms, findings, raw_ref)
+            out_dir = Path(raw_dir) / tool.name
+            out_dir.mkdir(parents=True, exist_ok=True)
+            raw_path = out_dir / (case.id.replace("/", "__") + ".out")
+            # stdout is decoded strictly below; here a bad byte is U+FFFD
+            raw_path.write_text(_decode(stdout, "replace") + _decode(stderr, "replace"),
+                                "utf-8")
+            raw_ref = str(raw_path)
+        except OSError as exc:
+            logger.error("could not persist raw output for %s: %s",
+                         tool.name, exc)
+            return ScanRecord(tool.name, case.id, "harness_error", elapsed_ms)
+
+    if proc.returncode != 0:
+        return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
+                          raw_ref=raw_ref)
+    try:
+        text = _decode(stdout)
+        if config.kind == "json":
+            findings = parse_json_output(text, config.rule_map)
+        else:
+            findings = parse_text_output(text, config.rule_map,
+                                         config.line_pattern)
+    except (ValueError, re.error) as exc:  # a Unicode- or JSONDecodeError too
+        logger.error("unparseable output from %s: %s", tool.name, exc)
+        return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
+                          raw_ref=raw_ref)
+    return ScanRecord(tool.name, case.id, "ok", elapsed_ms, findings, raw_ref)
 
 
 def _guarded(scan: Callable[[ContractCase], ScanRecord], tool: ToolDescriptor,
@@ -245,6 +295,35 @@ def _guarded(scan: Callable[[ContractCase], ScanRecord], tool: ToolDescriptor,
     except Exception:  # record, never abort the campaign
         logger.exception("scan task crashed: %s on %s", tool.name, case.id)
         return ScanRecord(tool.name, case.id, "harness_error", 0)
+
+
+def _run_spawned(jobs: list, parallelism: int, sink: Callable[[ScanRecord], None],
+                 live: set[int]) -> None:
+    """Run the spawned ``jobs`` in order at ``parallelism`` 1, else on a
+    pool with a window of tasks in flight, sinking each record as its task
+    completes. An exception from the sink, or an interrupt, cancels the
+    queued tasks and kills the running tools in ``live``; the pool's exit
+    then waits for their workers."""
+    if parallelism == 1:
+        for job in jobs:
+            sink(_guarded(*job))
+        return
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        in_flight: set = set()
+        try:
+            for job in jobs:
+                if len(in_flight) >= _WINDOW_PER_WORKER * parallelism:
+                    done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        sink(future.result())
+                in_flight.add(pool.submit(_guarded, *job))
+            for future in as_completed(in_flight):
+                sink(future.result())
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            for pgid in list(live):
+                _kill_group(pgid)
+            raise
 
 
 def execute_campaign(
@@ -259,9 +338,12 @@ def execute_campaign(
 ) -> list[ScanRecord]:
     """Run every (tool, contract) pair; returns |tools| x |corpus| records.
 
-    Stub and replay tools run inline, before the command tools; those run
-    on ``parallelism`` worker threads (no pool at 1) with a bounded window
-    of tasks in flight, and their records are sunk as they complete.
+    The program of each command tool is found first, before any task runs:
+    one that is not installed raises :class:`ScbenchError`. Stub and replay
+    tools then run inline, before the command tools; those run on
+    ``parallelism`` worker threads (no pool at 1) with a bounded window of
+    tasks in flight, and their records are sunk as they complete. Their
+    input directories live under one temporary root, removed at the end.
     ``on_record`` is the sink hook (e.g. a JSONL appender), called in this
     thread. An exception it raises, or an interrupt, aborts the campaign:
     queued tasks are cancelled and running tools killed. Nothing else does.
@@ -270,12 +352,14 @@ def execute_campaign(
     record, or records in a malformed entry, gets a ``harness_error``
     record; ``problems``, when given, receives per such tool the messages
     that say so, and per command tool whose every task ended in a
-    ``harness_error`` (it never ran: a missing program, say) a message
-    naming the first task. The inline tools run with the cyclic garbage
-    collector paused: their records hold no reference cycles.
+    ``harness_error`` (its program could not start) a message naming the
+    first task. The inline tools run with the cyclic garbage collector
+    paused: their records hold no reference cycles.
     """
     if parallelism < 1:
         raise ScbenchError("parallelism must be >= 1")
+    commands = {tool.name: _command(tool) for tool in tools
+                if tool.adapter.kind in _SPAWNED}
     records: list[ScanRecord] = []
     by_name = {tool.name: tool for tool in tools}
     dropped: Counter = Counter()
@@ -289,13 +373,9 @@ def execute_campaign(
         if on_record is not None:
             on_record(record)
 
-    jobs = []
-    live: set[int] = set()  # one add or discard per task: atomic under the GIL
     with gc_paused():
         for tool in tools:
-            if tool.adapter.kind in _SPAWNED:
-                scan = partial(_spawn_scan, tool, timeout=timeout, raw_dir=raw_dir, live=live)
-                jobs += [(scan, tool, case) for case in corpus]
+            if tool.name in commands:
                 continue
             failed: list[tuple[str, str | None]] = []
             scan = _inline_scanner(tool, replay_dir, failed)
@@ -303,32 +383,24 @@ def execute_campaign(
                 sink(_guarded(scan, tool, case))
             if failed and problems is not None:
                 problems[tool.name] = _replay_problems(tool.name, failed, len(corpus))
-    if parallelism == 1 or not jobs:
-        for job in jobs:
-            sink(_guarded(*job))
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            in_flight: set = set()
-            try:
-                for job in jobs:
-                    if len(in_flight) >= _WINDOW_PER_WORKER * parallelism:
-                        done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            sink(future.result())
-                    in_flight.add(pool.submit(_guarded, *job))
-                for future in as_completed(in_flight):
-                    sink(future.result())
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                for pgid in list(live):
-                    _kill_group(pgid)
-                raise
+    if commands and corpus:
+        live: set[int] = set()  # one add or discard per task: atomic under the GIL
+        with tempfile.TemporaryDirectory(prefix="scbench-",
+                                         ignore_cleanup_errors=True) as root:
+            dirs = _TaskDirs(root)
+            jobs = []
+            for tool in tools:
+                if tool.name in commands:
+                    scan = partial(_spawn_scan, tool, *commands[tool.name], timeout=timeout,
+                                   raw_dir=raw_dir, live=live, dirs=dirs)
+                    jobs += [(scan, tool, case) for case in corpus]
+            _run_spawned(jobs, parallelism, sink, live)
     for name, count in sorted(dropped.items()):
         logger.warning("adapter bug: dropped %d finding(s) of %s outside its "
                        "capability set", count, name)
     if problems is not None and corpus:
         for tool in tools:
-            if tool.adapter.kind in _SPAWNED and harness_errors[tool.name] == len(corpus):
+            if tool.name in commands and harness_errors[tool.name] == len(corpus):
                 problems[tool.name] = [f"tool {tool.name}: all {len(corpus)} task(s) ended "
                                        f"in harness_error (first: {corpus[0].id})"]
     return records

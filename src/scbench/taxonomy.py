@@ -191,27 +191,41 @@ class Registry:
     @classmethod
     def load(cls, path: str | Path | None = None) -> "Registry":
         """The registry file at ``path``; without one (or with an empty
-        path), the shipped ``data/registry.json``."""
-        if not path:
-            text = resources.files("scbench.data").joinpath("registry.json").read_text("utf-8")
-        else:
-            text = Path(path).read_text("utf-8")
-        raw = json.loads(text)
+        path), the shipped ``data/registry.json``. A file that cannot be
+        read or parsed, or an entry without a required key, raises
+        :class:`ScbenchError` naming the file."""
+        source = Path(path) if path else resources.files("scbench.data") / "registry.json"
+        try:
+            raw = json.loads(source.read_text("utf-8"))
+            entries = raw["tools"]
+        except (OSError, ValueError) as exc:  # a Unicode- or JSONDecodeError too
+            raise ScbenchError(f"cannot read registry {source}: {exc}") from None
+        except (KeyError, TypeError):
+            raise ScbenchError(f"registry {source}: missing 'tools'") from None
+        if type(entries) is not list:
+            raise ScbenchError(f"registry {source}: 'tools' is not a list")
         tools = []
-        for entry in raw["tools"]:
+        for number, entry in enumerate(entries, 1):
             try:
-                adapter = AdapterConfig.from_mapping(entry.get("adapter", {}))
-            except ScbenchError as exc:
-                raise ScbenchError(f"tool {entry['name']}: {exc}") from None
-            tools.append(
-                ToolDescriptor(
-                    name=entry["name"],
-                    methods=frozenset(entry.get("methods", ())),
-                    capabilities=frozenset(entry["capabilities"]),
-                    max_solidity=VersionId.parse(entry["max_solidity"]),
-                    adapter=adapter,
+                name = entry["name"]
+                try:
+                    adapter = AdapterConfig.from_mapping(entry.get("adapter", {}))
+                except ScbenchError as exc:
+                    raise ScbenchError(f"tool {name}: {exc}") from None
+                tools.append(
+                    ToolDescriptor(
+                        name=name,
+                        methods=frozenset(entry.get("methods", ())),
+                        capabilities=frozenset(entry["capabilities"]),
+                        max_solidity=VersionId.parse(entry["max_solidity"]),
+                        adapter=adapter,
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ScbenchError(f"registry {source}: tool #{number}: "
+                                   f"missing {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
+                raise ScbenchError(f"registry {source}: tool #{number}: {exc}") from None
         return cls(tuple(tools))
 
 

@@ -393,11 +393,32 @@ class TestCli:
         out = tmp_path / "records.jsonl"
         assert main(["run", "--corpus", str(corpus), "--registry", str(registry),
                      "--out", str(out)]) == 1
-        assert ("error: tool Absent: all 2 task(s) ended in harness_error (first: a)\n"
-                in capsys.readouterr().err)
-        records = map(json.loads, out.read_text().splitlines())
-        statuses = [(r["tool"], r["status"]) for r in records]
-        assert statuses == [("Absent", "harness_error")] * 2 + [("Stub", "ok")] * 2
+        assert capsys.readouterr().err == (
+            "error: tool Absent: program 'no-such-analyzer-binary' not found\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "metrics", "report"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read registry {}: [Errno 2] No such file or directory: '{}'"),
+        ('{"tools": [', "cannot read registry {}: Expecting value: line 1 column 12 "
+                        "(char 11)"),
+        (json.dumps({"tools": [{"name": "T", "max_solidity": "0.8"}]}),
+         "registry {}: tool #1: missing 'capabilities'"),
+    ], ids=["missing-file", "bad-json", "missing-key"])
+    def test_registry_that_cannot_be_loaded(self, tmp_path, capsys, command, content,
+                                            message):
+        registry = tmp_path / "registry.json"
+        if content is not None:
+            registry.write_text(content)
+        records = tmp_path / "records.jsonl"
+        write_records([ScanRecord("T", "reentrancy/reentrancy_insecure", "ok", 1)], records)
+        args = {"run": ["--out", str(tmp_path / "out.jsonl")],
+                "metrics": ["--records", str(records)],
+                "report": ["--records", str(records), "--out-dir", str(tmp_path / "b")]}
+        assert main([command, "--corpus", str(LABELLED_DIR), "--registry", str(registry),
+                     *args[command]]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(registry, registry)}\n"
+        assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "b").exists()
 
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"

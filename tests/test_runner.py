@@ -3,8 +3,10 @@ import gc
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -67,6 +69,15 @@ def wait_path(request, monkeypatch):
     monkeypatch.setattr(subprocess.Popen, "communicate", spy)
     yield request.param
     assert bool(calls) == (request.param == "fallback"), calls
+
+
+@pytest.fixture
+def private_tempdir(tmp_path, monkeypatch):
+    """A directory of the test's own in place of the system's temporary one."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
 
 
 def make_tool(name: str, adapter: AdapterConfig,
@@ -368,12 +379,45 @@ class TestCommandAdapters:
         assert rec.status == "ok"
         assert rec.findings == {"V1": frozenset({17})}
 
-    def test_missing_binary_is_harness_error(self):
+    def test_missing_binary_fails_before_any_task(self):
         tool = make_tool("Ghost", AdapterConfig(
             kind="json", command="definitely-not-a-binary-xyz {input}",
         ))
-        rec = scan_one(tool, make_case())
-        assert rec.status == "harness_error"
+        stub = make_tool("Stub", AdapterConfig(kind="stub"))
+        seen = []
+        with pytest.raises(ScbenchError, match="^tool Ghost: program "
+                                               "'definitely-not-a-binary-xyz' not found$"):
+            execute_campaign([stub, tool], [make_case()], on_record=seen.append)
+        assert seen == []  # not even the inline tool ran
+
+    def test_program_resolved_once_per_tool_and_argv_kept(self, tmp_path, monkeypatch):
+        script = tmp_path / "tool.sh"
+        script.write_text("#!/bin/sh\necho '{\"findings\": []}'\n")
+        script.chmod(0o755)
+        monkeypatch.chdir(tmp_path)
+        which, looked_up, spawned = shutil.which, [], []
+
+        def counting_which(name, *args, **kwargs):
+            looked_up.append(name)
+            return which(name, *args, **kwargs)
+
+        class SpyPopen(subprocess.Popen):
+            def __init__(self, args, **kwargs):
+                spawned.append((list(args), kwargs.get("executable")))
+                super().__init__(args, **kwargs)
+
+        monkeypatch.setattr(shutil, "which", counting_which)
+        monkeypatch.setattr(subprocess, "Popen", SpyPopen)
+        tools = [make_tool("Sh", AdapterConfig(kind="text", command="sh -c : x {solc} {input}")),
+                 make_tool("Local", AdapterConfig(kind="json", command="./tool.sh {input}"))]
+        records = execute_campaign(tools, [make_case(i) for i in range(3)])
+        assert [r.status for r in records] == ["ok"] * 6
+        assert looked_up == ["sh", "./tool.sh"]
+        sh = os.path.abspath(which("sh"))
+        assert [(args[:-1], exe) for args, exe in spawned] == (
+            [(["sh", "-c", ":", "x", "0.8.x"], sh)] * 3
+            + [(["./tool.sh"], str(tmp_path / "tool.sh"))] * 3)
+        assert all(args[-1].endswith("/contract.sol") for args, _ in spawned)
 
     def test_unparseable_json_is_tool_error(self, tmp_path):
         tool = make_tool("Garbled", AdapterConfig(
@@ -451,7 +495,7 @@ class TestCampaign:
         assert len(seen) == 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failing_sink_stops_queued_spawns(self, tmp_path, jobs):
+    def test_failing_sink_stops_queued_spawns(self, tmp_path, jobs, private_tempdir):
         started = tmp_path / "started"
         tool = make_tool("Logger", AdapterConfig(
             kind="json", command=f"sh -c 'echo x >> {started}'",
@@ -465,8 +509,9 @@ class TestCampaign:
                              parallelism=jobs, on_record=sink)
         window = 1 if jobs == 1 else runner._WINDOW_PER_WORKER * jobs
         assert len(started.read_text().splitlines()) <= window
+        assert list(private_tempdir.iterdir()) == []
 
-    def test_abort_kills_running_tools(self, tmp_path):
+    def test_abort_kills_running_tools(self, tmp_path, private_tempdir):
         pid_file = tmp_path / "slow.pid"
         # contract_1 runs long; contract_0 ends at once and its record fails the sink
         tool = make_tool("Slow", AdapterConfig(
@@ -490,11 +535,16 @@ class TestCampaign:
             execute_campaign([tool], cases, parallelism=2, on_record=sink)
         assert time.monotonic() - start < 10
         assert not alive(int(pid_file.read_text()))
+        assert list(private_tempdir.iterdir()) == []
 
     def test_spawn_pool_under_fast_thread_switching(self):
-        tools = [make_tool(name, AdapterConfig(kind="text", command="true", timeout=10.0))
-                 for name in ("T1", "T2")]
-        corpus = [make_case(i) for i in range(48)]
+        # each tool reports the line number its input names: the task saw
+        # its own contract, so no two tasks in flight shared a directory
+        tools = [make_tool(name, AdapterConfig(
+            kind="text", command="cat {input}", timeout=10.0,
+            rule_map={"line": "V1"}, line_pattern=r"^line (\d+)$"))
+            for name in ("T1", "T2")]
+        corpus = [ContractCase(id=f"contract_{i}", source=f"line {i}\n") for i in range(48)]
         result = []
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -506,8 +556,9 @@ class TestCampaign:
         finally:
             sys.setswitchinterval(old)
         assert not worker.is_alive(), "campaign did not finish"
-        assert sorted((r.tool, r.contract, r.status) for r in result) == sorted(
-            (t.name, c.id, "ok") for t in tools for c in corpus)
+        assert sorted((r.tool, r.contract, r.status, r.findings) for r in result) == sorted(
+            (t.name, f"contract_{i}", "ok", {"V1": frozenset({i})})
+            for t in tools for i in range(48))
 
     def test_mixed_registry_identical_across_jobs(self, tmp_path):
         fixture = tmp_path / "Echo.json"
@@ -529,18 +580,22 @@ class TestCampaign:
             make_tool("Stub", AdapterConfig(kind="stub", findings=(("V1", (1,)),))),
         ))
         corpus = [make_case(i) for i in range(4)]
-        outputs = []
+        outputs, raw_files = [], []
         for jobs in (1, 2, 8):
-            out = tmp_path / f"j{jobs}.jsonl"
-            records = execute_campaign(registry, corpus, parallelism=jobs)
+            out, raw = tmp_path / f"j{jobs}.jsonl", tmp_path / f"raw{jobs}"
+            records = execute_campaign(registry, corpus, parallelism=jobs, raw_dir=raw)
             assert write_records([
                 ScanRecord(r.tool, r.contract, r.status,
                            0 if r.tool == "Json" else r.duration_ms,  # wall clock
-                           r.findings, r.raw_ref)
+                           r.findings, r.raw_ref and os.path.relpath(r.raw_ref, raw))
                 for r in records
             ], out) == 12
             outputs.append(out.read_bytes())
+            raw_files.append({path.relative_to(raw): path.read_bytes()
+                              for path in raw.rglob("*") if path.is_file()})
         assert outputs[0] == outputs[1] == outputs[2]
+        assert raw_files[0] == raw_files[1] == raw_files[2]
+        assert sorted(map(str, raw_files[0])) == [f"Json/contract_{i}.out" for i in range(4)]
         statuses = {(r.tool, r.contract): r.status for r in read_records(out)}
         assert statuses[("Echo", "contract_2")] == "timeout"
         assert {statuses[("Json", f"contract_{i}")] for i in range(4)} == {"ok"}
@@ -576,10 +631,48 @@ class TestCampaign:
         assert len(records) == 6
 
 
+class TestTaskDirectory:
+    # lists its input's directory, prints its input, then names that
+    # directory on stderr; a contract that says so leaves a file behind or
+    # hangs past the cap
+    LISTER = ("sh -c 'dir=${1%/*}; ls -A \"$dir\"; cat \"$1\"; echo \"$dir\" >&2; "
+              "case $(cat \"$1\") in *leave*) touch \"$dir/left\" ;; "
+              "*hang*) exec sleep 5 ;; esac' lister {input}")
+
+    @pytest.mark.parametrize("jobs", [1, 8])
+    def test_each_task_sees_only_its_own_contract(self, tmp_path, private_tempdir, jobs):
+        tags = {3: "leave", 4: "plain", 9: "hang", 10: "plain", 15: "leave"}
+        corpus = [ContractCase(id=f"contract_{i}",
+                               source=f"// contract_{i} {tags.get(i, 'plain')}\n")
+                  for i in range(24)]
+        tool = make_tool("Lister", AdapterConfig(kind="text", command=self.LISTER,
+                                                 timeout=1.0))
+        raw = tmp_path / "raw"
+        records = execute_campaign([tool], corpus, parallelism=jobs, raw_dir=raw)
+        assert {r.contract: r.status for r in records} == {
+            case.id: "timeout" if case.id == "contract_9" else "ok" for case in corpus}
+        used = set()
+        for case in corpus:
+            if case.id == "contract_9":
+                continue
+            listing, source, task_dir = (
+                (raw / "Lister" / f"{case.id}.out").read_text().split("\n", 2))
+            assert (listing, source + "\n") == ("contract.sol", case.source)
+            used.add(task_dir)
+        # a directory is kept for the next task unless its tool left a file
+        # in it or timed out, as three do; no more exist than tasks run at once
+        assert len(used) <= jobs + 3
+        assert list(private_tempdir.iterdir()) == []
+
+
 class TestNeverStarted:
-    def test_command_tool_whose_every_task_is_a_harness_error(self):
+    def test_command_tool_whose_every_task_is_a_harness_error(self, tmp_path):
+        # the program resolves, but its interpreter does not exist
+        program = tmp_path / "broken"
+        program.write_text("#!/no-such-interpreter\n")
+        program.chmod(0o755)
         absent = make_tool("Absent", AdapterConfig(
-            kind="json", command="no-such-analyzer-binary {input}"))
+            kind="json", command=f"{program} {{input}}"))
         failing = make_tool("Failing", AdapterConfig(
             kind="json", command=f"{PY} -c 'raise SystemExit(3)'"))
         problems = {}

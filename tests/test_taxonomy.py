@@ -130,3 +130,22 @@ class TestRegistryValidation:
         )
         reg = Registry.load(path)
         assert reg.names() == ["T"]
+
+    @pytest.mark.parametrize("content, detail", [
+        (b'{"tools": [\xff]}', "cannot read registry {}: 'utf-8' codec can't decode"),
+        (b'[]', "registry {}: missing 'tools'"),
+        (b'{"tools": {}}', "registry {}: 'tools' is not a list"),
+        (b'{"tools": ["T"]}', "registry {}: tool #1: string indices must be integers"),
+        (b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
+         b'"adapter": {"kind": "stub", "timeout": "soon"}}]}',
+         "registry {}: tool #1: could not convert string to float: 'soon'"),
+        (b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
+         b'"adapter": {"kind": "json"}}]}', "tool T: json adapter requires a command"),
+    ], ids=["not-utf8", "no-tools", "tools-not-a-list", "entry-not-an-object",
+            "bad-timeout", "adapter-fault"])
+    def test_malformed_registry_is_an_error(self, tmp_path, content, detail):
+        path = tmp_path / "reg.json"
+        path.write_bytes(content)
+        with pytest.raises(ScbenchError) as info:
+            Registry.load(path)
+        assert str(info.value).startswith(detail.format(path))
