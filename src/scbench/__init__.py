@@ -9,3 +9,7 @@ time series), ``cli`` (the ``scbench`` command).
 """
 
 __version__ = "0.1.0"
+
+# time-series period widths over the metadata timestamps: the choices of
+# ``report --bucket`` and of ``report.time_series``
+BUCKETS = ("month", "quarter", "year")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import shlex
 from dataclasses import dataclass, field
@@ -71,10 +72,14 @@ class AdapterConfig:
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "AdapterConfig":
+        timeout = float(raw.get("timeout", DEFAULT_TIMEOUT))
+        if not 0 < timeout < math.inf:  # nan too
+            raise ValueError(f"adapter timeout {timeout!r} is not a positive number "
+                             f"of seconds")
         return cls(
             kind=raw.get("kind", "replay"),
             command=raw.get("command"),
-            timeout=float(raw.get("timeout", DEFAULT_TIMEOUT)),
+            timeout=timeout,
             rule_map=dict(raw.get("rule_map", {})),
             fixture=raw.get("fixture"),
             findings=tuple(

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 validation/data error, 2 usage error (argparse).
 
-The scoring modules (``mcdm``, ``metrics``, ``reference``, ``report``)
-are imported by the commands that use them: together they take about
-25 ms to import, which ``--help``, ``run`` and the ``corpus`` commands
-would otherwise pay at every start.
+Each command imports the layers it runs, and only those, so that no start
+pays for a layer the command never calls: ``--help`` loads no layer, the
+``corpus`` commands load no campaign or scoring module, ``score`` no
+corpus, records or runner, ``metrics`` and ``report`` no runner, and
+``run`` no scoring module.
 """
 
 from __future__ import annotations
@@ -15,18 +16,21 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import corpus as corpus_mod
+from . import BUCKETS
 from .errors import ScbenchError
-from .records import RecordSet, load_record_set, write_records
-from .runner import execute_campaign
-from .tables import stats_table, to_csv, to_markdown
-from .taxonomy import Registry
+
+if TYPE_CHECKING:
+    from .records import RecordSet
+    from .taxonomy import Registry
 
 logger = logging.getLogger(__name__)
 
 
 def _load_corpus(path: str, metadata: str | None = None):
+    from . import corpus as corpus_mod
+
     root = Path(path)
     if not root.is_dir():
         raise ScbenchError(f"{path} is not a directory")
@@ -36,6 +40,8 @@ def _load_corpus(path: str, metadata: str | None = None):
 
 
 def _emit(header, rows, fmt: str, out: str | None) -> None:
+    from .tables import to_csv, to_markdown
+
     if fmt == "md":
         text = to_markdown(header, rows)
     elif fmt == "json":
@@ -49,6 +55,9 @@ def _emit(header, rows, fmt: str, out: str | None) -> None:
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus as corpus_mod
+    from .tables import stats_table
+
     if args.corpus_cmd == "stats":
         cases = _load_corpus(args.dir, args.metadata)
         header, rows = stats_table(corpus_mod.stats(cases))
@@ -74,6 +83,10 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .records import write_records
+    from .runner import execute_campaign
+    from .taxonomy import Registry
+
     registry = Registry.load(args.registry)
     if args.tools:
         registry = registry.subset(
@@ -113,6 +126,8 @@ def _score_campaign(args):
     recorded tools, the indicator matrix and the four tables that
     ``metrics`` prints and ``report`` bundles."""
     from . import metrics, report
+    from .records import load_record_set
+    from .taxonomy import Registry
 
     cases = _load_corpus(args.corpus, args.metadata)
     records = load_record_set(args.records)
@@ -131,6 +146,7 @@ def _score_campaign(args):
 
 def _cmd_metrics(args) -> int:
     from . import report
+    from .tables import to_markdown
 
     *_, tables = _score_campaign(args)
     if args.out_dir:
@@ -183,7 +199,9 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import corpus as corpus_mod
     from . import mcdm, reference, report
+    from .tables import stats_table
 
     pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
     cases, records, registry, indicator, tables = _score_campaign(args)
@@ -283,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--metadata", default=None)
     p_report.add_argument("--matrix", default=None)
     p_report.add_argument("--timeseries", action="store_true")
-    p_report.add_argument("--bucket", choices=corpus_mod.BUCKETS, default="quarter")
+    p_report.add_argument("--bucket", choices=BUCKETS, default="quarter")
     p_report.add_argument("--series-tools", default=None)
     p_report.add_argument("--out-dir", required=True)
     return parser

@@ -27,7 +27,6 @@ from .lexer import BACKEND, _loc, _pragma, _squeeze, _strip, normalize_source, s
 # stops asking for it.
 __all__ = [
     "BACKEND",
-    "BUCKETS",
     "ContractCase",
     "ClassStat",
     "CorpusStats",
@@ -43,9 +42,6 @@ __all__ = [
     "stats",
     "strip_comments",
 ]
-
-# time-series period widths over the metadata timestamps (``report``)
-BUCKETS = ("month", "quarter", "year")
 
 _HEADER_RE = re.compile(r"@vulnerable_at_lines\s*:\s*([0-9][0-9,\s]*)")
 _MARKER_RE = re.compile(r"<yes>\s*<report>\s*([A-Za-z0-9_\-]+)")

@@ -10,13 +10,15 @@ rendered from its result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .corpus import ContractCase
 from .errors import (EmptyMatrix, NoSupportedClasses, NotApplicable,
                      NoValidRuns, ScbenchError)
-from .records import RecordSet
 from .taxonomy import CLASS_IDS, Registry, ToolDescriptor, compat_score, default_taxonomy
+
+if TYPE_CHECKING:
+    from .corpus import ContractCase
+    from .records import RecordSet
 
 INDICATOR_COLUMNS = ("functional", "efficiency", "compatibility", "usability")
 

@@ -12,15 +12,18 @@ import json
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .corpus import BUCKETS, ContractCase
+from . import BUCKETS
 from .errors import MissingMetadata, ScbenchError
 from .mcdm import ScoreTable, WeightVector
 from .metrics import INDICATOR_COLUMNS, IndicatorMatrix, ToolScores
-from .records import RecordSet
 from .tables import to_csv, to_markdown
 from .taxonomy import CLASS_IDS, Registry, default_taxonomy
+
+if TYPE_CHECKING:
+    from .corpus import ContractCase
+    from .records import RecordSet
 
 
 def _round3(value: float) -> float:

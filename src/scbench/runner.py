@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import locale
 import logging
+import math
 import os
 import re
 import selectors
@@ -338,8 +339,9 @@ def execute_campaign(
 ) -> list[ScanRecord]:
     """Run every (tool, contract) pair; returns |tools| x |corpus| records.
 
-    The program of each command tool is found first, before any task runs:
-    one that is not installed raises :class:`ScbenchError`. Stub and replay
+    A ``timeout`` that is not a finite number of seconds above 0 raises
+    :class:`ScbenchError` before any task runs. So does the program of a
+    command tool that is not installed: each is found first. Stub and replay
     tools then run inline, before the command tools; those run on
     ``parallelism`` worker threads (no pool at 1) with a bounded window of
     tasks in flight, and their records are sunk as they complete. Their
@@ -358,6 +360,8 @@ def execute_campaign(
     """
     if parallelism < 1:
         raise ScbenchError("parallelism must be >= 1")
+    if timeout is not None and not 0 < timeout < math.inf:  # nan too
+        raise ScbenchError(f"timeout {timeout!r} is not a positive number of seconds")
     commands = {tool.name: _command(tool) for tool in tools
                 if tool.adapter.kind in _SPAWNED}
     records: list[ScanRecord] = []

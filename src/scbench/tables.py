@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .corpus import CorpusStats
+if TYPE_CHECKING:
+    from .corpus import CorpusStats
 
 
 def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -14,10 +14,12 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .adapters import AdapterConfig
 from .errors import ScbenchError, UnknownMarker, UnsupportedVersion
+
+if TYPE_CHECKING:
+    from .adapters import AdapterConfig
 
 CLASS_IDS = tuple(f"V{i}" for i in range(1, 11))
 
@@ -204,6 +206,8 @@ class Registry:
             raise ScbenchError(f"registry {source}: missing 'tools'") from None
         if type(entries) is not list:
             raise ScbenchError(f"registry {source}: 'tools' is not a list")
+        from .adapters import AdapterConfig  # the corpus commands never load it
+
         tools = []
         for number, entry in enumerate(entries, 1):
             try:

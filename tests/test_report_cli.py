@@ -152,6 +152,55 @@ class TestRendering:
         assert scores["T"].functional == 0.5
 
 
+# ``scbench`` modules beside ``cli`` and ``errors`` that a command loads
+CORPUS_LAYERS = {"corpus", "corpus.lexer", "taxonomy", "tables"}
+SCORING_LAYERS = {"mcdm", "metrics", "reference", "report"}
+
+_LIST_LAYERS = (
+    "import json, sys\n"
+    "from scbench import cli\n"
+    "try:\n"
+    "    rc = cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc:  # --help\n"
+    "    rc = exc.code\n"
+    "print(json.dumps([rc, [n[len('scbench.'):] for n in sys.modules\n"
+    "                       if n.startswith('scbench.')]]))\n"
+)
+
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    """Paths for the import-set tests: a replay campaign of two tools, its
+    metrics indicators, and where a report bundle and a run may go."""
+    root = tmp_path_factory.mktemp("campaign")
+    records = root / "records.jsonl"
+    assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                 "--tools", "Slither,Maian", "--out", str(records)]) == 0
+    assert main(["metrics", "--records", str(records), "--corpus", str(LABELLED_DIR),
+                 "--out-dir", str(root / "metrics")]) == 0
+    return {"records": records, "indicators": root / "metrics" / "indicators.csv",
+            "bundle": root / "bundle", "out": root / "run.jsonl"}
+
+
+def src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this ``src``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def layers_loaded(argv, paths) -> set[str]:
+    """The ``scbench`` modules that ``cli.main(argv)`` loads in a fresh
+    interpreter, less the code-free ``data`` package; the command must
+    succeed."""
+    argv = [arg.format(**paths) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", _LIST_LAYERS, *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, (argv, proc.stderr)
+    return set(modules) - {"data"}
+
+
 class TestCli:
     def test_corpus_stats_on_empty_dir(self, tmp_path, capsys):
         assert main(["corpus", "stats", str(tmp_path)]) == 0
@@ -236,6 +285,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}:389: ")
 
+    @pytest.mark.parametrize("argv, loaded", [
+        (["--help"], set()),
+        (["corpus", "stats", str(LABELLED_DIR)], CORPUS_LAYERS),
+        (["corpus", "dedup", "--pragma", str(LABELLED_DIR)], CORPUS_LAYERS),
+        (["corpus", "validate", str(LABELLED_DIR)], CORPUS_LAYERS),
+        (["score", "--method", "ahp", "--matrix", str(pairwise_path("a1")),
+          "--indicators", "{indicators}"], {"taxonomy", "tables", *SCORING_LAYERS}),
+    ], ids=["help", "stats", "dedup", "validate", "score"])
+    def test_command_loads_only_its_layers(self, campaign, argv, loaded):
+        assert layers_loaded(argv, campaign) == {"cli", "errors", *loaded}
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["metrics", "--records", "{records}", "--corpus", str(LABELLED_DIR)], {"runner"}),
+        (["report", "--records", "{records}", "--corpus", str(LABELLED_DIR),
+          "--timeseries", "--out-dir", "{bundle}"], {"runner"}),
+        (["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+          "--tools", "Slither", "--out", "{out}"], {"tables", *SCORING_LAYERS}),
+    ], ids=["metrics", "report", "run"])
+    def test_command_skips_layers_it_does_not_run(self, campaign, argv, absent):
+        assert layers_loaded(argv, campaign) & absent == set()
+
     def test_no_command_imports_numpy(self, tmp_path):
         code = (
             "import sys\n"
@@ -247,9 +317,7 @@ class TestCli:
             "assert rc == 0, rc\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = src_env()
         records = str(tmp_path / "records.jsonl")
         campaign = ["--records", records, "--corpus", str(LABELLED_DIR)]
         run = ["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
@@ -397,6 +465,21 @@ class TestCli:
             "error: tool Absent: program 'no-such-analyzer-binary' not found\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_timeout_that_is_not_positive_seconds_fails_before_any_task(
+            self, tmp_path, capsys, value):
+        started = tmp_path / "started"
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [{
+            "name": "Touch", "capabilities": ["V1"], "max_solidity": "0.8",
+            "adapter": {"kind": "json", "command": f"touch {started} {{input}}"}}]}))
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--registry", str(registry),
+                     "--timeout", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: timeout {float(value)!r} is not a positive number of seconds\n")
+        assert not out.exists() and not started.exists()
+
     @pytest.mark.parametrize("command", ["run", "metrics", "report"])
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read registry {}: [Errno 2] No such file or directory: '{}'"),
@@ -404,7 +487,10 @@ class TestCli:
                         "(char 11)"),
         (json.dumps({"tools": [{"name": "T", "max_solidity": "0.8"}]}),
          "registry {}: tool #1: missing 'capabilities'"),
-    ], ids=["missing-file", "bad-json", "missing-key"])
+        (json.dumps({"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8",
+                                "adapter": {"kind": "stub", "timeout": 0}}]}),
+         "registry {}: tool #1: adapter timeout 0.0 is not a positive number of seconds"),
+    ], ids=["missing-file", "bad-json", "missing-key", "zero-timeout"])
     def test_registry_that_cannot_be_loaded(self, tmp_path, capsys, command, content,
                                             message):
         registry = tmp_path / "registry.json"

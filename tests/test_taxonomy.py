@@ -139,10 +139,15 @@ class TestRegistryValidation:
         (b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
          b'"adapter": {"kind": "stub", "timeout": "soon"}}]}',
          "registry {}: tool #1: could not convert string to float: 'soon'"),
+        *((b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
+           b'"adapter": {"kind": "stub", "timeout": %s}}]}' % value,
+           f"registry {{}}: tool #1: adapter timeout {float(value)!r} is not a positive "
+           f"number of seconds") for value in (b"-1", b"NaN", b"Infinity")),
         (b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
          b'"adapter": {"kind": "json"}}]}', "tool T: json adapter requires a command"),
     ], ids=["not-utf8", "no-tools", "tools-not-a-list", "entry-not-an-object",
-            "bad-timeout", "adapter-fault"])
+            "bad-timeout", "negative-timeout", "nan-timeout", "infinite-timeout",
+            "adapter-fault"])
     def test_malformed_registry_is_an_error(self, tmp_path, content, detail):
         path = tmp_path / "reg.json"
         path.write_bytes(content)
