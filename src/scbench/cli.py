@@ -28,17 +28,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
-def _load_corpus(path: str, metadata: str | None = None):
-    from . import corpus as corpus_mod
-
-    root = Path(path)
-    if not root.is_dir():
-        raise ScbenchError(f"{path} is not a directory")
-    if any(root.glob("*/*.sol")):
-        return corpus_mod.load_labelled(root, metadata=metadata)
-    return corpus_mod.load_flat(root, metadata=metadata)
-
-
 def _emit(header, rows, fmt: str, out: str | None) -> None:
     from .tables import to_csv, to_markdown
 
@@ -59,12 +48,12 @@ def _cmd_corpus(args) -> int:
     from .tables import stats_table
 
     if args.corpus_cmd == "stats":
-        cases = _load_corpus(args.dir, args.metadata)
+        cases = corpus_mod.load_directory(args.dir, args.metadata)
         header, rows = stats_table(corpus_mod.stats(cases))
         _emit(header, rows, args.format, args.out)
         return 0
     if args.corpus_cmd == "dedup":
-        cases = _load_corpus(args.dir, args.metadata)
+        cases = corpus_mod.load_directory(args.dir, args.metadata)
         cases = corpus_mod.pragma_filter(cases) if args.pragma else cases
         kept, removed = corpus_mod.dedup(cases)
         header = ["Survivors", "Removed"]
@@ -83,6 +72,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .corpus import load_directory
     from .records import write_records
     from .runner import execute_campaign
     from .taxonomy import Registry
@@ -92,7 +82,7 @@ def _cmd_run(args) -> int:
         registry = registry.subset(
             [name.strip() for name in args.tools.split(",") if name.strip()]
         )
-    cases = _load_corpus(args.corpus, args.metadata)
+    cases = load_directory(args.corpus, args.metadata)
     problems: dict[str, list[str]] = {}
     records = execute_campaign(
         registry,
@@ -126,10 +116,11 @@ def _score_campaign(args):
     recorded tools, the indicator matrix and the four tables that
     ``metrics`` prints and ``report`` bundles."""
     from . import metrics, report
+    from .corpus import load_directory
     from .records import load_record_set
     from .taxonomy import Registry
 
-    cases = _load_corpus(args.corpus, args.metadata)
+    cases = load_directory(args.corpus, args.metadata)
     records = load_record_set(args.records)
     registry = _restrict_to_recorded(Registry.load(args.registry), records)
     scores = metrics.score_campaign(records, registry, cases)

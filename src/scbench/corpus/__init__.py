@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import AnnotationMismatch, ScbenchError, UnknownMarker
 from ..taxonomy import default_taxonomy
@@ -32,6 +33,7 @@ __all__ = [
     "CorpusStats",
     "dedup",
     "load_csv_corpus",
+    "load_directory",
     "load_flat",
     "load_labelled",
     "load_metadata",
@@ -246,13 +248,77 @@ def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | No
     return meta
 
 
-def _sidecar(directory: Path, metadata: str | Path | None):
+def _sidecar(directory: str, metadata: str | Path | None):
     """The metadata of a corpus directory: ``metadata`` when given, else the
     directory's own ``metadata.csv`` when it has one, else none."""
     if metadata:
         return load_metadata(metadata)
-    own = directory / "metadata.csv"
-    return load_metadata(own) if own.is_file() else {}
+    own = os.path.join(directory, "metadata.csv")
+    return load_metadata(own) if os.path.isfile(own) else {}
+
+
+def _entries(directory: str) -> list[os.DirEntry]:
+    """The entries of ``directory``; one that cannot be listed is a
+    :class:`ScbenchError`, never an empty listing."""
+    try:
+        with os.scandir(directory) as it:
+            return list(it)
+    except OSError as exc:
+        raise ScbenchError(f"cannot list {directory}: {exc.strerror or exc}") from None
+
+
+def _is_dir(entry: os.DirEntry) -> bool:
+    try:
+        return entry.is_dir()  # follows a symlink
+    except OSError:
+        return False
+
+
+def _sources(directory: str) -> list[str]:
+    """The names of the ``*.sol`` entries of ``directory``, sorted."""
+    return sorted(e.name for e in _entries(directory) if e.name.endswith(".sol"))
+
+
+def _class_dirs(root: str) -> list[str]:
+    """The names of the subdirectories of ``root``, hidden or symlinked,
+    sorted."""
+    return sorted(e.name for e in _entries(root) if _is_dir(e))
+
+
+def _labelled_files(root: str) -> Iterator[tuple[str, str]]:
+    """``(class_dir/name.sol, path)`` of each ``<root>/<class_dir>/*.sol``.
+
+    The files and their order are those of ``sorted(Path(root).glob("*/*.sol"),
+    key=lambda p: p.parts)``: every class directory, hidden or symlinked,
+    sorted by name, and in each its entries named ``*.sol``, sorted by name.
+    A directory that cannot be listed is a :class:`ScbenchError`.
+    """
+    for class_dir in _class_dirs(root):
+        directory = os.path.join(root, class_dir)
+        prefix = os.path.join(directory, "")
+        for name in _sources(directory):
+            yield f"{class_dir}/{name}", prefix + name
+
+
+def _read_source(path: str, origin: str) -> str:
+    """The file's text as ``Path.read_text("utf-8")`` gives it: UTF-8 with
+    universal newlines. A file that cannot be read or decoded is a
+    :class:`ScbenchError` naming ``origin`` (and the line of a bad byte)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ScbenchError(f"{origin}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ScbenchError(f"{origin}: line {line}: not UTF-8: {exc.reason} "
+                           f"(byte {data[exc.start]:#04x})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_case(case_id: str, source: str, meta, origin: str) -> ContractCase:
@@ -270,26 +336,48 @@ def _load_case(case_id: str, source: str, meta, origin: str) -> ContractCase:
 
 def load_labelled(root: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
     """Load ``<root>/<class_dir>/*.sol`` (including ``safe/``), sorted by id."""
-    root = Path(root)
-    if not root.is_dir():
+    root = os.fspath(root)
+    if not os.path.isdir(root):
         raise ScbenchError(f"corpus root {root} is not a directory")
     meta = _sidecar(root, metadata)
-    cases = []
-    for path in sorted(root.glob("*/*.sol"), key=lambda p: p.parts):
-        rel = path.relative_to(root).as_posix()
-        cases.append(_load_case(rel.removesuffix(".sol"), path.read_text("utf-8"),
-                                meta, rel))
-    return cases
+    return [_load_case(rel.removesuffix(".sol"), _read_source(path, rel), meta, rel)
+            for rel, path in _labelled_files(root)]
+
+
+def _is_labelled(root: str) -> bool:
+    """Whether a subdirectory of ``root`` holds a ``*.sol`` entry. One that
+    cannot be listed holds none: in a flat corpus it is no part of the
+    corpus (a ``lost+found``, say). The walk stops at the first that holds
+    one."""
+    for class_dir in _class_dirs(root):
+        try:
+            if _sources(os.path.join(root, class_dir)):
+                return True
+        except ScbenchError:
+            continue
+    return False
+
+
+def load_directory(directory: str | Path,
+                   metadata: str | Path | None = None) -> list[ContractCase]:
+    """Load a corpus directory in its layout: labelled (:func:`load_labelled`)
+    when a subdirectory holds a ``*.sol`` file, else flat (:func:`load_flat`)."""
+    directory = os.fspath(directory)
+    if not os.path.isdir(directory):
+        raise ScbenchError(f"{directory} is not a directory")
+    if _is_labelled(directory):
+        return load_labelled(directory, metadata)
+    return load_flat(directory, metadata)
 
 
 def load_flat(directory: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
-    """Load a flat directory of ``*.sol`` files (scaled-corpus layout)."""
-    directory = Path(directory)
+    """Load a flat directory of ``*.sol`` files (scaled-corpus layout); a
+    case's id is its file name less ``.sol``, as ``Path.stem`` gives it."""
+    directory = os.fspath(directory)
     meta = _sidecar(directory, metadata)
-    return [
-        _load_case(path.stem, path.read_text("utf-8"), meta, path.name)
-        for path in sorted(directory.glob("*.sol"), key=lambda p: p.parts)
-    ]
+    prefix = os.path.join(directory, "")
+    return [_load_case(name[:-4] or name, _read_source(prefix + name, name), meta, name)
+            for name in _sources(directory)]
 
 
 def load_csv_corpus(path: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
@@ -308,11 +396,13 @@ def scan_problems(root: str | Path) -> list[str]:
     agreement, missing pragma directives, and annotation mismatches.
     """
     taxonomy = default_taxonomy()
-    root = Path(root)
     problems: list[str] = []
-    for path in sorted(root.glob("*/*.sol"), key=lambda p: p.parts):
-        rel = path.relative_to(root).as_posix()
-        source = path.read_text("utf-8")
+    for rel, path in _labelled_files(os.fspath(root)):
+        try:
+            source = _read_source(path, rel)
+        except ScbenchError as exc:
+            problems.append(str(exc))
+            continue
         stripped, lex_error = _strip(source)
         if lex_error is not None:
             line = source.count("\n", 0, lex_error.position) + 1
@@ -334,7 +424,7 @@ def scan_problems(root: str | Path) -> list[str]:
                     f"{rel}: {cid} annotates lines {sorted(past_end)} beyond "
                     f"the {n_lines}-line source"
                 )
-        dir_name = path.parent.name
+        dir_name = rel.partition("/")[0]
         dir_class = taxonomy.by_dir(dir_name)
         if dir_name == "safe":
             if expected:

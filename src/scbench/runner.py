@@ -14,18 +14,14 @@ import logging
 import math
 import os
 import re
-import selectors
 import shutil
-import signal
-import subprocess
 import sys
 import tempfile
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .adapters import (Findings, ReplayFixture, merge_finding, parse_json_output,
                        parse_text_output, resolve_replay_fixture)
@@ -36,6 +32,11 @@ from .errors import ScbenchError
 # the records layer. They go when it reads them from ``records``.
 from .records import RecordSet, ScanRecord, gc_paused, read_records, write_records
 from .taxonomy import Registry, ToolDescriptor
+
+# The modules that only command tools need are imported where those run,
+# so that a replay or stub campaign does not load them.
+if TYPE_CHECKING:
+    import subprocess
 
 __all__ = ["RecordSet", "execute_campaign", "read_records", "write_records"]
 
@@ -112,6 +113,8 @@ def _replay_problems(tool: str, failed: list[tuple[str, str | None]],
 
 
 def _kill_group(pgid: int) -> None:
+    import signal
+
     try:
         os.killpg(pgid, signal.SIGKILL)
     except ProcessLookupError:
@@ -134,6 +137,9 @@ def _communicate(proc: subprocess.Popen, cap: float) -> tuple[bytes, bytes]:
     on a timer. Elsewhere ``Popen.communicate`` waits, which sleep-polls for
     the exit once the pipes are closed.
     """
+    import selectors
+    import subprocess
+
     try:
         pidfd = os.pidfd_open(proc.pid)
     except (AttributeError, OSError):  # not Linux, or a kernel without pidfds
@@ -221,6 +227,8 @@ def _spawn_scan(tool: ToolDescriptor, template: tuple[str, ...], program: str,
     given. ``live`` holds the process groups of the campaign's running
     tools, for an abort to kill.
     """
+    import subprocess
+
     config = tool.adapter
     cap = timeout if timeout is not None else config.timeout
 
@@ -305,6 +313,8 @@ def _run_spawned(jobs: list, parallelism: int, sink: Callable[[ScanRecord], None
     completes. An exception from the sink, or an interrupt, cancels the
     queued tasks and kills the running tools in ``live``; the pool's exit
     then waits for their workers."""
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
+
     if parallelism == 1:
         for job in jobs:
             sink(_guarded(*job))

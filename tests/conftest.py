@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LABELLED_DIR = REPO_ROOT / "datasets" / "labelled"
 REPLAY_DIR = REPO_ROOT / "datasets" / "replay" / "labelled"
 LISTING_FIXTURE = LABELLED_DIR / "reentrancy" / "reentrancy_insecure.sol"
+
+
+def deny_listing(monkeypatch, directory):
+    """Make ``os.scandir`` of ``directory`` fail as an unreadable directory
+    does (a root-run suite can list any directory); returns its path."""
+    locked = str(directory)
+    scandir = os.scandir
+
+    def denying(path="."):
+        if os.fspath(path) == locked:
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", denying)
+    return locked
 
 
 @pytest.fixture(scope="session")

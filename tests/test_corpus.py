@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import re
 import textwrap
 from datetime import datetime, timezone
 
@@ -8,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbench.corpus import (ContractCase, dedup, lexer, load_csv_corpus,
-                            load_flat, load_labelled, normalize_source,
+                            load_directory, load_flat, load_labelled, normalize_source,
                             parse_annotations, pragma_filter, scan_problems,
                             stats)
-from scbench.errors import AnnotationMismatch, UnknownMarker
+from scbench.errors import AnnotationMismatch, ScbenchError, UnknownMarker
 
-from .conftest import LABELLED_DIR, LISTING_FIXTURE
+from .conftest import LABELLED_DIR, LISTING_FIXTURE, deny_listing
 
 
 def make_case(idx: int, source: str) -> ContractCase:
@@ -276,6 +278,148 @@ class TestLoaders:
                                    "marker 'FRONTRUN' matches no class alias")
 
 
+PRAGMA = "pragma solidity ^0.5.0;\n"
+
+
+def reference_labelled(root):
+    """``(id, source)`` of a labelled corpus, read the way the loader once did."""
+    return [(p.relative_to(root).as_posix().removesuffix(".sol"), p.read_text("utf-8"))
+            for p in sorted(root.glob("*/*.sol"), key=lambda p: p.parts)]
+
+
+def reference_flat(directory):
+    """``(id, source)`` of a flat corpus, read the way the loader once did."""
+    return [(p.stem, p.read_text("utf-8"))
+            for p in sorted(directory.glob("*.sol"), key=lambda p: p.parts)]
+
+
+class TestReading:
+    def test_labelled_walk_and_read_match_glob_and_read_text(self, tmp_path):
+        root = tmp_path / "corpus"
+        files = {
+            "reentrancy/b.sol": PRAGMA + "contract B {}\n",
+            "reentrancy/a.sol": PRAGMA + "contract A {}\n",
+            "reentrancy/notes.txt": "not a contract\n",
+            "reentrancy/.sol": PRAGMA + "contract Dot {}\n",
+            "safe/crlf.sol": PRAGMA.replace("\n", "\r\n") + "contract C {\r\n}\r\n",
+            "safe/cr.sol": PRAGMA.replace("\n", "\r") + "contract R {\r}\r\r\n",
+            ".hidden/h.sol": PRAGMA + "contract H {}\n",
+            "a/top.sol": PRAGMA + "contract T {}\n",
+            "a/b/c.sol": PRAGMA + "contract Nested {}\n",
+            "Upper/u.sol": PRAGMA + "contract U {}\n",
+            "loose.sol": PRAGMA + "contract Loose {}\n",
+        }
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(text.encode("utf-8"))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "l.sol").write_text(PRAGMA + "contract L {}\n")
+        (root / "linked").symlink_to(elsewhere, target_is_directory=True)
+
+        expected = reference_labelled(root)
+        assert [(c.id, c.source) for c in load_labelled(root)] == expected
+        ids = [cid for cid, _ in expected]
+        assert {".hidden/h", "linked/l", "a/top", "reentrancy/"} <= set(ids)
+        assert "a/b/c" not in ids and "loose" not in ids
+        assert dict(expected)["safe/cr"] == PRAGMA + "contract R {\n}\n\n"
+        assert "\r" not in "".join(source for _, source in expected)
+
+    def test_flat_walk_and_read_match_glob_and_read_text(self, tmp_path):
+        files = {"b.sol": PRAGMA, "a.x.sol": PRAGMA, ".sol": PRAGMA, "..sol": PRAGMA,
+                 ".hidden.sol": PRAGMA, "crlf.sol": PRAGMA.replace("\n", "\r\n"),
+                 "cr.sol": PRAGMA.replace("\n", "\r"), "notes.txt": "text\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "deep.sol").write_text(PRAGMA)
+
+        expected = reference_flat(tmp_path)
+        assert [(c.id, c.source) for c in load_flat(tmp_path)] == expected
+        assert [cid for cid, _ in expected] == [".", ".hidden", ".sol", "a.x", "b", "cr",
+                                                "crlf"]
+
+    @pytest.mark.parametrize("layout", ["labelled", "flat"])
+    def test_undecodable_contract_names_its_file_and_line(self, tmp_path, layout):
+        bad = PRAGMA.encode() + b"// caf\xff\ncontract C {}\n"
+        if layout == "labelled":
+            (tmp_path / "reentrancy").mkdir()
+            (tmp_path / "reentrancy" / "a.sol").write_bytes(bad)
+            load, where = (lambda: load_labelled(tmp_path)), "reentrancy/a.sol"
+        else:
+            (tmp_path / "a.sol").write_bytes(bad)
+            load, where = (lambda: load_flat(tmp_path)), "a.sol"
+        with pytest.raises(ScbenchError) as info:
+            load()
+        assert str(info.value) == (f"{where}: line 2: not UTF-8: "
+                                   "invalid start byte (byte 0xff)")
+
+    def test_decode_error_line_counts_every_newline_kind(self, tmp_path):
+        (tmp_path / "a.sol").write_bytes(b"one\r\ntwo\rthree\nfour \xc3")
+        with pytest.raises(ScbenchError, match="^a.sol: line 4: not UTF-8: "
+                                               "unexpected end of data"):
+            load_flat(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["directory", "dangling-link"])
+    def test_unreadable_contract_is_an_error(self, tmp_path, kind):
+        (tmp_path / "reentrancy").mkdir()
+        target = tmp_path / "reentrancy" / "a.sol"
+        if kind == "directory":
+            target.mkdir()
+            reason = "Is a directory"
+        else:
+            target.symlink_to(tmp_path / "missing.sol")
+            reason = "No such file or directory"
+        with pytest.raises(ScbenchError, match=f"^reentrancy/a.sol: {reason}$"):
+            load_labelled(tmp_path)
+
+    def test_class_directory_that_cannot_be_listed_is_an_error(self, tmp_path,
+                                                               monkeypatch):
+        for name in ("reentrancy", "safe"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "a.sol").write_text(PRAGMA)
+        locked = deny_listing(monkeypatch, tmp_path / "safe")
+        for sweep in (load_labelled, load_directory, scan_problems):
+            with pytest.raises(ScbenchError, match=f"^cannot list {re.escape(locked)}: "
+                                                   "Permission denied$"):
+                sweep(tmp_path)
+
+    def test_flat_corpus_beside_a_directory_that_cannot_be_listed_loads(
+            self, tmp_path, monkeypatch):
+        for name in ("b.sol", "a.sol"):
+            (tmp_path / name).write_text(PRAGMA)
+        (tmp_path / "lost+found").mkdir()
+        locked = deny_listing(monkeypatch, tmp_path / "lost+found")
+        loaded = [(c.id, c.source) for c in load_directory(tmp_path)]
+        assert loaded == [(c.id, c.source) for c in load_flat(tmp_path)]
+        assert loaded == [("a", PRAGMA), ("b", PRAGMA)]
+        with pytest.raises(ScbenchError, match=f"^cannot list {re.escape(locked)}: "):
+            load_labelled(tmp_path)
+
+    def test_directory_layout_is_labelled_when_a_class_directory_holds_a_contract(
+            self, tmp_path):
+        assert ([c.id for c in load_directory(LABELLED_DIR)]
+                == [c.id for c in load_labelled(LABELLED_DIR)])
+        (tmp_path / "loose.sol").write_text(PRAGMA)
+        (tmp_path / "empty").mkdir()
+        assert [c.id for c in load_directory(tmp_path)] == ["loose"]
+        (tmp_path / "safe").mkdir()
+        (tmp_path / "safe" / "s.sol").write_text(PRAGMA)
+        assert [c.id for c in load_directory(tmp_path)] == ["safe/s"]
+        with pytest.raises(ScbenchError, match="is not a directory$"):
+            load_directory(tmp_path / "loose.sol")
+
+    def test_validate_lists_an_unreadable_contract_and_checks_the_rest(self, tmp_path):
+        (tmp_path / "reentrancy").mkdir()
+        (tmp_path / "reentrancy" / "a.sol").write_bytes(b"// \xff\n")
+        (tmp_path / "reentrancy" / "b.sol").write_text("contract B {}\n")
+        assert scan_problems(tmp_path) == [
+            "reentrancy/a.sol: line 1: not UTF-8: invalid start byte (byte 0xff)",
+            "reentrancy/b.sol: directory says V1 but labels are empty",
+            "reentrancy/b.sol: no pragma solidity directive",
+        ]
+
+
 class TestStats:
     def test_shipped_statistics(self, labelled_corpus):
         st_ = stats(labelled_corpus)
@@ -334,6 +478,13 @@ class TestOneScanPerContract:
     def test_scan_problems_scans_each_file_once(self, scans):
         scan_problems(LABELLED_DIR)
         assert len(scans) == 389
+
+    def test_flat_load_scans_each_file_once(self, scans, tmp_path):
+        sources = sorted((LABELLED_DIR / "reentrancy").glob("*.sol"))
+        for path in sources:
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        cases = load_flat(tmp_path)
+        assert len(scans) == len(cases) == len(sources) > 1
 
     def test_hand_built_case_derives_fields_from_one_scan(self, scans):
         source = "pragma solidity ^0.5.0;\n// note\ncontract C {  }\n"

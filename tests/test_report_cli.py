@@ -20,7 +20,7 @@ from scbench.records import RecordSet, ScanRecord, write_records
 from scbench.tables import stats_table
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId, default_taxonomy
 
-from .conftest import LABELLED_DIR, REPLAY_DIR
+from .conftest import LABELLED_DIR, REPLAY_DIR, deny_listing
 
 
 def make_tool(name, capabilities):
@@ -217,6 +217,50 @@ class TestCli:
         bad.mkdir()
         (bad / "x.sol").write_text("contract C {}\n")  # no pragma, no marker
         assert main(["corpus", "validate", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["stats", "dedup", "run", "metrics", "report"])
+    def test_undecodable_contract_names_its_file(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        (corpus / "reentrancy").mkdir(parents=True)
+        (corpus / "reentrancy" / "a.sol").write_bytes(
+            b"pragma solidity ^0.5.0;\n// caf\xff\ncontract C {}\n")
+        records = tmp_path / "records.jsonl"
+        records.write_text("")
+        argv = {
+            "stats": ["corpus", "stats", str(corpus)],
+            "dedup": ["corpus", "dedup", str(corpus)],
+            "run": ["run", "--corpus", str(corpus), "--replay", str(REPLAY_DIR),
+                    "--tools", "Slither", "--out", str(tmp_path / "out.jsonl")],
+            "metrics": ["metrics", "--records", str(records), "--corpus", str(corpus)],
+            "report": ["report", "--records", str(records), "--corpus", str(corpus),
+                       "--out-dir", str(tmp_path / "bundle")],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: reentrancy/a.sol: line 2: not UTF-8: invalid start byte (byte 0xff)\n")
+
+    def test_validate_lists_an_undecodable_contract(self, tmp_path, capsys):
+        (tmp_path / "safe").mkdir()
+        (tmp_path / "safe" / "a.sol").write_bytes(b"\xffpragma solidity ^0.5.0;\n")
+        (tmp_path / "safe" / "b.sol").write_text("pragma solidity ^0.5.0;\n")
+        assert main(["corpus", "validate", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == (
+            "safe/a.sol: line 1: not UTF-8: invalid start byte (byte 0xff)\n"
+            "1 problem(s) found\n")
+
+    def test_validate_of_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["corpus", "validate", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot list {missing}: No such file or directory\n")
+
+    def test_flat_corpus_beside_a_directory_that_cannot_be_listed(self, tmp_path,
+                                                                  capsys, monkeypatch):
+        (tmp_path / "a.sol").write_text("pragma solidity ^0.5.0;\ncontract A {}\n")
+        (tmp_path / "lost+found").mkdir()
+        deny_listing(monkeypatch, tmp_path / "lost+found")
+        assert main(["corpus", "stats", str(tmp_path)]) == 0
+        assert "Total,1," in capsys.readouterr().out
 
     def test_unknown_marker_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "reentrancy"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import gc
 import importlib
@@ -23,7 +24,7 @@ from scbench.records import (STATUSES, RecordSet, ScanRecord, _from_doc, gc_paus
 from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
-from .conftest import REPLAY_DIR
+from .conftest import LABELLED_DIR, REPLAY_DIR
 
 PY = sys.executable
 
@@ -625,10 +626,34 @@ class TestCampaign:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was created")
 
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         records = execute_campaign(self._stub_registry(),
                                    [make_case(i) for i in range(3)], parallelism=8)
         assert len(records) == 6
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_replay_run_loads_no_spawn_module(self, tmp_path, jobs):
+        """``scbench run`` of a replay campaign, in a fresh interpreter,
+        loads none of the modules that only command tools need."""
+        code = (
+            "import json, sys\n"
+            "from scbench.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        out = tmp_path / "records.jsonl"
+        proc = subprocess.run([PY, "-c", code, "run", "--corpus", str(LABELLED_DIR),
+                               "--replay", str(REPLAY_DIR), "--jobs", jobs,
+                               "--out", str(out)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 13 * 389
+        assert "scbench.runner" in loaded
+        spawn_only = {"subprocess", "selectors", "signal", "concurrent.futures"}
+        assert spawn_only.isdisjoint(loaded)
 
 
 class TestTaskDirectory:
