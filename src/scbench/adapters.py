@@ -153,6 +153,7 @@ class ReplayFixture:
 
     def __init__(self, entries: Mapping[str, Mapping]):
         self._entries = dict(entries)
+        self._share = {}.setdefault  # one object per distinct line set
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayFixture":
@@ -163,7 +164,8 @@ class ReplayFixture:
         the fixture does not record. A scan that did not end ``ok`` keeps
         no findings. A malformed entry raises :class:`ScbenchError`, whatever
         its status: one that is not a mapping (``null`` too), lacks a
-        finding's class, or holds a bad status, duration or line."""
+        finding's class, or holds a bad status, duration or line. Equal
+        line sets of the fixture's records are one object."""
         if contract_id not in self._entries:
             return None
         entry = self._entries[contract_id]
@@ -179,7 +181,10 @@ class ReplayFixture:
         if status != "ok" and findings:
             check_findings(findings)  # the record checks only those it keeps
             findings = {}
-        return ScanRecord(tool, contract_id, status, duration_ms, findings)
+        record = ScanRecord(tool, contract_id, status, duration_ms, findings)
+        for cid, lines in findings.items():  # checked by now
+            findings[cid] = self._share(lines, lines)
+        return record
 
 
 def resolve_replay_fixture(config: AdapterConfig, tool_name: str,

@@ -73,7 +73,7 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_run(args) -> int:
     from .corpus import load_directory
-    from .records import write_records
+    from .records import check_records_dir, write_records
     from .runner import execute_campaign
     from .taxonomy import Registry
 
@@ -83,6 +83,7 @@ def _cmd_run(args) -> int:
             [name.strip() for name in args.tools.split(",") if name.strip()]
         )
     cases = load_directory(args.corpus, args.metadata)
+    check_records_dir(args.out)
     problems: dict[str, list[str]] = {}
     records = execute_campaign(
         registry,

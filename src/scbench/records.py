@@ -4,8 +4,11 @@ that stores a campaign's records, and the index the scoring layers query.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
+import os
+import stat
 from collections import namedtuple
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
@@ -16,6 +19,7 @@ from typing import Iterable, Mapping
 from .errors import DuplicateRecord, MissingRecord, ScbenchError
 
 STATUSES = ("ok", "timeout", "tool_error", "harness_error")
+_STATUS = {status: status for status in STATUSES}  # one object per status
 
 # what a records line can get wrong, short of an unreadable file
 _MALFORMED = (ValueError, KeyError, TypeError, OverflowError, ScbenchError)
@@ -58,8 +62,10 @@ class ScanRecord(namedtuple("ScanRecord", "tool contract status duration_ms find
     def __new__(cls, tool: str, contract: str, status: str, duration_ms: int,
                 findings: Mapping[str, frozenset[int]] | None = None,
                 raw_ref: str | None = None) -> "ScanRecord":
-        if status not in STATUSES:
-            raise ScbenchError(f"unknown status {status!r}")
+        try:
+            status = _STATUS[status]
+        except (KeyError, TypeError):
+            raise ScbenchError(f"unknown status {status!r}") from None
         if findings:
             if status != "ok":
                 raise ScbenchError("findings must be empty unless status is ok")
@@ -100,23 +106,63 @@ class ScanRecord(namedtuple("ScanRecord", "tool contract status duration_ms find
                 f'"status": {_quote(status)}, "tool": {_quote(tool)}}}')
 
 
-def _from_doc(doc) -> ScanRecord:
-    return ScanRecord(
-        doc["tool"],
-        doc["contract"],
+def _from_doc(doc, share) -> ScanRecord:
+    """The record of one decoded records line. ``share``, the ``setdefault``
+    of a dict kept across lines, swaps each tool name, contract id and line
+    set for the one object kept for its value; it sees a value only once
+    its type is checked, so a bad line fails as it would without it."""
+    tool, contract = doc["tool"], doc["contract"]
+    rec = ScanRecord(
+        share(tool, tool) if type(tool) is str else tool,
+        share(contract, contract) if type(contract) is str else contract,
         doc["status"],
         int(doc["duration_ms"]),
         {f["class"]: frozenset(f.get("lines", ())) for f in doc.get("findings", ())},
         doc.get("raw_ref"),
     )
+    findings = rec.findings  # the record's own dict, its lines checked
+    for cid, lines in findings.items():
+        findings[cid] = share(lines, lines)
+    return rec
+
+
+def _cannot_write(path, reason: str) -> ScbenchError:
+    return ScbenchError(f"cannot write records {path}: {reason}")
+
+
+def check_records_dir(path: str | Path) -> None:
+    """Raise :class:`ScbenchError` unless the records file ``path`` can be
+    made: its directory exists and can be written, and ``path`` is not a
+    directory. So a campaign can fail before it runs."""
+    directory = os.path.dirname(os.fspath(path)) or os.curdir
+    try:
+        is_dir = stat.S_ISDIR(os.stat(directory).st_mode)
+    except OSError as exc:
+        raise _cannot_write(path, exc.strerror) from None
+    code = (errno.ENOTDIR if not is_dir
+            else errno.EACCES if not os.access(directory, os.W_OK | os.X_OK)
+            else errno.EISDIR if os.path.isdir(path) else None)
+    if code:
+        raise _cannot_write(path, os.strerror(code))
+
+
+_CHUNK = 1024  # records formatted and written per write
 
 
 def write_records(records: Iterable[ScanRecord], path: str | Path) -> int:
     """Persist records as JSON-lines, sorted by (tool, contract) for
-    byte-stable output."""
-    ordered = sorted(records, key=itemgetter(0, 1))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join([rec.to_json() + "\n" for rec in ordered]))
+    byte-stable output. The lines are written a chunk at a time, so only
+    one chunk of the output is held at once. A file that cannot be written
+    raises :class:`ScbenchError`."""
+    ordered = sorted(records, key=itemgetter(1))
+    ordered.sort(key=itemgetter(0))  # stable: by (tool, contract), with no key tuples
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for start in range(0, len(ordered), _CHUNK):
+                fh.write("".join([rec.to_json() + "\n"
+                                  for rec in ordered[start:start + _CHUNK]]))
+    except OSError as exc:
+        raise _cannot_write(path, exc.strerror) from None
     return len(ordered)
 
 
@@ -135,36 +181,50 @@ def _loads(line: str):
     return doc if line[end:] in _LINE_ENDS else json.loads(line)
 
 
+_BATCH = 1 << 16  # bytes of whole lines read at a time
+
+
+def _lines(fh):
+    r"""The lines of binary file ``fh`` as ``fh.read().splitlines(keepends=True)``
+    gives them, ended by "\n", "\r\n" or "\r", read a batch at a time.
+    ``readlines`` ends a line at "\n" only, so a batch that holds a "\r" is
+    split again; it ends at a "\n" or at the end of the file, so no
+    "\r\n" is parted."""
+    while batch := fh.readlines(_BATCH):
+        block = b"".join(batch)
+        yield from block.splitlines(keepends=True) if b"\r" in block else batch
+
+
 def read_records(path: str | Path, unique: bool = False) -> list[ScanRecord]:
-    """Load JSON-lines records. A line that strips to nothing is blank; any
-    other must be one JSON value, as ``json.loads`` of the line takes it.
-    The first malformed line raises :class:`ScbenchError` naming the file
-    and line, as does, with ``unique``, the second record for a
-    (tool, contract)."""
-    try:
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)  # at "\n", "\r\n" and "\r"
-    except OSError as exc:
-        raise ScbenchError(f"cannot read records {path}: {exc.strerror}") from None
+    """Load JSON-lines records, streaming the file a batch of lines at a
+    time. A line that strips to nothing is blank; any other must be one
+    JSON value, as ``json.loads`` of the line takes it. The first malformed
+    line raises :class:`ScbenchError` naming the file and line, as does,
+    with ``unique``, the second record for a (tool, contract). Equal tool
+    names, contract ids, statuses and line sets are one object each."""
     records = []
     seen: set[tuple[str, str]] = set()
-    with gc_paused():
-        for lineno, raw in enumerate(lines, 1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                rec = _from_doc(_loads(line))
-            except _MALFORMED as exc:
-                detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise ScbenchError(f"{path}:{lineno}: {detail}") from None
-            if unique:
-                pair = (rec.tool, rec.contract)
-                if pair in seen:
-                    raise ScbenchError(f"{path}:{lineno}: duplicate record for "
-                                       f"({rec.tool}, {rec.contract})")
-                seen.add(pair)
-            records.append(rec)
+    share = {}.setdefault
+    try:
+        with open(path, "rb") as fh, gc_paused():
+            for lineno, raw in enumerate(_lines(fh), 1):
+                try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
+                    rec = _from_doc(_loads(line), share)
+                except _MALFORMED as exc:
+                    detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                    raise ScbenchError(f"{path}:{lineno}: {detail}") from None
+                if unique:
+                    pair = (rec.tool, rec.contract)
+                    if pair in seen:
+                        raise ScbenchError(f"{path}:{lineno}: duplicate record for "
+                                           f"({rec.tool}, {rec.contract})")
+                    seen.add(pair)
+                records.append(rec)
+    except OSError as exc:
+        raise ScbenchError(f"cannot read records {path}: {exc.strerror}") from None
     return records
 
 

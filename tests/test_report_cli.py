@@ -11,7 +11,7 @@ import pytest
 from scbench.adapters import AdapterConfig
 from scbench.cli import main
 from scbench.corpus import ContractCase
-from scbench.errors import MissingMetadata
+from scbench.errors import MissingMetadata, ScbenchError
 from scbench.metrics import score_campaign
 from scbench.reference import pairwise_path
 from scbench.report import (class_distribution, load_indicators_csv,
@@ -549,6 +549,37 @@ class TestCli:
                      *args[command]]) == 1
         assert capsys.readouterr().err == f"error: {message.format(registry, registry)}\n"
         assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("out, reason", [
+        ("missing/records.jsonl", "No such file or directory"),
+        ("a-file/records.jsonl", "Not a directory"),
+        ("locked/records.jsonl", "Permission denied"),
+        ("a-dir", "Is a directory"),
+    ])
+    def test_run_into_records_that_cannot_be_made_fails_before_any_task(
+            self, tmp_path, capsys, monkeypatch, out, reason):
+        from scbench import runner
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a scan task ran")
+
+        real_access = os.access
+        monkeypatch.setattr(runner, "execute_campaign", no_campaign)
+        # root may write anywhere, so the unwritable directory is simulated
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            not path.endswith("locked") and real_access(path, mode)))
+        (tmp_path / "a-file").write_text("")
+        (tmp_path / "locked").mkdir()
+        (tmp_path / "a-dir").mkdir()
+        out = tmp_path / out
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--tools", "Slither", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write records {out}: {reason}\n"
+
+    def test_records_that_cannot_be_written_are_an_error(self, tmp_path):
+        with pytest.raises(ScbenchError) as caught:
+            write_records([ScanRecord("Slither", "c", "ok", 1)], tmp_path)
+        assert str(caught.value) == f"cannot write records {tmp_path}: Is a directory"
 
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"

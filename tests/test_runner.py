@@ -2,6 +2,7 @@ import concurrent.futures
 import errno
 import gc
 import importlib
+import io
 import json
 import os
 import shutil
@@ -10,11 +11,13 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scbench import records as records_mod
 from scbench import runner
 from scbench.adapters import AdapterConfig, ReplayFixture, parse_json_output
 from scbench.corpus import ContractCase
@@ -810,7 +813,7 @@ class TestRecordCodec:
             "raw_ref": rec.raw_ref,
         }
         assert rec.to_json() == json.dumps(doc, sort_keys=True)
-        assert _from_doc(json.loads(rec.to_json())) == rec
+        assert _from_doc(json.loads(rec.to_json()), {}.setdefault) == rec
 
     @given(st.lists(scan_records(), max_size=6))
     @settings(max_examples=50, deadline=None)
@@ -863,6 +866,167 @@ class TestRecordCodec:
     def test_unreadable_file_is_an_error(self, tmp_path):
         with pytest.raises(ScbenchError, match="cannot read records .*: No such file"):
             read_records(tmp_path / "absent.jsonl")
+
+
+def read_error(path) -> str:
+    with pytest.raises(ScbenchError) as info:
+        read_records(path)
+    return str(info.value)
+
+
+class TestReaderLines:
+    """The reader numbers lines as ``bytes.splitlines`` of the whole file
+    does, however the file is read."""
+
+    BAD = b'{"tool": "T", "contract": "bad", "sta'
+
+    @pytest.mark.parametrize("ends", [
+        ["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"], ["\r", "\r", "\n"],
+    ], ids=["lf", "crlf", "cr", "mixed", "cr-cr-lf"])
+    def test_every_line_end_counts_once(self, tmp_path, ends):
+        lines = [record_line(f"c{i}") for i in range(7)] + [" ", "\t"]
+        data = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(data.encode() + self.BAD)
+        lineno = len(path.read_bytes().splitlines())
+        assert lineno == len(lines) + 1
+        assert read_error(path).startswith(f"{path}:{lineno}: Unterminated string")
+        path.write_bytes(data.encode())
+        assert [r.contract for r in read_records(path)] == [f"c{i}" for i in range(7)]
+
+    def test_crlf_across_read_buffer_boundaries(self, tmp_path):
+        # a blank line of spaces puts the "\r" of a "\r\n" on the last byte of
+        # each multiple of 4 KiB up to 256 KiB, so that for any read buffer
+        # of such a size some "\r\n" straddles its end; lone "\r"s and
+        # "\n"s sit between
+        data = bytearray()
+        for boundary in range(4096, 256 * 1024 + 1, 4096):
+            data += b" " * (boundary - 1 - len(data)) + b"\r\n"
+            data += record_line(f"c{boundary}").encode() + b"\r \n"
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(bytes(data))
+        assert path.stat().st_size > 256 * 1024 > io.DEFAULT_BUFFER_SIZE
+        assert len(read_records(path)) == 64
+        path.write_bytes(bytes(data) + self.BAD)
+        lineno = len(path.read_bytes().splitlines())
+        assert read_error(path).startswith(f"{path}:{lineno}: ")
+
+    def test_bad_utf8_is_named_at_its_line(self, tmp_path):
+        data = record_line("c1") + "\r\r\n" + record_line("c2") + "\r"
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(data.encode() + b'{"tool": "T\xff"}\n' + record_line("c3").encode())
+        assert read_error(path) == (f"{path}:4: 'utf-8' codec can't decode byte 0xff in "
+                                    f"position 11: invalid start byte")
+
+    @pytest.mark.parametrize("cut", [2, 3, 20, 60])
+    def test_truncated_last_line_is_named(self, tmp_path, cut):
+        path = tmp_path / "records.jsonl"
+        write_records([ScanRecord("T", f"c{i}", "ok", 10) for i in range(3)], path)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) - cut])
+        assert read_error(path).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("tool", 7), ("tool", ["T"]), ("tool", {"T": 1}), ("tool", None),
+        ("contract", ["c9"]), ("raw_ref", ["r"]),
+    ])
+    def test_non_string_id_keeps_its_message(self, tmp_path, field, value):
+        doc = json.loads(record_line("c9"))
+        doc[field] = value
+        path = tmp_path / "records.jsonl"
+        path.write_text(record_line("c1") + "\n" + json.dumps(doc) + "\n")
+        assert read_error(path) == f"{path}:2: tool, contract and raw_ref must be strings"
+
+    @pytest.mark.parametrize("lines, detail", [
+        ("[true]", "line True of V1 is not an integer"),
+        ("[1.0]", "line 1.0 of V1 is not an integer"),
+        ("[[1]]", "unhashable type: 'list'"),
+    ])
+    def test_bad_line_set_equal_to_an_earlier_one_is_rejected(self, tmp_path, lines,
+                                                              detail):
+        found = '[{"class": "V1", "lines": %s}]'
+        path = tmp_path / "records.jsonl"
+        path.write_text(record_line("c1").replace("[]", found % "[1]") + "\n"
+                        + record_line("c2").replace("[]", found % lines) + "\n")
+        assert read_error(path) == f"{path}:2: {detail}"
+
+    def test_file_larger_than_the_read_buffer_round_trips(self, tmp_path):
+        records = [ScanRecord(f"T{i % 3}", f"c{i}", "ok", i, {"V1": frozenset({i, 1})})
+                   for i in range(4000)]
+        path = tmp_path / "records.jsonl"
+        write_records(records, path)
+        assert path.stat().st_size > 64 * io.DEFAULT_BUFFER_SIZE
+        assert read_records(path) == sorted(records, key=lambda r: (r.tool, r.contract))
+
+
+class TestRecordMemory:
+    """The records layer holds each repeated value once, and neither the
+    whole file nor the whole output at any time."""
+
+    @staticmethod
+    def campaign(tools=4, contracts=5000):
+        # every id, status and line set built afresh, as a campaign builds them
+        return [ScanRecord("".join(["T", str(t)]), f"class/c{c}", "".join(["o", "k"]),
+                           c % 500, {"V1": frozenset({c % 7 + 300})} if c % 2 else {})
+                for t in range(tools) for c in range(contracts)]
+
+    def test_records_from_one_file_share_equal_values(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(self.campaign(tools=3, contracts=40), path)
+        records = read_records(path)
+        kept = {}
+        for rec in records:
+            for value in (rec.tool, rec.contract, rec.status, *rec.findings.values()):
+                assert kept.setdefault(value, value) is value
+        assert len(kept) == 3 + 40 + 1 + 7
+        assert len({id(rec.findings) for rec in records}) == len(records)
+
+    def test_replay_fixture_shares_equal_line_sets(self):
+        fixture = ReplayFixture({f"c{i}": {"findings": [
+            {"class": "V1", "lines": [300, 301]}, {"class": "V2", "lines": [301, 300]},
+        ]} for i in range(3)})
+        records = [fixture.record("T", f"c{i}") for i in range(3)]
+        sets = [lines for rec in records for lines in rec.findings.values()]
+        assert sets[0] == frozenset({300, 301})
+        assert all(lines is sets[0] for lines in sets)
+        assert records[0].findings is not records[1].findings
+
+    def test_write_records_holds_one_chunk_of_the_output(self, tmp_path):
+        records = self.campaign()
+        path = tmp_path / "records.jsonl"
+        tracemalloc.start()
+        try:
+            write_records(records, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # joining the whole output holds it about three times over
+        assert peak < path.stat().st_size / 2
+
+    def test_read_records_holds_the_records_not_the_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(self.campaign(), path)
+        tracemalloc.start()
+        try:
+            records = read_records(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 20000
+        # a list of the file's lines, beside the records, exceeds the file
+        assert peak - held < path.stat().st_size / 2
+
+    @given(st.binary(max_size=40).map(lambda b: b.translate(bytes(
+               b"\r\n a"[i % 4] for i in range(256)))),
+           st.integers(1, 9), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_lines_are_those_of_splitlines(self, data, batch, buffer):
+        fh = io.BufferedReader(io.BytesIO(data), buffer_size=buffer)
+        saved, records_mod._BATCH = records_mod._BATCH, batch
+        try:
+            assert list(records_mod._lines(fh)) == data.splitlines(keepends=True)
+        finally:
+            records_mod._BATCH = saved
 
 
 class TestScanRecord:
