@@ -214,12 +214,21 @@ def score_campaign(records: RecordSet, registry: Registry,
     matrix per supported (tool, class) cell and one timing summary per tool.
     A tool with no ok run or an empty cell raises, naming the tool; so does
     a record for a contract outside the corpus, whose scan would otherwise
-    count in the timings but in no confusion matrix."""
+    count in the timings but in no confusion matrix, and a recorded tool
+    with no record for a corpus contract. A corpus without a single label
+    raises too: every contract in it would count as safe."""
+    if not any(case.expected for case in corpus):
+        raise ScbenchError("no contract in the corpus carries a vulnerability "
+                           "label, so precision and recall cannot be scored")
     known = {case.id for case in corpus}
-    for rec in records.records:
+    for rec in records:
         if rec.contract not in known:
             raise ScbenchError(f"records name contract {rec.contract!r} (tool "
                                f"{rec.tool}), which is not in the corpus")
+    for tool in registry:
+        if 0 < len(records.for_tool(tool.name)) < len(known):
+            for case in corpus:
+                records.get(tool.name, case.id)  # raises at the first one missing
     return {
         tool.name: ToolScores(timing=timing(records, tool.name),
                               classes=per_class_metrics(records, tool, corpus))

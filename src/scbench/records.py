@@ -11,10 +11,11 @@ import os
 import stat
 from collections import namedtuple
 from contextlib import contextmanager
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DuplicateRecord, MissingRecord, ScbenchError
 
@@ -195,15 +196,13 @@ def _lines(fh):
         yield from block.splitlines(keepends=True) if b"\r" in block else batch
 
 
-def read_records(path: str | Path, unique: bool = False) -> list[ScanRecord]:
-    """Load JSON-lines records, streaming the file a batch of lines at a
+def _read(path: str | Path, add) -> None:
+    """Stream the records of ``path`` into ``add``, a batch of lines at a
     time. A line that strips to nothing is blank; any other must be one
     JSON value, as ``json.loads`` of the line takes it. The first malformed
-    line raises :class:`ScbenchError` naming the file and line, as does,
-    with ``unique``, the second record for a (tool, contract). Equal tool
-    names, contract ids, statuses and line sets are one object each."""
-    records = []
-    seen: set[tuple[str, str]] = set()
+    line raises :class:`ScbenchError` naming the file and line, and so
+    does a :class:`DuplicateRecord` that ``add`` raises. Equal tool names,
+    contract ids, statuses and line sets are one object each."""
     share = {}.setdefault
     try:
         with open(path, "rb") as fh, gc_paused():
@@ -216,56 +215,60 @@ def read_records(path: str | Path, unique: bool = False) -> list[ScanRecord]:
                 except _MALFORMED as exc:
                     detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                     raise ScbenchError(f"{path}:{lineno}: {detail}") from None
-                if unique:
-                    pair = (rec.tool, rec.contract)
-                    if pair in seen:
-                        raise ScbenchError(f"{path}:{lineno}: duplicate record for "
-                                           f"({rec.tool}, {rec.contract})")
-                    seen.add(pair)
-                records.append(rec)
+                try:
+                    add(rec)
+                except DuplicateRecord as exc:
+                    raise DuplicateRecord(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise ScbenchError(f"cannot read records {path}: {exc.strerror}") from None
+
+
+def read_records(path: str | Path) -> list[ScanRecord]:
+    """The records of a JSON-lines file, in file order (see :func:`_read`)."""
+    records: list[ScanRecord] = []
+    _read(path, records.append)
     return records
 
 
 class RecordSet:
-    """Index over campaign records for metric queries: one record per
-    (tool, contract) pair, a duplicate raises :class:`DuplicateRecord`."""
+    """Index over campaign records for metric queries: tool -> contract ->
+    record, one record per (tool, contract) pair; a duplicate raises
+    :class:`DuplicateRecord`. It iterates tool by tool, in the order each
+    tool is first added, and each tool's records in the order they are
+    added. For a file in writer order, that is file order."""
 
-    def __init__(self, records: Iterable[ScanRecord]):
-        self.records = list(records)
-        self._by_pair: dict[tuple[str, str], ScanRecord] = {}
-        self._by_tool: dict[str, list[ScanRecord]] = {}
-        for rec in self.records:
-            pair = (rec.tool, rec.contract)
-            if pair in self._by_pair:
-                raise DuplicateRecord(f"duplicate record for ({rec.tool}, {rec.contract})")
-            self._by_pair[pair] = rec
-            self._by_tool.setdefault(rec.tool, []).append(rec)
+    def __init__(self, records: Iterable[ScanRecord] = ()):
+        self._by_tool: dict[str, dict[str, ScanRecord]] = {}
+        for rec in records:
+            self.add(rec)
 
-    def __len__(self) -> int:
-        return len(self.records)
+    def add(self, rec: ScanRecord) -> None:
+        by_contract = self._by_tool.get(rec.tool)
+        if by_contract is None:
+            by_contract = self._by_tool[rec.tool] = {}
+        if rec.contract in by_contract:
+            raise DuplicateRecord(f"duplicate record for ({rec.tool}, {rec.contract})")
+        by_contract[rec.contract] = rec
+
+    def __iter__(self) -> Iterator[ScanRecord]:
+        return chain.from_iterable(map(dict.values, self._by_tool.values()))
 
     def tools(self) -> list[str]:
         return sorted(self._by_tool)
 
     def get(self, tool: str, contract: str) -> ScanRecord:
         try:
-            return self._by_pair[(tool, contract)]
+            return self._by_tool[tool][contract]
         except KeyError:
             raise MissingRecord(f"no record for ({tool}, {contract})") from None
 
     def for_tool(self, tool: str) -> list[ScanRecord]:
-        return self._by_tool.get(tool, [])
+        return list(self._by_tool.get(tool, {}).values())
 
 
 def load_record_set(path: str | Path) -> RecordSet:
-    """:func:`read_records` indexed as a :class:`RecordSet`. Only a file the
-    index rejects is read again, to name the line of the second record for
-    a (tool, contract)."""
-    records = read_records(path)
-    try:
-        return RecordSet(records)
-    except DuplicateRecord:
-        read_records(path, unique=True)
-        raise
+    """The records of ``path``, indexed as the file streams in: the second
+    record for a (tool, contract) raises naming the file and its line."""
+    index = RecordSet()
+    _read(path, index.add)
+    return index

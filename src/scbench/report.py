@@ -136,8 +136,6 @@ def class_distribution(
     for tool in registry:
         counts = {cid: 0 for cid in CLASS_IDS}
         for rec in records.for_tool(tool.name):
-            if rec.status != "ok":
-                continue
             for cid in rec.findings:
                 if cid in counts:
                     counts[cid] += 1
@@ -185,9 +183,7 @@ def time_series(
     selected = set(tools) if tools is not None else None
     by_id = {c.id: c for c in corpus}
     flagged: dict[str, set[str]] = {cid: set() for cid in CLASS_IDS}
-    for rec in records.records:
-        if rec.status != "ok":
-            continue
+    for rec in records:
         if selected is not None and rec.tool not in selected:
             continue
         for cid in rec.findings:

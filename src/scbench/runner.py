@@ -78,7 +78,7 @@ def _inline_scanner(
         payload: Findings = {}
         for cid, lines in config.findings:
             merge_finding(payload, cid, lines)
-        return lambda case: ScanRecord(tool.name, case.id, "ok", 0, payload)
+        return lambda case: ScanRecord(tool.name, case.id, "ok", 0, dict(payload))
     try:
         path = resolve_replay_fixture(config, tool.name, replay_dir)
         fixture = ReplayFixture.load(path)

@@ -16,7 +16,7 @@ from scbench.metrics import score_campaign
 from scbench.reference import pairwise_path
 from scbench.report import (class_distribution, load_indicators_csv,
                             metrics_grid, time_series, to_csv, to_markdown)
-from scbench.records import RecordSet, ScanRecord, write_records
+from scbench.records import RecordSet, ScanRecord, read_records, write_records
 from scbench.tables import stats_table
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId, default_taxonomy
 
@@ -715,6 +715,31 @@ class TestScoringOnce:
             f"error: {tmp_path / 'records.jsonl'}:3: duplicate record for "
             f"(Maian, {two_case_corpus[0]})\n"}
 
+    def test_partial_campaign_rejected(self, tmp_path, capsys, two_case_corpus):
+        # Maian does not detect reentrancy, so no confusion matrix asks for that record
+        suicide, reentrancy = two_case_corpus
+        records = [ScanRecord("Maian", suicide, "ok", 1000)]
+        assert scoring_errors(tmp_path, capsys, records) == {
+            f"error: no record for (Maian, {reentrancy})\n"}
+
+    def test_unlabelled_corpus_rejected(self, tmp_path, capsys, registry, replay_records):
+        # every 10th shipped contract in a flat corpus, markers and header stripped
+        (tmp_path / "corpus").mkdir()
+        renamed = {}
+        for path in sorted(LABELLED_DIR.glob("*/*.sol"))[::10]:
+            name = f"{path.parent.name}__{path.stem}"
+            renamed[f"{path.parent.name}/{path.stem}"] = name
+            (tmp_path / "corpus" / f"{name}.sol").write_text("".join(
+                line for line in path.read_text().splitlines(keepends=True)
+                if "<yes>" not in line and "@vulnerable_at_lines" not in line))
+        records = [rec._replace(contract=renamed[rec.contract])
+                   for tool in registry for rec in replay_records.for_tool(tool.name)
+                   if rec.contract in renamed]
+        assert (len(renamed), len(records)) == (39, 507)
+        assert scoring_errors(tmp_path, capsys, records) == {
+            "error: no contract in the corpus carries a vulnerability label, "
+            "so precision and recall cannot be scored\n"}
+
     def test_records_outside_the_corpus_rejected(self, tmp_path, capsys, two_case_corpus):
         records = [ScanRecord("Maian", cid, "ok", 1000)
                    for cid in ["arithmetic/gone", *two_case_corpus, "safe/gone"]]
@@ -727,7 +752,7 @@ class TestScoringOnce:
         from scbench import metrics
 
         records = tmp_path / "records.jsonl"
-        write_records(replay_records.records, records)
+        write_records(replay_records, records)
         calls = []
         confusion = metrics.confusion
 
@@ -784,6 +809,11 @@ SHIPPED_RECORDS_DIGEST = (
     "1c926c96df52abc64241678facda11ea86396627c8e45c8e3ff6e84b0ec53aaf")
 REPORT_A1_TIMESERIES_DIGEST = (
     "e618a17ade24fd4f9561223bb2fb96e801b88f27fef3941c86d99ad2a1ddf66f")
+# the shipped campaign with failed scans (TestPinnedOutputs)
+FAILED_SCANS_METRICS_DIGEST = (
+    "ff7768c1277f8936ba7e9ab6f960de7b36370cd4dab27c7ab009148997fc95e6")
+FAILED_SCANS_REPORT_DIGEST = (
+    "0c5ee1d0a4596b9f2ad97d4703a91832b092523683e47b0b7f3e4aa498895fc9")
 
 
 class TestPinnedOutputs:
@@ -814,7 +844,31 @@ class TestPinnedOutputs:
                      "--matrix", str(pairwise_path("a1")), "--timeseries",
                      "--out-dir", str(bundle)]) == 0
         capsys.readouterr()
-        digest = hashlib.sha256()
-        for path in sorted(bundle.iterdir()):
-            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-        assert digest.hexdigest() == REPORT_A1_TIMESERIES_DIGEST
+        assert bundle_digest(bundle) == REPORT_A1_TIMESERIES_DIGEST
+
+    def test_outputs_of_a_campaign_with_failed_scans(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--out", str(records)]) == 0
+        # every 13th record a timeout and every 17th a tool error, findings dropped
+        write_records([
+            rec._replace(status="timeout", findings={}) if i % 13 == 0 else
+            rec._replace(status="tool_error", findings={}) if i % 17 == 0 else rec
+            for i, rec in enumerate(read_records(records), 1)], records)
+        capsys.readouterr()
+        assert main(["metrics", "--records", str(records), "--corpus", str(LABELLED_DIR)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == FAILED_SCANS_METRICS_DIGEST
+        bundle = tmp_path / "bundle"
+        assert main(["report", "--records", str(records), "--corpus", str(LABELLED_DIR),
+                     "--matrix", str(pairwise_path("a1")), "--timeseries",
+                     "--out-dir", str(bundle)]) == 0
+        capsys.readouterr()
+        assert bundle_digest(bundle) == FAILED_SCANS_REPORT_DIGEST
+
+
+def bundle_digest(bundle) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(bundle.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()

@@ -12,6 +12,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +211,12 @@ class TestStubAdapter:
         rec = scan_one(tool, make_case())
         assert rec.status == "ok"
         assert rec.findings == {"V1": frozenset({17})}
+
+    def test_each_record_has_its_own_findings(self):
+        tool = make_tool("Stub", AdapterConfig(kind="stub", findings=(("V1", (3,)),)))
+        first, second = execute_campaign([tool], [make_case(0), make_case(1)])
+        assert first.findings == second.findings == {"V1": frozenset({3})}
+        assert first.findings is not second.findings
 
     def test_out_of_capability_findings_dropped_and_counted(self, caplog):
         tool = make_tool("Stub", AdapterConfig(
@@ -754,12 +761,43 @@ class TestRecords:
     def test_duplicate_names_file_and_line_of_second_copy(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records([ScanRecord("T", "c1", "ok", 10), ScanRecord("T", "c2", "ok", 10)], path)
-        copy = path.read_bytes().splitlines(keepends=True)[0]
-        path.write_bytes(path.read_bytes() + b"\n" + copy)  # a blank line 3
-        assert len(read_records(path)) == 3
-        with pytest.raises(ScbenchError) as info:
+        first, second = path.read_bytes().splitlines()
+        for end, blank in [(b"\n", b""), (b"\r\n", b" "), (b"\r", b"\t")]:
+            path.write_bytes(end.join([first, second, blank, first, b""]))  # blank line 3
+            assert len(read_records(path)) == 3
+            with pytest.raises(ScbenchError) as info:
+                load_record_set(path)
+            assert str(info.value) == f"{path}:4: duplicate record for (T, c1)"
+
+    def test_duplicate_is_found_in_one_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.jsonl"
+        write_records([ScanRecord("T", "c1", "ok", 10)] * 2, path)
+        opened = []
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(records_mod, "open", counted, raising=False)
+        with pytest.raises(ScbenchError, match="duplicate record"):
             load_record_set(path)
-        assert str(info.value) == f"{path}:4: duplicate record for (T, c1)"
+        assert opened == [path]
+
+    @pytest.mark.parametrize("second", [None, b"{"], ids=["duplicate", "malformed"])
+    def test_failed_load_restores_the_collector_and_closes_the_file(self, tmp_path, second):
+        path = tmp_path / "records.jsonl"
+        write_records([ScanRecord("T", "c1", "ok", 10)], path)
+        first = path.read_bytes()
+        path.write_bytes(first + (second or first))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ScbenchError) as info:
+                load_record_set(path)
+            assert str(info.value).startswith(f"{path}:2: ")
+            del info  # its traceback holds the frames of the load
+            gc.collect()
+        assert gc.isenabled()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_findings_require_ok_status(self):
         with pytest.raises(ScbenchError):
