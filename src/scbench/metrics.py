@@ -226,9 +226,8 @@ def score_campaign(records: RecordSet, registry: Registry,
             raise ScbenchError(f"records name contract {rec.contract!r} (tool "
                                f"{rec.tool}), which is not in the corpus")
     for tool in registry:
-        if 0 < len(records.for_tool(tool.name)) < len(known):
-            for case in corpus:
-                records.get(tool.name, case.id)  # raises at the first one missing
+        for case in corpus:
+            records.get(tool.name, case.id)  # raises at the first one missing
     return {
         tool.name: ToolScores(timing=timing(records, tool.name),
                               classes=per_class_metrics(records, tool, corpus))
