@@ -20,7 +20,7 @@ import logging
 import math
 import re
 import shlex
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 from typing import Mapping
 
@@ -39,36 +39,48 @@ Findings = dict[str, frozenset[int]]
 _CLASS_IDS = frozenset(f"V{i}" for i in range(1, 11))
 
 
-@dataclass(frozen=True)
-class AdapterConfig:
-    """How to run one tool and turn its output into taxonomy findings."""
+class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map fixture "
+                                              "findings line_pattern argv")):
+    """How to run one tool and turn its output into taxonomy findings.
 
-    kind: str = "replay"
-    command: str | None = None       # template with {input} and {solc}
-    timeout: float = DEFAULT_TIMEOUT
-    rule_map: Mapping[str, str] = field(default_factory=dict)
-    fixture: str | None = None       # replay: file, or dir resolved per tool
-    findings: tuple[tuple[str, tuple[int, ...]], ...] = ()  # stub payload
-    line_pattern: str | None = None  # text: regex with one integer group
-    # the command template split into arguments, once per tool
-    argv: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    ``command`` is a template with ``{input}`` and ``{solc}``; ``fixture``
+    (replay) a file, or a directory resolved per tool; ``findings`` the
+    stub payload; ``line_pattern`` (text) a regex with one integer group.
+    ``argv`` is no argument: it is the command template split into
+    arguments, once per tool. A ``rule_map`` left out is a new empty dict.
+    The fields are checked when it is built, by ``_replace`` too."""
 
-    def __post_init__(self):
-        if self.kind not in ADAPTER_KINDS:
-            raise ScbenchError(f"unknown adapter kind {self.kind!r}")
-        if self.kind in ("json", "text") and not self.command:
-            raise ScbenchError(f"{self.kind} adapter requires a command")
-        if self.kind == "replay" and self.command:
+    __slots__ = ()
+
+    def __new__(cls, kind: str = "replay", command: str | None = None,
+                timeout: float = DEFAULT_TIMEOUT, rule_map: Mapping[str, str] | None = None,
+                fixture: str | None = None,
+                findings: tuple[tuple[str, tuple[int, ...]], ...] = (),
+                line_pattern: str | None = None) -> "AdapterConfig":
+        if kind not in ADAPTER_KINDS:
+            raise ScbenchError(f"unknown adapter kind {kind!r}")
+        if kind in ("json", "text") and not command:
+            raise ScbenchError(f"{kind} adapter requires a command")
+        if kind == "replay" and command:
             raise ScbenchError("replay adapter takes a fixture, not a command")
-        bad = set(self.rule_map.values()) - _CLASS_IDS
+        rule_map = {} if rule_map is None else rule_map
+        bad = set(rule_map.values()) - _CLASS_IDS
         if bad:
             raise ScbenchError(f"rule_map targets outside V1..V10: {sorted(bad)}")
         try:
-            argv = tuple(shlex.split(self.command)) if self.command else ()
+            argv = tuple(shlex.split(command)) if command else ()
         except ValueError as exc:  # an unterminated quote or escape
-            raise ScbenchError(f"command template {self.command!r} cannot be split: "
+            raise ScbenchError(f"command template {command!r} cannot be split: "
                                f"{exc}") from None
-        object.__setattr__(self, "argv", argv)
+        return tuple.__new__(cls, (kind, command, timeout, rule_map, fixture, findings,
+                                   line_pattern, argv))
+
+    @classmethod
+    def _make(cls, iterable) -> "AdapterConfig":
+        return cls(*tuple(iterable)[:-1])  # argv split again
+
+    def __getnewargs__(self):
+        return tuple(self)[:-1]
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "AdapterConfig":

@@ -38,7 +38,10 @@ def _emit(header, rows, fmt: str, out: str | None) -> None:
     else:
         text = to_csv(header, rows)
     if out:
-        Path(out).write_text(text, "utf-8")
+        try:
+            Path(out).write_text(text, "utf-8")
+        except OSError as exc:
+            raise ScbenchError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -14,10 +14,10 @@ import hashlib
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ..errors import AnnotationMismatch, ScbenchError, UnknownMarker
 from ..taxonomy import default_taxonomy
@@ -49,26 +49,33 @@ _HEADER_RE = re.compile(r"@vulnerable_at_lines\s*:\s*([0-9][0-9,\s]*)")
 _MARKER_RE = re.compile(r"<yes>\s*<report>\s*([A-Za-z0-9_\-]+)")
 
 
-@dataclass(frozen=True)
-class ContractCase:
-    """One corpus entry: source text plus its ground-truth labels."""
+class ContractCase(namedtuple("ContractCase", "id source expected created_at tx_value "
+                                            "loc pragma checksum")):
+    """One corpus entry: source text plus its ground-truth labels
+    (``expected``; a new empty dict when left out), its creation time and
+    transaction value in wei. ``loc``, ``pragma`` and ``checksum`` (the
+    dedup key) derive from the comment-stripped source: the loaders pass
+    them from the scan that parses the annotations; otherwise one scan
+    fills them. They take no part in equality, which holds only between
+    cases."""
 
-    id: str
-    source: str
-    expected: Mapping[str, frozenset[int]] = field(default_factory=dict)
-    created_at: datetime | None = None
-    tx_value: int | None = None  # wei
-    # Derived from the comment-stripped source. The loaders pass them from
-    # the scan that parses the annotations; otherwise one scan fills them.
-    loc: int | None = field(default=None, compare=False)
-    pragma: bool | None = field(default=None, compare=False)
-    checksum: str | None = field(default=None, compare=False)  # dedup key
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.checksum is None:
-            stripped = strip_comments(self.source, strict=False)
-            for name, value in _derived(stripped).items():
-                object.__setattr__(self, name, value)
+    def __new__(cls, id: str, source: str,
+                expected: Mapping[str, frozenset[int]] | None = None,
+                created_at: datetime | None = None, tx_value: int | None = None,
+                loc: int | None = None, pragma: bool | None = None,
+                checksum: str | None = None) -> "ContractCase":
+        if checksum is None:
+            loc, pragma, checksum = _derived(strip_comments(source, strict=False)).values()
+        return tuple.__new__(cls, (id, source, {} if expected is None else expected,
+                                   created_at, tx_value, loc, pragma, checksum))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def safe(self) -> bool:
@@ -187,16 +194,14 @@ def pragma_filter(cases: Iterable[ContractCase]) -> list[ContractCase]:
     return [case for case in cases if case.pragma]
 
 
-@dataclass(frozen=True)
-class ClassStat:
+class ClassStat(NamedTuple):
     class_id: str
     name: str
     count: int
     loc: int
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     per_class: tuple[ClassStat, ...]
     safe_count: int
     safe_loc: int
@@ -237,14 +242,27 @@ def stats(cases: Iterable[ContractCase]) -> CorpusStats:
 # loading
 
 def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | None]]:
-    """Sidecar rows: contract id, ISO-8601 timestamp, wei value."""
+    """Sidecar rows: contract id, ISO-8601 timestamp, wei value. A file that
+    cannot be read, a header without ``id``, or a bad timestamp or value
+    raises :class:`ScbenchError` naming the file (and the line)."""
     meta: dict[str, tuple[datetime | None, int | None]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            created = row.get("created_at") or None
-            ts = datetime.fromisoformat(created.replace("Z", "+00:00")) if created else None
-            value = row.get("tx_value_wei")
-            meta[row["id"]] = (ts, int(value) if value else None)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is not None and "id" not in reader.fieldnames:
+                raise ScbenchError(f"{path}:1: no 'id' column")
+            for row in reader:
+                created, value = row.get("created_at"), row.get("tx_value_wei")
+                try:
+                    ts = datetime.fromisoformat(created.replace("Z", "+00:00")) \
+                        if created else None
+                    meta[row["id"]] = (ts, int(value) if value else None)
+                except ValueError as exc:
+                    raise ScbenchError(f"{path}:{reader.line_num}: {exc}") from None
+    except OSError as exc:
+        raise ScbenchError(f"cannot read metadata {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ScbenchError(f"{path}: {exc}") from None
     return meta
 
 

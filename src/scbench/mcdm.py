@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, NonConvergence, NotReciprocal,
                      ScbenchError)
 from .metrics import INDICATOR_COLUMNS, IndicatorMatrix
+from .taxonomy import Frozen
 
 logger = logging.getLogger(__name__)
 
@@ -35,25 +34,24 @@ CONSISTENCY_LIMIT = 0.1
 Matrix = Sequence[Sequence[float]]  # rows; an ndarray qualifies too
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """Non-negative criterion weights summing to one."""
 
-    values: tuple[float, ...]
-    method: str = ""
+    __slots__ = ("values", "method")
 
-    def __post_init__(self):
-        if any(v < -WEIGHT_SUM_TOL for v in self.values):
-            raise ScbenchError(f"negative weight in {self.values}")
-        if abs(sum(self.values) - 1.0) > WEIGHT_SUM_TOL:
-            raise ScbenchError(f"weights sum to {sum(self.values)}, not 1")
+    def __init__(self, values: tuple[float, ...], method: str = ""):
+        if any(v < -WEIGHT_SUM_TOL for v in values):
+            raise ScbenchError(f"negative weight in {values}")
+        if abs(sum(values) - 1.0) > WEIGHT_SUM_TOL:
+            raise ScbenchError(f"weights sum to {sum(values)}, not 1")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "method", method)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     lambda_max: float
     ci: float
     ri: float
@@ -64,15 +62,13 @@ class ConsistencyReport:
         return self.cr <= CONSISTENCY_LIMIT
 
 
-@dataclass(frozen=True)
-class ScoreRow:
+class ScoreRow(NamedTuple):
     tool: str
     score: float  # 0-100 scale
     rank: int
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(NamedTuple):
     method: str
     rows: tuple[ScoreRow, ...]
 
@@ -135,6 +131,8 @@ def parse_pairwise(text: str) -> list[list[float]]:
         raise ScbenchError(f"first line must be the order, got {lines[0]!r}") from None
     if len(lines) != n + 1:
         raise ScbenchError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    from fractions import Fraction  # it loads decimal; only a judgment matrix needs it
+
     rows = []
     for ln in lines[1:]:
         entries = ln.split()

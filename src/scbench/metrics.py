@@ -9,8 +9,8 @@ rendered from its result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (EmptyMatrix, NoSupportedClasses, NotApplicable,
                      NoValidRuns, ScbenchError)
@@ -23,24 +23,27 @@ if TYPE_CHECKING:
 INDICATOR_COLUMNS = ("functional", "efficiency", "compatibility", "usability")
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp fp fn tn")):
+    """Contract-level counts, checked non-negative when it is built, by
+    ``_replace`` too."""
 
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
+    __slots__ = ()
+
+    def __new__(cls, tp: int, fp: int, fn: int, tn: int) -> "ConfusionMatrix":
+        if min(tp, fp, fn, tn) < 0:
             raise ScbenchError("confusion matrix counts must be non-negative")
+        return tuple.__new__(cls, (tp, fp, fn, tn))
+
+    @classmethod
+    def _make(cls, iterable) -> "ConfusionMatrix":
+        return cls(*iterable)
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(NamedTuple):
     accuracy: float
     precision: float
     recall: float
@@ -49,8 +52,7 @@ class MetricSet:
     recall_defined: bool = True
 
 
-@dataclass(frozen=True)
-class TimingSummary:
+class TimingSummary(NamedTuple):
     total_seconds: float
     valid_count: int
 
@@ -177,26 +179,29 @@ def usability_score(tool: ToolDescriptor) -> float:
     return len(tool.capabilities) / len(CLASS_IDS)
 
 
-@dataclass(frozen=True)
-class IndicatorMatrix:
-    """tools x (functional, efficiency, compatibility, usability)."""
+class IndicatorMatrix(namedtuple("IndicatorMatrix", "tools values")):
+    """tools x (functional, efficiency, compatibility, usability): a row of
+    ``values`` per tool, each value in [0, 1]. Any nested numeric sequence
+    (an ndarray too) becomes rows of floats, checked for shape, when it is
+    built, by ``_replace`` too."""
 
-    tools: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]  # a row per tool, each value in [0, 1]
+    __slots__ = ()
 
-    def __post_init__(self):
-        # any nested numeric sequence (an ndarray too) becomes rows of floats
-        values = tuple(tuple(float(v) for v in row) for row in self.values)
-        object.__setattr__(self, "values", values)
-        if [len(row) for row in values] != [len(INDICATOR_COLUMNS)] * len(self.tools):
+    def __new__(cls, tools: tuple[str, ...], values) -> "IndicatorMatrix":
+        values = tuple(tuple(float(v) for v in row) for row in values)
+        if [len(row) for row in values] != [len(INDICATOR_COLUMNS)] * len(tools):
             raise ScbenchError("indicator matrix shape mismatch")
+        return tuple.__new__(cls, (tools, values))
+
+    @classmethod
+    def _make(cls, iterable) -> "IndicatorMatrix":
+        return cls(*iterable)
 
     def row(self, tool: str) -> tuple[float, ...]:
         return self.values[self.tools.index(tool)]
 
 
-@dataclass(frozen=True)
-class ToolScores:
+class ToolScores(NamedTuple):
     """One tool's scores from a campaign: a MetricSet per supported class
     and its timing over cleanly finished scans."""
 

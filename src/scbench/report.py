@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import BUCKETS
 from .errors import MissingMetadata, ScbenchError
@@ -111,14 +110,27 @@ def indicators_table(matrix: IndicatorMatrix) -> tuple[list[str], list[list]]:
 
 def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
     """Read a tools x indicators CSV as written by :func:`indicators_table`
-    or the bundled reference export (lower-case column names accepted)."""
+    or the bundled reference export (lower-case column names accepted). A
+    file that cannot be read, a missing column or a cell that is not a
+    number raises :class:`ScbenchError` naming the file (and the line)."""
     tools = []
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            lowered = {k.lower(): v for k, v in row.items()}
-            tools.append(lowered["tool"])
-            rows.append([float(lowered[c]) for c in INDICATOR_COLUMNS])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                lowered = {k.lower(): v for k, v in row.items() if k is not None}
+                try:
+                    tools.append(lowered["tool"])
+                    rows.append([float(lowered[c]) for c in INDICATOR_COLUMNS])
+                except KeyError as exc:
+                    raise ScbenchError(f"{path}:1: no {exc} column") from None
+                except (TypeError, ValueError) as exc:  # a short row, or a word
+                    raise ScbenchError(f"{path}:{reader.line_num}: {exc}") from None
+    except OSError as exc:
+        raise ScbenchError(f"cannot read indicators {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ScbenchError(f"{path}: {exc}") from None
     if not tools:
         raise ScbenchError(f"no indicator rows in {path}")
     return IndicatorMatrix(tuple(tools), rows)
@@ -159,8 +171,7 @@ def _bucket_label(ts: datetime, bucket: str) -> str:
     raise ScbenchError(f"unknown bucket {bucket!r}; pick one of {BUCKETS}")
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(NamedTuple):
     """Per class: flagged-contract counts and summed transaction value
     (wei) per period."""
 

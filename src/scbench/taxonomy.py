@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import ScbenchError, UnknownMarker, UnsupportedVersion
 
@@ -32,8 +32,38 @@ SCALE_HIGH = 8
 _VERSION_RE = re.compile(r"^v?0\.(\d+)(?:\.(\d+))?$")
 
 
-@dataclass(frozen=True)
-class VulnClass:
+class Frozen:
+    """Base of a value type that defines its own ``__iter__`` or ``__len__``,
+    and so must not be a tuple: its ``__slots__``, set by ``__init__``
+    through ``object.__setattr__``, are read-only fields, which equality
+    (within the class), hash, repr and copy go by."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return (self._astuple() == other._astuple() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._astuple())
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), self._astuple()
+
+
+class VulnClass(NamedTuple):
     """One of the ten vulnerability classes (V1..V10)."""
 
     id: str
@@ -45,8 +75,7 @@ class VulnClass:
         return self.id
 
 
-@dataclass(frozen=True)
-class VersionId:
+class VersionId(NamedTuple):
     """A Solidity compiler version ``0.<minor>[.<patch>]``."""
 
     minor: int
@@ -83,25 +112,29 @@ def compat_score(version: VersionId) -> float:
     return min(1.0, max(0.0, (version.minor - SCALE_LOW) / (SCALE_HIGH - SCALE_LOW)))
 
 
-@dataclass(frozen=True)
-class ToolDescriptor:
-    """A registered analyzer: what it detects and how it is invoked."""
+class ToolDescriptor(namedtuple("ToolDescriptor",
+                                "name methods capabilities max_solidity adapter")):
+    """A registered analyzer: what it detects and how it is invoked. Its
+    ``capabilities`` are class ids within V1..V10, checked when it is
+    built, by ``_replace`` too."""
 
-    name: str
-    methods: frozenset[str]
-    capabilities: frozenset[str]  # class ids within V1..V10
-    max_solidity: VersionId
-    adapter: AdapterConfig
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.capabilities:
-            raise ScbenchError(f"tool {self.name}: empty capability set")
-        bad = self.capabilities - set(CLASS_IDS)
+    def __new__(cls, name: str, methods: frozenset[str], capabilities: frozenset[str],
+                max_solidity: VersionId, adapter: AdapterConfig) -> "ToolDescriptor":
+        if not capabilities:
+            raise ScbenchError(f"tool {name}: empty capability set")
+        bad = capabilities - set(CLASS_IDS)
         if bad:
-            raise ScbenchError(f"tool {self.name}: unknown classes {sorted(bad)}")
-        bad_methods = self.methods - METHOD_TAGS
+            raise ScbenchError(f"tool {name}: unknown classes {sorted(bad)}")
+        bad_methods = methods - METHOD_TAGS
         if bad_methods:
-            raise ScbenchError(f"tool {self.name}: unknown methods {sorted(bad_methods)}")
+            raise ScbenchError(f"tool {name}: unknown methods {sorted(bad_methods)}")
+        return tuple.__new__(cls, (name, methods, capabilities, max_solidity, adapter))
+
+    @classmethod
+    def _make(cls, iterable) -> "ToolDescriptor":
+        return cls(*iterable)
 
     def can_detect(self, class_id: str) -> bool:
         return class_id in self.capabilities
@@ -161,16 +194,16 @@ class Taxonomy:
         )
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(Frozen):
     """Ordered collection of tool descriptors loaded from the registry file."""
 
-    tools: tuple[ToolDescriptor, ...] = field(default_factory=tuple)
+    __slots__ = ("tools",)
 
-    def __post_init__(self):
-        names = [t.name for t in self.tools]
+    def __init__(self, tools: tuple[ToolDescriptor, ...] = ()):
+        names = [t.name for t in tools]
         if len(set(names)) != len(names):
             raise ScbenchError("duplicate tool names in registry")
+        object.__setattr__(self, "tools", tools)
 
     def __iter__(self):
         return iter(self.tools)

@@ -163,8 +163,7 @@ _LIST_LAYERS = (
     "    rc = cli.main(sys.argv[1:])\n"
     "except SystemExit as exc:  # --help\n"
     "    rc = exc.code\n"
-    "print(json.dumps([rc, [n[len('scbench.'):] for n in sys.modules\n"
-    "                       if n.startswith('scbench.')]]))\n"
+    "print(json.dumps([rc, list(sys.modules)]))\n"
 )
 
 
@@ -189,16 +188,39 @@ def src_env() -> dict[str, str]:
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
-def layers_loaded(argv, paths) -> set[str]:
-    """The ``scbench`` modules that ``cli.main(argv)`` loads in a fresh
-    interpreter, less the code-free ``data`` package; the command must
-    succeed."""
+def modules_loaded(argv, paths) -> set[str]:
+    """Every module in ``sys.modules`` after ``cli.main(argv)`` ran in a
+    fresh interpreter; the command must succeed."""
     argv = [arg.format(**paths) for arg in argv]
     proc = subprocess.run([sys.executable, "-c", _LIST_LAYERS, *argv], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0, (argv, proc.stderr)
-    return set(modules) - {"data"}
+    return set(modules)
+
+
+def layers_loaded(argv, paths) -> set[str]:
+    """The ``scbench`` modules that ``cli.main(argv)`` loads in a fresh
+    interpreter, less the code-free ``data`` package."""
+    return {name[len("scbench."):] for name in modules_loaded(argv, paths)
+            if name.startswith("scbench.")} - {"data"}
+
+
+# every command, for the checks of what it leaves out of ``sys.modules``
+COMMANDS = {
+    "help": ["--help"],
+    "stats": ["corpus", "stats", str(LABELLED_DIR)],
+    "dedup": ["corpus", "dedup", "--pragma", "--list-ids", str(LABELLED_DIR)],
+    "validate": ["corpus", "validate", str(LABELLED_DIR)],
+    "run": ["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+            "--tools", "Slither", "--out", "{out}"],
+    "metrics": ["metrics", "--records", "{records}", "--corpus", str(LABELLED_DIR)],
+    "report": ["report", "--records", "{records}", "--corpus", str(LABELLED_DIR),
+               "--matrix", str(pairwise_path("a1")), "--timeseries",
+               "--out-dir", "{bundle}"],
+    "ewm": ["score", "--method", "ewm"],
+    "ahp": ["score", "--method", "ahp", "--matrix", str(pairwise_path("a2"))],
+}
 
 
 class TestCli:
@@ -377,6 +399,14 @@ class TestCli:
             proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, (argv[0], proc.stderr)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_command_loads_dataclasses(self, campaign, command):
+        # their import pulls in inspect, ast and dis; the value types need none
+        loaded = modules_loaded(COMMANDS[command], campaign)
+        assert loaded & {"dataclasses", "inspect"} == set()
+        if command in ("metrics", "ewm"):  # only a judgment matrix needs fractions
+            assert loaded & {"fractions", "decimal"} == set()
 
     def test_replay_misses_fail_the_run(self, tmp_path, capsys):
         # a flat copy renames every contract, so no fixture entry matches
@@ -580,6 +610,56 @@ class TestCli:
         with pytest.raises(ScbenchError) as caught:
             write_records([ScanRecord("Slither", "c", "ok", 1)], tmp_path)
         assert str(caught.value) == f"cannot write records {tmp_path}: Is a directory"
+
+    @pytest.mark.parametrize("content, detail", [
+        (None, "cannot read metadata {path}: No such file or directory"),
+        ("name,created_at\nc,2020-01-01\n", "{path}:1: no 'id' column"),
+        ("id,created_at\nc,notadate\n", "{path}:2: Invalid isoformat string: 'notadate'"),
+        ("id,created_at,tx_value_wei\nc,,5\nd,2020-01-01,lots\n",
+         "{path}:3: invalid literal for int() with base 10: 'lots'"),
+    ], ids=["absent", "no-id", "created_at", "tx_value_wei"])
+    @pytest.mark.parametrize("command", [
+        ["corpus", "stats", str(LABELLED_DIR)],
+        ["corpus", "dedup", str(LABELLED_DIR)],
+        ["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+         "--out", "{tmp}/out.jsonl"],
+        ["metrics", "--records", "{tmp}/records.jsonl", "--corpus", str(LABELLED_DIR)],
+        ["report", "--records", "{tmp}/records.jsonl", "--corpus", str(LABELLED_DIR),
+         "--out-dir", "{tmp}/bundle"],
+    ], ids=["stats", "dedup", "run", "metrics", "report"])
+    def test_metadata_that_cannot_be_loaded(self, tmp_path, capsys, command, content,
+                                            detail):
+        path = tmp_path / "metadata.csv"
+        if content is not None:
+            path.write_text(content)
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        assert main([*argv, "--metadata", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {detail.format(path=path)}\n"
+
+    @pytest.mark.parametrize("content, detail", [
+        (None, "cannot read indicators {path}: No such file or directory"),
+        ("tool,functional,efficiency,compatibility\nA,1,1,1\n",
+         "{path}:1: no 'usability' column"),
+        ("Tool,Functional,Efficiency,Compatibility,Usability\nA,1,1,1,1\nB,1,high,1,1\n",
+         "{path}:3: could not convert string to float: 'high'"),
+    ], ids=["absent", "column", "cell"])
+    def test_indicators_that_cannot_be_loaded(self, tmp_path, capsys, content, detail):
+        path = tmp_path / "indicators.csv"
+        if content is not None:
+            path.write_text(content)
+        assert main(["score", "--method", "ewm", "--indicators", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {detail.format(path=path)}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["corpus", "stats", str(LABELLED_DIR)],
+        ["corpus", "dedup", str(LABELLED_DIR)],
+        ["score", "--method", "ewm"],
+    ], ids=["stats", "dedup", "score"])
+    def test_table_that_cannot_be_written(self, tmp_path, capsys, command):
+        out = tmp_path / "absent" / "table.csv"
+        assert main([*command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: cannot write {out}: "
+                                           "No such file or directory\n")
 
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"
