@@ -869,6 +869,12 @@ class TestIndicatorCsv:
         for got, want in zip(loaded.values, matrix.values):
             assert got == pytest.approx(want)
 
+    def test_cell_beyond_the_header_is_ignored(self, tmp_path):
+        path = tmp_path / "ind.csv"
+        path.write_text("tool,functional,efficiency,compatibility,usability\n"
+                        "A,1,0.5,0.25,0,extra\n")
+        assert load_indicators_csv(path).values == ((1.0, 0.5, 0.25, 0.0),)
+
 
 # SHA-256 of outputs of the numpy-based scoring code that the standard
 # library arithmetic replaced. Every sum of the two differs by a few ulps
