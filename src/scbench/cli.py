@@ -117,8 +117,8 @@ def _restrict_to_recorded(registry: Registry, records: RecordSet) -> Registry:
 
 def _score_campaign(args):
     """Load the campaign and score it once: the corpus, the records, the
-    recorded tools, the indicator matrix and the four tables that
-    ``metrics`` prints and ``report`` bundles."""
+    recorded tools, their scores, the indicator matrix and the four tables
+    that ``metrics`` prints and ``report`` bundles."""
     from . import metrics, report
     from .corpus import load_directory
     from .records import load_record_set
@@ -131,7 +131,7 @@ def _score_campaign(args):
     indicator = metrics.indicator_matrix(
         registry, {t: s.functional for t, s in scores.items()},
         {t: s.timing for t, s in scores.items()})
-    return cases, records, registry, indicator, {
+    return cases, records, registry, scores, indicator, {
         "classification": report.metrics_grid(scores),
         "timing": report.timing_table(scores, indicator),
         "capability": report.capability_table(registry, indicator),
@@ -199,13 +199,13 @@ def _cmd_report(args) -> int:
     from .tables import stats_table
 
     pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
-    cases, records, registry, indicator, tables = _score_campaign(args)
+    cases, records, registry, scores, indicator, tables = _score_campaign(args)
     ewm = mcdm.ewm_weights(indicator.values)
     tables.update({
         "stats": stats_table(corpus_mod.stats(cases)),
         "weights": report.weights_table([ewm]),
         "scores_ewm": report.score_table_rows(mcdm.overall_scores(indicator, ewm)),
-        "distribution": _distribution_table(records, registry),
+        "distribution": report.distribution_table(registry, scores),
     })
     if pairwise is not None:
         ahp, _ = mcdm.ahp_weights(pairwise, method=f"AHP:{Path(args.matrix).stem}")
@@ -222,16 +222,6 @@ def _cmd_report(args) -> int:
                                    notes=reference.validation_notes())
     print(f"wrote {manifest}")
     return 0
-
-
-def _distribution_table(records, registry):
-    from . import report
-
-    rows = [
-        [r["tool"], r["class"], r["count"], "yes" if r["incapable"] else ""]
-        for r in report.class_distribution(records, registry)
-    ]
-    return ["Tool", "Class", "Count", "Incapable"], rows
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -243,8 +243,9 @@ def stats(cases: Iterable[ContractCase]) -> CorpusStats:
 
 def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | None]]:
     """Sidecar rows: contract id, ISO-8601 timestamp, wei value. A file that
-    cannot be read, a header without ``id``, or a bad timestamp or value
-    raises :class:`ScbenchError` naming the file (and the line)."""
+    cannot be read, a header without ``id``, a bad timestamp or value, or an
+    id on two rows raises :class:`ScbenchError` naming the file (and the
+    line)."""
     meta: dict[str, tuple[datetime | None, int | None]] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -252,6 +253,9 @@ def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | No
             if reader.fieldnames is not None and "id" not in reader.fieldnames:
                 raise ScbenchError(f"{path}:1: no 'id' column")
             for row in reader:
+                if row["id"] in meta:
+                    raise ScbenchError(f"{path}:{reader.line_num}: id {row['id']!r} "
+                                       "repeats an earlier row")
                 created, value = row.get("created_at"), row.get("tx_value_wei")
                 try:
                     ts = datetime.fromisoformat(created.replace("Z", "+00:00")) \

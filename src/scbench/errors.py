@@ -39,10 +39,6 @@ class MissingRecord(ScbenchError):
     """No scan record exists for the requested (tool, contract) pair."""
 
 
-class NotApplicable(ScbenchError):
-    """The tool does not support the queried vulnerability class."""
-
-
 class EmptyMatrix(ScbenchError):
     """A confusion matrix with no evaluated cases cannot yield metrics."""
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (EmptyMatrix, NoSupportedClasses, NotApplicable,
-                     NoValidRuns, ScbenchError)
+from .errors import (EmptyMatrix, MissingRecord, NoSupportedClasses, NoValidRuns,
+                     ScbenchError)
 from .taxonomy import CLASS_IDS, Registry, ToolDescriptor, compat_score, default_taxonomy
 
 if TYPE_CHECKING:
     from .corpus import ContractCase
-    from .records import RecordSet
+    from .records import RecordSet, ScanRecord
 
 INDICATOR_COLUMNS = ("functional", "efficiency", "compatibility", "usability")
 
@@ -84,59 +84,6 @@ def prf(cm: ConfusionMatrix) -> MetricSet:
     )
 
 
-def confusion(
-    records: RecordSet,
-    tool: ToolDescriptor,
-    class_id: str,
-    corpus: Sequence[ContractCase],
-) -> ConfusionMatrix:
-    """Contract-level confusion counts for one (tool, class).
-
-    The evaluated population is the class's vulnerable cases plus the safe
-    cases; contracts vulnerable only to other classes stay out of this
-    class's denominator. Tools are never scored on classes they do not
-    claim: that raises :class:`NotApplicable` rather than returning a
-    zero-filled matrix, which would silently deflate averages.
-    """
-    if not tool.can_detect(class_id):
-        raise NotApplicable(f"{tool.name} does not detect {class_id}")
-    tp = fp = fn = tn = 0
-    for case in corpus:
-        vulnerable = class_id in case.expected
-        if not vulnerable and not case.safe:
-            continue
-        rec = records.get(tool.name, case.id)
-        if rec.status != "ok":
-            continue
-        predicted = class_id in rec.findings
-        if vulnerable and predicted:
-            tp += 1
-        elif vulnerable:
-            fn += 1
-        elif predicted:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp, fp, fn, tn)
-
-
-def per_class_metrics(records: RecordSet, tool: ToolDescriptor,
-                      corpus: Sequence[ContractCase]) -> dict[str, MetricSet]:
-    """MetricSet per supported class; a class with no evaluated case (every
-    scan of its population failed) raises :class:`EmptyMatrix`."""
-    out: dict[str, MetricSet] = {}
-    for cls in default_taxonomy():
-        if not tool.can_detect(cls.id):
-            continue
-        try:
-            out[cls.id] = prf(confusion(records, tool, cls.id, corpus))
-        except EmptyMatrix:
-            raise EmptyMatrix(
-                f"{tool.name}: no evaluated case for {cls.id} ({cls.name}): "
-                "none of its vulnerable or safe contracts has an ok scan") from None
-    return out
-
-
 def functional_score(metric_sets: Iterable[MetricSet]) -> float:
     """Harmonic mean of the average precision and average recall over the
     supported classes only, so broad but shallow coverage is not rewarded
@@ -149,16 +96,6 @@ def functional_score(metric_sets: Iterable[MetricSet]) -> float:
     if p_avg + r_avg == 0:
         return 0.0
     return 2 * p_avg * r_avg / (p_avg + r_avg)
-
-
-def timing(records: RecordSet, tool_name: str) -> TimingSummary:
-    """Total and average seconds over cleanly finished scans only."""
-    durations = [r.duration_ms for r in records.for_tool(tool_name)
-                 if r.status == "ok"]
-    if not durations:
-        raise NoValidRuns(f"{tool_name} has no ok-status runs")
-    return TimingSummary(total_seconds=sum(durations) / 1000.0,
-                         valid_count=len(durations))
 
 
 def efficiency_scores(avg_seconds: Mapping[str, float]) -> dict[str, float]:
@@ -202,26 +139,62 @@ class IndicatorMatrix(namedtuple("IndicatorMatrix", "tools values")):
 
 
 class ToolScores(NamedTuple):
-    """One tool's scores from a campaign: a MetricSet per supported class
-    and its timing over cleanly finished scans."""
+    """One tool's scores from a campaign: a MetricSet per supported class,
+    its timing over cleanly finished scans, and per supported class how
+    many of its ok scans flagged that class."""
 
     classes: Mapping[str, MetricSet]
     timing: TimingSummary
+    flagged: Mapping[str, int]
 
     @property
     def functional(self) -> float:
         return functional_score(self.classes.values())
 
 
+def _walk(tool: ToolDescriptor, by_contract: Mapping[str, ScanRecord],
+          corpus: Sequence[ContractCase]):
+    """One pass over the corpus for one tool: per supported class, in
+    taxonomy order, the (tp, fp, fn, tn) counts and the flagged count,
+    then the summed milliseconds and the count of ok scans. A class's
+    population is its vulnerable cases plus the safe ones, so a contract
+    vulnerable only to other classes stays out of its cell; a scan that did
+    not end ok is in no cell. A corpus contract without a record raises."""
+    cells = {cid: [0, 0, 0, 0] for cid in CLASS_IDS if tool.can_detect(cid)}
+    flagged = dict.fromkeys(cells, 0)
+    total_ms = ok = 0
+    for case in corpus:
+        try:
+            rec = by_contract[case.id]
+        except KeyError:
+            raise MissingRecord(f"no record for ({tool.name}, {case.id})") from None
+        if rec.status != "ok":
+            continue
+        total_ms += rec.duration_ms
+        ok += 1
+        findings = rec.findings
+        for cid in findings:
+            if cid in flagged:
+                flagged[cid] += 1
+        if case.safe:
+            for cid, cell in cells.items():
+                cell[1 if cid in findings else 3] += 1
+        else:
+            for cid in case.expected:
+                if cid in cells:
+                    cells[cid][0 if cid in findings else 2] += 1
+    return cells, flagged, total_ms, ok
+
+
 def score_campaign(records: RecordSet, registry: Registry,
                    corpus: Sequence[ContractCase]) -> dict[str, ToolScores]:
-    """Score every registered tool once, in registry order: one confusion
-    matrix per supported (tool, class) cell and one timing summary per tool.
-    A tool with no ok run or an empty cell raises, naming the tool; so does
-    a record for a contract outside the corpus, whose scan would otherwise
-    count in the timings but in no confusion matrix, and a recorded tool
-    with no record for a corpus contract. A corpus without a single label
-    raises too: every contract in it would count as safe."""
+    """Score every registered tool once, in registry order, from one walk
+    of the corpus per tool (:func:`_walk`). A record for a contract outside
+    the corpus raises, since its scan would count in the timings but in no
+    cell; so does a recorded tool with no record for a corpus contract,
+    and then, tool by tool, a tool with no ok run or an empty cell. A
+    corpus without a single label raises first: every contract in it would
+    count as safe."""
     if not any(case.expected for case in corpus):
         raise ScbenchError("no contract in the corpus carries a vulnerability "
                            "label, so precision and recall cannot be scored")
@@ -230,14 +203,22 @@ def score_campaign(records: RecordSet, registry: Registry,
         if rec.contract not in known:
             raise ScbenchError(f"records name contract {rec.contract!r} (tool "
                                f"{rec.tool}), which is not in the corpus")
-    for tool in registry:
-        for case in corpus:
-            records.get(tool.name, case.id)  # raises at the first one missing
-    return {
-        tool.name: ToolScores(timing=timing(records, tool.name),
-                              classes=per_class_metrics(records, tool, corpus))
-        for tool in registry
-    }
+    walks = [_walk(tool, records.of_tool(tool.name), corpus) for tool in registry]
+    names = {cls.id: cls.name for cls in default_taxonomy()}
+    scores = {}
+    for tool, (cells, flagged, total_ms, ok) in zip(registry, walks):
+        if not ok:
+            raise NoValidRuns(f"{tool.name} has no ok-status runs")
+        classes = {}
+        for cid, cell in cells.items():
+            try:
+                classes[cid] = prf(ConfusionMatrix(*cell))
+            except EmptyMatrix:
+                raise EmptyMatrix(
+                    f"{tool.name}: no evaluated case for {cid} ({names[cid]}): "
+                    "none of its vulnerable or safe contracts has an ok scan") from None
+        scores[tool.name] = ToolScores(classes, TimingSummary(total_ms / 1000.0, ok), flagged)
+    return scores
 
 
 def indicator_matrix(

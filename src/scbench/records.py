@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DuplicateRecord, MissingRecord, ScbenchError
+from .errors import DuplicateRecord, ScbenchError
 
 STATUSES = ("ok", "timeout", "tool_error", "harness_error")
 _STATUS = {status: status for status in STATUSES}  # one object per status
@@ -256,14 +256,10 @@ class RecordSet:
     def tools(self) -> list[str]:
         return sorted(self._by_tool)
 
-    def get(self, tool: str, contract: str) -> ScanRecord:
-        try:
-            return self._by_tool[tool][contract]
-        except KeyError:
-            raise MissingRecord(f"no record for ({tool}, {contract})") from None
-
-    def for_tool(self, tool: str) -> list[ScanRecord]:
-        return list(self._by_tool.get(tool, {}).values())
+    def of_tool(self, tool: str) -> Mapping[str, ScanRecord]:
+        """The records of ``tool`` by contract id, in the order they were
+        added; empty for a tool with no record. Read it, do not change it."""
+        return self._by_tool.get(tool, {})
 
 
 def load_record_set(path: str | Path) -> RecordSet:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from datetime import datetime
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
@@ -111,9 +112,10 @@ def indicators_table(matrix: IndicatorMatrix) -> tuple[list[str], list[list]]:
 def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
     """Read a tools x indicators CSV as written by :func:`indicators_table`
     or the bundled reference export (lower-case column names accepted). A
-    file that cannot be read, a missing column or a cell that is not a
-    number raises :class:`ScbenchError` naming the file (and the line)."""
-    tools = []
+    file that cannot be read, a missing column, a cell that is not a finite
+    number or a tool named on two rows raises :class:`ScbenchError` naming
+    the file (and the line)."""
+    tools = {}  # tool -> the line of its row
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -121,12 +123,21 @@ def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
             for row in reader:
                 lowered = {k.lower(): v for k, v in row.items() if k is not None}
                 try:
-                    tools.append(lowered["tool"])
-                    rows.append([float(lowered[c]) for c in INDICATOR_COLUMNS])
+                    tool = lowered["tool"]
+                    values = [float(lowered[c]) for c in INDICATOR_COLUMNS]
                 except KeyError as exc:
                     raise ScbenchError(f"{path}:1: no {exc} column") from None
                 except (TypeError, ValueError) as exc:  # a short row, or a word
                     raise ScbenchError(f"{path}:{reader.line_num}: {exc}") from None
+                for column, value in zip(INDICATOR_COLUMNS, values):
+                    if not math.isfinite(value):
+                        raise ScbenchError(f"{path}:{reader.line_num}: {column} "
+                                           f"{lowered[column]!r} is not a finite number")
+                if tool in tools:
+                    raise ScbenchError(f"{path}:{reader.line_num}: tool {tool!r} "
+                                       f"repeats row {tools[tool]}")
+                tools[tool] = reader.line_num
+                rows.append(values)
     except OSError as exc:
         raise ScbenchError(f"cannot read indicators {path}: {exc.strerror}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -139,26 +150,17 @@ def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
 # ---------------------------------------------------------------------------
 # distribution and time-series aggregations
 
-def class_distribution(
-    records: RecordSet, registry: Registry
-) -> list[dict]:
+def distribution_table(registry: Registry,
+                       scores: Mapping[str, ToolScores]) -> tuple[list[str], list[list]]:
     """Per (tool, class): how many contracts the tool flagged. Classes the
-    tool cannot detect stay at 0 and carry an ``incapable`` flag."""
+    tool cannot detect read 0 and are marked incapable."""
     rows = []
     for tool in registry:
-        counts = {cid: 0 for cid in CLASS_IDS}
-        for rec in records.for_tool(tool.name):
-            for cid in rec.findings:
-                if cid in counts:
-                    counts[cid] += 1
+        flagged = scores[tool.name].flagged
         for cid in CLASS_IDS:
-            rows.append({
-                "tool": tool.name,
-                "class": cid,
-                "count": counts[cid] if tool.can_detect(cid) else 0,
-                "incapable": not tool.can_detect(cid),
-            })
-    return rows
+            rows.append([tool.name, cid, flagged.get(cid, 0),
+                         "" if tool.can_detect(cid) else "yes"])
+    return ["Tool", "Class", "Count", "Incapable"], rows
 
 
 def _bucket_label(ts: datetime, bucket: str) -> str:

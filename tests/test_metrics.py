@@ -4,12 +4,11 @@ from hypothesis import strategies as st
 
 from scbench.adapters import AdapterConfig
 from scbench.corpus import ContractCase
-from scbench.errors import (EmptyMatrix, NoSupportedClasses, NotApplicable,
-                            NoValidRuns)
-from scbench.metrics import (ConfusionMatrix, MetricSet, confusion,
+from scbench.errors import EmptyMatrix, MissingRecord, NoSupportedClasses, NoValidRuns
+from scbench.metrics import (ConfusionMatrix, MetricSet, TimingSummary,
                              efficiency_scores, functional_score,
-                             indicator_matrix, per_class_metrics, prf,
-                             score_campaign, timing, usability_score)
+                             indicator_matrix, prf, score_campaign,
+                             usability_score)
 from scbench.records import RecordSet, ScanRecord
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
@@ -47,51 +46,75 @@ def clean(tool, case, status="ok"):
     return ScanRecord(tool, case.id, status, 10 if status == "ok" else 300)
 
 
+def score_one(tool, corpus, records):
+    return score_campaign(RecordSet(records), Registry((tool,)), corpus)[tool.name]
+
+
+def cell(tp, fp, fn, tn):
+    """The MetricSet of one (tp, fp, fn, tn) cell."""
+    return prf(ConfusionMatrix(tp, fp, fn, tn))
+
+
 class TestConfusion:
     def test_all_flagged_all_safe_clean(self):
         tool = make_tool()
         vuln = [vulnerable_case(i) for i in range(10)]
         safe = [safe_case(i) for i in range(5)]
-        records = RecordSet(
-            [flag("T", c, "V1") for c in vuln] + [clean("T", c) for c in safe]
-        )
-        cm = confusion(records, tool, "V1", vuln + safe)
-        assert (cm.tp, cm.tn, cm.fp, cm.fn) == (10, 5, 0, 0)
+        scores = score_one(tool, vuln + safe,
+                           [flag("T", c, "V1") for c in vuln] + [clean("T", c) for c in safe])
+        assert scores.classes == {"V1": cell(10, 0, 0, 5)}
+        assert scores.flagged == {"V1": 10}
+        assert scores.timing == TimingSummary(0.15, 15)
 
     def test_unsupported_class_not_applicable(self):
+        # a tool has no cell and no flagged count for a class it does not
+        # support, though it flags that class
         tool = make_tool(capabilities=("V2",))
-        with pytest.raises(NotApplicable):
-            confusion(RecordSet([]), tool, "V1", [])
+        corpus = [vulnerable_case(0, "V1"), vulnerable_case(0, "V2"), safe_case(0)]
+        scores = score_one(tool, corpus, [flag("T", c, "V1", "V2") for c in corpus])
+        assert set(scores.classes) == set(scores.flagged) == {"V2"}
 
     def test_partial_detection(self):
         tool = make_tool()
         vuln = [vulnerable_case(i) for i in range(3)]
-        records = RecordSet(
-            [flag("T", vuln[0], "V1"), clean("T", vuln[1]), clean("T", vuln[2])]
-        )
-        cm = confusion(records, tool, "V1", vuln)
-        assert (cm.tp, cm.fn) == (1, 2)
+        scores = score_one(tool, vuln, [flag("T", vuln[0], "V1"), clean("T", vuln[1]),
+                                        clean("T", vuln[2])])
+        assert scores.classes["V1"] == cell(1, 0, 2, 0)
 
     def test_denominator_is_class_cases_plus_safe(self):
-        # cases vulnerable only to other classes stay out of V1's matrix
+        # a case vulnerable only to V2 stays out of V1's cell, though the
+        # tool flags V1 there: in the cell it would be a false positive
         tool = make_tool(capabilities=("V1", "V2"))
         v1 = vulnerable_case(0, "V1")
         v2 = vulnerable_case(0, "V2")
         s = safe_case(0)
-        records = RecordSet([
-            flag("T", v1, "V1"), flag("T", v2, "V2"), clean("T", s),
+        scores = score_one(tool, [v1, v2, s], [
+            flag("T", v1, "V1"), flag("T", v2, "V1", "V2"), clean("T", s),
         ])
-        cm = confusion(records, tool, "V1", [v1, v2, s])
-        assert cm.total == 2  # v1 + safe, not v2
+        assert scores.classes == {"V1": cell(1, 0, 0, 1), "V2": cell(1, 0, 0, 1)}
+        assert scores.flagged == {"V1": 2, "V2": 1}
 
     def test_non_ok_scans_excluded_by_default(self):
+        # a scan that did not end ok is in no cell
         tool = make_tool()
         vuln = [vulnerable_case(i) for i in range(2)]
-        records = RecordSet([
-            flag("T", vuln[0], "V1"), clean("T", vuln[1], status="timeout"),
+        s = safe_case(0)
+        scores = score_one(tool, vuln + [s], [
+            flag("T", vuln[0], "V1"), clean("T", vuln[1], status="timeout"), clean("T", s),
         ])
-        cm = confusion(records, tool, "V1", vuln)
-        assert (cm.tp, cm.fn, cm.total) == (1, 0, 1)
+        assert scores.classes["V1"] == cell(1, 0, 0, 1)
+        assert scores.timing.valid_count == 2
+
+    def test_every_tool_is_walked_before_any_is_scored(self):
+        # A comes first and has no ok run; B has no record for the second
+        # case: the missing record is reported
+        registry = Registry((make_tool("A"), make_tool("B")))
+        vuln = [vulnerable_case(i) for i in range(2)]
+        records = RecordSet([clean("A", c, status="timeout") for c in vuln]
+                            + [flag("B", vuln[0], "V1")])
+        with pytest.raises(MissingRecord) as err:
+            score_campaign(records, registry, vuln)
+        assert str(err.value) == f"no record for (B, {vuln[1].id})"
 
 
 class TestPrf:
@@ -165,23 +188,25 @@ class TestFunctionalScore:
 
 class TestTiming:
     def test_average_from_totals(self):
-        records = RecordSet(
-            [ScanRecord("T", f"c{i}", "ok", 887100) for i in range(349)]
-            + [ScanRecord("T", f"t{i}", "timeout", 1000) for i in range(40)]
-        )
-        summary = timing(records, "T")
-        assert summary.valid_count == 349
-        assert summary.avg_seconds == pytest.approx(887.1)
+        corpus = [vulnerable_case(i) for i in range(389)]
+        scores = score_one(make_tool(), corpus,
+                           [ScanRecord("T", c.id, "ok", 887100) for c in corpus[:349]]
+                           + [clean("T", c, status="timeout") for c in corpus[349:]])
+        assert scores.timing.valid_count == 349
+        assert scores.timing.avg_seconds == pytest.approx(887.1)
 
     def test_single_run(self):
-        summary = timing(RecordSet([ScanRecord("T", "c", "ok", 10_000)]), "T")
+        case = vulnerable_case(0)
+        summary = score_one(make_tool(), [case],
+                            [ScanRecord("T", case.id, "ok", 10_000)]).timing
         assert (summary.total_seconds, summary.valid_count) == (10.0, 1)
         assert summary.avg_seconds == 10.0
 
     def test_no_valid_runs_rejected(self):
-        records = RecordSet([ScanRecord("T", "c", "timeout", 300)])
-        with pytest.raises(NoValidRuns):
-            timing(records, "T")
+        case = vulnerable_case(0)
+        with pytest.raises(NoValidRuns) as err:
+            score_one(make_tool(), [case], [clean("T", case, status="timeout")])
+        assert str(err.value) == "T has no ok-status runs"
 
 
 class TestEfficiency:
@@ -248,9 +273,3 @@ class TestIndicatorMatrix:
         assert beta[0] == pytest.approx(0.5)
         assert beta[1] == 0.0
         assert beta[3] == pytest.approx(0.2)
-
-    def test_per_class_metrics_skips_unsupported(self):
-        registry, corpus, records = self._tiny_setup()
-        alpha = registry.get("Alpha")
-        metrics = per_class_metrics(records, alpha, corpus)
-        assert set(metrics) == {"V1"}

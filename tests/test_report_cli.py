@@ -14,7 +14,7 @@ from scbench.corpus import ContractCase
 from scbench.errors import MissingMetadata, ScbenchError
 from scbench.metrics import score_campaign
 from scbench.reference import pairwise_path
-from scbench.report import (class_distribution, load_indicators_csv,
+from scbench.report import (distribution_table, load_indicators_csv,
                             metrics_grid, time_series, to_csv, to_markdown)
 from scbench.records import RecordSet, ScanRecord, read_records, write_records
 from scbench.tables import stats_table
@@ -41,30 +41,40 @@ def dated_case(idx, when, value_ether=None, classes=()):
     )
 
 
+def distribution(registry, corpus, records):
+    """The distribution rows of a scored campaign, by (tool, class)."""
+    header, rows = distribution_table(
+        registry, score_campaign(RecordSet(records), registry, corpus))
+    return {(row[0], row[1]): dict(zip(header[2:], row[2:])) for row in rows}
+
+
 class TestClassDistribution:
     def test_counts_flagged_contracts(self):
         registry = Registry((make_tool("T", ("V2",)),))
-        records = RecordSet([
+        corpus = [dated_case(i, None, classes=("V2",)) for i in range(3)] + [dated_case(3, None)]
+        rows = distribution(registry, corpus, [
             ScanRecord("T", f"c{i}", "ok", 1, {"V2": frozenset({2})})
             for i in range(3)
         ] + [ScanRecord("T", "c3", "ok", 1)])
-        rows = {(r["tool"], r["class"]): r for r in
-                class_distribution(records, registry)}
-        assert rows[("T", "V2")]["count"] == 3
-        assert not rows[("T", "V2")]["incapable"]
+        assert rows[("T", "V2")] == {"Count": 3, "Incapable": ""}
 
     def test_incapable_classes_render_zero_with_flag(self):
+        # T flags V1, which it does not support: the row still reads 0
         registry = Registry((make_tool("T", ("V2",)),))
-        records = RecordSet([ScanRecord("T", "c0", "ok", 1)])
-        rows = {(r["tool"], r["class"]): r for r in
-                class_distribution(records, registry)}
-        assert rows[("T", "V1")]["count"] == 0
-        assert rows[("T", "V1")]["incapable"] is True
+        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V2",))]
+        rows = distribution(registry, corpus, [
+            ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
+            ScanRecord("T", "c1", "ok", 1, {"V2": frozenset({2})})])
+        assert rows[("T", "V1")] == {"Count": 0, "Incapable": "yes"}
+        assert len(rows) == 10
 
     def test_empty_records_all_zero(self):
+        # records with no finding, and a scan that did not end ok
         registry = Registry((make_tool("T", ("V1",)),))
-        rows = class_distribution(RecordSet([]), registry)
-        assert all(r["count"] == 0 for r in rows)
+        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None)]
+        rows = distribution(registry, corpus, [ScanRecord("T", "c0", "ok", 1),
+                                               ScanRecord("T", "c1", "timeout", 9)])
+        assert all(r["Count"] == 0 for r in rows.values())
 
 
 class TestTimeSeries:
@@ -617,7 +627,9 @@ class TestCli:
         ("id,created_at\nc,notadate\n", "{path}:2: Invalid isoformat string: 'notadate'"),
         ("id,created_at,tx_value_wei\nc,,5\nd,2020-01-01,lots\n",
          "{path}:3: invalid literal for int() with base 10: 'lots'"),
-    ], ids=["absent", "no-id", "created_at", "tx_value_wei"])
+        ("id,created_at\nsafe/a,2018-01-01\nsafe/b,\nsafe/a,2021-06-01\n",
+         "{path}:4: id 'safe/a' repeats an earlier row"),
+    ], ids=["absent", "no-id", "created_at", "tx_value_wei", "repeated-id"])
     @pytest.mark.parametrize("command", [
         ["corpus", "stats", str(LABELLED_DIR)],
         ["corpus", "dedup", str(LABELLED_DIR)],
@@ -642,7 +654,13 @@ class TestCli:
          "{path}:1: no 'usability' column"),
         ("Tool,Functional,Efficiency,Compatibility,Usability\nA,1,1,1,1\nB,1,high,1,1\n",
          "{path}:3: could not convert string to float: 'high'"),
-    ], ids=["absent", "column", "cell"])
+        ("Tool,Functional,Efficiency,Compatibility,Usability\nA,1,1,1,1\nB,nan,1,1,1\n",
+         "{path}:3: functional 'nan' is not a finite number"),
+        ("tool,functional,efficiency,compatibility,usability\nA,1,1,1,1\nB,1,1,1,-inf\n",
+         "{path}:3: usability '-inf' is not a finite number"),
+        ("tool,functional,efficiency,compatibility,usability\nA,1,1,1,1\nB,0,1,1,1\n"
+         "A,1,1,1,1\n", "{path}:4: tool 'A' repeats row 2"),
+    ], ids=["absent", "column", "cell", "nan", "inf", "repeated-tool"])
     def test_indicators_that_cannot_be_loaded(self, tmp_path, capsys, content, detail):
         path = tmp_path / "indicators.csv"
         if content is not None:
@@ -796,7 +814,7 @@ class TestScoringOnce:
             f"(Maian, {two_case_corpus[0]})\n"}
 
     def test_partial_campaign_rejected(self, tmp_path, capsys, two_case_corpus):
-        # Maian does not detect reentrancy, so no confusion matrix asks for that record
+        # Maian does not detect reentrancy, yet a missing record for it is an error
         suicide, reentrancy = two_case_corpus
         records = [ScanRecord("Maian", suicide, "ok", 1000)]
         assert scoring_errors(tmp_path, capsys, records) == {
@@ -813,7 +831,7 @@ class TestScoringOnce:
                 line for line in path.read_text().splitlines(keepends=True)
                 if "<yes>" not in line and "@vulnerable_at_lines" not in line))
         records = [rec._replace(contract=renamed[rec.contract])
-                   for tool in registry for rec in replay_records.for_tool(tool.name)
+                   for tool in registry for rec in replay_records.of_tool(tool.name).values()
                    if rec.contract in renamed]
         assert (len(renamed), len(records)) == (39, 507)
         assert scoring_errors(tmp_path, capsys, records) == {
@@ -827,28 +845,32 @@ class TestScoringOnce:
             "error: records name contract 'arithmetic/gone' (tool Maian), "
             "which is not in the corpus\n"}
 
-    def test_one_confusion_matrix_per_supported_cell(self, tmp_path, capsys, monkeypatch,
-                                                     registry, replay_records):
+    def test_one_walk_per_recorded_tool(self, tmp_path, capsys, monkeypatch,
+                                        registry, replay_records):
         from scbench import metrics
 
         records = tmp_path / "records.jsonl"
         write_records(replay_records, records)
-        calls = []
-        confusion = metrics.confusion
+        walked = []
+        walk = metrics._walk
 
-        def counted(records, tool, class_id, corpus):
-            calls.append((tool.name, class_id))
-            return confusion(records, tool, class_id, corpus)
+        def counted(tool, by_contract, corpus):
+            walked.append(tool.name)
+            return walk(tool, by_contract, corpus)
 
-        monkeypatch.setattr(metrics, "confusion", counted)
+        monkeypatch.setattr(metrics, "_walk", counted)
         cells = sum(len(tool.capabilities) for tool in registry)
-        assert cells == 62
-        for argv in (["metrics"], ["report", "--out-dir", str(tmp_path / "bundle")]):
-            calls.clear()
-            assert main([*argv, "--records", str(records),
-                         "--corpus", str(LABELLED_DIR)]) == 0
-            assert len(calls) == cells
-            assert len(set(calls)) == cells
+        assert (len(registry), cells) == (13, 62)
+        for command in ("metrics", "report"):
+            walked.clear()
+            out = tmp_path / command
+            assert main([command, "--records", str(records), "--corpus", str(LABELLED_DIR),
+                         "--out-dir", str(out)]) == 0
+            assert walked == registry.names()
+            grid = [row.split(",") for row in
+                    (out / "classification.csv").read_text().splitlines()[1:]]
+            assert sum(cell != "-" for row in grid if row[1] == "Accuracy"
+                       for cell in row[2:-1]) == cells
         capsys.readouterr()
 
 

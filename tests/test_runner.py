@@ -22,7 +22,7 @@ from scbench import records as records_mod
 from scbench import runner
 from scbench.adapters import AdapterConfig, ReplayFixture, parse_json_output
 from scbench.corpus import ContractCase
-from scbench.errors import MissingRecord, ScbenchError
+from scbench.errors import ScbenchError
 from scbench.records import (STATUSES, RecordSet, ScanRecord, _from_doc, gc_paused,
                              load_record_set, read_records, write_records)
 from scbench.runner import execute_campaign
@@ -808,11 +808,10 @@ class TestRecords:
             ScanRecord("T", "c", "weird", 1)
 
     def test_lookups_by_pair_and_by_tool(self):
-        rs = RecordSet([ScanRecord("T", "c1", "ok", 5)])
-        assert rs.for_tool("T") == [rs.get("T", "c1")]
-        assert rs.for_tool("U") == []
-        with pytest.raises(MissingRecord):
-            rs.get("T", "c2")
+        rec = ScanRecord("T", "c1", "ok", 5)
+        rs = RecordSet([rec])
+        assert rs.of_tool("T") == {"c1": rec}
+        assert rs.of_tool("U") == {}
 
 
 # one line of the records file, keys sorted as the writer sorts them
@@ -1120,3 +1119,16 @@ def test_gc_paused_restores_the_collector():
 def test_every_public_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_names_the_benchmark_reads():
+    # perfbench reads these without a fallback: its traced pass patches
+    # RecordSet.__init__ on runner, its set-up probe imports BACKEND, and
+    # it loads the curation corpus and times the two lexer entry points
+    from scbench import corpus
+
+    assert runner.RecordSet.__init__ is RecordSet.__init__
+    assert isinstance(corpus.BACKEND, str)
+    assert len(corpus.load_labelled(LABELLED_DIR)) == 389
+    for lex in (corpus.normalize_source, corpus.strip_comments):
+        assert isinstance(lex('s = "//x"; /* unterminated', strict=False), str)

@@ -48,8 +48,8 @@ VALUE_TYPES = {
     TimingSummary: ({"total_seconds": 2.0, "valid_count": 4}, {}, ("valid_count", 5)),
     IndicatorMatrix: ({"tools": ("A",), "values": ((1.0, 0.5, 0.25, 0.0),)}, {},
                       ("values", ((0.0, 0.5, 0.25, 0.0),))),
-    ToolScores: ({"classes": {"V1": METRICS}, "timing": TimingSummary(2.0, 4)}, {},
-                 ("classes", {})),
+    ToolScores: ({"classes": {"V1": METRICS}, "timing": TimingSummary(2.0, 4),
+                  "flagged": {"V1": 3}}, {}, ("classes", {})),
     WeightVector: ({"values": (0.25, 0.25, 0.25, 0.25)}, {"method": ""},
                    ("method", "EWM")),
     ConsistencyReport: ({"lambda_max": 4.1, "ci": 0.03, "ri": 0.9, "cr": 0.04}, {},
