@@ -82,9 +82,7 @@ def _cmd_run(args) -> int:
 
     registry = Registry.load(args.registry)
     if args.tools:
-        registry = registry.subset(
-            [name.strip() for name in args.tools.split(",") if name.strip()]
-        )
+        registry = registry.subset(_tool_names("--tools", args.tools))
     cases = load_directory(args.corpus, args.metadata)
     check_records_dir(args.out)
     problems: dict[str, list[str]] = {}
@@ -106,6 +104,15 @@ def _cmd_run(args) -> int:
     return 1 if problems else 0
 
 
+def _tool_names(option: str, text: str) -> list[str]:
+    """The names of a comma-separated tool list, stripped, blank entries
+    dropped; a list that names no tool raises."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise ScbenchError(f"{option} {text!r} names no tool")
+    return names
+
+
 def _restrict_to_recorded(registry: Registry, records: RecordSet) -> Registry:
     recorded = set(records.tools())
     names = [n for n in registry.names() if n in recorded]
@@ -116,9 +123,9 @@ def _restrict_to_recorded(registry: Registry, records: RecordSet) -> Registry:
 
 
 def _score_campaign(args):
-    """Load the campaign and score it once: the corpus, the records, the
-    recorded tools, their scores, the indicator matrix and the four tables
-    that ``metrics`` prints and ``report`` bundles."""
+    """Load the campaign and score it once: the corpus, the recorded tools,
+    their scores, the indicator matrix and the four tables that ``metrics``
+    prints and ``report`` bundles. The records are dropped once scored."""
     from . import metrics, report
     from .corpus import load_directory
     from .records import load_record_set
@@ -131,7 +138,7 @@ def _score_campaign(args):
     indicator = metrics.indicator_matrix(
         registry, {t: s.functional for t, s in scores.items()},
         {t: s.timing for t, s in scores.items()})
-    return cases, records, registry, scores, indicator, {
+    return cases, registry, scores, indicator, {
         "classification": report.metrics_grid(scores),
         "timing": report.timing_table(scores, indicator),
         "capability": report.capability_table(registry, indicator),
@@ -199,7 +206,7 @@ def _cmd_report(args) -> int:
     from .tables import stats_table
 
     pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
-    cases, records, registry, scores, indicator, tables = _score_campaign(args)
+    cases, registry, scores, indicator, tables = _score_campaign(args)
     ewm = mcdm.ewm_weights(indicator.values)
     tables.update({
         "stats": stats_table(corpus_mod.stats(cases)),
@@ -213,11 +220,10 @@ def _cmd_report(args) -> int:
             mcdm.overall_scores(indicator, ahp)
         )
     if args.timeseries:
-        series = report.time_series(
-            records, cases, bucket=args.bucket,
-            tools=args.series_tools.split(",") if args.series_tools else None,
-        )
-        tables["timeseries"] = report.time_series_rows(series)
+        tables["timeseries"] = report.time_series(
+            scores, cases, bucket=args.bucket,
+            tools=_tool_names("--series-tools", args.series_tools)
+            if args.series_tools else None)
     manifest = report.write_bundle(args.out_dir, tables,
                                    notes=reference.validation_notes())
     print(f"wrote {manifest}")

@@ -140,12 +140,13 @@ class IndicatorMatrix(namedtuple("IndicatorMatrix", "tools values")):
 
 class ToolScores(NamedTuple):
     """One tool's scores from a campaign: a MetricSet per supported class,
-    its timing over cleanly finished scans, and per supported class how
-    many of its ok scans flagged that class."""
+    its timing over cleanly finished scans, and per supported class the
+    ids of the contracts whose ok scan flagged that class, in corpus
+    order."""
 
     classes: Mapping[str, MetricSet]
     timing: TimingSummary
-    flagged: Mapping[str, int]
+    flagged: Mapping[str, Sequence[str]]
 
     @property
     def functional(self) -> float:
@@ -155,13 +156,15 @@ class ToolScores(NamedTuple):
 def _walk(tool: ToolDescriptor, by_contract: Mapping[str, ScanRecord],
           corpus: Sequence[ContractCase]):
     """One pass over the corpus for one tool: per supported class, in
-    taxonomy order, the (tp, fp, fn, tn) counts and the flagged count,
-    then the summed milliseconds and the count of ok scans. A class's
-    population is its vulnerable cases plus the safe ones, so a contract
-    vulnerable only to other classes stays out of its cell; a scan that did
-    not end ok is in no cell. A corpus contract without a record raises."""
+    taxonomy order, the (tp, fp, fn, tn) counts and the ids of the
+    contracts flagged, then the summed milliseconds and the count of ok
+    scans. A class's population is its vulnerable cases plus the safe
+    ones, so a contract vulnerable only to other classes stays out of its
+    cell; a scan that did not end ok is in no cell. A corpus contract
+    without a record raises, and so does a finding of a class the tool
+    does not detect."""
     cells = {cid: [0, 0, 0, 0] for cid in CLASS_IDS if tool.can_detect(cid)}
-    flagged = dict.fromkeys(cells, 0)
+    flagged = {cid: [] for cid in cells}
     total_ms = ok = 0
     for case in corpus:
         try:
@@ -174,8 +177,11 @@ def _walk(tool: ToolDescriptor, by_contract: Mapping[str, ScanRecord],
         ok += 1
         findings = rec.findings
         for cid in findings:
-            if cid in flagged:
-                flagged[cid] += 1
+            try:
+                flagged[cid].append(case.id)
+            except KeyError:
+                raise ScbenchError(f"record for ({tool.name}, {case.id}) flags {cid!r}, "
+                                   f"which {tool.name} does not detect") from None
         if case.safe:
             for cid, cell in cells.items():
                 cell[1 if cid in findings else 3] += 1
@@ -191,10 +197,10 @@ def score_campaign(records: RecordSet, registry: Registry,
     """Score every registered tool once, in registry order, from one walk
     of the corpus per tool (:func:`_walk`). A record for a contract outside
     the corpus raises, since its scan would count in the timings but in no
-    cell; so does a recorded tool with no record for a corpus contract,
-    and then, tool by tool, a tool with no ok run or an empty cell. A
-    corpus without a single label raises first: every contract in it would
-    count as safe."""
+    cell; so does a recorded tool with no record for a corpus contract, or
+    with a finding of a class it does not detect, and then, tool by tool, a
+    tool with no ok run or an empty cell. A corpus without a single label
+    raises first: every contract in it would count as safe."""
     if not any(case.expected for case in corpus):
         raise ScbenchError("no contract in the corpus carries a vulnerability "
                            "label, so precision and recall cannot be scored")

@@ -111,17 +111,22 @@ def _from_doc(doc, share) -> ScanRecord:
     """The record of one decoded records line. ``share``, the ``setdefault``
     of a dict kept across lines, swaps each tool name, contract id and line
     set for the one object kept for its value; it sees a value only once
-    its type is checked, so a bad line fails as it would without it."""
-    tool, contract = doc["tool"], doc["contract"]
+    its type is checked, so a bad line fails as it would without it. A
+    class listed twice raises."""
+    tool, contract, found = doc["tool"], doc["contract"], doc.get("findings", ())
     rec = ScanRecord(
         share(tool, tool) if type(tool) is str else tool,
         share(contract, contract) if type(contract) is str else contract,
         doc["status"],
         int(doc["duration_ms"]),
-        {f["class"]: frozenset(f.get("lines", ())) for f in doc.get("findings", ())},
+        {f["class"]: frozenset(f.get("lines", ())) for f in found},
         doc.get("raw_ref"),
     )
     findings = rec.findings  # the record's own dict, its lines checked
+    if len(findings) != len(found):
+        classes = [f["class"] for f in found]
+        repeated = next(c for c in classes if classes.count(c) > 1)
+        raise ScbenchError(f"findings list class {repeated!r} twice")
     for cid, lines in findings.items():
         findings[cid] = share(lines, lines)
     return rec

@@ -12,7 +12,7 @@ import json
 import math
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import BUCKETS
 from .errors import MissingMetadata, ScbenchError
@@ -23,7 +23,6 @@ from .taxonomy import CLASS_IDS, Registry, default_taxonomy
 
 if TYPE_CHECKING:
     from .corpus import ContractCase
-    from .records import RecordSet
 
 
 def _round3(value: float) -> float:
@@ -158,7 +157,7 @@ def distribution_table(registry: Registry,
     for tool in registry:
         flagged = scores[tool.name].flagged
         for cid in CLASS_IDS:
-            rows.append([tool.name, cid, flagged.get(cid, 0),
+            rows.append([tool.name, cid, len(flagged.get(cid, ())),
                          "" if tool.can_detect(cid) else "yes"])
     return ["Tool", "Class", "Count", "Incapable"], rows
 
@@ -173,64 +172,43 @@ def _bucket_label(ts: datetime, bucket: str) -> str:
     raise ScbenchError(f"unknown bucket {bucket!r}; pick one of {BUCKETS}")
 
 
-class TimeSeries(NamedTuple):
-    """Per class: flagged-contract counts and summed transaction value
-    (wei) per period."""
-
-    counts: Mapping[str, Mapping[str, int]]
-    values_wei: Mapping[str, Mapping[str, int]]
-
-
 def time_series(
-    records: RecordSet,
+    scores: Mapping[str, ToolScores],
     corpus: Sequence[ContractCase],
     bucket: str = "quarter",
     tools: Sequence[str] | None = None,
-) -> TimeSeries:
-    """Bucket flagged contracts by creation time, per class.
+) -> tuple[list[str], list[list]]:
+    """Per class and creation period: how many contracts were flagged, and
+    their summed transaction value (wei).
 
     A contract counts for a class when any selected tool flagged it (union
-    over tools). Flagged contracts without a creation timestamp abort with
-    :class:`MissingMetadata`; absent transaction values contribute zero.
+    over tools; all scored tools by default). A selected tool that was not
+    scored raises :class:`ScbenchError`; flagged contracts without a
+    creation timestamp abort with :class:`MissingMetadata`; absent
+    transaction values contribute zero.
     """
-    selected = set(tools) if tools is not None else None
-    by_id = {c.id: c for c in corpus}
-    flagged: dict[str, set[str]] = {cid: set() for cid in CLASS_IDS}
-    for rec in records:
-        if selected is not None and rec.tool not in selected:
-            continue
-        for cid in rec.findings:
-            if cid in flagged and rec.contract in by_id:
-                flagged[cid].add(rec.contract)
-
-    missing = {
-        contract
-        for contracts in flagged.values()
-        for contract in contracts
-        if by_id[contract].created_at is None
-    }
+    try:
+        selected = [scores[t] for t in tools] if tools is not None else scores.values()
+    except KeyError as exc:
+        raise ScbenchError(f"time series tool {exc.args[0]!r} is not a scored tool "
+                           f"(scored: {', '.join(scores)})") from None
+    by_id = {case.id: case for case in corpus}
+    flagged = {cid: set().union(*(s.flagged.get(cid, ()) for s in selected))
+               for cid in CLASS_IDS}
+    missing = {c for contracts in flagged.values() for c in contracts
+               if by_id[c].created_at is None}
     if missing:
         raise MissingMetadata(missing)
-
-    counts: dict[str, dict[str, int]] = {cid: {} for cid in CLASS_IDS}
-    values: dict[str, dict[str, int]] = {cid: {} for cid in CLASS_IDS}
-    for cid, contracts in flagged.items():
-        for contract in sorted(contracts):
-            case = by_id[contract]
-            label = _bucket_label(case.created_at, bucket)
-            counts[cid][label] = counts[cid].get(label, 0) + 1
-            values[cid][label] = values[cid].get(label, 0) + (case.tx_value or 0)
-    return TimeSeries(counts=counts, values_wei=values)
-
-
-def time_series_rows(series: TimeSeries) -> tuple[list[str], list[list]]:
-    header = ["Class", "Period", "Count", "ValueWei"]
     rows = []
-    for cid in CLASS_IDS:
-        for period in sorted(series.counts[cid]):
-            rows.append([cid, period, series.counts[cid][period],
-                         series.values_wei[cid][period]])
-    return header, rows
+    for cid, contracts in flagged.items():
+        counts: dict[str, list[int]] = {}
+        for contract in contracts:
+            case = by_id[contract]
+            period = counts.setdefault(_bucket_label(case.created_at, bucket), [0, 0])
+            period[0] += 1
+            period[1] += case.tx_value or 0
+        rows.extend([cid, label, *counts[label]] for label in sorted(counts))
+    return ["Class", "Period", "Count", "ValueWei"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +226,18 @@ def write_table(
 
 
 def write_bundle(out_dir: str | Path, tables: Mapping[str, tuple], notes: list[str]) -> Path:
-    """Write every table as CSV + Markdown plus a JSON manifest."""
+    """Write every table as CSV + Markdown plus a JSON manifest. A directory
+    that cannot be made or written raises :class:`ScbenchError`."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {"tables": [], "notes": notes}
-    for name in sorted(tables):
-        header, rows = tables[name]
-        manifest["tables"].append(write_table(out, name, header, rows))
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in sorted(tables):
+            header, rows = tables[name]
+            manifest["tables"].append(write_table(out, name, header, rows))
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                 "utf-8")
+    except OSError as exc:
+        raise ScbenchError(f"cannot write bundle {out}: {exc.strerror}") from None
     return manifest_path

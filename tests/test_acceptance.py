@@ -275,4 +275,4 @@ def test_c10_annotation_round_trip(tmp_path):
     assert record.findings == {"V1": frozenset({17})}
     scores = score_campaign(RecordSet([record]), Registry((tool,)), cases)["ReplayTool"]
     assert scores.classes == {"V1": prf(ConfusionMatrix(1, 0, 0, 0))}
-    assert scores.flagged == {"V1": 1}
+    assert scores.flagged == {"V1": [case_id]}

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from scbench.adapters import AdapterConfig
 from scbench.corpus import ContractCase
-from scbench.errors import EmptyMatrix, MissingRecord, NoSupportedClasses, NoValidRuns
+from scbench.errors import (EmptyMatrix, MissingRecord, NoSupportedClasses, NoValidRuns,
+                            ScbenchError)
 from scbench.metrics import (ConfusionMatrix, MetricSet, TimingSummary,
                              efficiency_scores, functional_score,
                              indicator_matrix, prf, score_campaign,
@@ -63,15 +64,15 @@ class TestConfusion:
         scores = score_one(tool, vuln + safe,
                            [flag("T", c, "V1") for c in vuln] + [clean("T", c) for c in safe])
         assert scores.classes == {"V1": cell(10, 0, 0, 5)}
-        assert scores.flagged == {"V1": 10}
+        assert scores.flagged == {"V1": [c.id for c in vuln]}
         assert scores.timing == TimingSummary(0.15, 15)
 
     def test_unsupported_class_not_applicable(self):
-        # a tool has no cell and no flagged count for a class it does not
-        # support, though it flags that class
+        # a tool has no cell and no flagged contracts for a class it does
+        # not support, though the corpus holds that class
         tool = make_tool(capabilities=("V2",))
         corpus = [vulnerable_case(0, "V1"), vulnerable_case(0, "V2"), safe_case(0)]
-        scores = score_one(tool, corpus, [flag("T", c, "V1", "V2") for c in corpus])
+        scores = score_one(tool, corpus, [flag("T", c, "V2") for c in corpus])
         assert set(scores.classes) == set(scores.flagged) == {"V2"}
 
     def test_partial_detection(self):
@@ -92,7 +93,7 @@ class TestConfusion:
             flag("T", v1, "V1"), flag("T", v2, "V1", "V2"), clean("T", s),
         ])
         assert scores.classes == {"V1": cell(1, 0, 0, 1), "V2": cell(1, 0, 0, 1)}
-        assert scores.flagged == {"V1": 2, "V2": 1}
+        assert scores.flagged == {"V1": [v1.id, v2.id], "V2": [v2.id]}
 
     def test_non_ok_scans_excluded_by_default(self):
         # a scan that did not end ok is in no cell
@@ -115,6 +116,19 @@ class TestConfusion:
         with pytest.raises(MissingRecord) as err:
             score_campaign(records, registry, vuln)
         assert str(err.value) == f"no record for (B, {vuln[1].id})"
+
+    def test_finding_outside_capabilities_is_an_error(self):
+        # in registry x corpus order, with the missing records: A flags V2,
+        # which it does not detect, on the second case; B has no record for
+        # the first
+        registry = Registry((make_tool("A"), make_tool("B")))
+        vuln = [vulnerable_case(i) for i in range(2)]
+        records = RecordSet([flag("A", vuln[0], "V1"), flag("A", vuln[1], "V1", "V2"),
+                             flag("B", vuln[1], "V1")])
+        with pytest.raises(ScbenchError) as err:
+            score_campaign(records, registry, vuln)
+        assert str(err.value) == (f"record for (A, {vuln[1].id}) flags 'V2', "
+                                  "which A does not detect")
 
 
 class TestPrf:

@@ -57,16 +57,20 @@ class TestClassDistribution:
             for i in range(3)
         ] + [ScanRecord("T", "c3", "ok", 1)])
         assert rows[("T", "V2")] == {"Count": 3, "Incapable": ""}
-
-    def test_incapable_classes_render_zero_with_flag(self):
-        # T flags V1, which it does not support: the row still reads 0
-        registry = Registry((make_tool("T", ("V2",)),))
-        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V2",))]
-        rows = distribution(registry, corpus, [
-            ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
-            ScanRecord("T", "c1", "ok", 1, {"V2": frozenset({2})})])
+        # a class the tool cannot detect reads 0 and is marked incapable
         assert rows[("T", "V1")] == {"Count": 0, "Incapable": "yes"}
         assert len(rows) == 10
+
+    def test_incapable_classes_render_zero_with_flag(self):
+        # T flags V1, which it does not support: no row counts the finding,
+        # so the records are refused rather than rendered
+        registry = Registry((make_tool("T", ("V2",)),))
+        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V2",))]
+        with pytest.raises(ScbenchError) as err:
+            distribution(registry, corpus, [
+                ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
+                ScanRecord("T", "c1", "ok", 1, {"V2": frozenset({2})})])
+        assert str(err.value) == "record for (T, c0) flags 'V1', which T does not detect"
 
     def test_empty_records_all_zero(self):
         # records with no finding, and a scan that did not end ok
@@ -77,41 +81,57 @@ class TestClassDistribution:
         assert all(r["Count"] == 0 for r in rows.values())
 
 
+def series(corpus, records, **kwargs):
+    """The time-series rows of a campaign scored over ``corpus``, every
+    recorded tool detecting each class the corpus holds."""
+    classes = {cid for case in corpus for cid in case.expected}
+    registry = Registry(tuple(make_tool(t, classes) for t in
+                              dict.fromkeys(rec.tool for rec in records)))
+    header, rows = time_series(score_campaign(RecordSet(records), registry, corpus),
+                               corpus, **kwargs)
+    assert header == ["Class", "Period", "Count", "ValueWei"]
+    return rows
+
+
 class TestTimeSeries:
     def test_same_quarter_counts_together(self):
         corpus = [
             dated_case(0, datetime(2020, 1, 10, tzinfo=timezone.utc), 10, ("V1",)),
-            dated_case(1, datetime(2020, 2, 20, tzinfo=timezone.utc), 5, ("V1",)),
+            dated_case(1, datetime(2020, 2, 20, tzinfo=timezone.utc), 5, ("V6",)),
         ]
-        records = RecordSet([
+        records = [
             ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
-            ScanRecord("T", "c1", "ok", 1, {"V1": frozenset({2})}),
-        ])
-        series = time_series(records, corpus)
-        assert series.counts["V1"] == {"2020Q1": 2}
-        assert series.values_wei["V1"]["2020Q1"] == 15 * 10**18
+            ScanRecord("T", "c1", "ok", 1, {"V1": frozenset({2}), "V6": frozenset({2})}),
+        ]
+        assert series(corpus, records) == [["V1", "2020Q1", 2, 15 * 10**18],
+                                           ["V6", "2020Q1", 1, 5 * 10**18]]
 
     def test_missing_timestamp_is_reported(self):
-        corpus = [dated_case(0, None, classes=("V1",))]
-        records = RecordSet([
-            ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})})
-        ])
+        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V6",))]
+        records = [ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
+                   ScanRecord("T", "c1", "ok", 1, {"V6": frozenset({2})})]
         with pytest.raises(MissingMetadata) as err:
-            time_series(records, corpus)
-        assert err.value.contract_ids == ["c0"]
+            series(corpus, records)
+        assert err.value.contract_ids == ["c0", "c1"]
 
     def test_union_over_selected_tools(self):
         corpus = [
             dated_case(0, datetime(2021, 5, 1, tzinfo=timezone.utc), 1, ("V1",)),
+            dated_case(1, datetime(2021, 8, 1, tzinfo=timezone.utc), 1, ("V6",)),
         ]
-        records = RecordSet([
+        records = [
             ScanRecord("A", "c0", "ok", 1, {"V1": frozenset({2})}),
+            ScanRecord("A", "c1", "ok", 1),
             ScanRecord("B", "c0", "ok", 1, {"V1": frozenset({2})}),
-        ])
-        series = time_series(records, corpus, tools=["A", "B"])
-        assert series.counts["V1"] == {"2021Q2": 1}  # distinct contracts, not hits
-        excluded = time_series(records, corpus, tools=["NoSuch"])
-        assert excluded.counts["V1"] == {}
+            ScanRecord("B", "c1", "ok", 1, {"V6": frozenset({2})}),
+        ]
+        union = [["V1", "2021Q2", 1, 10**18], ["V6", "2021Q3", 1, 10**18]]
+        assert series(corpus, records) == union  # distinct contracts, not hits
+        assert series(corpus, records, tools=["A", "B"]) == union
+        assert series(corpus, records, tools=["A"]) == union[:1]
+        with pytest.raises(ScbenchError) as err:
+            series(corpus, records, tools=["A", "NoSuch"])
+        assert str(err.value) == "time series tool 'NoSuch' is not a scored tool (scored: A, B)"
 
     def test_bucket_sums_equal_total_flagged(self):
         corpus = [
@@ -119,12 +139,14 @@ class TestTimeSeries:
                        1, ("V6",))
             for i in range(7)
         ]
-        records = RecordSet([
+        records = [
             ScanRecord("T", f"c{i}", "ok", 1, {"V6": frozenset({2})})
             for i in range(7)
-        ])
-        series = time_series(records, corpus, bucket="year")
-        assert sum(series.counts["V6"].values()) == 7
+        ]
+        rows = series(corpus, records, bucket="year")
+        assert [row[:3] for row in rows] == [["V6", "2019", 3], ["V6", "2020", 2],
+                                             ["V6", "2021", 2]]
+        assert sum(row[2] for row in rows) == 7
 
 
 class TestRendering:
@@ -679,6 +701,48 @@ class TestCli:
         assert capsys.readouterr().err == (f"error: cannot write {out}: "
                                            "No such file or directory\n")
 
+    @pytest.mark.parametrize("tools, detail", [
+        ("Slthr", "time series tool 'Slthr' is not a scored tool (scored: Slither, Maian)"),
+        ("Slither,Mythril",
+         "time series tool 'Mythril' is not a scored tool (scored: Slither, Maian)"),
+        (" , ", "--series-tools ' , ' names no tool"),
+    ], ids=["typo", "unscored", "blank"])
+    def test_series_tools_that_are_not_scored(self, campaign, tmp_path, capsys, tools,
+                                              detail):
+        out = tmp_path / "bundle"
+        assert main(["report", "--records", str(campaign["records"]),
+                     "--corpus", str(LABELLED_DIR), "--timeseries", "--series-tools", tools,
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not out.exists()
+
+    def test_series_tools_are_parsed_as_run_tools(self, campaign, tmp_path, capsys):
+        # names stripped, blank entries dropped: both scored tools, as by default
+        series = []
+        for extra in ([], ["--series-tools", " Slither, ,Maian "]):
+            out = tmp_path / str(len(series))
+            assert main(["report", "--records", str(campaign["records"]),
+                         "--corpus", str(LABELLED_DIR), "--timeseries", *extra,
+                         "--out-dir", str(out)]) == 0
+            series.append((out / "timeseries.csv").read_text())
+        capsys.readouterr()
+        assert series[0] == series[1] and series[0].count("\n") > 1
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--tools", " , ", "--out", str(tmp_path / "run.jsonl")]) == 1
+        assert capsys.readouterr().err == "error: --tools ' , ' names no tool\n"
+
+    @pytest.mark.parametrize("command, below, reason", [
+        ("metrics", "sub", "Not a directory"), ("report", "", "File exists"),
+    ], ids=["metrics-below-a-file", "report-a-file"])
+    def test_bundle_directory_that_cannot_be_made(self, campaign, tmp_path, capsys, command,
+                                                  below, reason):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        assert main([command, "--records", str(campaign["records"]),
+                     "--corpus", str(LABELLED_DIR), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write bundle {out}: {reason}\n"
+
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"
         rec.write_text(
@@ -845,6 +909,17 @@ class TestScoringOnce:
             "error: records name contract 'arithmetic/gone' (tool Maian), "
             "which is not in the corpus\n"}
 
+    def test_finding_outside_capabilities_rejected(self, tmp_path, capsys,
+                                                   two_case_corpus):
+        # Maian detects only V9, and 'reentrancy' is no class id at all
+        suicide, reentrancy = two_case_corpus
+        records = [ScanRecord("Maian", suicide, "ok", 1000, {"V9": frozenset({3})}),
+                   ScanRecord("Maian", reentrancy, "ok", 1000,
+                              {"reentrancy": frozenset({3})})]
+        assert scoring_errors(tmp_path, capsys, records) == {
+            f"error: record for (Maian, {reentrancy}) flags 'reentrancy', "
+            "which Maian does not detect\n"}
+
     def test_one_walk_per_recorded_tool(self, tmp_path, capsys, monkeypatch,
                                         registry, replay_records):
         from scbench import metrics
@@ -917,6 +992,8 @@ SHIPPED_RECORDS_DIGEST = (
     "1c926c96df52abc64241678facda11ea86396627c8e45c8e3ff6e84b0ec53aaf")
 REPORT_A1_TIMESERIES_DIGEST = (
     "e618a17ade24fd4f9561223bb2fb96e801b88f27fef3941c86d99ad2a1ddf66f")
+REPORT_YEAR_TWO_TOOL_SERIES_DIGEST = (
+    "fad4d5be6aeffe3eb1857b60c62d32b36faa86797ebcdd63b9067b391bb48465")
 # the shipped campaign with failed scans (TestPinnedOutputs)
 FAILED_SCANS_METRICS_DIGEST = (
     "ff7768c1277f8936ba7e9ab6f960de7b36370cd4dab27c7ab009148997fc95e6")
@@ -953,6 +1030,17 @@ class TestPinnedOutputs:
                      "--out-dir", str(bundle)]) == 0
         capsys.readouterr()
         assert bundle_digest(bundle) == REPORT_A1_TIMESERIES_DIGEST
+
+    def test_yearly_series_of_two_tools_of_the_shipped_campaign(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--out", str(records)]) == 0
+        bundle = tmp_path / "bundle"
+        assert main(["report", "--records", str(records), "--corpus", str(LABELLED_DIR),
+                     "--timeseries", "--bucket", "year", "--series-tools", "Slither,Mythril",
+                     "--out-dir", str(bundle)]) == 0
+        capsys.readouterr()
+        assert bundle_digest(bundle) == REPORT_YEAR_TWO_TOOL_SERIES_DIGEST
 
     def test_outputs_of_a_campaign_with_failed_scans(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"

@@ -748,6 +748,10 @@ class TestRecords:
          "unknown status 'odd'"),
         (b'["not", "a", "record"]', "list indices must be integers"),
         (b'{"tool": "T\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        # the writer lists each class once; a second entry would replace the first
+        (b'{"tool": "T", "contract": "c2", "status": "ok", "duration_ms": 1, "findings": '
+         b'[{"class": "V1", "lines": [3]}, {"class": "V2"}, {"class": "V1", "lines": [5]}]}',
+         "findings list class 'V1' twice"),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, bad, detail):
         path = tmp_path / "records.jsonl"

@@ -13,7 +13,6 @@ from scbench.errors import ScbenchError
 from scbench.mcdm import ConsistencyReport, ScoreRow, ScoreTable, WeightVector
 from scbench.metrics import (ConfusionMatrix, IndicatorMatrix, MetricSet,
                              TimingSummary, ToolScores)
-from scbench.report import TimeSeries
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId, VulnClass
 
 STUB = AdapterConfig(kind="stub")
@@ -49,15 +48,13 @@ VALUE_TYPES = {
     IndicatorMatrix: ({"tools": ("A",), "values": ((1.0, 0.5, 0.25, 0.0),)}, {},
                       ("values", ((0.0, 0.5, 0.25, 0.0),))),
     ToolScores: ({"classes": {"V1": METRICS}, "timing": TimingSummary(2.0, 4),
-                  "flagged": {"V1": 3}}, {}, ("classes", {})),
+                  "flagged": {"V1": ["c"]}}, {}, ("classes", {})),
     WeightVector: ({"values": (0.25, 0.25, 0.25, 0.25)}, {"method": ""},
                    ("method", "EWM")),
     ConsistencyReport: ({"lambda_max": 4.1, "ci": 0.03, "ri": 0.9, "cr": 0.04}, {},
                         ("cr", 0.2)),
     ScoreRow: ({"tool": "A", "score": 90.5, "rank": 1}, {}, ("rank", 2)),
     ScoreTable: ({"method": "EWM", "rows": (ScoreRow("A", 90.5, 1),)}, {}, ("rows", ())),
-    TimeSeries: ({"counts": {"V1": {"2020Q1": 1}}, "values_wei": {"V1": {"2020Q1": 5}}},
-                 {}, ("values_wei", {})),
 }
 TYPES = sorted(VALUE_TYPES, key=lambda cls: cls.__name__)
 
