@@ -16,14 +16,9 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import BUCKETS
 from .errors import ScbenchError
-
-if TYPE_CHECKING:
-    from .records import RecordSet
-    from .taxonomy import Registry
 
 logger = logging.getLogger(__name__)
 
@@ -106,35 +101,42 @@ def _cmd_run(args) -> int:
 
 def _tool_names(option: str, text: str) -> list[str]:
     """The names of a comma-separated tool list, stripped, blank entries
-    dropped; a list that names no tool raises."""
+    dropped; a list that names no tool, or one tool twice, raises."""
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise ScbenchError(f"{option} {text!r} names no tool")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ScbenchError(f"{option} names tool {name!r} twice")
     return names
 
 
-def _restrict_to_recorded(registry: Registry, records: RecordSet) -> Registry:
-    recorded = set(records.tools())
-    names = [n for n in registry.names() if n in recorded]
-    unknown = recorded - set(registry.names())
-    if unknown:
-        raise ScbenchError(f"records reference unregistered tools: {sorted(unknown)}")
-    return registry.subset(names)
-
-
-def _score_campaign(args):
+def _score_campaign(args, series: list[str] | None = None):
     """Load the campaign and score it once: the corpus, the recorded tools,
     their scores, the indicator matrix and the four tables that ``metrics``
-    prints and ``report`` bundles. The records are dropped once scored."""
+    prints and ``report`` bundles. The options are checked first: the
+    bundle directory can be made, and each ``series`` tool is registered,
+    and then recorded. The records file is folded into an outcome table as
+    it is read, so no record outlives its line."""
     from . import metrics, report
     from .corpus import load_directory
-    from .records import load_record_set
+    from .records import load_outcomes
     from .taxonomy import Registry
 
+    registry = Registry.load(args.registry)
+    for name in series or ():
+        registry.get(name)
+    if args.out_dir:
+        report.check_out_dir(args.out_dir)
     cases = load_directory(args.corpus, args.metadata)
-    records = load_record_set(args.records)
-    registry = _restrict_to_recorded(Registry.load(args.registry), records)
-    scores = metrics.score_campaign(records, registry, cases)
+    outcomes = load_outcomes(args.records, cases)
+    unknown = set(outcomes.tools) - set(registry.names())
+    if unknown:
+        raise ScbenchError(f"records reference unregistered tools: {sorted(unknown)}")
+    registry = registry.subset([n for n in registry.names() if n in outcomes.tools])
+    if series:
+        report.check_series_tools(series, registry.names())
+    scores = metrics.score_campaign(outcomes, registry)
     indicator = metrics.indicator_matrix(
         registry, {t: s.functional for t, s in scores.items()},
         {t: s.timing for t, s in scores.items()})
@@ -206,7 +208,9 @@ def _cmd_report(args) -> int:
     from .tables import stats_table
 
     pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
-    cases, registry, scores, indicator, tables = _score_campaign(args)
+    series = (_tool_names("--series-tools", args.series_tools)
+              if args.timeseries and args.series_tools else None)
+    cases, registry, scores, indicator, tables = _score_campaign(args, series)
     ewm = mcdm.ewm_weights(indicator.values)
     tables.update({
         "stats": stats_table(corpus_mod.stats(cases)),
@@ -220,10 +224,8 @@ def _cmd_report(args) -> int:
             mcdm.overall_scores(indicator, ahp)
         )
     if args.timeseries:
-        tables["timeseries"] = report.time_series(
-            scores, cases, bucket=args.bucket,
-            tools=_tool_names("--series-tools", args.series_tools)
-            if args.series_tools else None)
+        tables["timeseries"] = report.time_series(scores, cases, bucket=args.bucket,
+                                                  tools=series)
     manifest = report.write_bundle(args.out_dir, tables,
                                    notes=reference.validation_notes())
     print(f"wrote {manifest}")

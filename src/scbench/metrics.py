@@ -3,13 +3,15 @@
 All ratios are computed in double precision; rendering rounds half-to-even
 at three decimals. Scans that did not finish cleanly are excluded from
 confusion matrices (mirroring the valid-run count used for timing).
-:func:`score_campaign` scores a campaign once; every scoring table is
-rendered from its result.
+:func:`score_campaign` scores a campaign once, from its outcome table;
+every scoring table is rendered from its result.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import compress
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (EmptyMatrix, MissingRecord, NoSupportedClasses, NoValidRuns,
@@ -17,8 +19,7 @@ from .errors import (EmptyMatrix, MissingRecord, NoSupportedClasses, NoValidRuns
 from .taxonomy import CLASS_IDS, Registry, ToolDescriptor, compat_score, default_taxonomy
 
 if TYPE_CHECKING:
-    from .corpus import ContractCase
-    from .records import RecordSet, ScanRecord
+    from .records import Outcomes
 
 INDICATOR_COLUMNS = ("functional", "efficiency", "compatibility", "usability")
 
@@ -119,8 +120,8 @@ def usability_score(tool: ToolDescriptor) -> float:
 class IndicatorMatrix(namedtuple("IndicatorMatrix", "tools values")):
     """tools x (functional, efficiency, compatibility, usability): a row of
     ``values`` per tool, each value in [0, 1]. Any nested numeric sequence
-    (an ndarray too) becomes rows of floats, checked for shape, when it is
-    built, by ``_replace`` too."""
+    (an ndarray too) becomes rows of floats, checked for shape and range,
+    when it is built, by ``_replace`` too."""
 
     __slots__ = ()
 
@@ -128,6 +129,10 @@ class IndicatorMatrix(namedtuple("IndicatorMatrix", "tools values")):
         values = tuple(tuple(float(v) for v in row) for row in values)
         if [len(row) for row in values] != [len(INDICATOR_COLUMNS)] * len(tools):
             raise ScbenchError("indicator matrix shape mismatch")
+        for tool, row in zip(tools, values):
+            for column, value in zip(INDICATOR_COLUMNS, row):
+                if not 0 <= value <= 1:
+                    raise ScbenchError(f"{column} {value} of {tool} is outside [0, 1]")
         return tuple.__new__(cls, (tools, values))
 
     @classmethod
@@ -153,63 +158,61 @@ class ToolScores(NamedTuple):
         return functional_score(self.classes.values())
 
 
-def _walk(tool: ToolDescriptor, by_contract: Mapping[str, ScanRecord],
-          corpus: Sequence[ContractCase]):
+def _walk(tool: ToolDescriptor, outcomes: Outcomes, labels: Sequence[int | None]):
     """One pass over the corpus for one tool: per supported class, in
     taxonomy order, the (tp, fp, fn, tn) counts and the ids of the
     contracts flagged, then the summed milliseconds and the count of ok
-    scans. A class's population is its vulnerable cases plus the safe
+    scans. ``labels`` holds the mask of each contract's labels, None for a
+    safe one. A class's population is its vulnerable cases plus the safe
     ones, so a contract vulnerable only to other classes stays out of its
-    cell; a scan that did not end ok is in no cell. A corpus contract
-    without a record raises, and so does a finding of a class the tool
-    does not detect."""
-    cells = {cid: [0, 0, 0, 0] for cid in CLASS_IDS if tool.can_detect(cid)}
-    flagged = {cid: [] for cid in cells}
-    total_ms = ok = 0
-    for case in corpus:
-        try:
-            rec = by_contract[case.id]
-        except KeyError:
-            raise MissingRecord(f"no record for ({tool.name}, {case.id})") from None
-        if rec.status != "ok":
-            continue
-        total_ms += rec.duration_ms
-        ok += 1
-        findings = rec.findings
-        for cid in findings:
-            try:
-                flagged[cid].append(case.id)
-            except KeyError:
-                raise ScbenchError(f"record for ({tool.name}, {case.id}) flags {cid!r}, "
-                                   f"which {tool.name} does not detect") from None
-        if case.safe:
-            for cid, cell in cells.items():
-                cell[1 if cid in findings else 3] += 1
-        else:
-            for cid in case.expected:
-                if cid in cells:
-                    cells[cid][0 if cid in findings else 2] += 1
-    return cells, flagged, total_ms, ok
+    cell; a scan that did not end ok is in no cell. The first corpus
+    contract without a record, or with a finding of a class the tool does
+    not detect, raises."""
+    corpus, n = outcomes.corpus, len(labels)
+    bits = [(cid, outcomes.bits[cid]) for cid in CLASS_IDS if tool.can_detect(cid)]
+    capable = sum(bit for _, bit in bits)
+    codes, durations, masks = outcomes.tools.get(tool.name, (bytes(n), [0] * n, [0] * n))
+    oks = codes.translate(bytes(code == outcomes.OK for code in range(256)))  # 1 or 0
+    seen = Counter(compress(zip(labels, masks), oks))  # (labels, mask) of the ok scans
+    missing = codes.find(0)
+    if any(mask & ~capable for _, mask in seen):
+        at = next(at for at in range(n) if oks[at] and masks[at] & ~capable)
+        if missing < 0 or at < missing:
+            cid = min(c for c, bit in outcomes.bits.items() if masks[at] & bit & ~capable)
+            raise ScbenchError(f"record for ({tool.name}, {corpus[at].id}) flags {cid!r}, "
+                               f"which {tool.name} does not detect")
+    if missing >= 0:
+        raise MissingRecord(f"no record for ({tool.name}, {corpus[missing].id})")
+    classes = {mask: [cid for cid, bit in bits if mask & bit] for _, mask in seen}
+    flagged = {cid: [] for cid, _ in bits}
+    for at in compress(range(n), map(mul, oks, masks)):  # the ok scans with findings
+        for cid in classes[masks[at]]:
+            flagged[cid].append(corpus[at].id)
+    cells = {cid: [0, 0, 0, 0] for cid in flagged}
+    for (label, mask), count in seen.items():
+        for cid, bit in bits:
+            if label is None:
+                cells[cid][1 if mask & bit else 3] += count
+            elif label & bit:
+                cells[cid][0 if mask & bit else 2] += count
+    return cells, flagged, sum(compress(durations, oks)), sum(seen.values())
 
 
-def score_campaign(records: RecordSet, registry: Registry,
-                   corpus: Sequence[ContractCase]) -> dict[str, ToolScores]:
+def score_campaign(outcomes: Outcomes, registry: Registry) -> dict[str, ToolScores]:
     """Score every registered tool once, in registry order, from one walk
-    of the corpus per tool (:func:`_walk`). A record for a contract outside
-    the corpus raises, since its scan would count in the timings but in no
-    cell; so does a recorded tool with no record for a corpus contract, or
-    with a finding of a class it does not detect, and then, tool by tool, a
-    tool with no ok run or an empty cell. A corpus without a single label
-    raises first: every contract in it would count as safe."""
+    of the outcome table per tool (:func:`_walk`). A recorded tool with no
+    record for a corpus contract raises, and so does one with a finding of
+    a class it does not detect, and then, tool by tool, a tool with no ok
+    run or an empty cell. A corpus without a single label raises first:
+    every contract in it would count as safe."""
+    corpus = outcomes.corpus
     if not any(case.expected for case in corpus):
         raise ScbenchError("no contract in the corpus carries a vulnerability "
                            "label, so precision and recall cannot be scored")
-    known = {case.id for case in corpus}
-    for rec in records:
-        if rec.contract not in known:
-            raise ScbenchError(f"records name contract {rec.contract!r} (tool "
-                               f"{rec.tool}), which is not in the corpus")
-    walks = [_walk(tool, records.of_tool(tool.name), corpus) for tool in registry]
+    bits = outcomes.bits
+    labels = [None if case.safe else sum(bits.get(cid, 0) for cid in case.expected)
+              for case in corpus]
+    walks = [_walk(tool, outcomes, labels) for tool in registry]
     names = {cls.id: cls.name for cls in default_taxonomy()}
     scores = {}
     for tool, (cells, flagged, total_ms, ok) in zip(registry, walks):

@@ -1,5 +1,6 @@
 """Scan records: one outcome per (tool, contract), the JSON-lines file
-that stores a campaign's records, and the index the scoring layers query.
+that stores a campaign's records, and the outcome table the scoring layers
+fold that file into.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ import os
 import stat
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DuplicateRecord, ScbenchError
+from .taxonomy import CLASS_IDS
+
+if TYPE_CHECKING:
+    from .corpus import ContractCase
 
 STATUSES = ("ok", "timeout", "tool_error", "harness_error")
 _STATUS = {status: status for status in STATUSES}  # one object per status
@@ -51,6 +55,28 @@ def check_findings(findings: Mapping[str, Iterable[int]]) -> None:
                 raise ScbenchError(f"line {line!r} of {cid} is not an integer")
 
 
+def _checked(tool, contract, status, duration_ms, findings, raw_ref) -> tuple:
+    """The fields of a scan record, checked; the first wrong one raises."""
+    try:
+        status = _STATUS[status]
+    except (KeyError, TypeError):
+        raise ScbenchError(f"unknown status {status!r}") from None
+    if findings:
+        if status != "ok":
+            raise ScbenchError("findings must be empty unless status is ok")
+        check_findings(findings)
+    elif findings is None:
+        findings = {}
+    if type(duration_ms) is not int:
+        raise ScbenchError(f"duration_ms {duration_ms!r} is not an integer")
+    if duration_ms < 0:
+        raise ScbenchError("negative duration")
+    if type(tool) is not str or type(contract) is not str or (
+            raw_ref is not None and type(raw_ref) is not str):
+        raise ScbenchError("tool, contract and raw_ref must be strings")
+    return tool, contract, status, duration_ms, findings, raw_ref
+
+
 class ScanRecord(namedtuple("ScanRecord", "tool contract status duration_ms findings raw_ref")):
     """Outcome of one (tool, contract) execution.
 
@@ -63,24 +89,8 @@ class ScanRecord(namedtuple("ScanRecord", "tool contract status duration_ms find
     def __new__(cls, tool: str, contract: str, status: str, duration_ms: int,
                 findings: Mapping[str, frozenset[int]] | None = None,
                 raw_ref: str | None = None) -> "ScanRecord":
-        try:
-            status = _STATUS[status]
-        except (KeyError, TypeError):
-            raise ScbenchError(f"unknown status {status!r}") from None
-        if findings:
-            if status != "ok":
-                raise ScbenchError("findings must be empty unless status is ok")
-            check_findings(findings)
-        elif findings is None:
-            findings = {}
-        if type(duration_ms) is not int:
-            raise ScbenchError(f"duration_ms {duration_ms!r} is not an integer")
-        if duration_ms < 0:
-            raise ScbenchError("negative duration")
-        if type(tool) is not str or type(contract) is not str or (
-                raw_ref is not None and type(raw_ref) is not str):
-            raise ScbenchError("tool, contract and raw_ref must be strings")
-        return tuple.__new__(cls, (tool, contract, status, duration_ms, findings, raw_ref))
+        return tuple.__new__(cls, _checked(tool, contract, status, duration_ms, findings,
+                                           raw_ref))
 
     @classmethod
     def _make(cls, iterable) -> "ScanRecord":
@@ -107,29 +117,21 @@ class ScanRecord(namedtuple("ScanRecord", "tool contract status duration_ms find
                 f'"status": {_quote(status)}, "tool": {_quote(tool)}}}')
 
 
-def _from_doc(doc, share) -> ScanRecord:
-    """The record of one decoded records line. ``share``, the ``setdefault``
-    of a dict kept across lines, swaps each tool name, contract id and line
-    set for the one object kept for its value; it sees a value only once
-    its type is checked, so a bad line fails as it would without it. A
-    class listed twice raises."""
+def _fields(doc) -> tuple:
+    """The checked fields of one decoded records line, as a
+    :class:`ScanRecord` holds them (:func:`_checked`); a class listed twice
+    raises too."""
     tool, contract, found = doc["tool"], doc["contract"], doc.get("findings", ())
-    rec = ScanRecord(
-        share(tool, tool) if type(tool) is str else tool,
-        share(contract, contract) if type(contract) is str else contract,
-        doc["status"],
-        int(doc["duration_ms"]),
-        {f["class"]: frozenset(f.get("lines", ())) for f in found},
-        doc.get("raw_ref"),
-    )
-    findings = rec.findings  # the record's own dict, its lines checked
-    if len(findings) != len(found):
+    status, duration_ms, findings = doc["status"], int(doc["duration_ms"]), {}
+    for f in found:  # a loop, not a comprehension: most lines list no finding
+        cid = f["class"]
+        findings[cid] = frozenset(f.get("lines", ()))
+    fields = _checked(tool, contract, status, duration_ms, findings, doc.get("raw_ref"))
+    if len(fields[4]) != len(found):
         classes = [f["class"] for f in found]
         repeated = next(c for c in classes if classes.count(c) > 1)
         raise ScbenchError(f"findings list class {repeated!r} twice")
-    for cid, lines in findings.items():
-        findings[cid] = share(lines, lines)
-    return rec
+    return fields
 
 
 def _cannot_write(path, reason: str) -> ScbenchError:
@@ -202,74 +204,110 @@ def _lines(fh):
 
 
 def _read(path: str | Path, add) -> None:
-    """Stream the records of ``path`` into ``add``, a batch of lines at a
-    time. A line that strips to nothing is blank; any other must be one
-    JSON value, as ``json.loads`` of the line takes it. The first malformed
-    line raises :class:`ScbenchError` naming the file and line, and so
-    does a :class:`DuplicateRecord` that ``add`` raises. Equal tool names,
-    contract ids, statuses and line sets are one object each."""
-    share = {}.setdefault
+    """Stream the records of ``path`` into ``add``, the checked fields of
+    one line (:func:`_fields`) at a time, a batch of lines read at a time.
+    A line that strips to nothing is blank; any other must be one JSON
+    value, as ``json.loads`` of the line takes it. The first malformed
+    line, or the first that ``add`` refuses, raises naming the file and
+    line."""
     try:
         with open(path, "rb") as fh, gc_paused():
             for lineno, raw in enumerate(_lines(fh), 1):
                 try:
                     line = raw.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    rec = _from_doc(_loads(line), share)
+                    if not line.isspace():  # a line is never empty
+                        add(_fields(_loads(line)))
                 except _MALFORMED as exc:
                     detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                    raise ScbenchError(f"{path}:{lineno}: {detail}") from None
-                try:
-                    add(rec)
-                except DuplicateRecord as exc:
-                    raise DuplicateRecord(f"{path}:{lineno}: {exc}") from None
+                    kind = DuplicateRecord if isinstance(exc, DuplicateRecord) else ScbenchError
+                    raise kind(f"{path}:{lineno}: {detail}") from None
     except OSError as exc:
         raise ScbenchError(f"cannot read records {path}: {exc.strerror}") from None
 
 
 def read_records(path: str | Path) -> list[ScanRecord]:
-    """The records of a JSON-lines file, in file order (see :func:`_read`)."""
+    """The records of a JSON-lines file, in file order (see :func:`_read`).
+    Equal tool names, contract ids, statuses and line sets are one object
+    each."""
     records: list[ScanRecord] = []
-    _read(path, records.append)
+    share = {}.setdefault
+
+    def add(fields):
+        tool, contract, status, duration_ms, findings, raw_ref = fields
+        for cid, lines in findings.items():
+            findings[cid] = share(lines, lines)
+        records.append(tuple.__new__(ScanRecord, (share(tool, tool), share(contract, contract),
+                                                  status, duration_ms, findings, raw_ref)))
+
+    _read(path, add)
     return records
 
 
+CODES = {status: code for code, status in enumerate(STATUSES, 1)}  # 0: no record
+
+
+class Outcomes:
+    """A campaign's records, folded as the file streams in into three lists
+    per tool indexed by corpus position: the status code (:data:`CODES`),
+    the duration in ms, and the mask of the classes flagged (``bits``: the
+    taxonomy's classes, then any other class id as it is met). Finding
+    lines are checked, then dropped: no metric reads them."""
+
+    OK = CODES["ok"]
+
+    def __init__(self, corpus: Sequence[ContractCase]):
+        self.corpus = corpus
+        self.index = {case.id: at for at, case in enumerate(corpus)}
+        self.bits = {cid: 1 << n for n, cid in enumerate(CLASS_IDS)}
+        self.tools: dict[str, tuple[bytearray, list[int], list[int]]] = {}
+
+    def add(self, fields: tuple) -> None:
+        """Fold one record's fields in; a contract outside the corpus, or a
+        second record for a (tool, contract) pair, raises."""
+        tool, contract, status, duration_ms, findings, _ = fields
+        at = self.index.get(contract)
+        if at is None:
+            raise ScbenchError(f"records name contract {contract!r} (tool {tool}), "
+                               "which is not in the corpus")
+        arrays = self.tools.get(tool)
+        if arrays is None:
+            n = len(self.corpus)
+            arrays = self.tools[tool] = (bytearray(n), [0] * n, [0] * n)
+        codes, durations, masks = arrays
+        if codes[at]:
+            raise DuplicateRecord(f"duplicate record for ({tool}, {contract})")
+        codes[at] = CODES[status]
+        durations[at] = duration_ms
+        if findings:
+            bits, mask = self.bits, 0
+            for cid in findings:
+                mask |= bits.get(cid) or bits.setdefault(cid, 1 << len(bits))
+            masks[at] = mask
+
+
+def load_outcomes(path: str | Path, corpus: Sequence[ContractCase]) -> Outcomes:
+    """The records of ``path`` folded over ``corpus``, each line checked as
+    :func:`read_records` checks it."""
+    outcomes = Outcomes(corpus)
+    _read(path, outcomes.add)
+    return outcomes
+
+
+# No command uses RecordSet: perfbench/traced.py patches its __init__ on
+# the runner module, and test_names_the_benchmark_reads pins it there.
 class RecordSet:
-    """Index over campaign records for metric queries: tool -> contract ->
-    record, one record per (tool, contract) pair; a duplicate raises
-    :class:`DuplicateRecord`. It iterates tool by tool, in the order each
-    tool is first added, and each tool's records in the order they are
-    added. For a file in writer order, that is file order."""
+    """Campaign records by tool and contract; a duplicate pair raises
+    :class:`DuplicateRecord`."""
 
     def __init__(self, records: Iterable[ScanRecord] = ()):
         self._by_tool: dict[str, dict[str, ScanRecord]] = {}
         for rec in records:
-            self.add(rec)
-
-    def add(self, rec: ScanRecord) -> None:
-        by_contract = self._by_tool.get(rec.tool)
-        if by_contract is None:
-            by_contract = self._by_tool[rec.tool] = {}
-        if rec.contract in by_contract:
-            raise DuplicateRecord(f"duplicate record for ({rec.tool}, {rec.contract})")
-        by_contract[rec.contract] = rec
-
-    def __iter__(self) -> Iterator[ScanRecord]:
-        return chain.from_iterable(map(dict.values, self._by_tool.values()))
-
-    def tools(self) -> list[str]:
-        return sorted(self._by_tool)
+            by_contract = self._by_tool.setdefault(rec.tool, {})
+            if rec.contract in by_contract:
+                raise DuplicateRecord(f"duplicate record for ({rec.tool}, {rec.contract})")
+            by_contract[rec.contract] = rec
 
     def of_tool(self, tool: str) -> Mapping[str, ScanRecord]:
-        """The records of ``tool`` by contract id, in the order they were
-        added; empty for a tool with no record. Read it, do not change it."""
+        """The records of ``tool`` by contract id; empty for a tool with no
+        record."""
         return self._by_tool.get(tool, {})
-
-
-def load_record_set(path: str | Path) -> RecordSet:
-    """The records of ``path``, indexed as the file streams in: the second
-    record for a (tool, contract) raises naming the file and its line."""
-    index = RecordSet()
-    _read(path, index.add)
-    return index

@@ -8,8 +8,10 @@ exactly.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
 from datetime import datetime
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -111,8 +113,8 @@ def indicators_table(matrix: IndicatorMatrix) -> tuple[list[str], list[list]]:
 def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
     """Read a tools x indicators CSV as written by :func:`indicators_table`
     or the bundled reference export (lower-case column names accepted). A
-    file that cannot be read, a missing column, a cell that is not a finite
-    number or a tool named on two rows raises :class:`ScbenchError` naming
+    file that cannot be read, a missing column, a cell that is not a number
+    in [0, 1] or a tool named on two rows raises :class:`ScbenchError` naming
     the file (and the line)."""
     tools = {}  # tool -> the line of its row
     rows = []
@@ -132,6 +134,9 @@ def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
                     if not math.isfinite(value):
                         raise ScbenchError(f"{path}:{reader.line_num}: {column} "
                                            f"{lowered[column]!r} is not a finite number")
+                    if not 0 <= value <= 1:
+                        raise ScbenchError(f"{path}:{reader.line_num}: {column} "
+                                           f"{value} is outside [0, 1]")
                 if tool in tools:
                     raise ScbenchError(f"{path}:{reader.line_num}: tool {tool!r} "
                                        f"repeats row {tools[tool]}")
@@ -172,6 +177,15 @@ def _bucket_label(ts: datetime, bucket: str) -> str:
     raise ScbenchError(f"unknown bucket {bucket!r}; pick one of {BUCKETS}")
 
 
+def check_series_tools(tools: Iterable[str], scored: Sequence[str]) -> None:
+    """Raise :class:`ScbenchError` naming the first of ``tools`` that is
+    not one of the ``scored`` tools."""
+    for tool in tools:
+        if tool not in scored:
+            raise ScbenchError(f"time series tool {tool!r} is not a scored tool "
+                               f"(scored: {', '.join(scored)})")
+
+
 def time_series(
     scores: Mapping[str, ToolScores],
     corpus: Sequence[ContractCase],
@@ -187,11 +201,9 @@ def time_series(
     creation timestamp abort with :class:`MissingMetadata`; absent
     transaction values contribute zero.
     """
-    try:
-        selected = [scores[t] for t in tools] if tools is not None else scores.values()
-    except KeyError as exc:
-        raise ScbenchError(f"time series tool {exc.args[0]!r} is not a scored tool "
-                           f"(scored: {', '.join(scores)})") from None
+    if tools is not None:
+        check_series_tools(tools, list(scores))
+    selected = [scores[t] for t in tools] if tools is not None else scores.values()
     by_id = {case.id: case for case in corpus}
     flagged = {cid: set().union(*(s.flagged.get(cid, ()) for s in selected))
                for cid in CLASS_IDS}
@@ -223,6 +235,21 @@ def write_table(
     md_path.write_text(to_markdown(header, rows), "utf-8")
     return {"name": name, "csv": csv_path.name, "markdown": md_path.name,
             "rows": len(rows)}
+
+
+def check_out_dir(out_dir: str | Path) -> None:
+    """Raise :class:`ScbenchError` as :func:`write_bundle` would, unless
+    the directory ``out_dir`` can be made: no component of it is a file,
+    and the nearest one that exists can be written. So a command can fail
+    before it reads its inputs."""
+    out = nearest = Path(out_dir)
+    while not nearest.exists() and nearest != nearest.parent:
+        nearest = nearest.parent
+    code = (errno.EEXIST if nearest == out and not nearest.is_dir()
+            else errno.ENOTDIR if not nearest.is_dir()
+            else errno.EACCES if not os.access(nearest, os.W_OK | os.X_OK) else None)
+    if code:
+        raise ScbenchError(f"cannot write bundle {out}: {os.strerror(code)}")
 
 
 def write_bundle(out_dir: str | Path, tables: Mapping[str, tuple], notes: list[str]) -> Path:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from scbench.corpus import load_labelled
-from scbench.records import RecordSet
+from scbench.metrics import score_campaign
+from scbench.records import load_outcomes, write_records
 from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, default_taxonomy
 
@@ -14,6 +16,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LABELLED_DIR = REPO_ROOT / "datasets" / "labelled"
 REPLAY_DIR = REPO_ROOT / "datasets" / "replay" / "labelled"
 LISTING_FIXTURE = LABELLED_DIR / "reentrancy" / "reentrancy_insecure.sol"
+
+
+def scored(records, registry, corpus):
+    """``score_campaign`` of ``records`` over ``corpus``, the records written
+    by ``write_records`` and folded back as ``metrics`` and ``report`` fold
+    a records file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.jsonl")
+        write_records(records, path)
+        return score_campaign(load_outcomes(path, corpus), registry)
 
 
 def deny_listing(monkeypatch, directory):
@@ -48,10 +60,9 @@ def labelled_corpus():
 
 @pytest.fixture(scope="session")
 def replay_records(registry, labelled_corpus):
-    records = execute_campaign(
+    return execute_campaign(
         registry, labelled_corpus, parallelism=4, replay_dir=REPLAY_DIR
     )
-    return RecordSet(records)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -125,3 +125,65 @@ def consistent_ahp_oracle(v) -> list[float]:
         vv = [mp.mpf(float(x)) for x in v]
         total = mp.fsum(vv)
         return [float(x / total) for x in vv]
+
+
+def score_campaign_oracle(records, registry, corpus):
+    """The scores of a campaign as the record-object design computed them:
+    the records indexed tool -> contract -> ScanRecord, then per tool one
+    walk of the corpus that looks each contract's record up and tests its
+    findings' class ids against the tool's capabilities and the contract's
+    labels, then the cells turned into metric sets."""
+    from scbench.errors import EmptyMatrix, MissingRecord, NoValidRuns, ScbenchError
+    from scbench.metrics import ConfusionMatrix, TimingSummary, ToolScores, prf
+    from scbench.taxonomy import CLASS_IDS, default_taxonomy
+
+    if not any(case.expected for case in corpus):
+        raise ScbenchError("no contract in the corpus carries a vulnerability "
+                           "label, so precision and recall cannot be scored")
+    by_tool = {}
+    for rec in records:
+        by_tool.setdefault(rec.tool, {})[rec.contract] = rec
+    names = {cls.id: cls.name for cls in default_taxonomy()}
+    walks = []
+    for tool in registry:
+        by_contract = by_tool.get(tool.name, {})
+        cells = {cid: [0, 0, 0, 0] for cid in CLASS_IDS if tool.can_detect(cid)}
+        flagged = {cid: [] for cid in cells}
+        total_ms = ok = 0
+        for case in corpus:
+            try:
+                rec = by_contract[case.id]
+            except KeyError:
+                raise MissingRecord(f"no record for ({tool.name}, {case.id})") from None
+            if rec.status != "ok":
+                continue
+            total_ms += rec.duration_ms
+            ok += 1
+            for cid in rec.findings:
+                try:
+                    flagged[cid].append(case.id)
+                except KeyError:
+                    raise ScbenchError(f"record for ({tool.name}, {case.id}) flags {cid!r}, "
+                                       f"which {tool.name} does not detect") from None
+            if case.safe:
+                for cid, cell in cells.items():
+                    cell[1 if cid in rec.findings else 3] += 1
+            else:
+                for cid in case.expected:
+                    if cid in cells:
+                        cells[cid][0 if cid in rec.findings else 2] += 1
+        walks.append((cells, flagged, total_ms, ok))
+    scores = {}
+    for tool, (cells, flagged, total_ms, ok) in zip(registry, walks):
+        if not ok:
+            raise NoValidRuns(f"{tool.name} has no ok-status runs")
+        classes = {}
+        for cid, cell in cells.items():
+            try:
+                classes[cid] = prf(ConfusionMatrix(*cell))
+            except EmptyMatrix:
+                raise EmptyMatrix(
+                    f"{tool.name}: no evaluated case for {cid} ({names[cid]}): "
+                    "none of its vulnerable or safe contracts has an ok scan") from None
+        scores[tool.name] = ToolScores(classes, TimingSummary(total_ms / 1000.0, ok), flagged)
+    return scores

@@ -26,7 +26,7 @@ from scbench.corpus import (dedup, load_labelled, normalize_source,
 from scbench.mcdm import ahp_weights, ewm_weights, load_pairwise, overall_scores
 from scbench.metrics import (INDICATOR_COLUMNS, ConfusionMatrix, efficiency_scores,
                              functional_score, prf, score_campaign, usability_score)
-from scbench.records import RecordSet, write_records
+from scbench.records import load_outcomes, write_records
 from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, compat_score
 
@@ -273,6 +273,8 @@ def test_c10_annotation_round_trip(tmp_path):
     cases = [c for c in load_labelled(LABELLED_DIR) if c.id == case_id]
     (record,) = execute_campaign([tool], cases)
     assert record.findings == {"V1": frozenset({17})}
-    scores = score_campaign(RecordSet([record]), Registry((tool,)), cases)["ReplayTool"]
+    records = tmp_path / "records.jsonl"
+    write_records([record], records)
+    scores = score_campaign(load_outcomes(records, cases), Registry((tool,)))["ReplayTool"]
     assert scores.classes == {"V1": prf(ConfusionMatrix(1, 0, 0, 0))}
     assert scores.flagged == {"V1": [case_id]}

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbench.adapters import AdapterConfig
@@ -8,10 +8,14 @@ from scbench.errors import (EmptyMatrix, MissingRecord, NoSupportedClasses, NoVa
                             ScbenchError)
 from scbench.metrics import (ConfusionMatrix, MetricSet, TimingSummary,
                              efficiency_scores, functional_score,
-                             indicator_matrix, prf, score_campaign,
+                             indicator_matrix, prf,
                              usability_score)
-from scbench.records import RecordSet, ScanRecord
+from scbench.metrics import score_campaign
+from scbench.records import STATUSES, ScanRecord, load_outcomes, write_records
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
+
+from .conftest import scored
+from .oracles import score_campaign_oracle
 
 
 def make_tool(name="T", capabilities=("V1",)):
@@ -48,7 +52,7 @@ def clean(tool, case, status="ok"):
 
 
 def score_one(tool, corpus, records):
-    return score_campaign(RecordSet(records), Registry((tool,)), corpus)[tool.name]
+    return scored(records, Registry((tool,)), corpus)[tool.name]
 
 
 def cell(tp, fp, fn, tn):
@@ -111,10 +115,9 @@ class TestConfusion:
         # case: the missing record is reported
         registry = Registry((make_tool("A"), make_tool("B")))
         vuln = [vulnerable_case(i) for i in range(2)]
-        records = RecordSet([clean("A", c, status="timeout") for c in vuln]
-                            + [flag("B", vuln[0], "V1")])
+        records = [clean("A", c, status="timeout") for c in vuln] + [flag("B", vuln[0], "V1")]
         with pytest.raises(MissingRecord) as err:
-            score_campaign(records, registry, vuln)
+            scored(records, registry, vuln)
         assert str(err.value) == f"no record for (B, {vuln[1].id})"
 
     def test_finding_outside_capabilities_is_an_error(self):
@@ -123,12 +126,67 @@ class TestConfusion:
         # the first
         registry = Registry((make_tool("A"), make_tool("B")))
         vuln = [vulnerable_case(i) for i in range(2)]
-        records = RecordSet([flag("A", vuln[0], "V1"), flag("A", vuln[1], "V1", "V2"),
-                             flag("B", vuln[1], "V1")])
+        records = [flag("A", vuln[0], "V1"), flag("A", vuln[1], "V1", "V2"),
+                   flag("B", vuln[1], "V1")]
         with pytest.raises(ScbenchError) as err:
-            score_campaign(records, registry, vuln)
+            scored(records, registry, vuln)
         assert str(err.value) == (f"record for (A, {vuln[1].id}) flags 'V2', "
                                   "which A does not detect")
+
+
+CLASSES = ("V1", "V2", "V3", "V4")
+
+
+@st.composite
+def campaigns(draw):
+    """A registry of one to three tools, a corpus of safe, vulnerable and
+    multi-label cases, and their records: every status, any duration,
+    findings within each tool's capabilities, and now and then a record
+    left out or a finding of a class the tool does not detect. Findings
+    are listed in class order, as the writer lists them."""
+    classes = st.sampled_from(CLASSES)
+    registry = Registry(tuple(make_tool(f"T{i}", draw(st.frozensets(classes, min_size=1)))
+                              for i in range(draw(st.integers(1, 3)))))
+    corpus = [ContractCase(f"c{i}", "contract C {}\n",
+                           {c: frozenset({1}) for c in draw(st.frozensets(classes, max_size=2))})
+              for i in range(draw(st.integers(1, 8)))]
+    records = []
+    for tool in registry:
+        for case in corpus:
+            if draw(st.integers(0, 29)) == 0:
+                continue
+            status = draw(st.sampled_from(("ok",) * len(STATUSES) + STATUSES))
+            found = draw(st.frozensets(st.sampled_from(sorted(tool.capabilities))))
+            found |= draw(st.sampled_from([frozenset()] * 38 + [{"V4"}, {"X1", "V3"}]))
+            records.append(ScanRecord(
+                tool.name, case.id, status, draw(st.integers(0, 10**15)),
+                {c: draw(st.frozensets(st.integers(0, 99), max_size=3)) for c in sorted(found)}
+                if status == "ok" else {}))
+    return registry, corpus, records
+
+
+def outcome(score):
+    """What ``score()`` gives: its scores, or the type and text of its error."""
+    try:
+        return score()
+    except ScbenchError as exc:
+        return type(exc), str(exc)
+
+
+class TestFoldOracle:
+    @given(campaigns(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_scores_as_the_record_walk(self, tmp_path_factory, campaign, rnd):
+        # the file in any line order, with blank lines and CRLF ends mixed in
+        registry, corpus, records = campaign
+        path = tmp_path_factory.mktemp("fold") / "records.jsonl"
+        write_records(records, path)
+        lines = path.read_bytes().splitlines()
+        rnd.shuffle(lines)
+        path.write_bytes(b"".join(rnd.choice([b"", b"", b" \n", b"\t\r\n"]) + line
+                                  + rnd.choice([b"\n", b"\r\n"]) for line in lines))
+        assert outcome(lambda: score_campaign(load_outcomes(path, corpus), registry)) == \
+            outcome(lambda: score_campaign_oracle(records, registry, corpus))
 
 
 class TestPrf:
@@ -265,11 +323,11 @@ class TestIndicatorMatrix:
             records.append(ScanRecord("Beta", c.id, "ok", 6000,
                                       {"V1": frozenset({2})}))
         records.append(ScanRecord("Beta", safe[0].id, "ok", 6000))
-        return registry, vuln + safe, RecordSet(records)
+        return registry, vuln + safe, records
 
     def test_matches_hand_computation(self):
         registry, corpus, records = self._tiny_setup()
-        scores = score_campaign(records, registry, corpus)
+        scores = scored(records, registry, corpus)
         matrix = indicator_matrix(
             registry, {t: s.functional for t, s in scores.items()},
             {t: s.timing for t, s in scores.items()})

@@ -12,15 +12,14 @@ from scbench.adapters import AdapterConfig
 from scbench.cli import main
 from scbench.corpus import ContractCase
 from scbench.errors import MissingMetadata, ScbenchError
-from scbench.metrics import score_campaign
 from scbench.reference import pairwise_path
 from scbench.report import (distribution_table, load_indicators_csv,
                             metrics_grid, time_series, to_csv, to_markdown)
-from scbench.records import RecordSet, ScanRecord, read_records, write_records
+from scbench.records import ScanRecord, read_records, write_records
 from scbench.tables import stats_table
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId, default_taxonomy
 
-from .conftest import LABELLED_DIR, REPLAY_DIR, deny_listing
+from .conftest import LABELLED_DIR, REPLAY_DIR, deny_listing, scored
 
 
 def make_tool(name, capabilities):
@@ -43,8 +42,7 @@ def dated_case(idx, when, value_ether=None, classes=()):
 
 def distribution(registry, corpus, records):
     """The distribution rows of a scored campaign, by (tool, class)."""
-    header, rows = distribution_table(
-        registry, score_campaign(RecordSet(records), registry, corpus))
+    header, rows = distribution_table(registry, scored(records, registry, corpus))
     return {(row[0], row[1]): dict(zip(header[2:], row[2:])) for row in rows}
 
 
@@ -87,8 +85,7 @@ def series(corpus, records, **kwargs):
     classes = {cid for case in corpus for cid in case.expected}
     registry = Registry(tuple(make_tool(t, classes) for t in
                               dict.fromkeys(rec.tool for rec in records)))
-    header, rows = time_series(score_campaign(RecordSet(records), registry, corpus),
-                               corpus, **kwargs)
+    header, rows = time_series(scored(records, registry, corpus), corpus, **kwargs)
     assert header == ["Class", "Period", "Count", "ValueWei"]
     return rows
 
@@ -172,10 +169,10 @@ class TestRendering:
         registry = Registry((make_tool("T", ("V1", "V2")),))
         corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V2",)),
                   dated_case(2, None)]
-        records = RecordSet([ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
-                             ScanRecord("T", "c1", "timeout", 9),
-                             ScanRecord("T", "c2", "ok", 1)])
-        scores = score_campaign(records, registry, corpus)
+        records = [ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
+                   ScanRecord("T", "c1", "timeout", 9),
+                   ScanRecord("T", "c2", "ok", 1)]
+        scores = scored(records, registry, corpus)
         header, rows = metrics_grid(scores)
         grid = {row[1]: dict(zip(header, row)) for row in rows}
         v2 = default_taxonomy().classes[1].name
@@ -682,7 +679,14 @@ class TestCli:
          "{path}:3: usability '-inf' is not a finite number"),
         ("tool,functional,efficiency,compatibility,usability\nA,1,1,1,1\nB,0,1,1,1\n"
          "A,1,1,1,1\n", "{path}:4: tool 'A' repeats row 2"),
-    ], ids=["absent", "column", "cell", "nan", "inf", "repeated-tool"])
+        # a functional column written in percent once ranked its tools by it
+        ("tool,functional,efficiency,compatibility,usability\nA,0.5,1,1,1\n"
+         "Securify,72.424,0.9,1,0.6\n", "{path}:3: functional 72.424 is outside [0, 1]"),
+        # and one negative cell moved every entropy weight
+        ("tool,functional,efficiency,compatibility,usability\nA,0.5,1,1,1\n"
+         "B,0.5,-0.5,1,1\n", "{path}:3: efficiency -0.5 is outside [0, 1]"),
+    ], ids=["absent", "column", "cell", "nan", "inf", "repeated-tool", "percent",
+            "negative"])
     def test_indicators_that_cannot_be_loaded(self, tmp_path, capsys, content, detail):
         path = tmp_path / "indicators.csv"
         if content is not None:
@@ -702,7 +706,7 @@ class TestCli:
                                            "No such file or directory\n")
 
     @pytest.mark.parametrize("tools, detail", [
-        ("Slthr", "time series tool 'Slthr' is not a scored tool (scored: Slither, Maian)"),
+        ("Slthr", "tool 'Slthr' not in registry"),  # checked before the records are read
         ("Slither,Mythril",
          "time series tool 'Mythril' is not a scored tool (scored: Slither, Maian)"),
         (" , ", "--series-tools ' , ' names no tool"),
@@ -742,6 +746,33 @@ class TestCli:
         assert main([command, "--records", str(campaign["records"]),
                      "--corpus", str(LABELLED_DIR), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: cannot write bundle {out}: {reason}\n"
+
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+          "--tools", "Slither, Maian,Slither", "--out", "{tmp}/run.jsonl"], "--tools"),
+        (["report", "--records", "{tmp}/absent.jsonl", "--corpus", str(LABELLED_DIR),
+          "--timeseries", "--series-tools", "Slither,Slither ", "--out-dir", "{tmp}/b"],
+         "--series-tools"),
+    ], ids=["run", "report"])
+    def test_tool_named_twice_is_an_option_error(self, tmp_path, capsys, argv, option):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {option} names tool 'Slither' twice\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["metrics", "report"])
+    def test_options_are_checked_before_the_corpus_is_read(self, tmp_path, capsys, command):
+        # neither the corpus nor the records exist: the bundle directory,
+        # below a file, is reported first
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "bundle"
+        argv = [command, "--records", str(tmp_path / "absent.jsonl"),
+                "--corpus", str(tmp_path / "no-corpus"), "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot write bundle {out}: Not a directory\n"
+        if command == "report":
+            assert main([*argv[:-1], str(tmp_path / "b"), "--timeseries",
+                         "--series-tools", "Slither,Slthr"]) == 1
+            assert capsys.readouterr().err == "error: tool 'Slthr' not in registry\n"
 
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"
@@ -895,8 +926,7 @@ class TestScoringOnce:
                 line for line in path.read_text().splitlines(keepends=True)
                 if "<yes>" not in line and "@vulnerable_at_lines" not in line))
         records = [rec._replace(contract=renamed[rec.contract])
-                   for tool in registry for rec in replay_records.of_tool(tool.name).values()
-                   if rec.contract in renamed]
+                   for rec in replay_records if rec.contract in renamed]
         assert (len(renamed), len(records)) == (39, 507)
         assert scoring_errors(tmp_path, capsys, records) == {
             "error: no contract in the corpus carries a vulnerability label, "
@@ -906,8 +936,8 @@ class TestScoringOnce:
         records = [ScanRecord("Maian", cid, "ok", 1000)
                    for cid in ["arithmetic/gone", *two_case_corpus, "safe/gone"]]
         assert scoring_errors(tmp_path, capsys, records) == {
-            "error: records name contract 'arithmetic/gone' (tool Maian), "
-            "which is not in the corpus\n"}
+            f"error: {tmp_path / 'records.jsonl'}:1: records name contract "
+            "'arithmetic/gone' (tool Maian), which is not in the corpus\n"}
 
     def test_finding_outside_capabilities_rejected(self, tmp_path, capsys,
                                                    two_case_corpus):
@@ -929,9 +959,9 @@ class TestScoringOnce:
         walked = []
         walk = metrics._walk
 
-        def counted(tool, by_contract, corpus):
+        def counted(tool, *args):
             walked.append(tool.name)
-            return walk(tool, by_contract, corpus)
+            return walk(tool, *args)
 
         monkeypatch.setattr(metrics, "_walk", counted)
         cells = sum(len(tool.capabilities) for tool in registry)

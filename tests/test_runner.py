@@ -22,9 +22,9 @@ from scbench import records as records_mod
 from scbench import runner
 from scbench.adapters import AdapterConfig, ReplayFixture, parse_json_output
 from scbench.corpus import ContractCase
-from scbench.errors import ScbenchError
-from scbench.records import (STATUSES, RecordSet, ScanRecord, _from_doc, gc_paused,
-                             load_record_set, read_records, write_records)
+from scbench.errors import DuplicateRecord, ScbenchError
+from scbench.records import (STATUSES, RecordSet, ScanRecord, _fields, gc_paused,
+                             load_outcomes, read_records, write_records)
 from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
@@ -730,6 +730,30 @@ class TestNeverStarted:
         assert problems == {}
 
 
+MALFORMED_LINES = [
+    (b'{"tool": "T", "contract": "c2", "sta', "Unterminated string"),
+    (b'{"tool": "T", "contract": "c2"}', "missing field 'status'"),
+    (b'{"tool": "T", "contract": "c2", "status": "odd", "duration_ms": 1}',
+     "unknown status 'odd'"),
+    (b'["not", "a", "record"]', "list indices must be integers"),
+    (b'{"tool": "T\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    # the writer lists each class once; a second entry would replace the first
+    (b'{"tool": "T", "contract": "c2", "status": "ok", "duration_ms": 1, "findings": '
+     b'[{"class": "V1", "lines": [3]}, {"class": "V2"}, {"class": "V1", "lines": [5]}]}',
+     "findings list class 'V1' twice"),
+]
+
+
+def after_a_blank_line(bad: bytes) -> bytes:
+    """A records file of one good record, a blank line 2 and ``bad``."""
+    return ScanRecord("T", "c1", "ok", 10).to_json().encode() + b"\n\n" + bad
+
+
+def corpus_of(*ids):
+    """A corpus of empty contracts with these ids."""
+    return [ContractCase(cid, "") for cid in ids]
+
+
 class TestRecords:
     def test_jsonl_round_trip(self, tmp_path):
         records = [
@@ -741,22 +765,10 @@ class TestRecords:
         loaded = read_records(path)
         assert loaded == sorted(records, key=lambda r: (r.tool, r.contract))
 
-    @pytest.mark.parametrize("bad, detail", [
-        (b'{"tool": "T", "contract": "c2", "sta', "Unterminated string"),
-        (b'{"tool": "T", "contract": "c2"}', "missing field 'status'"),
-        (b'{"tool": "T", "contract": "c2", "status": "odd", "duration_ms": 1}',
-         "unknown status 'odd'"),
-        (b'["not", "a", "record"]', "list indices must be integers"),
-        (b'{"tool": "T\xff"}', "'utf-8' codec can't decode byte 0xff"),
-        # the writer lists each class once; a second entry would replace the first
-        (b'{"tool": "T", "contract": "c2", "status": "ok", "duration_ms": 1, "findings": '
-         b'[{"class": "V1", "lines": [3]}, {"class": "V2"}, {"class": "V1", "lines": [5]}]}',
-         "findings list class 'V1' twice"),
-    ])
+    @pytest.mark.parametrize("bad, detail", MALFORMED_LINES)
     def test_malformed_line_names_file_and_line(self, tmp_path, bad, detail):
         path = tmp_path / "records.jsonl"
-        write_records([ScanRecord("T", "c1", "ok", 10)], path)
-        path.write_bytes(path.read_bytes() + b"\n" + bad)  # a blank line 2
+        path.write_bytes(after_a_blank_line(bad))
         with pytest.raises(ScbenchError) as info:
             read_records(path)
         assert str(info.value).startswith(f"{path}:3: ")
@@ -769,8 +781,8 @@ class TestRecords:
         for end, blank in [(b"\n", b""), (b"\r\n", b" "), (b"\r", b"\t")]:
             path.write_bytes(end.join([first, second, blank, first, b""]))  # blank line 3
             assert len(read_records(path)) == 3
-            with pytest.raises(ScbenchError) as info:
-                load_record_set(path)
+            with pytest.raises(DuplicateRecord) as info:
+                load_outcomes(path, corpus_of("c1", "c2"))
             assert str(info.value) == f"{path}:4: duplicate record for (T, c1)"
 
     def test_duplicate_is_found_in_one_read(self, tmp_path, monkeypatch):
@@ -784,7 +796,7 @@ class TestRecords:
 
         monkeypatch.setattr(records_mod, "open", counted, raising=False)
         with pytest.raises(ScbenchError, match="duplicate record"):
-            load_record_set(path)
+            load_outcomes(path, corpus_of("c1"))
         assert opened == [path]
 
     @pytest.mark.parametrize("second", [None, b"{"], ids=["duplicate", "malformed"])
@@ -796,7 +808,7 @@ class TestRecords:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ScbenchError) as info:
-                load_record_set(path)
+                load_outcomes(path, corpus_of("c1"))
             assert str(info.value).startswith(f"{path}:2: ")
             del info  # its traceback holds the frames of the load
             gc.collect()
@@ -842,6 +854,26 @@ def scan_records(draw):
                       draw(st.none() | drawn_text()))
 
 
+REJECTED_LAYOUTS = [
+    (record_line("c1") + " " + record_line("c2") + "\n", 1, "Extra data"),
+    (record_line("c1") + record_line("c2") + "\n", 1, "Extra data"),
+    (record_line("c1") + "\n" + record_line("c2").replace(", ", ",\n", 1) + "\n",
+     2, "Expecting property name"),
+    (record_line("c1").replace(": ", ":\n", 1) + "\n", 1, "Expecting value"),
+    (record_line("c1") + "\n\x0c" + record_line("c2") + "\n", 2, "Expecting value"),
+    (record_line("c1") + "\n" + record_line("c2") + " x\n", 2, "Extra data"),
+    (record_line("c1").replace("[]", '[{"class": "V1", "lines": ["1"]}]') + "\n", 1,
+     "line '1' of V1 is not an integer"),
+    (record_line("c1").replace("[]", '[{"class": "V1", "lines": [true]}]') + "\n", 1,
+     "line True of V1 is not an integer"),
+    (record_line("c1").replace("10", "Infinity") + "\n", 1,
+     "cannot convert float infinity to integer"),
+]
+REJECTED_IDS = ["two-on-a-line-spaced", "two-on-a-line", "split-after-comma",
+                "split-after-colon", "non-json-space-before", "trailing-garbage",
+                "string-line", "bool-line", "infinite-duration"]
+
+
 class TestRecordCodec:
     @given(scan_records())
     @settings(max_examples=300, deadline=None)
@@ -854,7 +886,7 @@ class TestRecordCodec:
             "raw_ref": rec.raw_ref,
         }
         assert rec.to_json() == json.dumps(doc, sort_keys=True)
-        assert _from_doc(json.loads(rec.to_json()), {}.setdefault) == rec
+        assert ScanRecord(*_fields(json.loads(rec.to_json()))) == rec
 
     @given(st.lists(scan_records(), max_size=6))
     @settings(max_examples=50, deadline=None)
@@ -879,23 +911,7 @@ class TestRecordCodec:
         path.write_bytes(text.encode("utf-8"))
         assert [r.contract for r in read_records(path)] == contracts
 
-    @pytest.mark.parametrize("text, lineno, detail", [
-        (record_line("c1") + " " + record_line("c2") + "\n", 1, "Extra data"),
-        (record_line("c1") + record_line("c2") + "\n", 1, "Extra data"),
-        (record_line("c1") + "\n" + record_line("c2").replace(", ", ",\n", 1) + "\n",
-         2, "Expecting property name"),
-        (record_line("c1").replace(": ", ":\n", 1) + "\n", 1, "Expecting value"),
-        (record_line("c1") + "\n\x0c" + record_line("c2") + "\n", 2, "Expecting value"),
-        (record_line("c1") + "\n" + record_line("c2") + " x\n", 2, "Extra data"),
-        (record_line("c1").replace("[]", '[{"class": "V1", "lines": ["1"]}]') + "\n", 1,
-         "line '1' of V1 is not an integer"),
-        (record_line("c1").replace("[]", '[{"class": "V1", "lines": [true]}]') + "\n", 1,
-         "line True of V1 is not an integer"),
-        (record_line("c1").replace("10", "Infinity") + "\n", 1,
-         "cannot convert float infinity to integer"),
-    ], ids=["two-on-a-line-spaced", "two-on-a-line", "split-after-comma", "split-after-colon",
-            "non-json-space-before", "trailing-garbage", "string-line", "bool-line",
-            "infinite-duration"])
+    @pytest.mark.parametrize("text, lineno, detail", REJECTED_LAYOUTS, ids=REJECTED_IDS)
     def test_rejected_layouts_name_the_first_bad_line(self, tmp_path, text, lineno, detail):
         path = tmp_path / "records.jsonl"
         path.write_bytes(text.encode("utf-8"))
@@ -904,9 +920,26 @@ class TestRecordCodec:
         assert str(info.value).startswith(f"{path}:{lineno}: ")
         assert detail in str(info.value)
 
+    @pytest.mark.parametrize("data", [after_a_blank_line(bad) for bad, _ in MALFORMED_LINES]
+                             + [text.encode() for text, _, _ in REJECTED_LAYOUTS],
+                             ids=[f"malformed-{i}" for i in range(len(MALFORMED_LINES))]
+                             + REJECTED_IDS)
+    def test_fold_refuses_a_line_as_read_records_does(self, tmp_path, data):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(data)
+        messages = []
+        for read in (read_records, lambda p: load_outcomes(p, corpus_of("c1", "c2"))):
+            with pytest.raises(ScbenchError) as info:
+                read(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{path}:")
+
     def test_unreadable_file_is_an_error(self, tmp_path):
         with pytest.raises(ScbenchError, match="cannot read records .*: No such file"):
             read_records(tmp_path / "absent.jsonl")
+        with pytest.raises(ScbenchError, match="cannot read records .*: No such file"):
+            load_outcomes(tmp_path / "absent.jsonl", corpus_of("c1"))
 
 
 def read_error(path) -> str:

@@ -122,6 +122,12 @@ def test_left_out_dicts_are_new_per_instance():
      "confusion matrix counts must be non-negative"),
     (lambda: IndicatorMatrix(("A", "B"), ((1, 1, 1, 1),)), "indicator matrix shape mismatch"),
     (lambda: IndicatorMatrix(("A",), ((1, 1, 1),)), "indicator matrix shape mismatch"),
+    (lambda: IndicatorMatrix(("A", "B"), ((1, 1, 1, 1), (0.5, 92.9, 1, 1))),
+     r"efficiency 92.9 of B is outside \[0, 1\]"),
+    (lambda: IndicatorMatrix(("A",), ((1, 1, 1, 1),))._replace(values=((1, 1, -0.5, 1),)),
+     r"compatibility -0.5 of A is outside \[0, 1\]"),
+    (lambda: IndicatorMatrix(("A",), ((float("nan"), 1, 1, 1),)),
+     r"functional nan of A is outside \[0, 1\]"),
     (lambda: WeightVector((1.5, -0.5)), r"negative weight in \(1.5, -0.5\)"),
     (lambda: WeightVector((0.5, 0.4)), "weights sum to 0.9, not 1"),
 ])
