@@ -124,16 +124,17 @@ def _score_campaign(args, series: list[str] | None = None):
     from .taxonomy import Registry
 
     registry = Registry.load(args.registry)
-    for name in series or ():
-        registry.get(name)
+    if series:
+        report.check_series_tools(series, registry.names(), "registered")
     if args.out_dir:
         report.check_out_dir(args.out_dir)
     cases = load_directory(args.corpus, args.metadata)
     outcomes = load_outcomes(args.records, cases)
-    unknown = set(outcomes.tools) - set(registry.names())
+    recorded = set(outcomes.tools)
+    unknown = recorded - set(registry.names())
     if unknown:
         raise ScbenchError(f"records reference unregistered tools: {sorted(unknown)}")
-    registry = registry.subset([n for n in registry.names() if n in outcomes.tools])
+    registry = registry.subset([n for n in registry.names() if n in recorded])
     if series:
         report.check_series_tools(series, registry.names())
     scores = metrics.score_campaign(outcomes, registry)

@@ -10,8 +10,6 @@ every scoring table is rendered from its result.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import compress
-from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (EmptyMatrix, MissingRecord, NoSupportedClasses, NoValidRuns,
@@ -158,44 +156,41 @@ class ToolScores(NamedTuple):
         return functional_score(self.classes.values())
 
 
-def _walk(tool: ToolDescriptor, outcomes: Outcomes, labels: Sequence[int | None]):
+def _walk(tool: ToolDescriptor, outcomes: Outcomes, labels: Sequence[frozenset[str] | None]):
     """One pass over the corpus for one tool: per supported class, in
     taxonomy order, the (tp, fp, fn, tn) counts and the ids of the
     contracts flagged, then the summed milliseconds and the count of ok
-    scans. ``labels`` holds the mask of each contract's labels, None for a
+    scans. ``labels`` holds each contract's expected classes, None for a
     safe one. A class's population is its vulnerable cases plus the safe
     ones, so a contract vulnerable only to other classes stays out of its
     cell; a scan that did not end ok is in no cell. The first corpus
     contract without a record, or with a finding of a class the tool does
     not detect, raises."""
-    corpus, n = outcomes.corpus, len(labels)
-    bits = [(cid, outcomes.bits[cid]) for cid in CLASS_IDS if tool.can_detect(cid)]
-    capable = sum(bit for _, bit in bits)
-    codes, durations, masks = outcomes.tools.get(tool.name, (bytes(n), [0] * n, [0] * n))
-    oks = codes.translate(bytes(code == outcomes.OK for code in range(256)))  # 1 or 0
-    seen = Counter(compress(zip(labels, masks), oks))  # (labels, mask) of the ok scans
-    missing = codes.find(0)
-    if any(mask & ~capable for _, mask in seen):
-        at = next(at for at in range(n) if oks[at] and masks[at] & ~capable)
-        if missing < 0 or at < missing:
-            cid = min(c for c, bit in outcomes.bits.items() if masks[at] & bit & ~capable)
-            raise ScbenchError(f"record for ({tool.name}, {corpus[at].id}) flags {cid!r}, "
-                               f"which {tool.name} does not detect")
-    if missing >= 0:
+    corpus = outcomes.corpus
+    scans, total_ms, missing = outcomes.ok_scans(tool.name)
+    cells = {cid: [0, 0, 0, 0] for cid in CLASS_IDS if tool.can_detect(cid)}
+    flagged = {cid: [] for cid in cells}
+    for at, classes in scans:
+        if classes:
+            if at > missing:
+                break
+            for cid in classes:
+                try:
+                    flagged[cid].append(corpus[at].id)
+                except KeyError:
+                    raise ScbenchError(f"record for ({tool.name}, {corpus[at].id}) flags "
+                                       f"{cid!r}, which {tool.name} does not detect") from None
+    if missing < len(corpus):
         raise MissingRecord(f"no record for ({tool.name}, {corpus[missing].id})")
-    classes = {mask: [cid for cid, bit in bits if mask & bit] for _, mask in seen}
-    flagged = {cid: [] for cid, _ in bits}
-    for at in compress(range(n), map(mul, oks, masks)):  # the ok scans with findings
-        for cid in classes[masks[at]]:
-            flagged[cid].append(corpus[at].id)
-    cells = {cid: [0, 0, 0, 0] for cid in flagged}
-    for (label, mask), count in seen.items():
-        for cid, bit in bits:
-            if label is None:
-                cells[cid][1 if mask & bit else 3] += count
-            elif label & bit:
-                cells[cid][0 if mask & bit else 2] += count
-    return cells, flagged, sum(compress(durations, oks)), sum(seen.values())
+    for (label, classes), count in Counter((labels[at], classes) for at, classes in scans).items():
+        if label is None:
+            for cid, cell in cells.items():
+                cell[1 if cid in classes else 3] += count
+        else:
+            for cid in label:
+                if cid in cells:
+                    cells[cid][0 if cid in classes else 2] += count
+    return cells, flagged, total_ms, len(scans)
 
 
 def score_campaign(outcomes: Outcomes, registry: Registry) -> dict[str, ToolScores]:
@@ -209,9 +204,7 @@ def score_campaign(outcomes: Outcomes, registry: Registry) -> dict[str, ToolScor
     if not any(case.expected for case in corpus):
         raise ScbenchError("no contract in the corpus carries a vulnerability "
                            "label, so precision and recall cannot be scored")
-    bits = outcomes.bits
-    labels = [None if case.safe else sum(bits.get(cid, 0) for cid in case.expected)
-              for case in corpus]
+    labels = [None if case.safe else frozenset(case.expected) for case in corpus]
     walks = [_walk(tool, outcomes, labels) for tool in registry]
     names = {cls.id: cls.name for cls in default_taxonomy()}
     scores = {}

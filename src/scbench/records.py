@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DuplicateRecord, ScbenchError
-from .taxonomy import CLASS_IDS
 
 if TYPE_CHECKING:
     from .corpus import ContractCase
@@ -243,46 +242,56 @@ def read_records(path: str | Path) -> list[ScanRecord]:
     return records
 
 
-CODES = {status: code for code, status in enumerate(STATUSES, 1)}  # 0: no record
-
-
 class Outcomes:
-    """A campaign's records, folded as the file streams in into three lists
-    per tool indexed by corpus position: the status code (:data:`CODES`),
-    the duration in ms, and the mask of the classes flagged (``bits``: the
-    taxonomy's classes, then any other class id as it is met). Finding
-    lines are checked, then dropped: no metric reads them."""
-
-    OK = CODES["ok"]
+    """A campaign's records, folded as the file streams in into a list per
+    tool indexed by corpus position: None while the contract has no record,
+    the status of a scan that did not end ok, and for an ok scan the class
+    ids it flagged, in the file's order (one shared tuple per distinct
+    list); beside it, the tool's total ms of ok scans. Finding lines and
+    the durations of other scans are checked, then dropped: no metric
+    reads them."""
 
     def __init__(self, corpus: Sequence[ContractCase]):
         self.corpus = corpus
-        self.index = {case.id: at for at, case in enumerate(corpus)}
-        self.bits = {cid: 1 << n for n, cid in enumerate(CLASS_IDS)}
-        self.tools: dict[str, tuple[bytearray, list[int], list[int]]] = {}
+        self._index = {case.id: at for at, case in enumerate(corpus)}
+        self._slots: dict[str, list[str | tuple[str, ...] | None]] = {}
+        self._ok_ms: dict[str, int] = {}
+        self._share = {}.setdefault
+
+    @property
+    def tools(self) -> list[str]:
+        """The recorded tools, in the order of their first record."""
+        return list(self._slots)
 
     def add(self, fields: tuple) -> None:
         """Fold one record's fields in; a contract outside the corpus, or a
         second record for a (tool, contract) pair, raises."""
         tool, contract, status, duration_ms, findings, _ = fields
-        at = self.index.get(contract)
+        at = self._index.get(contract)
         if at is None:
             raise ScbenchError(f"records name contract {contract!r} (tool {tool}), "
                                "which is not in the corpus")
-        arrays = self.tools.get(tool)
-        if arrays is None:
-            n = len(self.corpus)
-            arrays = self.tools[tool] = (bytearray(n), [0] * n, [0] * n)
-        codes, durations, masks = arrays
-        if codes[at]:
+        slots = self._slots.get(tool)
+        if slots is None:
+            slots = self._slots[tool] = [None] * len(self.corpus)
+            self._ok_ms[tool] = 0
+        if slots[at] is not None:
             raise DuplicateRecord(f"duplicate record for ({tool}, {contract})")
-        codes[at] = CODES[status]
-        durations[at] = duration_ms
-        if findings:
-            bits, mask = self.bits, 0
-            for cid in findings:
-                mask |= bits.get(cid) or bits.setdefault(cid, 1 << len(bits))
-            masks[at] = mask
+        if status == "ok":
+            classes = tuple(findings)
+            slots[at] = self._share(classes, classes)
+            self._ok_ms[tool] += duration_ms
+        else:
+            slots[at] = status
+
+    def ok_scans(self, tool: str) -> tuple[list[tuple[int, tuple[str, ...]]], int, int]:
+        """``tool``'s scans that ended ok, as (corpus position, class ids
+        flagged) in corpus order; their total ms; and the position of the
+        first corpus contract that ``tool`` has no record for (the corpus
+        length when there is none)."""
+        slots = self._slots.get(tool, [None] * len(self.corpus))
+        return ([(at, slot) for at, slot in enumerate(slots) if type(slot) is tuple],
+                self._ok_ms.get(tool, 0), slots.index(None) if None in slots else len(slots))
 
 
 def load_outcomes(path: str | Path, corpus: Sequence[ContractCase]) -> Outcomes:

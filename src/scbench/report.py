@@ -177,13 +177,14 @@ def _bucket_label(ts: datetime, bucket: str) -> str:
     raise ScbenchError(f"unknown bucket {bucket!r}; pick one of {BUCKETS}")
 
 
-def check_series_tools(tools: Iterable[str], scored: Sequence[str]) -> None:
+def check_series_tools(tools: Iterable[str], known: Sequence[str], kind: str = "scored") -> None:
     """Raise :class:`ScbenchError` naming the first of ``tools`` that is
-    not one of the ``scored`` tools."""
+    not one of the ``known`` tools, which are listed as ``kind``: before
+    a campaign is read, the registered ones."""
     for tool in tools:
-        if tool not in scored:
+        if tool not in known:
             raise ScbenchError(f"time series tool {tool!r} is not a scored tool "
-                               f"(scored: {', '.join(scored)})")
+                               f"({kind}: {', '.join(known)})")
 
 
 def time_series(

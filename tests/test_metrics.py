@@ -11,7 +11,7 @@ from scbench.metrics import (ConfusionMatrix, MetricSet, TimingSummary,
                              indicator_matrix, prf,
                              usability_score)
 from scbench.metrics import score_campaign
-from scbench.records import STATUSES, ScanRecord, load_outcomes, write_records
+from scbench.records import STATUSES, ScanRecord, load_outcomes, read_records, write_records
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
 from .conftest import scored
@@ -132,6 +132,32 @@ class TestConfusion:
             scored(records, registry, vuln)
         assert str(err.value) == (f"record for (A, {vuln[1].id}) flags 'V2', "
                                   "which A does not detect")
+
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_first_fault_in_corpus_order_is_named(self, missing):
+        # one tool: no record for one case, a class it does not detect on
+        # the other; whichever comes first in the corpus is reported
+        vuln = [vulnerable_case(i) for i in range(2)]
+        flagging = vuln[1 - missing]
+        with pytest.raises(ScbenchError) as err:
+            scored([flag("A", flagging, "V2")], Registry((make_tool("A"),)), vuln)
+        assert str(err.value) == (
+            f"no record for (A, {vuln[0].id})" if missing == 0 else
+            f"record for (A, {flagging.id}) flags 'V2', which A does not detect")
+
+    def test_first_undetected_class_in_the_line_is_named(self, tmp_path):
+        # the line lists V3 before V2, neither of which A detects: V3 is
+        # named, by the fold as by the record walk
+        case = vulnerable_case(0)
+        path = tmp_path / "records.jsonl"
+        path.write_text(f'{{"tool": "A", "contract": "{case.id}", "status": "ok", '
+                        '"duration_ms": 1, "findings": [{"class": "V3", "lines": []}, '
+                        '{"class": "V2", "lines": []}, {"class": "V1", "lines": []}]}\n')
+        registry = Registry((make_tool("A"),))
+        expected = f"record for (A, {case.id}) flags 'V3', which A does not detect"
+        for score in (lambda: score_campaign(load_outcomes(path, [case]), registry),
+                      lambda: score_campaign_oracle(read_records(path), registry, [case])):
+            assert outcome(score) == (ScbenchError, expected)
 
 
 CLASSES = ("V1", "V2", "V3", "V4")

@@ -706,7 +706,8 @@ class TestCli:
                                            "No such file or directory\n")
 
     @pytest.mark.parametrize("tools, detail", [
-        ("Slthr", "tool 'Slthr' not in registry"),  # checked before the records are read
+        # checked before the records are read, against the registered tools
+        ("Slthr", "time series tool 'Slthr' is not a scored tool (registered: {registered})"),
         ("Slither,Mythril",
          "time series tool 'Mythril' is not a scored tool (scored: Slither, Maian)"),
         (" , ", "--series-tools ' , ' names no tool"),
@@ -717,7 +718,8 @@ class TestCli:
         assert main(["report", "--records", str(campaign["records"]),
                      "--corpus", str(LABELLED_DIR), "--timeseries", "--series-tools", tools,
                      "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {detail}\n"
+        registered = ", ".join(Registry.load(None).names())
+        assert capsys.readouterr().err == f"error: {detail.format(registered=registered)}\n"
         assert not out.exists()
 
     def test_series_tools_are_parsed_as_run_tools(self, campaign, tmp_path, capsys):
@@ -772,7 +774,8 @@ class TestCli:
         if command == "report":
             assert main([*argv[:-1], str(tmp_path / "b"), "--timeseries",
                          "--series-tools", "Slither,Slthr"]) == 1
-            assert capsys.readouterr().err == "error: tool 'Slthr' not in registry\n"
+            assert capsys.readouterr().err.startswith(
+                "error: time series tool 'Slthr' is not a scored tool (registered: ")
 
     def test_unregistered_tool_in_records_is_error(self, tmp_path, capsys):
         rec = tmp_path / "records.jsonl"
