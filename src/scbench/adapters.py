@@ -22,10 +22,12 @@ import re
 import shlex
 from collections import namedtuple
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import ScbenchError
-from .records import ScanRecord, check_findings
+
+if TYPE_CHECKING:
+    from .records import ScanRecord
 
 logger = logging.getLogger(__name__)
 
@@ -164,6 +166,11 @@ class ReplayFixture:
     """Pre-recorded results for one tool, keyed by contract id."""
 
     def __init__(self, entries: Mapping[str, Mapping]):
+        # imported here: ``metrics``, ``report`` and ``score`` load this
+        # module through the registry, and read no replay record
+        from . import records
+
+        self._records = records
         self._entries = dict(entries)
         self._share = {}.setdefault  # one object per distinct line set
 
@@ -191,9 +198,9 @@ class ReplayFixture:
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ScbenchError(str(exc)) from None
         if status != "ok" and findings:
-            check_findings(findings)  # the record checks only those it keeps
+            self._records.check_findings(findings)  # the record checks only those it keeps
             findings = {}
-        record = ScanRecord(tool, contract_id, status, duration_ms, findings)
+        record = self._records.ScanRecord(tool, contract_id, status, duration_ms, findings)
         for cid, lines in findings.items():  # checked by now
             findings[cid] = self._share(lines, lines)
         return record

@@ -1,12 +1,16 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 validation/data error, 2 usage error (argparse).
+Exit codes: 0 success, 1 validation/data error or a standard output that
+its reader closed early (quietly), 2 usage error (argparse).
 
 Each command imports the layers it runs, and only those, so that no start
 pays for a layer the command never calls: ``--help`` loads no layer, the
 ``corpus`` commands load no campaign or scoring module, ``score`` no
 corpus, records or runner, ``metrics`` and ``report`` no runner, and
-``run`` no scoring module.
+``run`` no scoring module. Likewise each command asks the corpus load
+for the derived fields it reads: ``corpus stats`` and ``report`` the
+labels and LoC, ``metrics`` the labels, ``corpus dedup`` the checksum
+(and the pragma flag with ``--pragma``), and ``run`` none.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -46,12 +51,13 @@ def _cmd_corpus(args) -> int:
     from .tables import stats_table
 
     if args.corpus_cmd == "stats":
-        cases = corpus_mod.load_directory(args.dir, args.metadata)
+        cases = corpus_mod.load_directory(args.dir, args.metadata, ("expected", "loc"))
         header, rows = stats_table(corpus_mod.stats(cases))
         _emit(header, rows, args.format, args.out)
         return 0
     if args.corpus_cmd == "dedup":
-        cases = corpus_mod.load_directory(args.dir, args.metadata)
+        fields = ("pragma", "checksum") if args.pragma else ("checksum",)
+        cases = corpus_mod.load_directory(args.dir, args.metadata, fields)
         cases = corpus_mod.pragma_filter(cases) if args.pragma else cases
         kept, removed = corpus_mod.dedup(cases)
         header = ["Survivors", "Removed"]
@@ -78,7 +84,7 @@ def _cmd_run(args) -> int:
     registry = Registry.load(args.registry)
     if args.tools:
         registry = registry.subset(_tool_names("--tools", args.tools))
-    cases = load_directory(args.corpus, args.metadata)
+    cases = load_directory(args.corpus, args.metadata, ())  # ids and sources
     check_records_dir(args.out)
     problems: dict[str, list[str]] = {}
     records = execute_campaign(
@@ -111,8 +117,9 @@ def _tool_names(option: str, text: str) -> list[str]:
     return names
 
 
-def _score_campaign(args, series: list[str] | None = None):
-    """Load the campaign and score it once: the corpus, the recorded tools,
+def _score_campaign(args, fields, series: list[str] | None = None):
+    """Load the campaign and score it once: the corpus (with the labels and
+    the other derived ``fields`` the command reads), the recorded tools,
     their scores, the indicator matrix and the four tables that ``metrics``
     prints and ``report`` bundles. The options are checked first: the
     bundle directory can be made, and each ``series`` tool is registered,
@@ -128,7 +135,7 @@ def _score_campaign(args, series: list[str] | None = None):
         report.check_series_tools(series, registry.names(), "registered")
     if args.out_dir:
         report.check_out_dir(args.out_dir)
-    cases = load_directory(args.corpus, args.metadata)
+    cases = load_directory(args.corpus, args.metadata, fields)
     outcomes = load_outcomes(args.records, cases)
     recorded = set(outcomes.tools)
     unknown = recorded - set(registry.names())
@@ -153,7 +160,7 @@ def _cmd_metrics(args) -> int:
     from . import report
     from .tables import to_markdown
 
-    *_, tables = _score_campaign(args)
+    *_, tables = _score_campaign(args, ("expected",))
     if args.out_dir:
         manifest = report.write_bundle(args.out_dir, tables, notes=[])
         print(f"wrote {manifest}")
@@ -211,7 +218,8 @@ def _cmd_report(args) -> int:
     pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
     series = (_tool_names("--series-tools", args.series_tools)
               if args.timeseries and args.series_tools else None)
-    cases, registry, scores, indicator, tables = _score_campaign(args, series)
+    cases, registry, scores, indicator, tables = _score_campaign(args, ("expected", "loc"),
+                                                                 series)
     ewm = mcdm.ewm_weights(indicator.values)
     tables.update({
         "stats": stats_table(corpus_mod.stats(cases)),
@@ -317,9 +325,16 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _DISPATCH[args.cmd](args)
+        rc = _DISPATCH[args.cmd](args)
+        sys.stdout.flush()  # a closed pipe is met here, not at exit
+        return rc
     except ScbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left (``| head``): what is still buffered goes nowhere,
+        # and the exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -5,29 +5,34 @@ A corpus is a list of :class:`ContractCase`. The labelled layout is
 are flat directories or a CSV export of (address, source). An optional
 ``metadata.csv`` sidecar (id, ISO-8601 timestamp, wei value) feeds the
 time-series reports.
+
+A load reads each file (bytes, UTF-8, metadata) and then scans it
+(:func:`scan_case`): one comment-stripping pass yields only the derived
+fields the caller names, and no pass runs when it names none.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 import re
 import warnings
 from collections import namedtuple
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from ..errors import AnnotationMismatch, ScbenchError, UnknownMarker
 from ..taxonomy import default_taxonomy
-from .lexer import BACKEND, _loc, _pragma, _squeeze, _strip, normalize_source, strip_comments
+from .lexer import (BACKEND, _checksum, _loc, _pragma, _strip, normalize_source,
+                    strip_comments)
 
 # ``BACKEND`` has no reader in ``scbench``: the set-up probe of
 # ``perfbench/workload.py`` imports it, so it stays until the benchmark
 # stops asking for it.
 __all__ = [
     "BACKEND",
+    "DERIVED",
     "ContractCase",
     "ClassStat",
     "CorpusStats",
@@ -40,6 +45,7 @@ __all__ = [
     "normalize_source",
     "parse_annotations",
     "pragma_filter",
+    "scan_case",
     "scan_problems",
     "stats",
     "strip_comments",
@@ -54,10 +60,10 @@ class ContractCase(namedtuple("ContractCase", "id source expected created_at tx_
     """One corpus entry: source text plus its ground-truth labels
     (``expected``; a new empty dict when left out), its creation time and
     transaction value in wei. ``loc``, ``pragma`` and ``checksum`` (the
-    dedup key) derive from the comment-stripped source: the loaders pass
-    them from the scan that parses the annotations; otherwise one scan
-    fills them. They take no part in equality, which holds only between
-    cases."""
+    dedup key) derive from the comment-stripped source; :func:`scan_case`
+    fills those a command reads, and one it does not stays None, as does
+    ``expected`` when the labels were not parsed. The derived fields take
+    no part in equality, which holds only between cases."""
 
     __slots__ = ()
 
@@ -66,8 +72,6 @@ class ContractCase(namedtuple("ContractCase", "id source expected created_at tx_
                 created_at: datetime | None = None, tx_value: int | None = None,
                 loc: int | None = None, pragma: bool | None = None,
                 checksum: str | None = None) -> "ContractCase":
-        if checksum is None:
-            loc, pragma, checksum = _derived(strip_comments(source, strict=False)).values()
         return tuple.__new__(cls, (id, source, {} if expected is None else expected,
                                    created_at, tx_value, loc, pragma, checksum))
 
@@ -82,16 +86,44 @@ class ContractCase(namedtuple("ContractCase", "id source expected created_at tx_
         return not self.expected
 
 
-def _derived(stripped: str) -> dict:
-    """The :class:`ContractCase` fields computed from its stripped source.
+# The fields of a ContractCase that a scan derives from its source; each
+# command names those it reads (the labels are ``expected``).
+DERIVED = ("expected", "loc", "pragma", "checksum")
 
-    The checksum is a dedup key, not a security boundary, so MD5 will do.
-    """
-    return {
-        "loc": _loc(stripped),
-        "pragma": _pragma(stripped),
-        "checksum": hashlib.md5(_squeeze(stripped).encode("utf-8")).hexdigest(),
-    }
+
+def scan_case(case_id: str, source: str, fields: Collection[str] = DERIVED,
+              created_at: datetime | None = None, tx_value: int | None = None,
+              origin: str | None = None) -> ContractCase:
+    """The case of ``source`` with the derived ``fields`` (of
+    :data:`DERIVED`) from one comment-stripping scan, or from none when
+    ``fields`` is empty; the others stay None. ``origin`` names the source
+    (its file) in a label error; it defaults to ``case_id``."""
+    expected = loc = pragma = checksum = None
+    if fields:
+        stripped = strip_comments(source, strict=False)
+        if "expected" in fields:
+            try:
+                expected = _annotations(source, stripped)
+            except UnknownMarker as exc:
+                raise UnknownMarker(f"{origin or case_id}: {exc}") from None
+        if "loc" in fields:
+            loc = _loc(stripped)
+        if "pragma" in fields:
+            pragma = _pragma(stripped)
+        if "checksum" in fields:
+            checksum = _checksum(stripped)
+    return ContractCase._make((case_id, source, expected, created_at, tx_value,
+                               loc, pragma, checksum))
+
+
+def _derived(case: ContractCase, field: str):
+    """``field`` of ``case``; one its load did not derive is an error, never
+    a None that would count as a value."""
+    value = getattr(case, field)
+    if value is None:
+        raise ScbenchError(f"case {case.id}: {field} was not derived; "
+                           "scan it with that field")
+    return value
 
 
 def parse_annotations(source: str) -> dict[str, frozenset[int]]:
@@ -181,17 +213,18 @@ def dedup(cases: Iterable[ContractCase]) -> tuple[list[ContractCase], int]:
     kept: list[ContractCase] = []
     removed = 0
     for case in cases:
-        if case.checksum in seen:
+        checksum = _derived(case, "checksum")
+        if checksum in seen:
             removed += 1
         else:
-            seen.add(case.checksum)
+            seen.add(checksum)
             kept.append(case)
     return kept, removed
 
 
 def pragma_filter(cases: Iterable[ContractCase]) -> list[ContractCase]:
     """Keep only cases with a ``pragma solidity`` directive outside comments."""
-    return [case for case in cases if case.pragma]
+    return [case for case in cases if _derived(case, "pragma")]
 
 
 class ClassStat(NamedTuple):
@@ -223,12 +256,13 @@ def stats(cases: Iterable[ContractCase]) -> CorpusStats:
     safe_count = 0
     safe_loc = 0
     for case in cases:
-        if case.safe:
+        expected, loc = _derived(case, "expected"), _derived(case, "loc")
+        if not expected:
             safe_count += 1
-            safe_loc += case.loc
-        for cid in case.expected:
+            safe_loc += loc
+        for cid in expected:
             counts[cid] += 1
-            locs[cid] += case.loc
+            locs[cid] += loc
     return CorpusStats(
         per_class=tuple(
             ClassStat(c.id, c.name, counts[c.id], locs[c.id]) for c in taxonomy
@@ -324,13 +358,20 @@ def _labelled_files(root: str) -> Iterator[tuple[str, str]]:
 
 def _read_source(path: str, origin: str) -> str:
     """The file's text as ``Path.read_text("utf-8")`` gives it: UTF-8 with
-    universal newlines. A file that cannot be read or decoded is a
-    :class:`ScbenchError` naming ``origin`` (and the line of a bad byte)."""
+    universal newlines, read with ``os.read`` and no file object. A file
+    that cannot be read or decoded is a :class:`ScbenchError` naming
+    ``origin`` (and the line of a bad byte)."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ScbenchError(f"{origin}: {exc.strerror or exc}") from None
+    data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -343,26 +384,22 @@ def _read_source(path: str, origin: str) -> str:
     return text
 
 
-def _load_case(case_id: str, source: str, meta, origin: str) -> ContractCase:
-    """One comment-stripping scan gives the labels and every derived field.
-    ``origin`` names the source (its file) in a label error."""
-    stripped = strip_comments(source, strict=False)
+def _load_case(case_id: str, source: str, meta, origin: str,
+               fields: Collection[str]) -> ContractCase:
+    """A read source joined with its metadata, then scanned for ``fields``."""
     created_at, tx_value = meta.get(case_id, (None, None))
-    try:
-        expected = _annotations(source, stripped)
-    except UnknownMarker as exc:
-        raise UnknownMarker(f"{origin}: {exc}") from None
-    return ContractCase(case_id, source, expected, created_at, tx_value,
-                        **_derived(stripped))
+    return scan_case(case_id, source, fields, created_at, tx_value, origin)
 
 
-def load_labelled(root: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
-    """Load ``<root>/<class_dir>/*.sol`` (including ``safe/``), sorted by id."""
+def load_labelled(root: str | Path, metadata: str | Path | None = None,
+                  fields: Collection[str] = DERIVED) -> list[ContractCase]:
+    """Load ``<root>/<class_dir>/*.sol`` (including ``safe/``), sorted by id,
+    with the derived ``fields`` (see :func:`scan_case`)."""
     root = os.fspath(root)
     if not os.path.isdir(root):
         raise ScbenchError(f"corpus root {root} is not a directory")
     meta = _sidecar(root, metadata)
-    return [_load_case(rel.removesuffix(".sol"), _read_source(path, rel), meta, rel)
+    return [_load_case(rel.removesuffix(".sol"), _read_source(path, rel), meta, rel, fields)
             for rel, path in _labelled_files(root)]
 
 
@@ -380,25 +417,27 @@ def _is_labelled(root: str) -> bool:
     return False
 
 
-def load_directory(directory: str | Path,
-                   metadata: str | Path | None = None) -> list[ContractCase]:
+def load_directory(directory: str | Path, metadata: str | Path | None = None,
+                   fields: Collection[str] = DERIVED) -> list[ContractCase]:
     """Load a corpus directory in its layout: labelled (:func:`load_labelled`)
     when a subdirectory holds a ``*.sol`` file, else flat (:func:`load_flat`)."""
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise ScbenchError(f"{directory} is not a directory")
     if _is_labelled(directory):
-        return load_labelled(directory, metadata)
-    return load_flat(directory, metadata)
+        return load_labelled(directory, metadata, fields)
+    return load_flat(directory, metadata, fields)
 
 
-def load_flat(directory: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
+def load_flat(directory: str | Path, metadata: str | Path | None = None,
+              fields: Collection[str] = DERIVED) -> list[ContractCase]:
     """Load a flat directory of ``*.sol`` files (scaled-corpus layout); a
     case's id is its file name less ``.sol``, as ``Path.stem`` gives it."""
     directory = os.fspath(directory)
     meta = _sidecar(directory, metadata)
     prefix = os.path.join(directory, "")
-    return [_load_case(name[:-4] or name, _read_source(prefix + name, name), meta, name)
+    return [_load_case(name[:-4] or name, _read_source(prefix + name, name), meta, name,
+                       fields)
             for name in _sources(directory)]
 
 
@@ -407,7 +446,7 @@ def load_csv_corpus(path: str | Path, metadata: str | Path | None = None) -> lis
     meta = load_metadata(metadata) if metadata else {}
     with open(path, newline="", encoding="utf-8") as fh:
         return [_load_case(row["address"], row["source"], meta,
-                           f"{path} row {row['address']}")
+                           f"{path} row {row['address']}", DERIVED)
                 for row in csv.DictReader(fh)]
 
 

@@ -98,6 +98,15 @@ def _squeeze(stripped: str) -> str:
     return out
 
 
+def _checksum(stripped: str) -> str:
+    """The dedup key of comment-stripped text: the MD5 of its checksum form.
+    It is a dedup key, not a security boundary, so MD5 will do; ``hashlib``
+    is imported here, as only ``corpus dedup`` reads a checksum."""
+    import hashlib
+
+    return hashlib.md5(_squeeze(stripped).encode("utf-8")).hexdigest()
+
+
 def _loc(stripped: str) -> int:
     """Non-blank lines of comment-stripped text."""
     return sum(1 for line in stripped.splitlines() if line.strip())

@@ -7,9 +7,14 @@ agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import hashlib
 import re
+import warnings
 
 import mpmath as mp
+
+from scbench.errors import AnnotationMismatch, UnknownMarker
+from scbench.taxonomy import default_taxonomy
 
 _TOKEN = re.compile(r'"|\'|/\*|//')
 
@@ -82,6 +87,77 @@ def normalize_oracle(src: str) -> str:
         if nxt == out:
             return out
         out = nxt
+
+
+
+_HEADER = re.compile(r"@vulnerable_at_lines\s*:\s*([0-9][0-9,\s]*)")
+_MARKER = re.compile(r"<yes>\s*<report>\s*([A-Za-z0-9_\-]+)")
+
+
+def case_fields_oracle(source: str) -> tuple[dict, int, bool, str, list[str]]:
+    """Labels, LoC, pragma flag and checksum of ``source``, and the
+    ``AnnotationMismatch`` messages on the way, as the loader derived them
+    for every case before a scan took a list of fields: its per-line
+    annotation pass, line count and MD5, kept here as they were, over the
+    token-walk oracle's stripped and normalized text. An unknown marker
+    raises ``UnknownMarker`` as it did."""
+    stripped = lexer_oracle(source, False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = _annotations_as_loaded(source, stripped)
+    loc = sum(1 for line in stripped.splitlines() if line.strip())
+    pragma = re.search(r"pragma\s+solidity", stripped) is not None
+    checksum = hashlib.md5(normalize_oracle(source).encode("utf-8")).hexdigest()
+    return labels, loc, pragma, checksum, [str(w.message) for w in caught]
+
+
+def _annotations_as_loaded(source: str, stripped: str) -> dict[str, frozenset[int]]:
+    taxonomy = default_taxonomy()
+    stripped_lines = stripped.splitlines()
+    inline: dict[str, set[int]] = {}
+    for idx, raw in enumerate(source.splitlines()):
+        m = "<yes>" in raw and _MARKER.search(raw)
+        if not m:
+            continue
+        try:
+            cls = taxonomy.class_for_marker(m.group(1))
+        except UnknownMarker as exc:
+            raise UnknownMarker(f"line {idx + 1}: {exc}") from None
+        target = None
+        for k in range(idx + 1, len(stripped_lines)):
+            if stripped_lines[k].strip():
+                target = k + 1
+                break
+        if target is None:
+            warnings.warn(AnnotationMismatch(
+                f"marker {m.group(1)!r} on line {idx + 1} has no following statement"))
+            continue
+        inline.setdefault(cls.id, set()).add(target)
+
+    header: set[int] = set()
+    hm = _HEADER.search(source)
+    if hm:
+        header = {int(tok) for tok in hm.group(1).split(",") if tok.strip()}
+    result = {cid: set(lines) for cid, lines in inline.items()}
+    if header:
+        inline_union = set().union(*inline.values()) if inline else set()
+        if len(result) == 1:
+            if header != inline_union:
+                warnings.warn(AnnotationMismatch(
+                    f"header lines {sorted(header)} disagree with inline "
+                    f"marker lines {sorted(inline_union)}"))
+            (only,) = result
+            result[only] |= header
+        elif not result:
+            warnings.warn(AnnotationMismatch(
+                f"header declares lines {sorted(header)} but no inline markers are present"))
+        else:
+            stray = header - inline_union
+            if stray:
+                warnings.warn(AnnotationMismatch(
+                    f"header lines {sorted(stray)} match no inline marker "
+                    "in a multi-class file"))
+    return {cid: frozenset(lines) for cid, lines in result.items()}
 
 
 def ewm_oracle(matrix) -> list[float]:

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import textwrap
+import warnings
 from datetime import datetime, timezone
 
 import pytest
@@ -11,16 +12,16 @@ from hypothesis import strategies as st
 
 from scbench.corpus import (ContractCase, dedup, lexer, load_csv_corpus,
                             load_directory, load_flat, load_labelled, normalize_source,
-                            parse_annotations, pragma_filter, scan_problems,
-                            stats)
+                            parse_annotations, pragma_filter, scan_case,
+                            scan_problems, stats)
 from scbench.errors import AnnotationMismatch, ScbenchError, UnknownMarker
 
 from .conftest import LABELLED_DIR, LISTING_FIXTURE, deny_listing
+from .oracles import case_fields_oracle
 
 
 def make_case(idx: int, source: str) -> ContractCase:
-    return ContractCase(id=f"case_{idx:03d}", source=source,
-                        expected=parse_annotations(source))
+    return scan_case(f"case_{idx:03d}", source)
 
 
 class TestParseAnnotations:
@@ -160,7 +161,7 @@ def small_corpus(draw):
             ["pragma solidity ^0.5.0;\n", "// pragma solidity ^0.5.0;\n", ""]
         ))
         comment = draw(st.sampled_from(["", "// note\n", "/* block */\n"]))
-        cases.append(ContractCase(id=f"c{i}", source=pragma + comment + body))
+        cases.append(scan_case(f"c{i}", pragma + comment + body))
     return cases
 
 
@@ -439,7 +440,7 @@ class TestStats:
     def test_listing_fixture_loc_hand_count(self):
         # pragma, contract, mapping, function, uint, call, require,
         # assignment, two closing braces: ten code lines
-        assert ContractCase("c", LISTING_FIXTURE.read_text("utf-8")).loc == 10
+        assert scan_case("c", LISTING_FIXTURE.read_text("utf-8")).loc == 10
 
     def test_every_expected_class_is_taxonomy_member(self, labelled_corpus):
         valid = {f"V{i}" for i in range(1, 11)}
@@ -488,14 +489,14 @@ class TestOneScanPerContract:
 
     def test_hand_built_case_derives_fields_from_one_scan(self, scans):
         source = "pragma solidity ^0.5.0;\n// note\ncontract C {  }\n"
-        case = ContractCase(id="c", source=source)
+        case = scan_case("c", source)
         assert len(scans) == 1
         assert (case.loc, case.pragma) == (2, True)
         assert case.checksum == _checksum(source)
 
     def test_loaded_fields_match_public_functions(self, labelled_corpus):
         for case in labelled_corpus:
-            fresh = ContractCase(case.id, case.source)
+            fresh = scan_case(case.id, case.source)
             assert case.loc == fresh.loc, case.id
             assert case.pragma == fresh.pragma, case.id
             assert case.checksum == _checksum(case.source), case.id
@@ -516,3 +517,72 @@ class TestOneScanPerContract:
         case = make_case(0, "contract A {}")
         assert case == ContractCase(case.id, case.source, case.expected, loc=0,
                                     pragma=False, checksum="")
+
+    @pytest.mark.parametrize("fields, scanned", [
+        ((), 0), (("checksum",), 389), (("pragma", "checksum"), 389),
+        (("expected",), 389), (("expected", "loc"), 389)])
+    def test_a_load_scans_only_for_the_fields_it_derives(self, scans, fields, scanned):
+        cases = load_directory(LABELLED_DIR, fields=fields)
+        assert len(scans) == scanned and len(cases) == 389
+        for name in ("expected", "loc", "pragma", "checksum"):
+            assert all((getattr(c, name) is None) == (name not in fields) for c in cases)
+
+    def test_fields_left_underived_are_refused(self):
+        cases = load_directory(LABELLED_DIR, fields=("expected",))
+        with pytest.raises(ScbenchError, match="^case arithmetic/.*: checksum was not derived"):
+            dedup(cases)
+        with pytest.raises(ScbenchError, match="pragma was not derived"):
+            pragma_filter(cases)
+        with pytest.raises(ScbenchError, match="loc was not derived"):
+            stats(cases)
+        with pytest.raises(ScbenchError, match="expected was not derived"):
+            stats(load_directory(LABELLED_DIR, fields=("loc",)))
+
+
+_ORACLE_LINES = st.sampled_from([
+    "pragma solidity ^0.5.0;", "contract C {", "}", "    f();", "", "   ", "\t",
+    "// <yes> <report> REENTRANCY", "    // <yes> <report> ARITHMETIC",
+    "x(); // <yes>  <report>\tUNCHECKED_LL_CALLS <yes> <report> DAO",
+    "/* <yes> <report> TOD */", "/* open", "close */ g();", "// note",
+    's = "// <yes> <report> DOS";', "// @vulnerable_at_lines: 3,5", "<yes><report>OVERFLOW",
+    "// <yes>", "<report> REENTRANCY", "// <yes> <report> NO_SUCH_CLASS",
+])
+_ORACLE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+
+
+@st.composite
+def annotated_sources(draw):
+    """Sources mixing markers, comments and headers over every kind of line
+    break, with or without a break after the last line."""
+    lines = draw(st.lists(_ORACLE_LINES, max_size=12))
+    breaks = draw(st.lists(_ORACLE_BREAKS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text[:-len(breaks[-1])] if breaks and draw(st.booleans()) else text
+
+
+def scanned_fields(source: str):
+    """What ``scan_case`` derives from ``source``, and the messages of the
+    ``AnnotationMismatch`` warnings it gives, in the oracle's shape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        case = scan_case("c", source)
+    assert all(w.category is AnnotationMismatch for w in caught)
+    return (case.expected, case.loc, case.pragma, case.checksum,
+            [str(w.message) for w in caught])
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_sources())
+def test_scan_matches_the_eager_loader_oracle(source):
+    try:
+        want = case_fields_oracle(source)
+    except UnknownMarker as exc:
+        with pytest.raises(UnknownMarker, match=f"^c: {re.escape(str(exc))}$"):
+            scanned_fields(source)
+    except ValueError as exc:
+        # a header whose number runs into a break other than "\n" (say
+        # "3,5\x1c") fails int() in both versions alike
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            scanned_fields(source)
+    else:
+        assert scanned_fields(source) == want

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbench.corpus import (BACKEND, ContractCase, lexer, normalize_source,
+from scbench.corpus import (BACKEND, lexer, normalize_source, scan_case,
                             strip_comments)
 from scbench.errors import UnterminatedBlockComment, UnterminatedString
 
@@ -60,26 +60,26 @@ class TestStripComments:
 
 class TestLoc:
     def test_comment_only_file_counts_zero(self):
-        assert ContractCase("c", "// a\n\n/* b\n b2 */\n").loc == 0
+        assert scan_case("c", "// a\n\n/* b\n b2 */\n").loc == 0
 
     def test_annotation_markers_do_not_count(self):
         src = "pragma solidity ^0.5.0;\n// <yes> <report> REENTRANCY\ncall();\n"
-        assert ContractCase("c", src).loc == 2
+        assert scan_case("c", src).loc == 2
 
     def test_brace_only_lines_count(self):
-        assert ContractCase("c", "contract C {\n}\n").loc == 2
+        assert scan_case("c", "contract C {\n}\n").loc == 2
 
 
 class TestPragma:
     def test_plain_pragma(self):
-        assert ContractCase("c", "pragma solidity ^0.5.0;\ncontract C {}").pragma
+        assert scan_case("c", "pragma solidity ^0.5.0;\ncontract C {}").pragma
 
     def test_pragma_only_in_comment_does_not_count(self):
-        assert not ContractCase("c", "/* pragma solidity ^0.5.0; */\ncontract C {}").pragma
-        assert not ContractCase("c", "// pragma solidity ^0.5.0;\ncontract C {}").pragma
+        assert not scan_case("c", "/* pragma solidity ^0.5.0; */\ncontract C {}").pragma
+        assert not scan_case("c", "// pragma solidity ^0.5.0;\ncontract C {}").pragma
 
     def test_extra_whitespace_allowed(self):
-        assert ContractCase("c", "pragma\t solidity 0.8.0;").pragma
+        assert scan_case("c", "pragma\t solidity 0.8.0;").pragma
 
 
 def _random_source(rng: random.Random) -> str:

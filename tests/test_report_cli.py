@@ -235,6 +235,15 @@ def layers_loaded(argv, paths) -> set[str]:
             if name.startswith("scbench.")} - {"data"}
 
 
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    """Every module in ``sys.modules`` of a fresh interpreter that imports
+    nothing."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    return set(proc.stdout.split())
+
+
 # every command, for the checks of what it leaves out of ``sys.modules``
 COMMANDS = {
     "help": ["--help"],
@@ -313,17 +322,47 @@ class TestCli:
         assert main(["corpus", "stats", str(tmp_path)]) == 0
         assert "Total,1," in capsys.readouterr().out
 
-    def test_unknown_marker_names_file_and_line(self, tmp_path, capsys):
-        bad = tmp_path / "reentrancy"
-        bad.mkdir()
-        (bad / "a.sol").write_text(
-            "pragma solidity ^0.5.0;\ncontract C {\n"
-            "    // <yes> <report> FRONTRUN\n    f();\n}\n"
-        )
-        assert main(["corpus", "stats", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err == ("error: reentrancy/a.sol: line 3: "
-                       "marker 'FRONTRUN' matches no class alias\n")
+    @pytest.mark.parametrize("command", ["stats", "metrics", "report", "run", "dedup"])
+    def test_unknown_marker_names_file_and_line(self, tmp_path, capsys, command):
+        # only a command that reads the labels parses them: ``run`` and
+        # ``corpus dedup`` give what they give with a known marker
+        def corpus(name, marker):
+            (tmp_path / name / "reentrancy").mkdir(parents=True)
+            (tmp_path / name / "reentrancy" / "a.sol").write_text(
+                "pragma solidity ^0.5.0;\ncontract C {\n"
+                f"    // <yes> <report> {marker}\n    f();\n}}\n"
+            )
+            return str(tmp_path / name)
+
+        bad, good = corpus("bad", "FRONTRUN"), corpus("good", "REENTRANCY")
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        (replay / "Slither.json").write_text('{"reentrancy/a": {"status": "ok"}}')
+        records = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", good, "--replay", str(replay), "--tools", "Slither",
+                     "--out", str(records)]) == 0
+        argv = {
+            "stats": ["corpus", "stats", "{}"],
+            "metrics": ["metrics", "--records", str(records), "--corpus", "{}"],
+            "report": ["report", "--records", str(records), "--corpus", "{}",
+                       "--out-dir", str(tmp_path / "bundle")],
+            "run": ["run", "--corpus", "{}", "--replay", str(replay), "--tools", "Slither",
+                    "--out", str(records)],
+            "dedup": ["corpus", "dedup", "{}", "--list-ids"],
+        }[command]
+
+        def outcome(root):
+            capsys.readouterr()
+            rc = main([arg.format(root) for arg in argv])
+            out, err = capsys.readouterr()
+            return rc, out, err, records.read_bytes()
+
+        if command in ("run", "dedup"):
+            assert outcome(bad) == outcome(good)
+            assert outcome(bad)[0] == 0
+        else:
+            assert outcome(bad)[:3] == (1, "", "error: reentrancy/a.sol: line 3: "
+                                               "marker 'FRONTRUN' matches no class alias\n")
 
     def test_corpus_dedup(self, tmp_path, capsys):
         d = tmp_path / "flat"
@@ -397,7 +436,10 @@ class TestCli:
           "--timeseries", "--out-dir", "{bundle}"], {"runner"}),
         (["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
           "--tools", "Slither", "--out", "{out}"], {"tables", *SCORING_LAYERS}),
-    ], ids=["metrics", "report", "run"])
+        # the registry loads ``adapters``, which reads no record here
+        (COMMANDS["ewm"], {"corpus", "records", "runner"}),
+        (COMMANDS["ahp"], {"corpus", "records", "runner"}),
+    ], ids=["metrics", "report", "run", "ewm", "ahp"])
     def test_command_skips_layers_it_does_not_run(self, campaign, argv, absent):
         assert layers_loaded(argv, campaign) & absent == set()
 
@@ -436,6 +478,22 @@ class TestCli:
         assert loaded & {"dataclasses", "inspect"} == set()
         if command in ("metrics", "ewm"):  # only a judgment matrix needs fractions
             assert loaded & {"fractions", "decimal"} == set()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_only_dedup_loads_hashlib(self, campaign, bare_modules, command):
+        # only ``corpus dedup`` reads a checksum
+        assert "hashlib" not in bare_modules
+        assert ("hashlib" in modules_loaded(COMMANDS[command], campaign)) == (command == "dedup")
+
+    def test_closed_stdout_ends_quietly(self):
+        argv = [sys.executable, "-m", "scbench.cli", "corpus", "dedup", str(LABELLED_DIR),
+                "--list-ids"]
+        with subprocess.Popen(argv, env=src_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()  # the reader leaves before the first line
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == b""
 
     def test_replay_misses_fail_the_run(self, tmp_path, capsys):
         # a flat copy renames every contract, so no fixture entry matches

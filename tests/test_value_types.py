@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import pytest
 
 from scbench.adapters import DEFAULT_TIMEOUT, AdapterConfig
-from scbench.corpus import ClassStat, ContractCase, CorpusStats
+from scbench.corpus import ClassStat, ContractCase, CorpusStats, scan_case
 from scbench.errors import ScbenchError
 from scbench.mcdm import ConsistencyReport, ScoreRow, ScoreTable, WeightVector
 from scbench.metrics import (ConfusionMatrix, IndicatorMatrix, MetricSet,
@@ -137,8 +137,11 @@ def test_checks(build, message):
 
 
 def test_derived_fields():
-    case = ContractCase("c", SOURCE)
+    # a hand-built case derives nothing; scan_case derives what it is asked for
+    assert ContractCase("c", SOURCE)[5:] == (None, None, None)
+    case = scan_case("c", SOURCE)
     assert (case.loc, case.pragma) == (2, True) and len(case.checksum) == 32
+    assert scan_case("c", SOURCE, ("pragma",))[2:] == (None, None, None, None, True, None)
     kept = ContractCase("c", SOURCE, loc=9, pragma=False, checksum="k")
     assert (kept.loc, kept.pragma, kept.checksum) == (9, False, "k")
     adapter = AdapterConfig(kind="text", command="tool --in {input}")
