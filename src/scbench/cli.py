@@ -4,28 +4,27 @@ Exit codes: 0 success, 1 validation/data error or a standard output that
 its reader closed early (quietly), 2 usage error (argparse).
 
 Each command imports the layers it runs, and only those, so that no start
-pays for a layer the command never calls: ``--help`` loads no layer, the
-``corpus`` commands load no campaign or scoring module, ``score`` no
-corpus, records or runner, ``metrics`` and ``report`` no runner, and
-``run`` no scoring module. Likewise each command asks the corpus load
-for the derived fields it reads: ``corpus stats`` and ``report`` the
-labels and LoC, ``metrics`` the labels, ``corpus dedup`` the checksum
-(and the pragma flag with ``--pragma``), and ``run`` none.
+pays for a layer the command never calls: ``--help`` loads no layer and
+no ``logging``, the ``corpus`` commands load no campaign or scoring
+module, ``score`` no corpus, records or runner, ``metrics`` and
+``report`` no runner, and ``run`` no scoring module. Likewise each
+command asks the corpus load for the derived fields it reads: ``corpus
+stats`` and ``report`` the labels and LoC, ``metrics`` the labels,
+``corpus dedup`` the checksum (and the pragma flag with ``--pragma``),
+and ``run`` none. Only ``report --timeseries`` reads the metadata
+sidecar: ``--metadata``, else the corpus's own ``metadata.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
 
 from . import BUCKETS
 from .errors import ScbenchError
-
-logger = logging.getLogger(__name__)
 
 
 def _emit(header, rows, fmt: str, out: str | None) -> None:
@@ -51,13 +50,13 @@ def _cmd_corpus(args) -> int:
     from .tables import stats_table
 
     if args.corpus_cmd == "stats":
-        cases = corpus_mod.load_directory(args.dir, args.metadata, ("expected", "loc"))
+        cases = corpus_mod.load_directory(args.dir, ("expected", "loc"))
         header, rows = stats_table(corpus_mod.stats(cases))
         _emit(header, rows, args.format, args.out)
         return 0
     if args.corpus_cmd == "dedup":
         fields = ("pragma", "checksum") if args.pragma else ("checksum",)
-        cases = corpus_mod.load_directory(args.dir, args.metadata, fields)
+        cases = corpus_mod.load_directory(args.dir, fields)
         cases = corpus_mod.pragma_filter(cases) if args.pragma else cases
         kept, removed = corpus_mod.dedup(cases)
         header = ["Survivors", "Removed"]
@@ -84,7 +83,7 @@ def _cmd_run(args) -> int:
     registry = Registry.load(args.registry)
     if args.tools:
         registry = registry.subset(_tool_names("--tools", args.tools))
-    cases = load_directory(args.corpus, args.metadata, ())  # ids and sources
+    cases = load_directory(args.corpus, ())  # ids and sources
     check_records_dir(args.out)
     problems: dict[str, list[str]] = {}
     records = execute_campaign(
@@ -117,17 +116,11 @@ def _tool_names(option: str, text: str) -> list[str]:
     return names
 
 
-def _score_campaign(args, fields, series: list[str] | None = None):
-    """Load the campaign and score it once: the corpus (with the labels and
-    the other derived ``fields`` the command reads), the recorded tools,
-    their scores, the indicator matrix and the four tables that ``metrics``
-    prints and ``report`` bundles. The options are checked first: the
-    bundle directory can be made, and each ``series`` tool is registered,
-    and then recorded. The records file is folded into an outcome table as
-    it is read, so no record outlives its line."""
-    from . import metrics, report
-    from .corpus import load_directory
-    from .records import load_outcomes
+def _campaign_registry(args, series: list[str] | None = None):
+    """The registry of a campaign command, once its options are checked,
+    before any input is read: the bundle directory can be made, and each
+    ``series`` tool is registered."""
+    from . import report
     from .taxonomy import Registry
 
     registry = Registry.load(args.registry)
@@ -135,7 +128,21 @@ def _score_campaign(args, fields, series: list[str] | None = None):
         report.check_series_tools(series, registry.names(), "registered")
     if args.out_dir:
         report.check_out_dir(args.out_dir)
-    cases = load_directory(args.corpus, args.metadata, fields)
+    return registry
+
+
+def _score_campaign(args, registry, fields, series: list[str] | None = None):
+    """Load the campaign and score it once: the corpus (with the labels and
+    the other derived ``fields`` the command reads), the recorded tools,
+    their scores, the indicator matrix and the four tables that ``metrics``
+    prints and ``report`` bundles. Each ``series`` tool must be recorded.
+    The records file is folded into an outcome table as it is read, so no
+    record outlives its line."""
+    from . import metrics, report
+    from .corpus import load_directory
+    from .records import load_outcomes
+
+    cases = load_directory(args.corpus, fields)
     outcomes = load_outcomes(args.records, cases)
     recorded = set(outcomes.tools)
     unknown = recorded - set(registry.names())
@@ -160,7 +167,7 @@ def _cmd_metrics(args) -> int:
     from . import report
     from .tables import to_markdown
 
-    *_, tables = _score_campaign(args, ("expected",))
+    *_, tables = _score_campaign(args, _campaign_registry(args), ("expected",))
     if args.out_dir:
         manifest = report.write_bundle(args.out_dir, tables, notes=[])
         print(f"wrote {manifest}")
@@ -218,8 +225,11 @@ def _cmd_report(args) -> int:
     pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
     series = (_tool_names("--series-tools", args.series_tools)
               if args.timeseries and args.series_tools else None)
-    cases, registry, scores, indicator, tables = _score_campaign(args, ("expected", "loc"),
-                                                                 series)
+    registry = _campaign_registry(args, series)
+    # the time series is the metadata's only reader
+    metadata = corpus_mod.load_sidecar(args.corpus, args.metadata) if args.timeseries else None
+    cases, registry, scores, indicator, tables = _score_campaign(
+        args, registry, ("expected", "loc"), series)
     ewm = mcdm.ewm_weights(indicator.values)
     tables.update({
         "stats": stats_table(corpus_mod.stats(cases)),
@@ -233,7 +243,7 @@ def _cmd_report(args) -> int:
             mcdm.overall_scores(indicator, ahp)
         )
     if args.timeseries:
-        tables["timeseries"] = report.time_series(scores, cases, bucket=args.bucket,
+        tables["timeseries"] = report.time_series(scores, metadata, bucket=args.bucket,
                                                   tools=series)
     manifest = report.write_bundle(args.out_dir, tables,
                                    notes=reference.validation_notes())
@@ -256,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                        ("validate", "check annotations and layout")):
         p = corpus_sub.add_parser(name, help=desc)
         p.add_argument("dir")
-        p.add_argument("--metadata", default=None)
         if name != "validate":
             p.add_argument("--format", choices=("csv", "md", "json"), default="csv")
             p.add_argument("--out", default=None)
@@ -275,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--replay", default=None,
                        help="directory of replay fixtures, one JSON per tool")
     p_run.add_argument("--raw-dir", default=None)
-    p_run.add_argument("--metadata", default=None)
     p_run.add_argument("--out", required=True, help="JSONL output path")
 
     p_metrics = sub.add_parser("metrics", help="confusion metrics and indicators")
     p_metrics.add_argument("--records", required=True)
     p_metrics.add_argument("--corpus", required=True)
     p_metrics.add_argument("--registry", default=None)
-    p_metrics.add_argument("--metadata", default=None)
     p_metrics.add_argument("--out-dir", default=None)
 
     p_score = sub.add_parser("score", help="weight criteria and rank tools")
@@ -320,6 +327,8 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    import logging
+
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

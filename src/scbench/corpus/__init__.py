@@ -2,13 +2,13 @@
 
 A corpus is a list of :class:`ContractCase`. The labelled layout is
 ``<root>/<class_dir>/<name>.sol`` plus ``<root>/safe/``; scaled corpora
-are flat directories or a CSV export of (address, source). An optional
-``metadata.csv`` sidecar (id, ISO-8601 timestamp, wei value) feeds the
-time-series reports.
+are flat directories. A load reads each file (bytes, UTF-8) and then
+scans it (:func:`scan_case`): one comment-stripping pass yields only the
+derived fields the caller names, and no pass runs when it names none.
 
-A load reads each file (bytes, UTF-8, metadata) and then scans it
-(:func:`scan_case`): one comment-stripping pass yields only the derived
-fields the caller names, and no pass runs when it names none.
+An optional ``metadata.csv`` sidecar (id, ISO-8601 timestamp, wei value)
+feeds the time series of a report, its only reader; no corpus load
+reads it (:func:`load_sidecar`).
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ __all__ = [
     "ClassStat",
     "CorpusStats",
     "dedup",
-    "load_csv_corpus",
     "load_directory",
     "load_flat",
     "load_labelled",
     "load_metadata",
+    "load_sidecar",
     "normalize_source",
     "parse_annotations",
     "pragma_filter",
@@ -55,28 +55,26 @@ _HEADER_RE = re.compile(r"@vulnerable_at_lines\s*:\s*([0-9][0-9,\s]*)")
 _MARKER_RE = re.compile(r"<yes>\s*<report>\s*([A-Za-z0-9_\-]+)")
 
 
-class ContractCase(namedtuple("ContractCase", "id source expected created_at tx_value "
-                                            "loc pragma checksum")):
+class ContractCase(namedtuple("ContractCase", "id source expected loc pragma checksum")):
     """One corpus entry: source text plus its ground-truth labels
-    (``expected``; a new empty dict when left out), its creation time and
-    transaction value in wei. ``loc``, ``pragma`` and ``checksum`` (the
-    dedup key) derive from the comment-stripped source; :func:`scan_case`
-    fills those a command reads, and one it does not stays None, as does
-    ``expected`` when the labels were not parsed. The derived fields take
-    no part in equality, which holds only between cases."""
+    (``expected``; a new empty dict when left out). ``loc``, ``pragma``
+    and ``checksum`` (the dedup key) derive from the comment-stripped
+    source; :func:`scan_case` fills those a command reads, and one it does
+    not stays None, as does ``expected`` when the labels were not parsed.
+    The derived fields take no part in equality, which holds only between
+    cases."""
 
     __slots__ = ()
 
     def __new__(cls, id: str, source: str,
                 expected: Mapping[str, frozenset[int]] | None = None,
-                created_at: datetime | None = None, tx_value: int | None = None,
                 loc: int | None = None, pragma: bool | None = None,
                 checksum: str | None = None) -> "ContractCase":
         return tuple.__new__(cls, (id, source, {} if expected is None else expected,
-                                   created_at, tx_value, loc, pragma, checksum))
+                                   loc, pragma, checksum))
 
     def __eq__(self, other):
-        return type(other) is type(self) and self[:5] == other[:5]
+        return type(other) is type(self) and self[:3] == other[:3]
 
     def __ne__(self, other):
         return not self == other
@@ -92,7 +90,6 @@ DERIVED = ("expected", "loc", "pragma", "checksum")
 
 
 def scan_case(case_id: str, source: str, fields: Collection[str] = DERIVED,
-              created_at: datetime | None = None, tx_value: int | None = None,
               origin: str | None = None) -> ContractCase:
     """The case of ``source`` with the derived ``fields`` (of
     :data:`DERIVED`) from one comment-stripping scan, or from none when
@@ -104,16 +101,15 @@ def scan_case(case_id: str, source: str, fields: Collection[str] = DERIVED,
         if "expected" in fields:
             try:
                 expected = _annotations(source, stripped)
-            except UnknownMarker as exc:
-                raise UnknownMarker(f"{origin or case_id}: {exc}") from None
+            except ScbenchError as exc:  # an unknown marker or header number
+                raise type(exc)(f"{origin or case_id}: {exc}") from None
         if "loc" in fields:
             loc = _loc(stripped)
         if "pragma" in fields:
             pragma = _pragma(stripped)
         if "checksum" in fields:
             checksum = _checksum(stripped)
-    return ContractCase._make((case_id, source, expected, created_at, tx_value,
-                               loc, pragma, checksum))
+    return ContractCase._make((case_id, source, expected, loc, pragma, checksum))
 
 
 def _derived(case: ContractCase, field: str):
@@ -172,7 +168,14 @@ def _annotations(source: str, stripped: str) -> dict[str, frozenset[int]]:
     header: set[int] = set()
     hm = _HEADER_RE.search(source)
     if hm:
-        header = {int(tok) for tok in hm.group(1).split(",") if tok.strip()}
+        # the entries hold ASCII digits and blanks; stripped first, since
+        # int() refuses a trailing "\x1c" that str.strip() takes
+        for tok in filter(None, map(str.strip, hm.group(1).split(","))):
+            if not tok.isdigit():  # "3 5"
+                line = len(source[:hm.start() + 1].splitlines())
+                raise ScbenchError(f"line {line}: @vulnerable_at_lines entry {tok!r} "
+                                   "is not a line number")
+            header.add(int(tok))
 
     result = {cid: set(lines) for cid, lines in inline.items()}
     if header:
@@ -304,9 +307,10 @@ def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | No
     return meta
 
 
-def _sidecar(directory: str, metadata: str | Path | None):
-    """The metadata of a corpus directory: ``metadata`` when given, else the
-    directory's own ``metadata.csv`` when it has one, else none."""
+def load_sidecar(directory: str | Path, metadata: str | Path | None = None):
+    """The metadata of a corpus directory (see :func:`load_metadata`): the
+    file ``metadata`` when given, else the directory's own ``metadata.csv``
+    when it has one, else none."""
     if metadata:
         return load_metadata(metadata)
     own = os.path.join(directory, "metadata.csv")
@@ -384,22 +388,13 @@ def _read_source(path: str, origin: str) -> str:
     return text
 
 
-def _load_case(case_id: str, source: str, meta, origin: str,
-               fields: Collection[str]) -> ContractCase:
-    """A read source joined with its metadata, then scanned for ``fields``."""
-    created_at, tx_value = meta.get(case_id, (None, None))
-    return scan_case(case_id, source, fields, created_at, tx_value, origin)
-
-
-def load_labelled(root: str | Path, metadata: str | Path | None = None,
-                  fields: Collection[str] = DERIVED) -> list[ContractCase]:
+def load_labelled(root: str | Path, fields: Collection[str] = DERIVED) -> list[ContractCase]:
     """Load ``<root>/<class_dir>/*.sol`` (including ``safe/``), sorted by id,
     with the derived ``fields`` (see :func:`scan_case`)."""
     root = os.fspath(root)
     if not os.path.isdir(root):
         raise ScbenchError(f"corpus root {root} is not a directory")
-    meta = _sidecar(root, metadata)
-    return [_load_case(rel.removesuffix(".sol"), _read_source(path, rel), meta, rel, fields)
+    return [scan_case(rel.removesuffix(".sol"), _read_source(path, rel), fields, rel)
             for rel, path in _labelled_files(root)]
 
 
@@ -417,7 +412,7 @@ def _is_labelled(root: str) -> bool:
     return False
 
 
-def load_directory(directory: str | Path, metadata: str | Path | None = None,
+def load_directory(directory: str | Path,
                    fields: Collection[str] = DERIVED) -> list[ContractCase]:
     """Load a corpus directory in its layout: labelled (:func:`load_labelled`)
     when a subdirectory holds a ``*.sol`` file, else flat (:func:`load_flat`)."""
@@ -425,29 +420,17 @@ def load_directory(directory: str | Path, metadata: str | Path | None = None,
     if not os.path.isdir(directory):
         raise ScbenchError(f"{directory} is not a directory")
     if _is_labelled(directory):
-        return load_labelled(directory, metadata, fields)
-    return load_flat(directory, metadata, fields)
+        return load_labelled(directory, fields)
+    return load_flat(directory, fields)
 
 
-def load_flat(directory: str | Path, metadata: str | Path | None = None,
-              fields: Collection[str] = DERIVED) -> list[ContractCase]:
+def load_flat(directory: str | Path, fields: Collection[str] = DERIVED) -> list[ContractCase]:
     """Load a flat directory of ``*.sol`` files (scaled-corpus layout); a
     case's id is its file name less ``.sol``, as ``Path.stem`` gives it."""
     directory = os.fspath(directory)
-    meta = _sidecar(directory, metadata)
     prefix = os.path.join(directory, "")
-    return [_load_case(name[:-4] or name, _read_source(prefix + name, name), meta, name,
-                       fields)
+    return [scan_case(name[:-4] or name, _read_source(prefix + name, name), fields, name)
             for name in _sources(directory)]
-
-
-def load_csv_corpus(path: str | Path, metadata: str | Path | None = None) -> list[ContractCase]:
-    """Load a CSV export with ``address`` and ``source`` columns."""
-    meta = load_metadata(metadata) if metadata else {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [_load_case(row["address"], row["source"], meta,
-                           f"{path} row {row['address']}", DERIVED)
-                for row in csv.DictReader(fh)]
 
 
 def scan_problems(root: str | Path) -> list[str]:

@@ -14,7 +14,7 @@ import math
 import os
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import BUCKETS
 from .errors import MissingMetadata, ScbenchError
@@ -22,9 +22,6 @@ from .mcdm import ScoreTable, WeightVector
 from .metrics import INDICATOR_COLUMNS, IndicatorMatrix, ToolScores
 from .tables import to_csv, to_markdown
 from .taxonomy import CLASS_IDS, Registry, default_taxonomy
-
-if TYPE_CHECKING:
-    from .corpus import ContractCase
 
 
 def _round3(value: float) -> float:
@@ -189,12 +186,13 @@ def check_series_tools(tools: Iterable[str], known: Sequence[str], kind: str = "
 
 def time_series(
     scores: Mapping[str, ToolScores],
-    corpus: Sequence[ContractCase],
+    metadata: Mapping[str, tuple[datetime | None, int | None]],
     bucket: str = "quarter",
     tools: Sequence[str] | None = None,
 ) -> tuple[list[str], list[list]]:
     """Per class and creation period: how many contracts were flagged, and
-    their summed transaction value (wei).
+    their summed transaction value (wei), from the ``metadata`` of each
+    contract id: its creation time and transaction value.
 
     A contract counts for a class when any selected tool flagged it (union
     over tools; all scored tools by default). A selected tool that was not
@@ -205,21 +203,20 @@ def time_series(
     if tools is not None:
         check_series_tools(tools, list(scores))
     selected = [scores[t] for t in tools] if tools is not None else scores.values()
-    by_id = {case.id: case for case in corpus}
     flagged = {cid: set().union(*(s.flagged.get(cid, ()) for s in selected))
                for cid in CLASS_IDS}
     missing = {c for contracts in flagged.values() for c in contracts
-               if by_id[c].created_at is None}
+               if metadata.get(c, (None,))[0] is None}
     if missing:
         raise MissingMetadata(missing)
     rows = []
     for cid, contracts in flagged.items():
         counts: dict[str, list[int]] = {}
         for contract in contracts:
-            case = by_id[contract]
-            period = counts.setdefault(_bucket_label(case.created_at, bucket), [0, 0])
+            created_at, tx_value = metadata[contract]
+            period = counts.setdefault(_bucket_label(created_at, bucket), [0, 0])
             period[0] += 1
-            period[1] += case.tx_value or 0
+            period[1] += tx_value or 0
         rows.extend([cid, label, *counts[label]] for label in sorted(counts))
     return ["Class", "Period", "Count", "ValueWei"], rows
 

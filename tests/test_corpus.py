@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbench.corpus import (ContractCase, dedup, lexer, load_csv_corpus,
-                            load_directory, load_flat, load_labelled, normalize_source,
+from scbench.corpus import (ContractCase, dedup, lexer, load_directory, load_flat,
+                            load_labelled, load_sidecar, normalize_source,
                             parse_annotations, pragma_filter, scan_case,
                             scan_problems, stats)
 from scbench.errors import AnnotationMismatch, ScbenchError, UnknownMarker
@@ -95,6 +95,17 @@ class TestParseAnnotations:
     def test_unknown_marker_raises(self):
         with pytest.raises(UnknownMarker):
             parse_annotations("// <yes> <report> FRONTRUN\nf();\n")
+
+    @pytest.mark.parametrize("brk", ["\n", "\x1c", "\x85", "\u2028", " \x1c\t"])
+    def test_header_number_before_any_line_break(self, brk):
+        src = f"// <yes> <report> REENTRANCY\nf();\n// @vulnerable_at_lines: 2{brk}g();\n"
+        assert parse_annotations(src) == {"V1": frozenset({2})}
+
+    def test_header_entry_that_is_not_a_line_number_names_its_line(self):
+        src = "pragma solidity ^0.5.0;\x1c\n/* x */ // @vulnerable_at_lines: 2,3 5\nf();\n"
+        with pytest.raises(ScbenchError, match=(
+                "^line 3: @vulnerable_at_lines entry '3 5' is not a line number$")):
+            parse_annotations(src)
 
     def test_trailing_marker_at_eof_warns(self):
         with pytest.warns(AnnotationMismatch):
@@ -190,36 +201,31 @@ class TestLoaders:
         assert all("/" in c.id for c in labelled_corpus)
 
     def test_metadata_sidecar_attached(self, labelled_corpus):
-        assert all(c.created_at is not None for c in labelled_corpus)
-        assert all(c.tx_value is not None for c in labelled_corpus)
+        metadata = load_sidecar(LABELLED_DIR)
+        assert len(metadata) == len(labelled_corpus)
+        for case in labelled_corpus:
+            created_at, tx_value = metadata[case.id]
+            assert created_at is not None and tx_value is not None, case.id
 
-    def test_flat_and_csv_loaders(self, tmp_path):
+    def test_flat_loader(self, tmp_path):
         (tmp_path / "one.sol").write_text(
             "pragma solidity ^0.5.0;\ncontract One {}\n"
         )
         flat = load_flat(tmp_path)
         assert [c.id for c in flat] == ["one"]
-
-        csv_path = tmp_path / "dump.csv"
-        csv_path.write_text(
-            'address,source\n0xabc,"pragma solidity ^0.5.0;\ncontract X {}"\n'
-        )
-        from_csv = load_csv_corpus(csv_path)
-        assert [c.id for c in from_csv] == ["0xabc"]
-        assert from_csv[0].safe
+        assert flat[0].safe
 
     def test_flat_directory_reads_its_own_metadata_sidecar(self, tmp_path):
         (tmp_path / "one.sol").write_text("pragma solidity ^0.5.0;\ncontract One {}\n")
+        assert load_sidecar(tmp_path) == {}
         (tmp_path / "metadata.csv").write_text(
             "id,created_at,tx_value_wei\none,2020-02-01T00:00:00+00:00,7\n")
-        (case,) = load_flat(tmp_path)
-        assert case.created_at == datetime(2020, 2, 1, tzinfo=timezone.utc)
-        assert case.tx_value == 7
+        assert load_sidecar(tmp_path) == {
+            "one": (datetime(2020, 2, 1, tzinfo=timezone.utc), 7)}
         other = tmp_path / "other.csv"
         other.write_text("id,created_at,tx_value_wei\none,2021-03-04T00:00:00+00:00,\n")
-        (case,) = load_flat(tmp_path, metadata=other)
-        assert case.created_at == datetime(2021, 3, 4, tzinfo=timezone.utc)
-        assert case.tx_value is None
+        assert load_sidecar(tmp_path, other) == {
+            "one": (datetime(2021, 3, 4, tzinfo=timezone.utc), None)}
 
     def test_shipped_corpus_is_clean(self):
         assert scan_problems(LABELLED_DIR) == []
@@ -259,20 +265,16 @@ class TestLoaders:
                 f"at offset {len(head)}") in problems
         assert not [p for p in problems if "fine.sol" in p]
 
-    @pytest.mark.parametrize("layout", ["labelled", "flat", "csv"])
+    @pytest.mark.parametrize("layout", ["labelled", "flat"])
     def test_unknown_marker_names_its_file_and_line(self, tmp_path, layout):
         source = "pragma solidity ^0.5.0;\n// <yes> <report> FRONTRUN\nf();\n"
         if layout == "labelled":
             (tmp_path / "reentrancy").mkdir()
             (tmp_path / "reentrancy" / "a.sol").write_text(source)
             load, where = (lambda: load_labelled(tmp_path)), "reentrancy/a.sol"
-        elif layout == "flat":
+        else:
             (tmp_path / "a.sol").write_text(source)
             load, where = (lambda: load_flat(tmp_path)), "a.sol"
-        else:
-            dump = tmp_path / "dump.csv"
-            dump.write_text('address,source\n0xabc,"' + source + '"\n')
-            load, where = (lambda: load_csv_corpus(dump)), f"{dump} row 0xabc"
         with pytest.raises(UnknownMarker) as info:
             load()
         assert str(info.value) == (f"{where}: line 2: "
@@ -579,10 +581,11 @@ def test_scan_matches_the_eager_loader_oracle(source):
     except UnknownMarker as exc:
         with pytest.raises(UnknownMarker, match=f"^c: {re.escape(str(exc))}$"):
             scanned_fields(source)
-    except ValueError as exc:
-        # a header whose number runs into a break other than "\n" (say
-        # "3,5\x1c") fails int() in both versions alike
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            scanned_fields(source)
+    except ValueError:
+        # the eager loader's int() refused a header number that runs into
+        # "\x1c" ("3,5\x1c"); the scan strips each number first, so it reads
+        # the header as that loader read "3,5,\x1c", where the break is a
+        # blank entry of its own
+        assert scanned_fields(source) == case_fields_oracle(source.replace("3,5", "3,5,"))
     else:
         assert scanned_fields(source) == want

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,8 +9,9 @@ from datetime import datetime, timezone
 
 import pytest
 
+from scbench import corpus as corpus_mod
 from scbench.adapters import AdapterConfig
-from scbench.cli import main
+from scbench.cli import build_parser, main
 from scbench.corpus import ContractCase
 from scbench.errors import MissingMetadata, ScbenchError
 from scbench.reference import pairwise_path
@@ -30,14 +32,18 @@ def make_tool(name, capabilities):
     )
 
 
-def dated_case(idx, when, value_ether=None, classes=()):
+def labelled_case(idx, classes=()):
     return ContractCase(
         id=f"c{idx}",
         source="pragma solidity ^0.5.0;\ncontract C {}\n",
         expected={c: frozenset({2}) for c in classes},
-        created_at=when,
-        tx_value=None if value_ether is None else value_ether * 10**18,
     )
+
+
+def dated(year, month, day, value_ether=None):
+    """A metadata entry: creation time (UTC) and transaction value in wei."""
+    return (datetime(year, month, day, tzinfo=timezone.utc),
+            None if value_ether is None else value_ether * 10**18)
 
 
 def distribution(registry, corpus, records):
@@ -49,7 +55,7 @@ def distribution(registry, corpus, records):
 class TestClassDistribution:
     def test_counts_flagged_contracts(self):
         registry = Registry((make_tool("T", ("V2",)),))
-        corpus = [dated_case(i, None, classes=("V2",)) for i in range(3)] + [dated_case(3, None)]
+        corpus = [labelled_case(i, ("V2",)) for i in range(3)] + [labelled_case(3)]
         rows = distribution(registry, corpus, [
             ScanRecord("T", f"c{i}", "ok", 1, {"V2": frozenset({2})})
             for i in range(3)
@@ -63,7 +69,7 @@ class TestClassDistribution:
         # T flags V1, which it does not support: no row counts the finding,
         # so the records are refused rather than rendered
         registry = Registry((make_tool("T", ("V2",)),))
-        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V2",))]
+        corpus = [labelled_case(0, ("V1",)), labelled_case(1, ("V2",))]
         with pytest.raises(ScbenchError) as err:
             distribution(registry, corpus, [
                 ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
@@ -73,49 +79,46 @@ class TestClassDistribution:
     def test_empty_records_all_zero(self):
         # records with no finding, and a scan that did not end ok
         registry = Registry((make_tool("T", ("V1",)),))
-        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None)]
+        corpus = [labelled_case(0, ("V1",)), labelled_case(1)]
         rows = distribution(registry, corpus, [ScanRecord("T", "c0", "ok", 1),
                                                ScanRecord("T", "c1", "timeout", 9)])
         assert all(r["Count"] == 0 for r in rows.values())
 
 
-def series(corpus, records, **kwargs):
-    """The time-series rows of a campaign scored over ``corpus``, every
-    recorded tool detecting each class the corpus holds."""
+def series(corpus, metadata, records, **kwargs):
+    """The time-series rows over ``metadata`` of a campaign scored over
+    ``corpus``, every recorded tool detecting each class the corpus holds."""
     classes = {cid for case in corpus for cid in case.expected}
     registry = Registry(tuple(make_tool(t, classes) for t in
                               dict.fromkeys(rec.tool for rec in records)))
-    header, rows = time_series(scored(records, registry, corpus), corpus, **kwargs)
+    header, rows = time_series(scored(records, registry, corpus), metadata, **kwargs)
     assert header == ["Class", "Period", "Count", "ValueWei"]
     return rows
 
 
 class TestTimeSeries:
     def test_same_quarter_counts_together(self):
-        corpus = [
-            dated_case(0, datetime(2020, 1, 10, tzinfo=timezone.utc), 10, ("V1",)),
-            dated_case(1, datetime(2020, 2, 20, tzinfo=timezone.utc), 5, ("V6",)),
-        ]
+        corpus = [labelled_case(0, ("V1",)), labelled_case(1, ("V6",))]
+        metadata = {"c0": dated(2020, 1, 10, 10), "c1": dated(2020, 2, 20, 5)}
         records = [
             ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
             ScanRecord("T", "c1", "ok", 1, {"V1": frozenset({2}), "V6": frozenset({2})}),
         ]
-        assert series(corpus, records) == [["V1", "2020Q1", 2, 15 * 10**18],
-                                           ["V6", "2020Q1", 1, 5 * 10**18]]
+        assert series(corpus, metadata, records) == [["V1", "2020Q1", 2, 15 * 10**18],
+                                                     ["V6", "2020Q1", 1, 5 * 10**18]]
 
     def test_missing_timestamp_is_reported(self):
-        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V6",))]
+        # c0's entry has no timestamp, and c1 has no entry
+        corpus = [labelled_case(0, ("V1",)), labelled_case(1, ("V6",))]
         records = [ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
                    ScanRecord("T", "c1", "ok", 1, {"V6": frozenset({2})})]
         with pytest.raises(MissingMetadata) as err:
-            series(corpus, records)
+            series(corpus, {"c0": (None, 5)}, records)
         assert err.value.contract_ids == ["c0", "c1"]
 
     def test_union_over_selected_tools(self):
-        corpus = [
-            dated_case(0, datetime(2021, 5, 1, tzinfo=timezone.utc), 1, ("V1",)),
-            dated_case(1, datetime(2021, 8, 1, tzinfo=timezone.utc), 1, ("V6",)),
-        ]
+        corpus = [labelled_case(0, ("V1",)), labelled_case(1, ("V6",))]
+        metadata = {"c0": dated(2021, 5, 1, 1), "c1": dated(2021, 8, 1, 1)}
         records = [
             ScanRecord("A", "c0", "ok", 1, {"V1": frozenset({2})}),
             ScanRecord("A", "c1", "ok", 1),
@@ -123,24 +126,21 @@ class TestTimeSeries:
             ScanRecord("B", "c1", "ok", 1, {"V6": frozenset({2})}),
         ]
         union = [["V1", "2021Q2", 1, 10**18], ["V6", "2021Q3", 1, 10**18]]
-        assert series(corpus, records) == union  # distinct contracts, not hits
-        assert series(corpus, records, tools=["A", "B"]) == union
-        assert series(corpus, records, tools=["A"]) == union[:1]
+        assert series(corpus, metadata, records) == union  # distinct contracts, not hits
+        assert series(corpus, metadata, records, tools=["A", "B"]) == union
+        assert series(corpus, metadata, records, tools=["A"]) == union[:1]
         with pytest.raises(ScbenchError) as err:
-            series(corpus, records, tools=["A", "NoSuch"])
+            series(corpus, metadata, records, tools=["A", "NoSuch"])
         assert str(err.value) == "time series tool 'NoSuch' is not a scored tool (scored: A, B)"
 
     def test_bucket_sums_equal_total_flagged(self):
-        corpus = [
-            dated_case(i, datetime(2019 + i % 3, 3, 1, tzinfo=timezone.utc),
-                       1, ("V6",))
-            for i in range(7)
-        ]
+        corpus = [labelled_case(i, ("V6",)) for i in range(7)]
+        metadata = {f"c{i}": dated(2019 + i % 3, 3, 1, 1) for i in range(7)}
         records = [
             ScanRecord("T", f"c{i}", "ok", 1, {"V6": frozenset({2})})
             for i in range(7)
         ]
-        rows = series(corpus, records, bucket="year")
+        rows = series(corpus, metadata, records, bucket="year")
         assert [row[:3] for row in rows] == [["V6", "2019", 3], ["V6", "2020", 2],
                                              ["V6", "2021", 2]]
         assert sum(row[2] for row in rows) == 7
@@ -167,8 +167,8 @@ class TestRendering:
         # V2's one vulnerable case timed out and the safe case is a clean
         # ok: the V2 cell has neither precision nor recall, so no F1
         registry = Registry((make_tool("T", ("V1", "V2")),))
-        corpus = [dated_case(0, None, classes=("V1",)), dated_case(1, None, classes=("V2",)),
-                  dated_case(2, None)]
+        corpus = [labelled_case(0, ("V1",)), labelled_case(1, ("V2",)),
+                  labelled_case(2)]
         records = [ScanRecord("T", "c0", "ok", 1, {"V1": frozenset({2})}),
                    ScanRecord("T", "c1", "timeout", 9),
                    ScanRecord("T", "c2", "ok", 1)]
@@ -259,6 +259,33 @@ COMMANDS = {
     "ewm": ["score", "--method", "ewm"],
     "ahp": ["score", "--method", "ahp", "--matrix", str(pairwise_path("a2"))],
 }
+
+
+# each command that reads no metadata, over a corpus ``{corpus}``
+METADATA_FREE = {
+    "stats": ["corpus", "stats", "{corpus}"],
+    "dedup": ["corpus", "dedup", "--pragma", "--list-ids", "{corpus}"],
+    "validate": ["corpus", "validate", "{corpus}"],
+    "run": ["run", "--corpus", "{corpus}", "--replay", str(REPLAY_DIR), "--tools", "Slither",
+            "--out", "{out}"],
+    "metrics": ["metrics", "--records", "{records}", "--corpus", "{corpus}",
+                "--out-dir", "{out}"],
+    "report": ["report", "--records", "{records}", "--corpus", "{corpus}",
+               "--matrix", str(pairwise_path("a1")), "--out-dir", "{out}"],
+}
+
+
+def command_outcome(capsys, argv, paths, corpus):
+    """The exit code, standard output and error of ``main(argv)`` over
+    ``corpus``, and the bytes it wrote to ``paths["out"]``: a file, or a
+    directory's files by name."""
+    out = paths["out"]
+    capsys.readouterr()
+    rc = main([arg.format(corpus=corpus, **paths) for arg in argv])
+    stdout, stderr = capsys.readouterr()
+    written = ({p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir()
+               else out.read_bytes() if out.exists() else None)
+    return rc, stdout, stderr, written
 
 
 class TestCli:
@@ -364,6 +391,24 @@ class TestCli:
             assert outcome(bad)[:3] == (1, "", "error: reentrancy/a.sol: line 3: "
                                                "marker 'FRONTRUN' matches no class alias\n")
 
+    @pytest.mark.parametrize("command", ["stats", "validate"])
+    def test_header_numbers_are_stripped_or_named(self, tmp_path, capsys, command):
+        def outcome(header):
+            root = tmp_path / str(len(list(tmp_path.iterdir())))
+            (root / "reentrancy").mkdir(parents=True)
+            (root / "reentrancy" / "a.sol").write_text(
+                "pragma solidity ^0.5.0;\ncontract C {\n    // <yes> <report> REENTRANCY\n"
+                f"    f();\n}}\n// @vulnerable_at_lines: {header}\n")
+            rc = main(["corpus", command, str(root)])
+            return (rc, *capsys.readouterr())
+
+        # a number that runs into "\x1c" reads as the number alone
+        assert outcome("4\x1c") == outcome("4")
+        assert outcome("4")[0] == 0
+        problem = "reentrancy/a.sol: line 6: @vulnerable_at_lines entry '3 5' is not a line number"
+        assert outcome("3 5") == ((1, "", f"error: {problem}\n") if command == "stats"
+                                  else (1, f"{problem}\n1 problem(s) found\n", ""))
+
     def test_corpus_dedup(self, tmp_path, capsys):
         d = tmp_path / "flat"
         d.mkdir()
@@ -431,6 +476,8 @@ class TestCli:
         assert layers_loaded(argv, campaign) == {"cli", "errors", *loaded}
 
     @pytest.mark.parametrize("argv, absent", [
+        # argparse's help formatter still loads ``textwrap``
+        (COMMANDS["help"], {"logging", "traceback", "string"}),
         (["metrics", "--records", "{records}", "--corpus", str(LABELLED_DIR)], {"runner"}),
         (["report", "--records", "{records}", "--corpus", str(LABELLED_DIR),
           "--timeseries", "--out-dir", "{bundle}"], {"runner"}),
@@ -439,9 +486,11 @@ class TestCli:
         # the registry loads ``adapters``, which reads no record here
         (COMMANDS["ewm"], {"corpus", "records", "runner"}),
         (COMMANDS["ahp"], {"corpus", "records", "runner"}),
-    ], ids=["metrics", "report", "run", "ewm", "ahp"])
+    ], ids=["help", "metrics", "report", "run", "ewm", "ahp"])
     def test_command_skips_layers_it_does_not_run(self, campaign, argv, absent):
-        assert layers_loaded(argv, campaign) & absent == set()
+        # ``absent`` names ``scbench`` layers and other modules
+        loaded = modules_loaded(argv, campaign)
+        assert {m for m in absent if m in loaded or f"scbench.{m}" in loaded} == set()
 
     def test_no_command_imports_numpy(self, tmp_path):
         code = (
@@ -707,23 +756,56 @@ class TestCli:
         ("id,created_at\nsafe/a,2018-01-01\nsafe/b,\nsafe/a,2021-06-01\n",
          "{path}:4: id 'safe/a' repeats an earlier row"),
     ], ids=["absent", "no-id", "created_at", "tx_value_wei", "repeated-id"])
-    @pytest.mark.parametrize("command", [
-        ["corpus", "stats", str(LABELLED_DIR)],
-        ["corpus", "dedup", str(LABELLED_DIR)],
-        ["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
-         "--out", "{tmp}/out.jsonl"],
-        ["metrics", "--records", "{tmp}/records.jsonl", "--corpus", str(LABELLED_DIR)],
-        ["report", "--records", "{tmp}/records.jsonl", "--corpus", str(LABELLED_DIR),
-         "--out-dir", "{tmp}/bundle"],
-    ], ids=["stats", "dedup", "run", "metrics", "report"])
-    def test_metadata_that_cannot_be_loaded(self, tmp_path, capsys, command, content,
-                                            detail):
+    @pytest.mark.parametrize("command", ["stats", "dedup", "run", "metrics", "report"])
+    def test_metadata_that_cannot_be_loaded(self, campaign, tmp_path, capsys, command,
+                                            content, detail):
+        # ``report --timeseries`` names the fault; a command that reads no
+        # metadata runs over a corpus whose own sidecar holds the same
+        # content as over the shipped corpus
         path = tmp_path / "metadata.csv"
         if content is not None:
             path.write_text(content)
-        argv = [arg.format(tmp=tmp_path) for arg in command]
-        assert main([*argv, "--metadata", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {detail.format(path=path)}\n"
+        if command == "report":
+            bundle = tmp_path / "bundle"
+            assert main(["report", "--records", str(campaign["records"]),
+                         "--corpus", str(LABELLED_DIR), "--timeseries",
+                         "--metadata", str(path), "--out-dir", str(bundle)]) == 1
+            assert capsys.readouterr().err == f"error: {detail.format(path=path)}\n"
+            assert not bundle.exists()
+            return
+        corpus = shutil.copytree(LABELLED_DIR, tmp_path / "corpus")
+        (corpus / "metadata.csv").unlink()
+        if content is not None:
+            shutil.copy(path, corpus / "metadata.csv")
+        paths = {**campaign, "out": tmp_path / "out"}
+        argv = METADATA_FREE[command]
+        assert (command_outcome(capsys, argv, paths, corpus)
+                == command_outcome(capsys, argv, paths, LABELLED_DIR))
+
+    @pytest.mark.parametrize("command", sorted(METADATA_FREE))
+    def test_commands_without_the_time_series_never_read_the_metadata(
+            self, campaign, tmp_path, capsys, monkeypatch, command):
+        corpus = shutil.copytree(LABELLED_DIR, tmp_path / "corpus")
+        (corpus / "metadata.csv").write_text("id,created_at\nsafe/a,notadate\n")
+        paths = {**campaign, "out": tmp_path / "out"}
+        argv = METADATA_FREE[command]
+        clean = command_outcome(capsys, argv, paths, LABELLED_DIR)
+
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(corpus_mod, "load_metadata", unread)
+        assert command_outcome(capsys, argv, paths, corpus) == clean
+
+    @pytest.mark.parametrize("command", ["stats", "dedup", "validate", "run", "metrics"])
+    def test_metadata_option_is_a_usage_error_where_nothing_reads_it(
+            self, campaign, tmp_path, capsys, command):
+        paths = {**campaign, "out": tmp_path / "out"}
+        argv = [arg.format(corpus=LABELLED_DIR, **paths) for arg in METADATA_FREE[command]]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--metadata", str(LABELLED_DIR / "metadata.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --metadata" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content, detail", [
         (None, "cannot read indicators {path}: No such file or directory"),
@@ -894,6 +976,33 @@ class TestCli:
 
     def test_score_ahp_without_matrix_is_usage_error(self, capsys):
         assert main(["score", "--method", "ahp"]) == 2
+
+    def test_cli_options_are_pinned(self):
+        # a new option shows up here, in review
+        def options(parser, command=()):
+            table = {" ".join(command): sorted(opt for action in parser._actions
+                                               for opt in action.option_strings)}
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        table.update(options(sub, (*command, name)))
+            return table
+
+        common = ["--help", "-h"]
+        assert options(build_parser()) == {k: sorted([*common, *v]) for k, v in {
+            "": ["-v", "--verbose"],
+            "corpus": [],
+            "corpus stats": ["--format", "--out"],
+            "corpus dedup": ["--format", "--out", "--pragma", "--list-ids"],
+            "corpus validate": [],
+            "run": ["--corpus", "--registry", "--tools", "--jobs", "--timeout", "--replay",
+                    "--raw-dir", "--out"],
+            "metrics": ["--records", "--corpus", "--registry", "--out-dir"],
+            "score": ["--method", "--matrix", "--indicators", "--standardize", "--format",
+                      "--out"],
+            "report": ["--records", "--corpus", "--registry", "--metadata", "--matrix",
+                       "--timeseries", "--bucket", "--series-tools", "--out-dir"],
+        }.items()}
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,6 @@ and positional form and defaults, its checks, read-only fields, and
 equality within the class."""
 
 import copy
-from datetime import datetime, timezone
 
 import pytest
 
@@ -33,9 +32,8 @@ VALUE_TYPES = {
     AdapterConfig: ({}, {"kind": "replay", "command": None, "timeout": DEFAULT_TIMEOUT,
                          "rule_map": {}, "fixture": None, "findings": (),
                          "line_pattern": None}, ("timeout", 5.0)),
-    ContractCase: ({"id": "c", "source": SOURCE},
-                   {"expected": {}, "created_at": None, "tx_value": None},
-                   ("created_at", datetime(2020, 1, 1, tzinfo=timezone.utc))),
+    ContractCase: ({"id": "c", "source": SOURCE}, {"expected": {}},
+                   ("expected", {"V1": frozenset({2})})),
     ClassStat: ({"class_id": "V1", "name": "Reentrancy", "count": 3, "loc": 40}, {},
                 ("count", 4)),
     CorpusStats: ({"per_class": (), "safe_count": 1, "safe_loc": 2}, {},
@@ -138,10 +136,10 @@ def test_checks(build, message):
 
 def test_derived_fields():
     # a hand-built case derives nothing; scan_case derives what it is asked for
-    assert ContractCase("c", SOURCE)[5:] == (None, None, None)
+    assert ContractCase("c", SOURCE)[3:] == (None, None, None)
     case = scan_case("c", SOURCE)
     assert (case.loc, case.pragma) == (2, True) and len(case.checksum) == 32
-    assert scan_case("c", SOURCE, ("pragma",))[2:] == (None, None, None, None, True, None)
+    assert scan_case("c", SOURCE, ("pragma",))[2:] == (None, None, True, None)
     kept = ContractCase("c", SOURCE, loc=9, pragma=False, checksum="k")
     assert (kept.loc, kept.pragma, kept.checksum) == (9, False, "k")
     adapter = AdapterConfig(kind="text", command="tool --in {input}")
