@@ -6,13 +6,14 @@ its reader closed early (quietly), 2 usage error (argparse).
 Each command imports the layers it runs, and only those, so that no start
 pays for a layer the command never calls: ``--help`` loads no layer and
 no ``logging``, the ``corpus`` commands load no campaign or scoring
-module, ``score`` no corpus, records or runner, ``metrics`` and
-``report`` no runner, and ``run`` no scoring module. Likewise each
-command asks the corpus load for the derived fields it reads: ``corpus
-stats`` and ``report`` the labels and LoC, ``metrics`` the labels,
-``corpus dedup`` the checksum (and the pragma flag with ``--pragma``),
-and ``run`` none. Only ``report --timeseries`` reads the metadata
-sidecar: ``--metadata``, else the corpus's own ``metadata.csv``.
+module and neither ``logging`` nor ``datetime``, ``score`` no corpus,
+records or runner, ``metrics`` and ``report`` no runner, and ``run`` no
+scoring module. Likewise each command asks the corpus load for the
+derived fields it reads: ``corpus stats`` and ``report`` the labels and
+LoC, ``metrics`` the labels, ``corpus dedup`` the checksum (and the
+pragma flag with ``--pragma``), and ``run`` none. Only ``report
+--timeseries`` reads the metadata sidecar: ``--metadata``, else the
+corpus's own ``metadata.csv``.
 """
 
 from __future__ import annotations
@@ -327,12 +328,11 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    import logging
+    if args.cmd != "corpus":  # no corpus layer logs
+        import logging
 
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
     try:
         rc = _DISPATCH[args.cmd](args)
         sys.stdout.flush()  # a closed pipe is met here, not at exit

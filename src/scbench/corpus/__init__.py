@@ -2,9 +2,11 @@
 
 A corpus is a list of :class:`ContractCase`. The labelled layout is
 ``<root>/<class_dir>/<name>.sol`` plus ``<root>/safe/``; scaled corpora
-are flat directories. A load reads each file (bytes, UTF-8) and then
-scans it (:func:`scan_case`): one comment-stripping pass yields only the
-derived fields the caller names, and no pass runs when it names none.
+are flat directories. A load reads each file (bytes, UTF-8, CRLF and lone
+CR turned into LF) and then scans it (:func:`scan_case`): one
+comment-stripping pass yields only the derived fields the caller names,
+and no pass runs when it names none. Lines, labels and LoC follow the
+line model of :mod:`.lexer`: a line is LF-delimited.
 
 An optional ``metadata.csv`` sidecar (id, ISO-8601 timestamp, wei value)
 feeds the time series of a report, its only reader; no corpus load
@@ -18,14 +20,16 @@ import os
 import re
 import warnings
 from collections import namedtuple
-from datetime import datetime
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from ..errors import AnnotationMismatch, ScbenchError, UnknownMarker
 from ..taxonomy import default_taxonomy
-from .lexer import (BACKEND, _checksum, _loc, _pragma, _strip, normalize_source,
-                    strip_comments)
+from .lexer import (BACKEND, _checksum, _line, _loc, _pragma, _strip,
+                    normalize_source, strip_comments)
+
+if TYPE_CHECKING:
+    from datetime import datetime
 
 # ``BACKEND`` has no reader in ``scbench``: the set-up probe of
 # ``perfbench/workload.py`` imports it, so it stays until the benchmark
@@ -52,7 +56,9 @@ __all__ = [
 ]
 
 _HEADER_RE = re.compile(r"@vulnerable_at_lines\s*:\s*([0-9][0-9,\s]*)")
-_MARKER_RE = re.compile(r"<yes>\s*<report>\s*([A-Za-z0-9_\-]+)")
+# a marker stays within its line
+_MARKER_RE = re.compile(r"<yes>[^\S\n]*<report>[^\S\n]*([A-Za-z0-9_\-]+)")
+_CODE_RE = re.compile(r"\S")
 
 
 class ContractCase(namedtuple("ContractCase", "id source expected loc pragma checksum")):
@@ -125,10 +131,12 @@ def _derived(case: ContractCase, field: str):
 def parse_annotations(source: str) -> dict[str, frozenset[int]]:
     """Extract ground-truth labels from an annotated contract.
 
-    Inline ``<yes> <report> MARKER`` comments label the first non-comment
-    line below them; a ``@vulnerable_at_lines`` header contributes extra
-    line numbers. Header lines fold into the single inline class when
-    there is exactly one; otherwise unattributable header lines trigger an
+    Lines are those of :mod:`.lexer`: LF-delimited. An inline ``<yes>
+    <report> MARKER`` comment labels the first line below its own that
+    holds code once comments are stripped; only the first marker on a
+    line counts. A ``@vulnerable_at_lines`` header contributes extra line
+    numbers. Header lines fold into the single inline class when there is
+    exactly one; otherwise unattributable header lines trigger an
     :class:`AnnotationMismatch` warning, as does any header whose line set
     disagrees with the inline markers.
     """
@@ -137,32 +145,28 @@ def parse_annotations(source: str) -> dict[str, frozenset[int]]:
 
 def _annotations(source: str, stripped: str) -> dict[str, frozenset[int]]:
     taxonomy = default_taxonomy()
-    stripped_lines = stripped.splitlines()
-    raw_lines = source.splitlines()
-
     inline: dict[str, set[int]] = {}
-    for idx, raw in enumerate(raw_lines):
-        # the pattern starts with the literal "<yes>", so this test is exact
-        m = "<yes>" in raw and _MARKER_RE.search(raw)
-        if not m:
+    line = 0  # the line of the last marker that counted
+    below = 0  # the offset in ``stripped`` of the line after ``line``
+    for m in _MARKER_RE.finditer(source):
+        idx = _line(source, m.start())
+        if idx == line:
             continue
         try:
             cls = taxonomy.class_for_marker(m.group(1))
         except UnknownMarker as exc:
-            raise UnknownMarker(f"line {idx + 1}: {exc}") from None
-        target = None
-        for k in range(idx + 1, len(stripped_lines)):
-            if stripped_lines[k].strip():
-                target = k + 1  # line numbers are 1-based
-                break
-        if target is None:
-            warnings.warn(
-                AnnotationMismatch(
-                    f"marker {m.group(1)!r} on line {idx + 1} has no "
-                    "following statement"
-                )
-            )
+            raise UnknownMarker(f"line {idx}: {exc}") from None
+        # ``stripped`` keeps every LF of ``source``: step past the marker
+        # line's, which only the last line lacks (``below`` is then 0)
+        for _ in range(idx - line):
+            below = stripped.find("\n", below) + 1
+        line = idx
+        code = _CODE_RE.search(stripped, below) if below else None
+        if code is None:
+            warnings.warn(AnnotationMismatch(
+                f"marker {m.group(1)!r} on line {idx} has no following statement"))
             continue
+        target = idx + 1 + stripped.count("\n", below, code.start())
         inline.setdefault(cls.id, set()).add(target)
 
     header: set[int] = set()
@@ -172,42 +176,30 @@ def _annotations(source: str, stripped: str) -> dict[str, frozenset[int]]:
         # int() refuses a trailing "\x1c" that str.strip() takes
         for tok in filter(None, map(str.strip, hm.group(1).split(","))):
             if not tok.isdigit():  # "3 5"
-                line = len(source[:hm.start() + 1].splitlines())
-                raise ScbenchError(f"line {line}: @vulnerable_at_lines entry {tok!r} "
-                                   "is not a line number")
+                raise ScbenchError(f"line {_line(source, hm.start())}: "
+                                   f"@vulnerable_at_lines entry {tok!r} is not a line number")
             header.add(int(tok))
 
-    result = {cid: set(lines) for cid, lines in inline.items()}
     if header:
         inline_union = set().union(*inline.values()) if inline else set()
-        if len(result) == 1:
+        if len(inline) == 1:
             if header != inline_union:
-                warnings.warn(
-                    AnnotationMismatch(
-                        f"header lines {sorted(header)} disagree with inline "
-                        f"marker lines {sorted(inline_union)}"
-                    )
-                )
-            (only,) = result
-            result[only] |= header
-        elif not result:
-            warnings.warn(
-                AnnotationMismatch(
-                    f"header declares lines {sorted(header)} but no inline "
-                    "markers are present"
-                )
-            )
+                warnings.warn(AnnotationMismatch(
+                    f"header lines {sorted(header)} disagree with inline "
+                    f"marker lines {sorted(inline_union)}"))
+            (only,) = inline
+            inline[only] |= header
+        elif not inline:
+            warnings.warn(AnnotationMismatch(
+                f"header declares lines {sorted(header)} but no inline markers are present"))
         else:
             stray = header - inline_union
             if stray:
-                warnings.warn(
-                    AnnotationMismatch(
-                        f"header lines {sorted(stray)} match no inline marker "
-                        "in a multi-class file"
-                    )
-                )
+                warnings.warn(AnnotationMismatch(
+                    f"header lines {sorted(stray)} match no inline marker "
+                    "in a multi-class file"))
 
-    return {cid: frozenset(lines) for cid, lines in result.items()}
+    return {cid: frozenset(lines) for cid, lines in inline.items()}
 
 
 def dedup(cases: Iterable[ContractCase]) -> tuple[list[ContractCase], int]:
@@ -266,13 +258,8 @@ def stats(cases: Iterable[ContractCase]) -> CorpusStats:
         for cid in expected:
             counts[cid] += 1
             locs[cid] += loc
-    return CorpusStats(
-        per_class=tuple(
-            ClassStat(c.id, c.name, counts[c.id], locs[c.id]) for c in taxonomy
-        ),
-        safe_count=safe_count,
-        safe_loc=safe_loc,
-    )
+    per_class = tuple(ClassStat(c.id, c.name, counts[c.id], locs[c.id]) for c in taxonomy)
+    return CorpusStats(per_class, safe_count, safe_loc)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +269,9 @@ def load_metadata(path: str | Path) -> dict[str, tuple[datetime | None, int | No
     """Sidecar rows: contract id, ISO-8601 timestamp, wei value. A file that
     cannot be read, a header without ``id``, a bad timestamp or value, or an
     id on two rows raises :class:`ScbenchError` naming the file (and the
-    line)."""
+    line). ``datetime`` is imported here, as no other corpus reader needs it."""
+    from datetime import datetime
+
     meta: dict[str, tuple[datetime | None, int | None]] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -441,44 +430,41 @@ def scan_problems(root: str | Path) -> list[str]:
     """
     taxonomy = default_taxonomy()
     problems: list[str] = []
-    for rel, path in _labelled_files(os.fspath(root)):
-        try:
-            source = _read_source(path, rel)
-        except ScbenchError as exc:
-            problems.append(str(exc))
-            continue
-        stripped, lex_error = _strip(source)
-        if lex_error is not None:
-            line = source.count("\n", 0, lex_error.position) + 1
-            problems.append(f"{rel}: line {line}: {lex_error}")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for rel, path in _labelled_files(os.fspath(root)):
+            try:
+                source = _read_source(path, rel)
+            except ScbenchError as exc:
+                problems.append(str(exc))
+                continue
+            stripped, lex_error = _strip(source)
+            if lex_error is not None:
+                problems.append(f"{rel}: line {_line(source, lex_error.position)}: "
+                                f"{lex_error}")
+            caught.clear()  # a contract whose labels raise drops its warnings
             try:
                 expected = _annotations(source, stripped)
             except ScbenchError as exc:
                 problems.append(f"{rel}: {exc}")
                 continue
-        for w in caught:
-            problems.append(f"{rel}: {w.message}")
-        n_lines = len(source.splitlines())
-        for cid, lines in expected.items():
-            past_end = [ln for ln in lines if ln > n_lines]
-            if past_end:
-                problems.append(
-                    f"{rel}: {cid} annotates lines {sorted(past_end)} beyond "
-                    f"the {n_lines}-line source"
-                )
-        dir_name = rel.partition("/")[0]
-        dir_class = taxonomy.by_dir(dir_name)
-        if dir_name == "safe":
-            if expected:
-                problems.append(f"{rel}: file under safe/ carries labels "
-                                f"{sorted(expected)}")
-        elif dir_class is not None and dir_class.id not in expected:
-            problems.append(
-                f"{rel}: directory says {dir_class.id} but labels are "
-                f"{sorted(expected) or 'empty'}"
-            )
-        if not _pragma(stripped):
-            problems.append(f"{rel}: no pragma solidity directive")
+            problems.extend(f"{rel}: {w.message}" for w in caught)
+            # the last line need not end in LF
+            n_lines = source.count("\n") + (source[-1:] not in ("", "\n"))
+            for cid, lines in expected.items():
+                past_end = [ln for ln in lines if ln > n_lines]
+                if past_end:
+                    problems.append(f"{rel}: {cid} annotates lines {sorted(past_end)} "
+                                    f"beyond the {n_lines}-line source")
+            dir_name = rel.partition("/")[0]
+            dir_class = taxonomy.by_dir(dir_name)
+            if dir_name == "safe":
+                if expected:
+                    problems.append(f"{rel}: file under safe/ carries labels "
+                                    f"{sorted(expected)}")
+            elif dir_class is not None and dir_class.id not in expected:
+                problems.append(f"{rel}: directory says {dir_class.id} but labels are "
+                                f"{sorted(expected) or 'empty'}")
+            if not _pragma(stripped):
+                problems.append(f"{rel}: no pragma solidity directive")
     return problems

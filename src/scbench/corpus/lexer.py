@@ -1,8 +1,17 @@
 """Comment stripping and the forms of Solidity source derived from it.
 
-One scan removes comments and keeps line structure (:func:`strip_comments`).
-The checksum form, the LoC count and pragma detection are all computed from
-that scan's output, so a caller holding the stripped text never rescans.
+The line model of the whole corpus layer is two rules, stated here once.
+A source line is an LF-delimited segment of the text as the loader reads
+it (CRLF and lone CR become LF), as solc numbers source locations, so
+every line number and line count in ``corpus`` counts LF. A ``//``
+comment ends at any Solidity line break (LF, VT, FF, CR, NEL, LS or PS),
+and the break stays in the stripped text: "the terminator is still part
+of the source code after the comment".
+
+One scan removes comments and keeps every LF (:func:`strip_comments`).
+The checksum form, the LoC count (lines that hold more than whitespace)
+and pragma detection are all computed from that scan's output, so a
+caller holding the stripped text never rescans.
 
 The scan is one compiled regular expression, searched from the end of each
 match. It matches string literals (with backslash escapes) and skips them,
@@ -33,14 +42,14 @@ _PRAGMA_RE = re.compile(r"pragma\s+solidity")
 # plain code without trying them (a ``["']`` class would defeat that).
 _TOKEN_RE = re.compile(
     r""""[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'"""
-    r"|//[^\n]*|/\*.*?\*/"
+    r"|//[^\n\v\f\r\x85\u2028\u2029]*|/\*.*?\*/"
     r"""|"|'|/\*""",
     re.DOTALL,
 )
 
 
 def _scan(src: str) -> tuple[str, int, int]:
-    """Remove comments; newlines spanned by a block comment are re-emitted
+    """Remove comments; the LFs spanned by a block comment are re-emitted
     so line numbering stays intact. Returns (text, error kind, offset)."""
     out: list[str] = []
     run = 0  # start of the pending verbatim copy
@@ -70,7 +79,7 @@ def _strip(source: str) -> tuple[str, SourceLexError | None]:
 
 
 def strip_comments(source: str, strict: bool = True) -> str:
-    """Comments removed, line structure kept (for LoC and line lookups)."""
+    """Comments removed, every LF kept (for LoC and line lookups)."""
     out, error = _strip(source)
     if strict and error is not None:
         raise error
@@ -107,9 +116,14 @@ def _checksum(stripped: str) -> str:
     return hashlib.md5(_squeeze(stripped).encode("utf-8")).hexdigest()
 
 
+def _line(text: str, pos: int) -> int:
+    """The 1-based line of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1
+
+
 def _loc(stripped: str) -> int:
-    """Non-blank lines of comment-stripped text."""
-    return sum(1 for line in stripped.splitlines() if line.strip())
+    """Lines of comment-stripped text that hold more than whitespace."""
+    return sum(1 for line in stripped.split("\n") if line.strip())
 
 
 def _pragma(stripped: str) -> bool:

@@ -17,6 +17,8 @@ from scbench.errors import AnnotationMismatch, UnknownMarker
 from scbench.taxonomy import default_taxonomy
 
 _TOKEN = re.compile(r'"|\'|/\*|//')
+# LF, VT, FF, CR, NEL, LS and PS end a ``//`` comment
+_COMMENT_ENDS = "\n\x0b\x0c\r\x85\u2028\u2029"
 
 
 def lexer_oracle(src: str, drop_ws: bool) -> str:
@@ -24,7 +26,8 @@ def lexer_oracle(src: str, drop_ws: bool) -> str:
 
     Walks the source by regex-searching the next interesting token rather
     than scanning char by char. Same grammar as the package lexer:
-    backslash escapes inside strings, no nested block comments, lenient
+    backslash escapes inside strings, a ``//`` comment that ends before
+    any Solidity line break, no nested block comments, lenient
     recovery (unterminated comment swallows the tail, unterminated string
     keeps it).
     """
@@ -59,8 +62,9 @@ def _token_walk(src: str, drop_ws: bool) -> tuple[str, tuple[str, int] | None]:
             kept.append(src[m.start():end])
             pos = end
         elif tok == "//":
-            nl = src.find("\n", m.end())
-            pos = n if nl < 0 else nl
+            # the comment ends before the first Solidity line break
+            ends = [i for i in (src.find(c, m.end()) for c in _COMMENT_ENDS) if i >= 0]
+            pos = min(ends, default=n)
         else:  # /*
             close = src.find("*/", m.end())
             if close < 0:
@@ -96,48 +100,50 @@ _MARKER = re.compile(r"<yes>\s*<report>\s*([A-Za-z0-9_\-]+)")
 
 def case_fields_oracle(source: str) -> tuple[dict, int, bool, str, list[str]]:
     """Labels, LoC, pragma flag and checksum of ``source``, and the
-    ``AnnotationMismatch`` messages on the way, as the loader derived them
-    for every case before a scan took a list of fields: its per-line
-    annotation pass, line count and MD5, kept here as they were, over the
-    token-walk oracle's stripped and normalized text. An unknown marker
-    raises ``UnknownMarker`` as it did."""
+    ``AnnotationMismatch`` messages on the way, over the token-walk
+    oracle's stripped and normalized text. Lines are LF-delimited: each
+    stripped character is mapped to its line by the LFs before it, and a
+    line holds code when a non-whitespace character maps to it. Markers
+    are searched line by line in ``source`` split at LF. An unknown marker
+    raises ``UnknownMarker``."""
     stripped = lexer_oracle(source, False)
+    code_lines: set[int] = set()
+    line = 1
+    for ch in stripped:
+        if ch == "\n":
+            line += 1
+        elif not ch.isspace():
+            code_lines.add(line)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        labels = _annotations_as_loaded(source, stripped)
-    loc = sum(1 for line in stripped.splitlines() if line.strip())
+        labels = _annotations_by_line(source, code_lines)
     pragma = re.search(r"pragma\s+solidity", stripped) is not None
     checksum = hashlib.md5(normalize_oracle(source).encode("utf-8")).hexdigest()
-    return labels, loc, pragma, checksum, [str(w.message) for w in caught]
+    return labels, len(code_lines), pragma, checksum, [str(w.message) for w in caught]
 
 
-def _annotations_as_loaded(source: str, stripped: str) -> dict[str, frozenset[int]]:
+def _annotations_by_line(source: str, code_lines: set[int]) -> dict[str, frozenset[int]]:
     taxonomy = default_taxonomy()
-    stripped_lines = stripped.splitlines()
     inline: dict[str, set[int]] = {}
-    for idx, raw in enumerate(source.splitlines()):
-        m = "<yes>" in raw and _MARKER.search(raw)
+    for idx, raw in enumerate(source.split("\n"), 1):
+        m = _MARKER.search(raw)
         if not m:
             continue
         try:
             cls = taxonomy.class_for_marker(m.group(1))
         except UnknownMarker as exc:
-            raise UnknownMarker(f"line {idx + 1}: {exc}") from None
-        target = None
-        for k in range(idx + 1, len(stripped_lines)):
-            if stripped_lines[k].strip():
-                target = k + 1
-                break
+            raise UnknownMarker(f"line {idx}: {exc}") from None
+        target = min((ln for ln in code_lines if ln > idx), default=None)
         if target is None:
             warnings.warn(AnnotationMismatch(
-                f"marker {m.group(1)!r} on line {idx + 1} has no following statement"))
+                f"marker {m.group(1)!r} on line {idx} has no following statement"))
             continue
         inline.setdefault(cls.id, set()).add(target)
 
     header: set[int] = set()
     hm = _HEADER.search(source)
     if hm:
-        header = {int(tok) for tok in hm.group(1).split(",") if tok.strip()}
+        header = {int(tok.strip()) for tok in hm.group(1).split(",") if tok.strip()}
     result = {cid: set(lines) for cid, lines in inline.items()}
     if header:
         inline_union = set().union(*inline.values()) if inline else set()

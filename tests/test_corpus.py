@@ -102,10 +102,34 @@ class TestParseAnnotations:
         assert parse_annotations(src) == {"V1": frozenset({2})}
 
     def test_header_entry_that_is_not_a_line_number_names_its_line(self):
+        # "\x1c" starts no line: the header sits on LF line 2
         src = "pragma solidity ^0.5.0;\x1c\n/* x */ // @vulnerable_at_lines: 2,3 5\nf();\n"
         with pytest.raises(ScbenchError, match=(
-                "^line 3: @vulnerable_at_lines entry '3 5' is not a line number$")):
+                "^line 2: @vulnerable_at_lines entry '3 5' is not a line number$")):
             parse_annotations(src)
+
+    def test_break_in_a_comment_above_a_marker_keeps_its_label(self):
+        src = "pragma solidity ^0.5.0;\n// a\x1cb\n// <yes> <report> REENTRANCY\nf();\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_annotations(src) == {"V1": frozenset({4})}
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\r", "\x85", "\u2028", "\u2029"])
+    def test_line_comment_ends_at_any_solidity_line_break(self, brk):
+        # the text after the break is code on the marker's own LF line, so
+        # the label falls on the next line that holds code
+        src = f"// <yes> <report> REENTRANCY{brk}f();\n\ng();\n"
+        assert parse_annotations(src) == {"V1": frozenset({3})}
+        assert scan_case("c", src).loc == 2
+
+    def test_only_the_first_marker_on_a_line_counts(self):
+        src = "// <yes> <report> REENTRANCY <yes> <report> NO_SUCH_CLASS\nf();\n"
+        assert parse_annotations(src) == {"V1": frozenset({2})}
+
+    def test_marker_stays_within_its_line(self):
+        with pytest.warns(AnnotationMismatch, match="on line 1 has no following"):
+            assert parse_annotations("f(); // <yes> <report> REENTRANCY\n") == {}
+        assert parse_annotations("// <yes>\n// <report> REENTRANCY\nf();\n") == {}
 
     def test_trailing_marker_at_eof_warns(self):
         with pytest.warns(AnnotationMismatch):
@@ -264,6 +288,20 @@ class TestLoaders:
         assert (f"reentrancy/comment.sol: line 4: unterminated block comment "
                 f"at offset {len(head)}") in problems
         assert not [p for p in problems if "fine.sol" in p]
+
+    def test_scan_problems_keeps_each_contracts_warnings_apart(self, tmp_path):
+        # a.sol warns and then raises, so only its error is a problem
+        (tmp_path / "reentrancy").mkdir()
+        (tmp_path / "reentrancy" / "a.sol").write_text(
+            "pragma solidity ^0.5.0;\n// <yes> <report> REENTRANCY\n"
+            "// @vulnerable_at_lines: 3 5\n")
+        (tmp_path / "reentrancy" / "b.sol").write_text(
+            "pragma solidity ^0.5.0;\n// <yes> <report> REENTRANCY\nf();\n"
+            "// <yes> <report> REENTRANCY\n")
+        assert scan_problems(tmp_path) == [
+            "reentrancy/a.sol: line 3: @vulnerable_at_lines entry '3 5' is not a line number",
+            "reentrancy/b.sol: marker 'REENTRANCY' on line 4 has no following statement",
+        ]
 
     @pytest.mark.parametrize("layout", ["labelled", "flat"])
     def test_unknown_marker_names_its_file_and_line(self, tmp_path, layout):
@@ -548,15 +586,23 @@ _ORACLE_LINES = st.sampled_from([
     "/* <yes> <report> TOD */", "/* open", "close */ g();", "// note",
     's = "// <yes> <report> DOS";', "// @vulnerable_at_lines: 3,5", "<yes><report>OVERFLOW",
     "// <yes>", "<report> REENTRANCY", "// <yes> <report> NO_SUCH_CLASS",
+    # "{}" takes a line break inside a line: in and after a comment or a
+    # string literal, and in code
+    "// a{}f();", "// <yes> <report> REENTRANCY{}f();", "/* a{}b */ c();",
+    's = "a{}b";', 't = "open', 'shut";', "x = 1;{}y = 2;",
 ])
-_ORACLE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+# every break of ``str.splitlines``; the corpus starts a line only at LF
+_ORACLE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                  "\x1e", "\x85", "\u2028", "\u2029"])
 
 
 @st.composite
 def annotated_sources(draw):
-    """Sources mixing markers, comments and headers over every kind of line
-    break, with or without a break after the last line."""
-    lines = draw(st.lists(_ORACLE_LINES, max_size=12))
+    """Sources mixing markers, comments, strings and headers over every
+    kind of line break, between lines and inside them, with or without a
+    break after the last line."""
+    lines = [line.replace("{}", draw(_ORACLE_BREAKS))
+             for line in draw(st.lists(_ORACLE_LINES, max_size=12))]
     breaks = draw(st.lists(_ORACLE_BREAKS, min_size=len(lines), max_size=len(lines)))
     text = "".join(line + brk for line, brk in zip(lines, breaks))
     return text[:-len(breaks[-1])] if breaks and draw(st.booleans()) else text
@@ -575,17 +621,11 @@ def scanned_fields(source: str):
 
 @settings(max_examples=300, deadline=None)
 @given(annotated_sources())
-def test_scan_matches_the_eager_loader_oracle(source):
+def test_scan_matches_the_line_model_oracle(source):
     try:
         want = case_fields_oracle(source)
     except UnknownMarker as exc:
         with pytest.raises(UnknownMarker, match=f"^c: {re.escape(str(exc))}$"):
             scanned_fields(source)
-    except ValueError:
-        # the eager loader's int() refused a header number that runs into
-        # "\x1c" ("3,5\x1c"); the scan strips each number first, so it reads
-        # the header as that loader read "3,5,\x1c", where the break is a
-        # blank entry of its own
-        assert scanned_fields(source) == case_fields_oracle(source.replace("3,5", "3,5,"))
     else:
         assert scanned_fields(source) == want

@@ -57,6 +57,13 @@ class TestStripComments:
     def test_comment_only_file(self):
         assert strip_comments("// x\n/* y */\n").strip() == ""
 
+    def test_line_comment_ends_before_any_solidity_line_break(self):
+        assert strip_comments("// a\u2028f();\n") == "\u2028f();\n"
+        for brk in "\x0b\x0c\r\x85\u2029":
+            assert strip_comments(f"// a{brk}f();") == f"{brk}f();"
+        # other characters that ``str.splitlines`` breaks at stay in the comment
+        assert strip_comments("// a\x1c\x1d\x1ef();\n") == "\n"
+
 
 class TestLoc:
     def test_comment_only_file_counts_zero(self):
@@ -126,8 +133,13 @@ def test_idempotent_and_whitespace_free(src):
     assert not any(c.isspace() for c in once)
 
 
+# the source alphabet of the fuzz tests against the oracle, with every
+# character that ``str.splitlines`` breaks at
+_FUZZ_ALPHABET = 'ab"\'/*\\\n\t ;{}=\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.text(alphabet='ab"\'/*\\\n\t ;{}=', max_size=120))
+@given(st.text(alphabet=_FUZZ_ALPHABET, max_size=120))
 def test_fuzz_matches_oracle(src):
     assert normalize_source(src, strict=False) == normalize_oracle(src)
 
@@ -136,7 +148,7 @@ _ERROR_KINDS = {"string": UnterminatedString, "block comment": UnterminatedBlock
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet='ab"\'/*\\\n\t ;{}=', max_size=120))
+@given(st.text(alphabet=_FUZZ_ALPHABET, max_size=120))
 def test_fuzz_strip_and_error_match_oracle(src):
     assert strip_comments(src, strict=False) == lexer_oracle(src, False)
     _, error = lexer._strip(src)

@@ -409,6 +409,15 @@ class TestCli:
         assert outcome("3 5") == ((1, "", f"error: {problem}\n") if command == "stats"
                                   else (1, f"{problem}\n1 problem(s) found\n", ""))
 
+    def test_break_in_a_comment_above_a_marker_keeps_its_label(self, tmp_path, capsys):
+        (tmp_path / "reentrancy").mkdir()
+        (tmp_path / "reentrancy" / "a.sol").write_text(
+            "pragma solidity ^0.5.0;\n// a\x1cb\n// <yes> <report> REENTRANCY\nf();\n")
+        assert main(["corpus", "stats", str(tmp_path)]) == 0
+        assert "Reentrancy,1,2\n" in capsys.readouterr().out
+        assert main(["corpus", "validate", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "0 problem(s) found\n"
+
     def test_corpus_dedup(self, tmp_path, capsys):
         d = tmp_path / "flat"
         d.mkdir()
@@ -478,6 +487,10 @@ class TestCli:
     @pytest.mark.parametrize("argv, absent", [
         # argparse's help formatter still loads ``textwrap``
         (COMMANDS["help"], {"logging", "traceback", "string"}),
+        # no corpus layer logs or reads a date
+        (COMMANDS["stats"], {"logging", "datetime"}),
+        (COMMANDS["dedup"], {"logging", "datetime"}),
+        (COMMANDS["validate"], {"logging", "datetime"}),
         (["metrics", "--records", "{records}", "--corpus", str(LABELLED_DIR)], {"runner"}),
         (["report", "--records", "{records}", "--corpus", str(LABELLED_DIR),
           "--timeseries", "--out-dir", "{bundle}"], {"runner"}),
@@ -486,7 +499,7 @@ class TestCli:
         # the registry loads ``adapters``, which reads no record here
         (COMMANDS["ewm"], {"corpus", "records", "runner"}),
         (COMMANDS["ahp"], {"corpus", "records", "runner"}),
-    ], ids=["help", "metrics", "report", "run", "ewm", "ahp"])
+    ], ids=["help", "stats", "dedup", "validate", "metrics", "report", "run", "ewm", "ahp"])
     def test_command_skips_layers_it_does_not_run(self, campaign, argv, absent):
         # ``absent`` names ``scbench`` layers and other modules
         loaded = modules_loaded(argv, campaign)
