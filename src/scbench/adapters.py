@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import ScbenchError
+from .taxonomy import CLASS_IDS
 
 if TYPE_CHECKING:
     from .records import ScanRecord
@@ -38,8 +39,6 @@ DEFAULT_TIMEOUT = 300.0  # seconds per scan task
 # findings: class id -> set of flagged lines (possibly empty)
 Findings = dict[str, frozenset[int]]
 
-_CLASS_IDS = frozenset(f"V{i}" for i in range(1, 11))
-
 
 class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map fixture "
                                               "findings line_pattern argv")):
@@ -47,8 +46,9 @@ class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map f
 
     ``command`` is a template with ``{input}`` and ``{solc}``; ``fixture``
     (replay) a file, or a directory resolved per tool; ``findings`` the
-    stub payload; ``line_pattern`` (text) a regex with one integer group.
-    ``argv`` is no argument: it is the command template split into
+    stub payload, class ids with integer lines; ``line_pattern`` (text) a
+    regex with one group, the line number; ``timeout`` positive seconds, a
+    float. ``argv`` is no argument: it is the command template split into
     arguments, once per tool. A ``rule_map`` left out is a new empty dict.
     The fields are checked when it is built, by ``_replace`` too."""
 
@@ -59,6 +59,10 @@ class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map f
                 fixture: str | None = None,
                 findings: tuple[tuple[str, tuple[int, ...]], ...] = (),
                 line_pattern: str | None = None) -> "AdapterConfig":
+        timeout = float(timeout)
+        if not 0 < timeout < math.inf:  # nan too
+            raise ScbenchError(f"adapter timeout {timeout!r} is not a positive number "
+                               f"of seconds")
         if kind not in ADAPTER_KINDS:
             raise ScbenchError(f"unknown adapter kind {kind!r}")
         if kind in ("json", "text") and not command:
@@ -66,9 +70,24 @@ class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map f
         if kind == "replay" and command:
             raise ScbenchError("replay adapter takes a fixture, not a command")
         rule_map = {} if rule_map is None else rule_map
-        bad = set(rule_map.values()) - _CLASS_IDS
+        bad = set(rule_map.values()).difference(CLASS_IDS)
         if bad:
             raise ScbenchError(f"rule_map targets outside V1..V10: {sorted(bad)}")
+        if fixture is not None and type(fixture) is not str:
+            raise ScbenchError(f"fixture {fixture!r} is not a path")
+        for cid, lines in findings:
+            if cid not in CLASS_IDS or not all(type(n) is int for n in lines):
+                raise ScbenchError(f"stub finding {cid!r} {lines!r} is not a class V1..V10 "
+                                   f"with integer lines")
+        if line_pattern is not None:
+            try:
+                groups = re.compile(line_pattern).groups
+            except re.error as exc:
+                raise ScbenchError(f"line_pattern {line_pattern!r} is not a regex: "
+                                   f"{exc}") from None
+            if groups != 1:  # parse_text_output reads group 1
+                raise ScbenchError(f"line_pattern {line_pattern!r} has {groups} groups, "
+                                   f"not 1")
         try:
             argv = tuple(shlex.split(command)) if command else ()
         except ValueError as exc:  # an unterminated quote or escape
@@ -83,25 +102,6 @@ class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map f
 
     def __getnewargs__(self):
         return tuple(self)[:-1]
-
-    @classmethod
-    def from_mapping(cls, raw: Mapping) -> "AdapterConfig":
-        timeout = float(raw.get("timeout", DEFAULT_TIMEOUT))
-        if not 0 < timeout < math.inf:  # nan too
-            raise ValueError(f"adapter timeout {timeout!r} is not a positive number "
-                             f"of seconds")
-        return cls(
-            kind=raw.get("kind", "replay"),
-            command=raw.get("command"),
-            timeout=timeout,
-            rule_map=dict(raw.get("rule_map", {})),
-            fixture=raw.get("fixture"),
-            findings=tuple(
-                (f["class"], tuple(f.get("lines", ())))
-                for f in raw.get("findings", ())
-            ),
-            line_pattern=raw.get("line_pattern"),
-        )
 
 
 def merge_finding(findings: Findings, class_id: str, lines=()) -> None:

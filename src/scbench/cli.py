@@ -181,6 +181,19 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _ahp_weights(matrix: str):
+    """The AHP weights of the judgment matrix file and its consistency
+    report; a matrix that fails the check is named on stderr."""
+    from . import mcdm
+
+    weights, consistency = mcdm.ahp_weights(mcdm.load_pairwise(matrix),
+                                            method=f"AHP:{Path(matrix).stem}")
+    if not consistency.consistent:
+        print(f"warning: judgment matrix fails the consistency check "
+              f"(CR={consistency.cr:.3f} > {mcdm.CONSISTENCY_LIMIT})", file=sys.stderr)
+    return weights, consistency
+
+
 def _cmd_score(args) -> int:
     from . import mcdm, reference, report
 
@@ -195,16 +208,7 @@ def _cmd_score(args) -> int:
         if not args.matrix:
             print("score: --method ahp requires --matrix FILE", file=sys.stderr)
             return 2
-        pairwise = mcdm.load_pairwise(args.matrix)
-        weights, consistency = mcdm.ahp_weights(
-            pairwise, method=f"AHP:{Path(args.matrix).stem}"
-        )
-        if not consistency.consistent:
-            print(
-                f"warning: judgment matrix fails the consistency check "
-                f"(CR={consistency.cr:.3f} > {mcdm.CONSISTENCY_LIMIT})",
-                file=sys.stderr,
-            )
+        weights, consistency = _ahp_weights(args.matrix)
     table = mcdm.overall_scores(
         indicators, weights, standardize_indicators=args.standardize
     )
@@ -223,7 +227,7 @@ def _cmd_report(args) -> int:
     from . import mcdm, reference, report
     from .tables import stats_table
 
-    pairwise = mcdm.load_pairwise(args.matrix) if args.matrix else None
+    ahp = _ahp_weights(args.matrix)[0] if args.matrix else None
     series = (_tool_names("--series-tools", args.series_tools)
               if args.timeseries and args.series_tools else None)
     registry = _campaign_registry(args, series)
@@ -238,8 +242,7 @@ def _cmd_report(args) -> int:
         "scores_ewm": report.score_table_rows(mcdm.overall_scores(indicator, ewm)),
         "distribution": report.distribution_table(registry, scores),
     })
-    if pairwise is not None:
-        ahp, _ = mcdm.ahp_weights(pairwise, method=f"AHP:{Path(args.matrix).stem}")
+    if ahp is not None:
         tables["scores_ahp"] = report.score_table_rows(
             mcdm.overall_scores(indicator, ahp)
         )

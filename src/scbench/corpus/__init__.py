@@ -55,8 +55,8 @@ __all__ = [
     "strip_comments",
 ]
 
-_HEADER_RE = re.compile(r"@vulnerable_at_lines\s*:\s*([0-9][0-9,\s]*)")
-# a marker stays within its line
+# a header with its entries, and a marker, each stay within their line
+_HEADER_RE = re.compile(r"@vulnerable_at_lines[^\S\n]*:[^\S\n]*([0-9](?:[0-9,]|[^\S\n])*)")
 _MARKER_RE = re.compile(r"<yes>[^\S\n]*<report>[^\S\n]*([A-Za-z0-9_\-]+)")
 _CODE_RE = re.compile(r"\S")
 

@@ -118,37 +118,44 @@ def ewm_weights(matrix: Matrix) -> WeightVector:
     return WeightVector(tuple(d / total for d in divergence), "EWM")
 
 
-def parse_pairwise(text: str) -> list[list[float]]:
-    """Parse the plain-text judgment matrix format: the order n on the
-    first line, then n rows of space-separated rationals like ``1/4``."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines:
-        raise ScbenchError("empty pairwise matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ScbenchError(f"first line must be the order, got {lines[0]!r}") from None
-    if len(lines) != n + 1:
-        raise ScbenchError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    from fractions import Fraction  # it loads decimal; only a judgment matrix needs it
-
-    rows = []
-    for ln in lines[1:]:
-        entries = ln.split()
-        if len(entries) != n:
-            raise ScbenchError(f"row {ln!r} does not have {n} entries")
-        rows.append([float(Fraction(tok)) for tok in entries])
-    return rows
-
-
 def load_pairwise(path: str | Path) -> list[list[float]]:
+    """The judgment matrix in the plain-text file at ``path``: the order n
+    on the first line, then n rows of space-separated rationals like
+    ``1/4``; blank lines and lines that start with ``#`` are skipped. A
+    fault in the text raises :class:`ScbenchError` as ``PATH:LINE: DETAIL``,
+    LINE counting every line of the file."""
     try:
         text = Path(path).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ScbenchError(f"cannot read judgment matrix {path}: {reason}") from None
-    return parse_pairwise(text)
+    lines = [(number, ln) for number, ln in enumerate(map(str.strip, text.splitlines()), 1)
+             if ln and not ln.startswith("#")]
+    number, rows = 1, []
+    try:
+        if not lines:
+            raise ScbenchError("empty pairwise matrix file")
+        number, order = lines[0]
+        try:
+            n = int(order)
+        except ValueError:
+            raise ScbenchError(f"first line must be the order, got {order!r}") from None
+        if len(lines) != n + 1:
+            raise ScbenchError(f"expected {n} matrix rows, found {len(lines) - 1}")
+        from fractions import Fraction  # it loads decimal; only a judgment matrix needs it
+
+        for number, ln in lines[1:]:
+            entries = ln.split()
+            if len(entries) != n:
+                raise ScbenchError(f"row {ln!r} does not have {n} entries")
+            try:
+                rows.append([float(Fraction(tok)) for tok in entries])
+            except (ValueError, ZeroDivisionError, OverflowError):  # "x", "1/0", "1e999"
+                raise ScbenchError(f"row {ln!r} has an entry that is not a rational "
+                                   f"number") from None
+    except ScbenchError as exc:
+        raise ScbenchError(f"{path}:{number}: {exc}") from None
+    return rows
 
 
 def _check_reciprocal(a: Matrix) -> None:

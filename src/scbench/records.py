@@ -225,20 +225,9 @@ def _read(path: str | Path, add) -> None:
 
 
 def read_records(path: str | Path) -> list[ScanRecord]:
-    """The records of a JSON-lines file, in file order (see :func:`_read`).
-    Equal tool names, contract ids, statuses and line sets are one object
-    each."""
+    """The records of a JSON-lines file, in file order (see :func:`_read`)."""
     records: list[ScanRecord] = []
-    share = {}.setdefault
-
-    def add(fields):
-        tool, contract, status, duration_ms, findings, raw_ref = fields
-        for cid, lines in findings.items():
-            findings[cid] = share(lines, lines)
-        records.append(tuple.__new__(ScanRecord, (share(tool, tool), share(contract, contract),
-                                                  status, duration_ms, findings, raw_ref)))
-
-    _read(path, add)
+    _read(path, lambda fields: records.append(tuple.__new__(ScanRecord, fields)))
     return records
 
 

@@ -13,7 +13,6 @@ import locale
 import logging
 import math
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -290,7 +289,7 @@ def _spawn_scan(tool: ToolDescriptor, template: tuple[str, ...], program: str,
         else:
             findings = parse_text_output(text, config.rule_map,
                                          config.line_pattern)
-    except (ValueError, re.error) as exc:  # a Unicode- or JSONDecodeError too
+    except ValueError as exc:  # a Unicode- or JSONDecodeError too
         logger.error("unparseable output from %s: %s", tool.name, exc)
         return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
                           raw_ref=raw_ref)

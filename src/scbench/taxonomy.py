@@ -115,13 +115,15 @@ def compat_score(version: VersionId) -> float:
 class ToolDescriptor(namedtuple("ToolDescriptor",
                                 "name methods capabilities max_solidity adapter")):
     """A registered analyzer: what it detects and how it is invoked. Its
-    ``capabilities`` are class ids within V1..V10, checked when it is
-    built, by ``_replace`` too."""
+    ``name`` is a string and its ``capabilities`` are class ids within
+    V1..V10, checked when it is built, by ``_replace`` too."""
 
     __slots__ = ()
 
     def __new__(cls, name: str, methods: frozenset[str], capabilities: frozenset[str],
                 max_solidity: VersionId, adapter: AdapterConfig) -> "ToolDescriptor":
+        if type(name) is not str:
+            raise ScbenchError(f"tool name {name!r} is not a string")
         if not capabilities:
             raise ScbenchError(f"tool {name}: empty capability set")
         bad = capabilities - set(CLASS_IDS)
@@ -227,8 +229,9 @@ class Registry(Frozen):
     def load(cls, path: str | Path | None = None) -> "Registry":
         """The registry file at ``path``; without one (or with an empty
         path), the shipped ``data/registry.json``. A file that cannot be
-        read or parsed, or an entry without a required key, raises
-        :class:`ScbenchError` naming the file."""
+        read or parsed raises :class:`ScbenchError` naming the file, and an
+        entry that cannot be built one naming the file and the entry's
+        number: ``registry PATH: tool #N: DETAIL``."""
         source = Path(path) if path else resources.files("scbench.data") / "registry.json"
         try:
             raw = json.loads(source.read_text("utf-8"))
@@ -244,25 +247,20 @@ class Registry(Frozen):
         tools = []
         for number, entry in enumerate(entries, 1):
             try:
-                name = entry["name"]
-                try:
-                    adapter = AdapterConfig.from_mapping(entry.get("adapter", {}))
-                except ScbenchError as exc:
-                    raise ScbenchError(f"tool {name}: {exc}") from None
-                tools.append(
-                    ToolDescriptor(
-                        name=name,
-                        methods=frozenset(entry.get("methods", ())),
-                        capabilities=frozenset(entry["capabilities"]),
-                        max_solidity=VersionId.parse(entry["max_solidity"]),
-                        adapter=adapter,
-                    )
-                )
-            except KeyError as exc:
-                raise ScbenchError(f"registry {source}: tool #{number}: "
-                                   f"missing {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
-                raise ScbenchError(f"registry {source}: tool #{number}: {exc}") from None
+                name, adapter = entry["name"], entry.get("adapter", {})
+                if "findings" in adapter:  # the stub payload, as tuples
+                    adapter["findings"] = tuple((f["class"], tuple(f.get("lines", ())))
+                                                for f in adapter["findings"])
+                methods, capabilities = entry.get("methods", []), entry["capabilities"]
+                if type(methods) is not list or type(capabilities) is not list:
+                    raise ScbenchError("methods and capabilities must be lists")
+                tools.append(ToolDescriptor(name, frozenset(methods), frozenset(capabilities),
+                                            VersionId.parse(entry["max_solidity"]),
+                                            AdapterConfig(**adapter)))
+            except (ScbenchError, KeyError, AttributeError, TypeError, ValueError,
+                    OverflowError) as exc:  # a value of the wrong type too
+                detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+                raise ScbenchError(f"registry {source}: tool #{number}: {detail}") from None
         return cls(tuple(tools))
 
 

@@ -94,7 +94,7 @@ def normalize_oracle(src: str) -> str:
 
 
 
-_HEADER = re.compile(r"@vulnerable_at_lines\s*:\s*([0-9][0-9,\s]*)")
+_HEADER = re.compile(r"@vulnerable_at_lines[^\S\n]*:[^\S\n]*([0-9](?:[0-9,]|[^\S\n])*)")
 _MARKER = re.compile(r"<yes>\s*<report>\s*([A-Za-z0-9_\-]+)")
 
 

@@ -101,6 +101,17 @@ class TestParseAnnotations:
         src = f"// <yes> <report> REENTRANCY\nf();\n// @vulnerable_at_lines: 2{brk}g();\n"
         assert parse_annotations(src) == {"V1": frozenset({2})}
 
+    @pytest.mark.parametrize("tail", [
+        "// @vulnerable_at_lines: 2\n5;\n", "/* @vulnerable_at_lines: 2\n   3 */\n",
+        "// @vulnerable_at_lines: 2,\n3;\n", "// @vulnerable_at_lines:\n2;\n",
+        "// @vulnerable_at_lines\n: 3\n",
+    ], ids=["entry", "block-comment", "after-comma", "before-entries", "before-colon"])
+    def test_header_stays_on_its_own_line(self, tail):
+        src = "// <yes> <report> REENTRANCY\nf();\n" + tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_annotations(src) == {"V1": frozenset({2})}
+
     def test_header_entry_that_is_not_a_line_number_names_its_line(self):
         # "\x1c" starts no line: the header sits on LF line 2
         src = "pragma solidity ^0.5.0;\x1c\n/* x */ // @vulnerable_at_lines: 2,3 5\nf();\n"

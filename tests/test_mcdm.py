@@ -6,8 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from scbench.errors import (DimensionMismatch, NotReciprocal, ScbenchError)
 from scbench.mcdm import (WeightVector, ahp_weights, ewm_weights,
-                          load_pairwise, overall_scores, parse_pairwise,
-                          standardize)
+                          load_pairwise, overall_scores, standardize)
 from scbench.metrics import IndicatorMatrix
 
 from .oracles import consistent_ahp_oracle, ewm_oracle
@@ -93,17 +92,40 @@ class TestEwmWeights:
 
 
 class TestPairwiseParsing:
-    def test_rational_entries(self):
-        a = parse_pairwise("2\n1 1/4\n4 1\n")
+    @staticmethod
+    def parse(tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        return load_pairwise(path)
+
+    def test_rational_entries(self, tmp_path):
+        a = self.parse(tmp_path, "2\n1 1/4\n4 1\n")
         assert a[0][1] == pytest.approx(0.25)
 
-    def test_comments_and_blanks_ignored(self):
-        a = parse_pairwise("# judgment matrix\n\n2\n1 2\n1/2 1\n")
+    def test_comments_and_blanks_ignored(self, tmp_path):
+        a = self.parse(tmp_path, "# judgment matrix\n\n2\n1 2\n1/2 1\n")
         assert [len(row) for row in a] == [2, 2]
 
-    def test_row_count_mismatch_rejected(self):
+    def test_row_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(ScbenchError, match="matrix rows"):
-            parse_pairwise("3\n1 1 1\n1 1 1\n")
+            self.parse(tmp_path, "3\n1 1 1\n1 1 1\n")
+
+    @pytest.mark.parametrize("text, detail", [
+        ("", "1: empty pairwise matrix file"),
+        ("# only a comment\n\n", "1: empty pairwise matrix file"),
+        ("# order\n\nthree\n", "3: first line must be the order, got 'three'"),
+        ("# order\n3\n1 1 1\n", "2: expected 3 matrix rows, found 1"),
+        ("2\n1 x\n\n1 1\n", "2: row '1 x' has an entry that is not a rational number"),
+        ("2\n1 1\n# zero\n1/0 1\n",
+         "4: row '1/0 1' has an entry that is not a rational number"),
+        ("2\n1 1\n1 1e999\n", "3: row '1 1e999' has an entry that is not a rational number"),
+        ("3\n1 1 1\n\n1/2 1\n1 1 1\n", "4: row '1/2 1' does not have 3 entries"),
+    ], ids=["empty", "comments-only", "order", "row-count", "token", "zero-denominator",
+            "overflow", "short-row"])
+    def test_faults_name_the_file_and_its_line(self, tmp_path, text, detail):
+        with pytest.raises(ScbenchError) as info:
+            self.parse(tmp_path, text)
+        assert str(info.value) == f"{tmp_path / 'm.txt'}:{detail}"
 
     def test_bundled_matrices_load(self):
         from scbench.reference import pairwise_path

@@ -21,7 +21,7 @@ from scbench.records import ScanRecord, read_records, write_records
 from scbench.tables import stats_table
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId, default_taxonomy
 
-from .conftest import LABELLED_DIR, REPLAY_DIR, deny_listing, scored
+from .conftest import LABELLED_DIR, LISTING_FIXTURE, REPLAY_DIR, deny_listing, scored
 
 
 def make_tool(name, capabilities):
@@ -602,6 +602,39 @@ class TestCli:
         assert capsys.readouterr().err == ("error: cannot read judgment matrix a1: "
                                            "No such file or directory\n")
 
+    @pytest.mark.parametrize("command", ["score", "report"])
+    @pytest.mark.parametrize("text, detail", [
+        ("4\n1 x 1 1\n1 1 1 1\n1 1 1 1\n1 1 1 1\n",
+         "2: row '1 x 1 1' has an entry that is not a rational number"),
+        ("# a zero denominator\n4\n1 1 1 1\n1/0 1 1 1\n1 1 1 1\n1 1 1 1\n",
+         "4: row '1/0 1 1 1' has an entry that is not a rational number"),
+        ("4\n1 1 1 1\n\n1/2 1\n1 1 1 1\n1 1 1 1\n", "4: row '1/2 1' does not have 4 entries"),
+    ], ids=["token", "zero-denominator", "short-row"])
+    def test_matrix_fault_names_the_file_and_line(self, tmp_path, capsys, command, text,
+                                                  detail):
+        matrix = tmp_path / "judgments.txt"
+        matrix.write_text(text)
+        args = {"score": ["--method", "ahp"],
+                "report": ["--records", str(tmp_path / "absent.jsonl"), "--corpus",
+                           str(LABELLED_DIR), "--out-dir", str(tmp_path / "bundle")]}
+        assert main([command, *args[command], "--matrix", str(matrix)]) == 1
+        assert capsys.readouterr() == ("", f"error: {matrix}:{detail}\n")
+
+    def test_inconsistent_matrix_warns_in_score_and_report(self, tmp_path, capsys):
+        matrix = tmp_path / "judgments.txt"
+        matrix.write_text("4\n1 9 1/9 9\n1/9 1 9 1/9\n9 1/9 1 9\n1/9 9 1/9 1\n")
+        warning = ("warning: judgment matrix fails the consistency check "
+                   "(CR=3.612 > 0.1)\n")
+        assert main(["score", "--method", "ahp", "--matrix", str(matrix)]) == 0
+        assert capsys.readouterr().err == warning
+        records = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                     "--tools", "Slither,Maian", "--out", str(records)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--records", str(records), "--corpus", str(LABELLED_DIR),
+                     "--matrix", str(matrix), "--out-dir", str(tmp_path / "bundle")]) == 0
+        assert capsys.readouterr().err == warning
+
     def test_absent_records_file_is_an_error(self, tmp_path, capsys):
         records = tmp_path / "absent.jsonl"
         assert main(["metrics", "--records", str(records),
@@ -666,8 +699,45 @@ class TestCli:
         assert main(["run", "--corpus", str(LABELLED_DIR), "--registry", str(registry),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: tool Broken: command template ") and \
+        assert err.startswith(f"error: registry {registry}: tool #1: command template ") and \
             err.endswith(" cannot be split: No closing quotation\n")
+        assert not out.exists() and not started.exists()
+
+    TEXT_ADAPTER = {"kind": "text", "command": "echo reentrancy line 3 {input}",
+                    "rule_map": {"reentrancy": "V1"}}
+
+    @pytest.mark.parametrize("fault, detail", [
+        ({"max_solidity": "0.3"}, "version 0.3 predates the supported scale (>= 0.4)"),
+        ({"capabilities": "V1"}, "methods and capabilities must be lists"),
+        ({"methods": "SA"}, "methods and capabilities must be lists"),
+        ({"name": 5}, "tool name 5 is not a string"),
+        ({"adapter": {"kind": "stub", "timout": 5}},
+         "AdapterConfig.__new__() got an unexpected keyword argument 'timout'"),
+        ({"adapter": {**TEXT_ADAPTER, "line_pattern": "("}},
+         "line_pattern '(' is not a regex: missing ), unterminated subpattern at position 0"),
+        ({"adapter": {**TEXT_ADAPTER, "line_pattern": "e"}},
+         "line_pattern 'e' has 0 groups, not 1"),
+        ({"adapter": {"kind": "stub", "findings": [{"class": "V1", "lines": "ab"}]}},
+         "stub finding 'V1' ('a', 'b') is not a class V1..V10 with integer lines"),
+    ], ids=["old-version", "capabilities-string", "methods-string", "name-number",
+            "unknown-adapter-key", "pattern-not-a-regex", "pattern-without-group",
+            "lines-string"])
+    def test_malformed_registry_entry_fails_before_any_task(self, tmp_path, capsys, fault,
+                                                            detail):
+        started = tmp_path / "started"  # the second tool's first task makes it
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [
+            {"name": "A", "methods": ["SA"], "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "stub"}, **fault},
+            {"name": "Touch", "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "json", "command": f"touch {started} {{input}}"}}]}))
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        shutil.copy(LISTING_FIXTURE, corpus / "a.sol")
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(corpus), "--registry", str(registry),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: registry {registry}: tool #1: {detail}\n"
         assert not out.exists() and not started.exists()
 
     def test_missing_analyzer_program_fails_the_run(self, tmp_path, capsys):

@@ -1034,8 +1034,8 @@ class TestReaderLines:
 
 
 class TestRecordMemory:
-    """The records layer holds each repeated value once, and neither the
-    whole file nor the whole output at any time."""
+    """A replay fixture holds each repeated line set once, and the records
+    layer holds neither the whole file nor the whole output at any time."""
 
     @staticmethod
     def campaign(tools=4, contracts=5000):
@@ -1048,11 +1048,6 @@ class TestRecordMemory:
         path = tmp_path / "records.jsonl"
         write_records(self.campaign(tools=3, contracts=40), path)
         records = read_records(path)
-        kept = {}
-        for rec in records:
-            for value in (rec.tool, rec.contract, rec.status, *rec.findings.values()):
-                assert kept.setdefault(value, value) is value
-        assert len(kept) == 3 + 40 + 1 + 7
         assert len({id(rec.findings) for rec in records}) == len(records)
 
     def test_replay_fixture_shares_equal_line_sets(self):

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbench.errors import ScbenchError, UnknownMarker, UnsupportedVersion
@@ -103,6 +105,25 @@ class TestVersionScale:
         assert compat_score(VersionId(lo)) <= compat_score(VersionId(hi))
 
 
+# a JSON value of any type, half the time a scalar; an integer past float range too
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1024)
+            | st.floats() | st.text(max_size=6))
+JSON_VALUES = _SCALARS | st.recursive(
+    _SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                             | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+VALID_ENTRY = {"name": "T", "methods": ["SA"], "capabilities": ["V1"], "max_solidity": "0.8",
+               "adapter": {"kind": "stub", "findings": [{"class": "V1", "lines": [3]}]}}
+# each field of an entry, as the path of keys that leads to it; "extra" is no field
+ENTRY_FIELDS = [
+    *((key,) for key in (*VALID_ENTRY, "extra")),
+    *(("adapter", key) for key in ("kind", "command", "timeout", "rule_map", "fixture",
+                                   "findings", "line_pattern", "argv", "extra")),
+    ("adapter", "findings", "0"), ("adapter", "findings", "0", "class"),
+    ("adapter", "findings", "0", "lines"), ("adapter", "findings", "0", "lines", "0"),
+]
+
+
 class TestRegistryValidation:
     def test_empty_capabilities_rejected(self, registry):
         slither = registry.get("Slither")
@@ -144,7 +165,8 @@ class TestRegistryValidation:
            f"registry {{}}: tool #1: adapter timeout {float(value)!r} is not a positive "
            f"number of seconds") for value in (b"-1", b"NaN", b"Infinity")),
         (b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
-         b'"adapter": {"kind": "json"}}]}', "tool T: json adapter requires a command"),
+         b'"adapter": {"kind": "json"}}]}',
+         "registry {}: tool #1: json adapter requires a command"),
     ], ids=["not-utf8", "no-tools", "tools-not-a-list", "entry-not-an-object",
             "bad-timeout", "negative-timeout", "nan-timeout", "infinite-timeout",
             "adapter-fault"])
@@ -154,3 +176,22 @@ class TestRegistryValidation:
         with pytest.raises(ScbenchError) as info:
             Registry.load(path)
         assert str(info.value).startswith(detail.format(path))
+
+    @pytest.mark.parametrize("field", ENTRY_FIELDS, ids="/".join)
+    @settings(max_examples=40, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_any_value_in_any_field_loads_or_names_the_entry(self, tmp_path_factory,
+                                                             field, value):
+        entry = json.loads(json.dumps(VALID_ENTRY))
+        *parents, key = field
+        target = entry
+        for step in parents:  # a digit is a list index
+            target = target[int(step) if step.isdigit() else step]
+        target[int(key) if key.isdigit() else key] = value
+        path = tmp_path_factory.mktemp("registry") / "reg.json"
+        # the first name is longer than any that JSON_VALUES draws
+        path.write_text(json.dumps({"tools": [{**VALID_ENTRY, "name": "Reference"}, entry]}))
+        try:
+            Registry.load(path)
+        except ScbenchError as exc:
+            assert str(exc).startswith(f"registry {path}: tool #2: ")

@@ -115,6 +115,27 @@ def test_left_out_dicts_are_new_per_instance():
     (lambda: AdapterConfig(kind="text", command="run 'x"),
      "command template \"run 'x\" cannot be split: No closing quotation"),
     (lambda: STUB._replace(kind="json"), "json adapter requires a command"),
+    (lambda: AdapterConfig(kind="json", command="x {input}", timeout=0),
+     "adapter timeout 0.0 is not a positive number of seconds"),
+    (lambda: STUB._replace(timeout=-5),
+     "adapter timeout -5.0 is not a positive number of seconds"),
+    (lambda: STUB._replace(timeout=float("nan")),
+     "adapter timeout nan is not a positive number of seconds"),
+    (lambda: AdapterConfig(kind="text", command="x", line_pattern="("),
+     r"line_pattern '\(' is not a regex: missing \), unterminated subpattern at position 0"),
+    (lambda: AdapterConfig(kind="text", command="x", line_pattern="e"),
+     "line_pattern 'e' has 0 groups, not 1"),
+    (lambda: AdapterConfig(kind="text", command="x", line_pattern="(a)(b)"),
+     r"line_pattern '\(a\)\(b\)' has 2 groups, not 1"),
+    (lambda: AdapterConfig(kind="stub", findings=(("V1", ("a", "b")),)),
+     r"stub finding 'V1' \('a', 'b'\) is not a class V1..V10 with integer lines"),
+    (lambda: AdapterConfig(kind="stub", findings=(("V1", (True,)),)),
+     r"stub finding 'V1' \(True,\) is not a class V1..V10 with integer lines"),
+    (lambda: AdapterConfig(kind="stub", findings=(("V11", (3,)),)),
+     r"stub finding 'V11' \(3,\) is not a class V1..V10 with integer lines"),
+    (lambda: AdapterConfig(fixture=5), "fixture 5 is not a path"),
+    (lambda: ToolDescriptor(5, frozenset(), frozenset({"V1"}), VersionId(8), STUB),
+     "tool name 5 is not a string"),
     (lambda: ConfusionMatrix(1, -1, 0, 0), "confusion matrix counts must be non-negative"),
     (lambda: ConfusionMatrix(1, 0, 0, 0)._replace(tn=-1),
      "confusion matrix counts must be non-negative"),
