@@ -16,7 +16,6 @@ Native rule ids are mapped to taxonomy classes through ``rule_map``.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 import shlex
@@ -24,13 +23,14 @@ from collections import namedtuple
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from . import Logger
 from .errors import ScbenchError
 from .taxonomy import CLASS_IDS
 
 if TYPE_CHECKING:
     from .records import ScanRecord
 
-logger = logging.getLogger(__name__)
+logger = Logger(__name__)
 
 ADAPTER_KINDS = ("replay", "stub", "json", "text")
 

@@ -4,27 +4,30 @@ Exit codes: 0 success, 1 validation/data error or a standard output that
 its reader closed early (quietly), 2 usage error (argparse).
 
 Each command imports the layers it runs, and only those, so that no start
-pays for a layer the command never calls: ``--help`` loads no layer and
-no ``logging``, the ``corpus`` commands load no campaign or scoring
-module and neither ``logging`` nor ``datetime``, ``score`` no corpus,
-records or runner, ``metrics`` and ``report`` no runner, and ``run`` no
-scoring module. Likewise each command asks the corpus load for the
-derived fields it reads: ``corpus stats`` and ``report`` the labels and
-LoC, ``metrics`` the labels, ``corpus dedup`` the checksum (and the
-pragma flag with ``--pragma``), and ``run`` none. Only ``report
---timeseries`` reads the metadata sidecar: ``--metadata``, else the
-corpus's own ``metadata.csv``.
+pays for a layer the command never calls: ``--help`` loads no layer, the
+``corpus`` commands load no campaign or scoring module, ``run`` no scoring
+module, ``metrics`` and ``report`` no runner, and ``score --indicators``
+only ``mcdm`` and ``tables`` (without it, ``reference`` too, and the
+registry and ``metrics`` through it). No command imports ``logging``
+before its first message (``scbench.Logger``), ``cli`` imports ``json``
+only for ``--format json``, and only ``report --timeseries`` loads
+``datetime``. Likewise each command asks the corpus load for the derived
+fields it reads: ``corpus stats`` and ``report`` the labels and LoC,
+``metrics`` the labels, ``corpus dedup`` the checksum (and the pragma flag
+with ``--pragma``), and ``run`` none. Only ``report --timeseries`` reads
+the metadata sidecar: ``--metadata``, else the corpus's own
+``metadata.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import BUCKETS
+import scbench
+
 from .errors import ScbenchError
 
 
@@ -34,6 +37,8 @@ def _emit(header, rows, fmt: str, out: str | None) -> None:
     if fmt == "md":
         text = to_markdown(header, rows)
     elif fmt == "json":
+        import json
+
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
         text = to_csv(header, rows)
@@ -195,11 +200,14 @@ def _ahp_weights(matrix: str):
 
 
 def _cmd_score(args) -> int:
-    from . import mcdm, reference, report
+    from . import mcdm
+    from .tables import score_table_rows, weights_table
 
     if args.indicators:
-        indicators = report.load_indicators_csv(args.indicators)
+        indicators = mcdm.load_indicators_csv(args.indicators)
     else:
+        from . import reference
+
         indicators = reference.indicator_matrix()
     if args.method == "ewm":
         weights = mcdm.ewm_weights(indicators.values)
@@ -212,8 +220,8 @@ def _cmd_score(args) -> int:
     table = mcdm.overall_scores(
         indicators, weights, standardize_indicators=args.standardize
     )
-    w_header, w_rows = report.weights_table([weights])
-    s_header, s_rows = report.score_table_rows(table)
+    w_header, w_rows = weights_table([weights])
+    s_header, s_rows = score_table_rows(table)
     if consistency is not None:
         print(f"lambda_max={consistency.lambda_max:.4f} CI={consistency.ci:.4f} "
               f"CR={consistency.cr:.4f}")
@@ -225,7 +233,7 @@ def _cmd_score(args) -> int:
 def _cmd_report(args) -> int:
     from . import corpus as corpus_mod
     from . import mcdm, reference, report
-    from .tables import stats_table
+    from .tables import score_table_rows, stats_table, weights_table
 
     ahp = _ahp_weights(args.matrix)[0] if args.matrix else None
     series = (_tool_names("--series-tools", args.series_tools)
@@ -238,14 +246,12 @@ def _cmd_report(args) -> int:
     ewm = mcdm.ewm_weights(indicator.values)
     tables.update({
         "stats": stats_table(corpus_mod.stats(cases)),
-        "weights": report.weights_table([ewm]),
-        "scores_ewm": report.score_table_rows(mcdm.overall_scores(indicator, ewm)),
+        "weights": weights_table([ewm]),
+        "scores_ewm": score_table_rows(mcdm.overall_scores(indicator, ewm)),
         "distribution": report.distribution_table(registry, scores),
     })
     if ahp is not None:
-        tables["scores_ahp"] = report.score_table_rows(
-            mcdm.overall_scores(indicator, ahp)
-        )
+        tables["scores_ahp"] = score_table_rows(mcdm.overall_scores(indicator, ahp))
     if args.timeseries:
         tables["timeseries"] = report.time_series(scores, metadata, bucket=args.bucket,
                                                   tools=series)
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--metadata", default=None)
     p_report.add_argument("--matrix", default=None)
     p_report.add_argument("--timeseries", action="store_true")
-    p_report.add_argument("--bucket", choices=BUCKETS, default="quarter")
+    p_report.add_argument("--bucket", choices=scbench.BUCKETS, default="quarter")
     p_report.add_argument("--series-tools", default=None)
     p_report.add_argument("--out-dir", required=True)
     return parser
@@ -331,11 +337,8 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.cmd != "corpus":  # no corpus layer logs
-        import logging
-
-        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
-                            format="%(levelname)s %(name)s: %(message)s")
+    # applied at the first message: a command that logs none loads no ``logging``
+    scbench.LOG_LEVEL = "DEBUG" if args.verbose else "WARNING"
     try:
         rc = _DISPATCH[args.cmd](args)
         sys.stdout.flush()  # a closed pipe is met here, not at exit

@@ -1,4 +1,5 @@
-"""Multi-criteria scoring: entropy weights, AHP weights, weighted sum.
+"""Multi-criteria scoring: the tools x indicators matrix it weighs,
+entropy weights, AHP weights, weighted sum.
 
 All criteria here are benefit-type (higher is better). Matrices are tiny
 (a dozen tools by four criteria), so the routines favour clarity and
@@ -7,18 +8,21 @@ determinism over vectorized cleverness.
 
 from __future__ import annotations
 
-import logging
+import csv
 import math
+from collections import namedtuple
 from operator import mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+from . import Frozen, Logger
 from .errors import (DimensionMismatch, NonConvergence, NotReciprocal,
                      ScbenchError)
-from .metrics import INDICATOR_COLUMNS, IndicatorMatrix
-from .taxonomy import Frozen
 
-logger = logging.getLogger(__name__)
+logger = Logger(__name__)
+
+# the criteria, in the column order of every indicator matrix and weight
+INDICATOR_COLUMNS = ("functional", "efficiency", "compatibility", "usability")
 
 RECIPROCITY_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -32,6 +36,32 @@ RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12,
 CONSISTENCY_LIMIT = 0.1
 
 Matrix = Sequence[Sequence[float]]  # rows; an ndarray qualifies too
+
+
+class IndicatorMatrix(namedtuple("IndicatorMatrix", "tools values")):
+    """tools x (functional, efficiency, compatibility, usability): a row of
+    ``values`` per tool, each value in [0, 1]. Any nested numeric sequence
+    (an ndarray too) becomes rows of floats, checked for shape and range,
+    when it is built, by ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, tools: tuple[str, ...], values) -> "IndicatorMatrix":
+        values = tuple(tuple(float(v) for v in row) for row in values)
+        if [len(row) for row in values] != [len(INDICATOR_COLUMNS)] * len(tools):
+            raise ScbenchError("indicator matrix shape mismatch")
+        for tool, row in zip(tools, values):
+            for column, value in zip(INDICATOR_COLUMNS, row):
+                if not 0 <= value <= 1:
+                    raise ScbenchError(f"{column} {value} of {tool} is outside [0, 1]")
+        return tuple.__new__(cls, (tools, values))
+
+    @classmethod
+    def _make(cls, iterable) -> "IndicatorMatrix":
+        return cls(*iterable)
+
+    def row(self, tool: str) -> tuple[float, ...]:
+        return self.values[self.tools.index(tool)]
 
 
 class WeightVector(Frozen):
@@ -156,6 +186,47 @@ def load_pairwise(path: str | Path) -> list[list[float]]:
     except ScbenchError as exc:
         raise ScbenchError(f"{path}:{number}: {exc}") from None
     return rows
+
+
+def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
+    """Read a tools x indicators CSV as written by ``report``'s
+    ``indicators`` table or the bundled reference export (lower-case
+    column names accepted). A file that cannot be read, a missing column, a
+    cell that is not a number in [0, 1] or a tool named on two rows raises
+    :class:`ScbenchError` naming the file (and the line)."""
+    tools = {}  # tool -> the line of its row
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                lowered = {k.lower(): v for k, v in row.items() if k is not None}
+                try:
+                    tool = lowered["tool"]
+                    values = [float(lowered[c]) for c in INDICATOR_COLUMNS]
+                except KeyError as exc:
+                    raise ScbenchError(f"{path}:1: no {exc} column") from None
+                except (TypeError, ValueError) as exc:  # a short row, or a word
+                    raise ScbenchError(f"{path}:{reader.line_num}: {exc}") from None
+                for column, value in zip(INDICATOR_COLUMNS, values):
+                    if not math.isfinite(value):
+                        raise ScbenchError(f"{path}:{reader.line_num}: {column} "
+                                           f"{lowered[column]!r} is not a finite number")
+                    if not 0 <= value <= 1:
+                        raise ScbenchError(f"{path}:{reader.line_num}: {column} "
+                                           f"{value} is outside [0, 1]")
+                if tool in tools:
+                    raise ScbenchError(f"{path}:{reader.line_num}: tool {tool!r} "
+                                       f"repeats row {tools[tool]}")
+                tools[tool] = reader.line_num
+                rows.append(values)
+    except OSError as exc:
+        raise ScbenchError(f"cannot read indicators {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ScbenchError(f"{path}: {exc}") from None
+    if not tools:
+        raise ScbenchError(f"no indicator rows in {path}")
+    return IndicatorMatrix(tuple(tools), rows)
 
 
 def _check_reciprocal(a: Matrix) -> None:

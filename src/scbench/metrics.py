@@ -14,12 +14,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (EmptyMatrix, MissingRecord, NoSupportedClasses, NoValidRuns,
                      ScbenchError)
+from .mcdm import IndicatorMatrix
 from .taxonomy import CLASS_IDS, Registry, ToolDescriptor, compat_score, default_taxonomy
 
 if TYPE_CHECKING:
     from .records import Outcomes
-
-INDICATOR_COLUMNS = ("functional", "efficiency", "compatibility", "usability")
 
 
 class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp fp fn tn")):
@@ -113,32 +112,6 @@ def efficiency_scores(avg_seconds: Mapping[str, float]) -> dict[str, float]:
 def usability_score(tool: ToolDescriptor) -> float:
     """Fraction of the ten vulnerability classes the tool covers."""
     return len(tool.capabilities) / len(CLASS_IDS)
-
-
-class IndicatorMatrix(namedtuple("IndicatorMatrix", "tools values")):
-    """tools x (functional, efficiency, compatibility, usability): a row of
-    ``values`` per tool, each value in [0, 1]. Any nested numeric sequence
-    (an ndarray too) becomes rows of floats, checked for shape and range,
-    when it is built, by ``_replace`` too."""
-
-    __slots__ = ()
-
-    def __new__(cls, tools: tuple[str, ...], values) -> "IndicatorMatrix":
-        values = tuple(tuple(float(v) for v in row) for row in values)
-        if [len(row) for row in values] != [len(INDICATOR_COLUMNS)] * len(tools):
-            raise ScbenchError("indicator matrix shape mismatch")
-        for tool, row in zip(tools, values):
-            for column, value in zip(INDICATOR_COLUMNS, row):
-                if not 0 <= value <= 1:
-                    raise ScbenchError(f"{column} {value} of {tool} is outside [0, 1]")
-        return tuple.__new__(cls, (tools, values))
-
-    @classmethod
-    def _make(cls, iterable) -> "IndicatorMatrix":
-        return cls(*iterable)
-
-    def row(self, tool: str) -> tuple[float, ...]:
-        return self.values[self.tools.index(tool)]
 
 
 class ToolScores(NamedTuple):

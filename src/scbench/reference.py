@@ -14,9 +14,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import metrics
-from .mcdm import ewm_weights
-from .metrics import (INDICATOR_COLUMNS, IndicatorMatrix, MetricSet,
-                      TimingSummary, functional_score)
+from .mcdm import INDICATOR_COLUMNS, IndicatorMatrix, ewm_weights
+from .metrics import MetricSet, TimingSummary, functional_score
 from .taxonomy import Registry
 
 F1_IDENTITY_TOL = 0.002

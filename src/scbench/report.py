@@ -7,25 +7,21 @@ exactly.
 
 from __future__ import annotations
 
-import csv
 import errno
 import json
-import math
 import os
-from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import BUCKETS
 from .errors import MissingMetadata, ScbenchError
-from .mcdm import ScoreTable, WeightVector
-from .metrics import INDICATOR_COLUMNS, IndicatorMatrix, ToolScores
-from .tables import to_csv, to_markdown
+from .mcdm import INDICATOR_COLUMNS, IndicatorMatrix
+from .metrics import ToolScores
+from .tables import round3, to_csv, to_markdown
 from .taxonomy import CLASS_IDS, Registry, default_taxonomy
 
-
-def _round3(value: float) -> float:
-    return round(float(value), 3)
+if TYPE_CHECKING:
+    from datetime import datetime
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +50,9 @@ def metrics_grid(scores: Mapping[str, ToolScores]) -> tuple[list[str], list[list
                 if v is None:
                     row.append("-")
                 else:
-                    row.append(_round3(v))
+                    row.append(round3(v))
                     values.append(v)
-            row.append(_round3(sum(values) / len(values)) if values else "-")
+            row.append(round3(sum(values) / len(values)) if values else "-")
             rows.append(row)
     return header, rows
 
@@ -68,8 +64,8 @@ def timing_table(scores: Mapping[str, ToolScores],
     rows = []
     for t, s in scores.items():
         _, efficiency, _, _ = indicators.row(t)
-        rows.append([t, _round3(s.timing.total_seconds), s.timing.valid_count,
-                     _round3(s.timing.avg_seconds), _round3(efficiency)])
+        rows.append([t, round3(s.timing.total_seconds), s.timing.valid_count,
+                     round3(s.timing.avg_seconds), round3(efficiency)])
     return header, rows
 
 
@@ -81,71 +77,18 @@ def capability_table(registry: Registry,
     rows = []
     for t in registry:
         _, _, compatibility, usability = indicators.row(t.name)
-        rows.append([t.name, str(t.max_solidity), _round3(compatibility),
-                     len(t.capabilities), _round3(usability)])
-    return header, rows
-
-
-def weights_table(weights: Iterable[WeightVector]) -> tuple[list[str], list[list]]:
-    header = ["Method", *[c.capitalize() for c in INDICATOR_COLUMNS]]
-    rows = [[w.method, *(_round3(v) for v in w.values)] for w in weights]
-    return header, rows
-
-
-def score_table_rows(table: ScoreTable) -> tuple[list[str], list[list]]:
-    header = ["Rank", "Tool", "Score", "Method"]
-    rows = [[r.rank, r.tool, r.score, table.method] for r in table.rows]
+        rows.append([t.name, str(t.max_solidity), round3(compatibility),
+                     len(t.capabilities), round3(usability)])
     return header, rows
 
 
 def indicators_table(matrix: IndicatorMatrix) -> tuple[list[str], list[list]]:
     header = ["Tool", *[c.capitalize() for c in INDICATOR_COLUMNS]]
     rows = [
-        [t, *(_round3(v) for v in row)]
+        [t, *(round3(v) for v in row)]
         for t, row in zip(matrix.tools, matrix.values)
     ]
     return header, rows
-
-
-def load_indicators_csv(path: str | Path) -> IndicatorMatrix:
-    """Read a tools x indicators CSV as written by :func:`indicators_table`
-    or the bundled reference export (lower-case column names accepted). A
-    file that cannot be read, a missing column, a cell that is not a number
-    in [0, 1] or a tool named on two rows raises :class:`ScbenchError` naming
-    the file (and the line)."""
-    tools = {}  # tool -> the line of its row
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                lowered = {k.lower(): v for k, v in row.items() if k is not None}
-                try:
-                    tool = lowered["tool"]
-                    values = [float(lowered[c]) for c in INDICATOR_COLUMNS]
-                except KeyError as exc:
-                    raise ScbenchError(f"{path}:1: no {exc} column") from None
-                except (TypeError, ValueError) as exc:  # a short row, or a word
-                    raise ScbenchError(f"{path}:{reader.line_num}: {exc}") from None
-                for column, value in zip(INDICATOR_COLUMNS, values):
-                    if not math.isfinite(value):
-                        raise ScbenchError(f"{path}:{reader.line_num}: {column} "
-                                           f"{lowered[column]!r} is not a finite number")
-                    if not 0 <= value <= 1:
-                        raise ScbenchError(f"{path}:{reader.line_num}: {column} "
-                                           f"{value} is outside [0, 1]")
-                if tool in tools:
-                    raise ScbenchError(f"{path}:{reader.line_num}: tool {tool!r} "
-                                       f"repeats row {tools[tool]}")
-                tools[tool] = reader.line_num
-                rows.append(values)
-    except OSError as exc:
-        raise ScbenchError(f"cannot read indicators {path}: {exc.strerror}") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ScbenchError(f"{path}: {exc}") from None
-    if not tools:
-        raise ScbenchError(f"no indicator rows in {path}")
-    return IndicatorMatrix(tuple(tools), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ and individual task failures are recorded, not fatal.
 
 from __future__ import annotations
 
-import locale
-import logging
 import math
 import os
 import shutil
@@ -22,6 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from . import Logger
 from .adapters import (Findings, ReplayFixture, merge_finding, parse_json_output,
                        parse_text_output, resolve_replay_fixture)
 from .corpus import ContractCase
@@ -39,7 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = ["RecordSet", "execute_campaign", "read_records", "write_records"]
 
-logger = logging.getLogger(__name__)
+logger = Logger(__name__)
 
 _SPAWNED = ("json", "text")  # adapter kinds that run a process per task
 # spawned tasks in flight per worker: every worker stays busy, and a
@@ -123,6 +122,8 @@ def _kill_group(pgid: int) -> None:
 def _decode(data: bytes, errors: str = "strict") -> str:
     """Tool output as ``Popen(text=True)`` decodes it: the locale's
     preferred encoding (UTF-8 in UTF-8 mode) and universal newlines."""
+    import locale
+
     text = data.decode(locale.getpreferredencoding(False), errors)
     return text.replace("\r\n", "\n").replace("\r", "\n")
 

@@ -1,7 +1,8 @@
-"""Table text: CSV and Markdown from a header and rows, and the corpus
-statistics table. Kept apart from ``report``, so the corpus commands
-render without importing the scoring modules (``report`` pulls in
-``mcdm`` and ``metrics``)."""
+"""Table text: CSV and Markdown from a header and rows, the corpus
+statistics table, and the weight and score tables of ``score``. Kept
+apart from ``report``, so the corpus commands render without importing
+a scoring module, and ``score`` without ``report``, ``metrics`` and
+``taxonomy``."""
 
 from __future__ import annotations
 
@@ -11,6 +12,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .corpus import CorpusStats
+    from .mcdm import ScoreTable, WeightVector
+
+
+def round3(value: float) -> float:
+    """A table cell's value: rounded half-to-even at three decimals."""
+    return round(float(value), 3)
 
 
 def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -36,4 +43,18 @@ def stats_table(stats: CorpusStats) -> tuple[list[str], list[list]]:
     ]
     rows.append(["Safe contracts", stats.safe_count, stats.safe_loc])
     rows.append(["Total", stats.total_cases, stats.total_loc])
+    return header, rows
+
+
+def weights_table(weights: Iterable[WeightVector]) -> tuple[list[str], list[list]]:
+    from .mcdm import INDICATOR_COLUMNS  # loaded by whoever has the weights
+
+    header = ["Method", *[c.capitalize() for c in INDICATOR_COLUMNS]]
+    rows = [[w.method, *(round3(v) for v in w.values)] for w in weights]
+    return header, rows
+
+
+def score_table_rows(table: ScoreTable) -> tuple[list[str], list[list]]:
+    header = ["Rank", "Tool", "Score", "Method"]
+    rows = [[r.rank, r.tool, r.score, table.method] for r in table.rows]
     return header, rows

@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from . import Frozen
 from .errors import ScbenchError, UnknownMarker, UnsupportedVersion
 
 if TYPE_CHECKING:
@@ -29,38 +30,10 @@ METHOD_TAGS = frozenset({"SA", "SE", "FV", "FZ", "ML", "IR"})
 SCALE_LOW = 4
 SCALE_HIGH = 8
 
+# the keys of a registry entry; an adapter's are the fields of AdapterConfig
+_ENTRY_KEYS = ("name", "methods", "capabilities", "max_solidity", "adapter")
+
 _VERSION_RE = re.compile(r"^v?0\.(\d+)(?:\.(\d+))?$")
-
-
-class Frozen:
-    """Base of a value type that defines its own ``__iter__`` or ``__len__``,
-    and so must not be a tuple: its ``__slots__``, set by ``__init__``
-    through ``object.__setattr__``, are read-only fields, which equality
-    (within the class), hash, repr and copy go by."""
-
-    __slots__ = ()
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return (self._astuple() == other._astuple() if type(other) is type(self)
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return type(self).__name__ + repr(self._astuple())
-
-    def __reduce__(self):  # copy and pickle through the constructor
-        return type(self), self._astuple()
 
 
 class VulnClass(NamedTuple):
@@ -230,8 +203,9 @@ class Registry(Frozen):
         """The registry file at ``path``; without one (or with an empty
         path), the shipped ``data/registry.json``. A file that cannot be
         read or parsed raises :class:`ScbenchError` naming the file, and an
-        entry that cannot be built one naming the file and the entry's
-        number: ``registry PATH: tool #N: DETAIL``."""
+        entry that cannot be built, holds a key outside :data:`_ENTRY_KEYS`
+        or repeats an earlier entry's name one naming the file and the
+        entry's number: ``registry PATH: tool #N: DETAIL``."""
         source = Path(path) if path else resources.files("scbench.data") / "registry.json"
         try:
             raw = json.loads(source.read_text("utf-8"))
@@ -244,10 +218,13 @@ class Registry(Frozen):
             raise ScbenchError(f"registry {source}: 'tools' is not a list")
         from .adapters import AdapterConfig  # the corpus commands never load it
 
-        tools = []
+        tools, numbers = [], {}  # numbers: tool name -> the number of its entry
         for number, entry in enumerate(entries, 1):
             try:
                 name, adapter = entry["name"], entry.get("adapter", {})
+                unknown = [key for key in entry if key not in _ENTRY_KEYS]
+                if unknown:
+                    raise ScbenchError(f"unknown key {unknown[0]!r}")
                 if "findings" in adapter:  # the stub payload, as tuples
                     adapter["findings"] = tuple((f["class"], tuple(f.get("lines", ())))
                                                 for f in adapter["findings"])
@@ -257,10 +234,13 @@ class Registry(Frozen):
                 tools.append(ToolDescriptor(name, frozenset(methods), frozenset(capabilities),
                                             VersionId.parse(entry["max_solidity"]),
                                             AdapterConfig(**adapter)))
+                if name in numbers:  # a string, once its descriptor is built
+                    raise ScbenchError(f"name {name!r} repeats tool #{numbers[name]}")
             except (ScbenchError, KeyError, AttributeError, TypeError, ValueError,
                     OverflowError) as exc:  # a value of the wrong type too
                 detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
                 raise ScbenchError(f"registry {source}: tool #{number}: {detail}") from None
+            numbers[name] = number
         return cls(tuple(tools))
 
 

@@ -23,9 +23,10 @@ from scbench import reference
 from scbench.adapters import AdapterConfig
 from scbench.corpus import (dedup, load_labelled, normalize_source,
                             parse_annotations, stats)
-from scbench.mcdm import ahp_weights, ewm_weights, load_pairwise, overall_scores
-from scbench.metrics import (INDICATOR_COLUMNS, ConfusionMatrix, efficiency_scores,
-                             functional_score, prf, score_campaign, usability_score)
+from scbench.mcdm import (INDICATOR_COLUMNS, ahp_weights, ewm_weights, load_pairwise,
+                          overall_scores)
+from scbench.metrics import (ConfusionMatrix, efficiency_scores, functional_score, prf,
+                             score_campaign, usability_score)
 from scbench.records import load_outcomes, write_records
 from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, compat_score

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scbench.errors import (DimensionMismatch, NotReciprocal, ScbenchError)
-from scbench.mcdm import (WeightVector, ahp_weights, ewm_weights,
+from scbench.mcdm import (IndicatorMatrix, WeightVector, ahp_weights, ewm_weights,
                           load_pairwise, overall_scores, standardize)
-from scbench.metrics import IndicatorMatrix
 
 from .oracles import consistent_ahp_oracle, ewm_oracle
 

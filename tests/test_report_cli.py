@@ -14,14 +14,17 @@ from scbench.adapters import AdapterConfig
 from scbench.cli import build_parser, main
 from scbench.corpus import ContractCase
 from scbench.errors import MissingMetadata, ScbenchError
+from scbench.mcdm import load_indicators_csv
 from scbench.reference import pairwise_path
-from scbench.report import (distribution_table, load_indicators_csv,
-                            metrics_grid, time_series, to_csv, to_markdown)
+from scbench.report import distribution_table, metrics_grid, time_series, to_csv, to_markdown
 from scbench.records import ScanRecord, read_records, write_records
 from scbench.tables import stats_table
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId, default_taxonomy
 
-from .conftest import LABELLED_DIR, LISTING_FIXTURE, REPLAY_DIR, deny_listing, scored
+from .conftest import (LABELLED_DIR, LISTING_FIXTURE, REPLAY_DIR, REPO_ROOT, deny_listing,
+                       scored)
+
+PERFBENCH_REGISTRY = REPO_ROOT / "perfbench" / "analyzers" / "registry.json"
 
 
 def make_tool(name, capabilities):
@@ -186,13 +189,15 @@ CORPUS_LAYERS = {"corpus", "corpus.lexer", "taxonomy", "tables"}
 SCORING_LAYERS = {"mcdm", "metrics", "reference", "report"}
 
 _LIST_LAYERS = (
-    "import json, sys\n"
+    "import sys\n"
     "from scbench import cli\n"
     "try:\n"
     "    rc = cli.main(sys.argv[1:])\n"
     "except SystemExit as exc:  # --help\n"
     "    rc = exc.code\n"
-    "print(json.dumps([rc, list(sys.modules)]))\n"
+    "modules = list(sys.modules)  # before this script's own ``json``\n"
+    "import json\n"
+    "print(json.dumps([rc, modules]))\n"
 )
 
 
@@ -479,26 +484,29 @@ class TestCli:
         (["corpus", "dedup", "--pragma", str(LABELLED_DIR)], CORPUS_LAYERS),
         (["corpus", "validate", str(LABELLED_DIR)], CORPUS_LAYERS),
         (["score", "--method", "ahp", "--matrix", str(pairwise_path("a1")),
-          "--indicators", "{indicators}"], {"taxonomy", "tables", *SCORING_LAYERS}),
+          "--indicators", "{indicators}"], {"mcdm", "tables"}),
     ], ids=["help", "stats", "dedup", "validate", "score"])
     def test_command_loads_only_its_layers(self, campaign, argv, loaded):
         assert layers_loaded(argv, campaign) == {"cli", "errors", *loaded}
 
     @pytest.mark.parametrize("argv, absent", [
         # argparse's help formatter still loads ``textwrap``
-        (COMMANDS["help"], {"logging", "traceback", "string"}),
+        (COMMANDS["help"], {"logging", "traceback", "string", "json"}),
         # no corpus layer logs or reads a date
         (COMMANDS["stats"], {"logging", "datetime"}),
         (COMMANDS["dedup"], {"logging", "datetime"}),
         (COMMANDS["validate"], {"logging", "datetime"}),
-        (["metrics", "--records", "{records}", "--corpus", str(LABELLED_DIR)], {"runner"}),
+        # a command that logs nothing loads no ``logging``
+        (["metrics", "--records", "{records}", "--corpus", str(LABELLED_DIR)],
+         {"runner", "logging", "traceback", "datetime"}),
         (["report", "--records", "{records}", "--corpus", str(LABELLED_DIR),
-          "--timeseries", "--out-dir", "{bundle}"], {"runner"}),
+          "--timeseries", "--out-dir", "{bundle}"], {"runner", "logging", "traceback"}),
         (["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
-          "--tools", "Slither", "--out", "{out}"], {"tables", *SCORING_LAYERS}),
+          "--tools", "Slither", "--out", "{out}"],
+         {"tables", *SCORING_LAYERS, "logging", "traceback"}),
         # the registry loads ``adapters``, which reads no record here
-        (COMMANDS["ewm"], {"corpus", "records", "runner"}),
-        (COMMANDS["ahp"], {"corpus", "records", "runner"}),
+        (COMMANDS["ewm"], {"corpus", "records", "runner", "logging", "traceback"}),
+        (COMMANDS["ahp"], {"corpus", "records", "runner", "logging", "traceback"}),
     ], ids=["help", "stats", "dedup", "validate", "metrics", "report", "run", "ewm", "ahp"])
     def test_command_skips_layers_it_does_not_run(self, campaign, argv, absent):
         # ``absent`` names ``scbench`` layers and other modules
@@ -719,9 +727,10 @@ class TestCli:
          "line_pattern 'e' has 0 groups, not 1"),
         ({"adapter": {"kind": "stub", "findings": [{"class": "V1", "lines": "ab"}]}},
          "stub finding 'V1' ('a', 'b') is not a class V1..V10 with integer lines"),
+        ({"metods": ["XX"]}, "unknown key 'metods'"),
     ], ids=["old-version", "capabilities-string", "methods-string", "name-number",
             "unknown-adapter-key", "pattern-not-a-regex", "pattern-without-group",
-            "lines-string"])
+            "lines-string", "unknown-key"])
     def test_malformed_registry_entry_fails_before_any_task(self, tmp_path, capsys, fault,
                                                             detail):
         started = tmp_path / "started"  # the second tool's first task makes it
@@ -739,6 +748,40 @@ class TestCli:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: registry {registry}: tool #1: {detail}\n"
         assert not out.exists() and not started.exists()
+
+    def test_repeated_tool_name_fails_before_any_task(self, tmp_path, capsys):
+        entry = json.loads(PERFBENCH_REGISTRY.read_text())["tools"][0]
+        assert entry["name"] == "GrepScan"
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [entry, entry]}))
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--registry", str(registry),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: registry {registry}: tool #2: name 'GrepScan' repeats tool #1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verbose", [[], ["-v"]], ids=["quiet", "verbose"])
+    def test_first_message_configures_logging(self, tmp_path, verbose):
+        # a fresh interpreter, whose root logger has no handler yet
+        fixture = tmp_path / "missing.json"
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [{
+            "name": "T", "capabilities": ["V1"], "max_solidity": "0.8",
+            "adapter": {"kind": "replay", "fixture": str(fixture)}}]}))
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        shutil.copy(LISTING_FIXTURE, corpus / "a.sol")
+        out = tmp_path / "records.jsonl"
+        proc = subprocess.run([sys.executable, "-m", "scbench.cli", *verbose, "run",
+                               "--corpus", str(corpus), "--registry", str(registry),
+                               "--out", str(out)],
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"ERROR scbench.runner: replay fixture for T unavailable: [Errno 2] No such "
+            f"file or directory: '{fixture}'\n"
+            f"error: replay fixture for T does not cover 1 of 1 contract(s) (first: a)\n")
 
     def test_missing_analyzer_program_fails_the_run(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"

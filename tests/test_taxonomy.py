@@ -8,6 +8,8 @@ from scbench.errors import ScbenchError, UnknownMarker, UnsupportedVersion
 from scbench.taxonomy import (Registry, Taxonomy, VersionId, VulnClass,
                               compat_score)
 
+from .conftest import REPO_ROOT
+
 
 class TestMarkers:
     def test_listing_marker_resolves_to_reentrancy(self, taxonomy):
@@ -167,15 +169,24 @@ class TestRegistryValidation:
         (b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
          b'"adapter": {"kind": "json"}}]}',
          "registry {}: tool #1: json adapter requires a command"),
+        (json.dumps({"tools": [{**VALID_ENTRY, "metods": ["XX"]}]}).encode(),
+         "registry {}: tool #1: unknown key 'metods'"),
+        (json.dumps({"tools": [VALID_ENTRY, {**VALID_ENTRY, "name": "U"}, VALID_ENTRY]}).encode(),
+         "registry {}: tool #3: name 'T' repeats tool #1"),
     ], ids=["not-utf8", "no-tools", "tools-not-a-list", "entry-not-an-object",
             "bad-timeout", "negative-timeout", "nan-timeout", "infinite-timeout",
-            "adapter-fault"])
+            "adapter-fault", "unknown-key", "repeated-name"])
     def test_malformed_registry_is_an_error(self, tmp_path, content, detail):
         path = tmp_path / "reg.json"
         path.write_bytes(content)
         with pytest.raises(ScbenchError) as info:
             Registry.load(path)
         assert str(info.value).startswith(detail.format(path))
+
+    def test_benchmark_registry_loads(self):
+        # it holds every entry key: name, methods, capabilities, max_solidity, adapter
+        assert Registry.load(REPO_ROOT / "perfbench" / "analyzers" / "registry.json").names() \
+            == ["GrepScan", "ShScan"]
 
     @pytest.mark.parametrize("field", ENTRY_FIELDS, ids="/".join)
     @settings(max_examples=40, deadline=None)

@@ -9,9 +9,9 @@ import pytest
 from scbench.adapters import DEFAULT_TIMEOUT, AdapterConfig
 from scbench.corpus import ClassStat, ContractCase, CorpusStats, scan_case
 from scbench.errors import ScbenchError
-from scbench.mcdm import ConsistencyReport, ScoreRow, ScoreTable, WeightVector
-from scbench.metrics import (ConfusionMatrix, IndicatorMatrix, MetricSet,
-                             TimingSummary, ToolScores)
+from scbench.mcdm import (ConsistencyReport, IndicatorMatrix, ScoreRow, ScoreTable,
+                          WeightVector)
+from scbench.metrics import ConfusionMatrix, MetricSet, TimingSummary, ToolScores
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId, VulnClass
 
 STUB = AdapterConfig(kind="stub")
