@@ -14,9 +14,9 @@ only for ``--format json``, and only ``report --timeseries`` loads
 ``datetime``. Likewise each command asks the corpus load for the derived
 fields it reads: ``corpus stats`` and ``report`` the labels and LoC,
 ``metrics`` the labels, ``corpus dedup`` the checksum (and the pragma flag
-with ``--pragma``), and ``run`` none. Only ``report --timeseries`` reads
-the metadata sidecar: ``--metadata``, else the corpus's own
-``metadata.csv``.
+with ``--pragma``), and ``run`` none, so it reads no scan cache
+(``corpus.cache``). Only ``report --timeseries`` reads the metadata
+sidecar: ``--metadata``, else the corpus's own ``metadata.csv``.
 """
 
 from __future__ import annotations
@@ -141,15 +141,18 @@ def _score_campaign(args, registry, fields, series: list[str] | None = None):
     """Load the campaign and score it once: the corpus (with the labels and
     the other derived ``fields`` the command reads), the recorded tools,
     their scores, the indicator matrix and the four tables that ``metrics``
-    prints and ``report`` bundles. Each ``series`` tool must be recorded.
-    The records file is folded into an outcome table as it is read, so no
-    record outlives its line."""
+    prints and ``report`` bundles. Each ``series`` tool must be recorded,
+    and a records file that holds no record is an error. The records file
+    is folded into an outcome table as it is read, so no record outlives
+    its line."""
     from . import metrics, report
     from .corpus import load_directory
     from .records import load_outcomes
 
     cases = load_directory(args.corpus, fields)
     outcomes = load_outcomes(args.records, cases)
+    if not outcomes.tools:  # no tool to score
+        raise ScbenchError(f"{args.records}: holds no record")
     recorded = set(outcomes.tools)
     unknown = recorded - set(registry.names())
     if unknown:

@@ -8,6 +8,16 @@ comment-stripping pass yields only the derived fields the caller names,
 and no pass runs when it names none. Lines, labels and LoC follow the
 line model of :mod:`.lexer`: a line is LF-delimited.
 
+A load that derives a field (``corpus stats``, ``dedup`` and ``validate``,
+``metrics`` and ``report``; not ``run``) goes through the scan cache of
+:mod:`.cache`, one file per corpus root under
+``$XDG_CACHE_HOME/scbench`` (``~/.cache/scbench`` by default). It is keyed
+by each contract's text and the scanner's own: a contract whose text
+equals the cached one is not scanned, and a changed text or scanner
+scans again. Only a clean contract is cached, one that lexes without
+error and whose labels raise and warn nothing, so the others are scanned,
+and report, at every load. Deleting the directory clears the cache.
+
 An optional ``metadata.csv`` sidecar (id, ISO-8601 timestamp, wei value)
 feeds the time series of a report, its only reader; no corpus load
 reads it (:func:`load_sidecar`).
@@ -20,6 +30,7 @@ import os
 import re
 import warnings
 from collections import namedtuple
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -59,6 +70,7 @@ __all__ = [
 _HEADER_RE = re.compile(r"@vulnerable_at_lines[^\S\n]*:[^\S\n]*([0-9](?:[0-9,]|[^\S\n])*)")
 _MARKER_RE = re.compile(r"<yes>[^\S\n]*<report>[^\S\n]*([A-Za-z0-9_\-]+)")
 _CODE_RE = re.compile(r"\S")
+_LF_RE = re.compile("\n")
 
 
 class ContractCase(namedtuple("ContractCase", "id source expected loc pragma checksum")):
@@ -101,21 +113,32 @@ def scan_case(case_id: str, source: str, fields: Collection[str] = DERIVED,
     :data:`DERIVED`) from one comment-stripping scan, or from none when
     ``fields`` is empty; the others stay None. ``origin`` names the source
     (its file) in a label error; it defaults to ``case_id``."""
+    return ContractCase._make((case_id, source, *_derive(source, fields, origin or case_id)[0]))
+
+
+def _derive(source: str, fields: Collection[str], origin: str) -> tuple[tuple, bool]:
+    """The derived ``fields`` of ``source`` in :data:`DERIVED` order, each
+    field left out None, and whether ``source`` is clean: it lexes without
+    error and its labels, when derived, warn of no mismatch. A label error
+    names ``origin``."""
     expected = loc = pragma = checksum = None
+    clean = True
     if fields:
-        stripped = strip_comments(source, strict=False)
+        stripped, lex_error = _strip(source)
+        clean = lex_error is None
         if "expected" in fields:
             try:
-                expected = _annotations(source, stripped)
+                expected, mismatched = _annotations(source, stripped)
             except ScbenchError as exc:  # an unknown marker or header number
-                raise type(exc)(f"{origin or case_id}: {exc}") from None
+                raise type(exc)(f"{origin}: {exc}") from None
+            clean = clean and not mismatched
         if "loc" in fields:
             loc = _loc(stripped)
         if "pragma" in fields:
             pragma = _pragma(stripped)
         if "checksum" in fields:
             checksum = _checksum(stripped)
-    return ContractCase._make((case_id, source, expected, loc, pragma, checksum))
+    return (expected, loc, pragma, checksum), clean
 
 
 def _derived(case: ContractCase, field: str):
@@ -140,16 +163,21 @@ def parse_annotations(source: str) -> dict[str, frozenset[int]]:
     :class:`AnnotationMismatch` warning, as does any header whose line set
     disagrees with the inline markers.
     """
-    return _annotations(source, strip_comments(source, strict=False))
+    return _annotations(source, strip_comments(source, strict=False))[0]
 
 
-def _annotations(source: str, stripped: str) -> dict[str, frozenset[int]]:
+def _annotations(source: str, stripped: str) -> tuple[dict[str, frozenset[int]], bool]:
+    """The labels of ``source`` (see :func:`parse_annotations`), given its
+    comment-stripped text, and whether it warned of a mismatch."""
     taxonomy = default_taxonomy()
     inline: dict[str, set[int]] = {}
+    mismatched = False
     line = 0  # the line of the last marker that counted
     below = 0  # the offset in ``stripped`` of the line after ``line``
+    idx, at = 1, 0  # the line of offset ``at`` in ``source``
     for m in _MARKER_RE.finditer(source):
-        idx = _line(source, m.start())
+        idx += source.count("\n", at, m.start())  # each LF is counted once
+        at = m.start()
         if idx == line:
             continue
         try:
@@ -158,13 +186,14 @@ def _annotations(source: str, stripped: str) -> dict[str, frozenset[int]]:
             raise UnknownMarker(f"line {idx}: {exc}") from None
         # ``stripped`` keeps every LF of ``source``: step past the marker
         # line's, which only the last line lacks (``below`` is then 0)
-        for _ in range(idx - line):
-            below = stripped.find("\n", below) + 1
+        lf = next(islice(_LF_RE.finditer(stripped, below), idx - line - 1, None), None)
+        below = lf.end() if lf else 0
         line = idx
         code = _CODE_RE.search(stripped, below) if below else None
         if code is None:
             warnings.warn(AnnotationMismatch(
                 f"marker {m.group(1)!r} on line {idx} has no following statement"))
+            mismatched = True
             continue
         target = idx + 1 + stripped.count("\n", below, code.start())
         inline.setdefault(cls.id, set()).add(target)
@@ -187,19 +216,22 @@ def _annotations(source: str, stripped: str) -> dict[str, frozenset[int]]:
                 warnings.warn(AnnotationMismatch(
                     f"header lines {sorted(header)} disagree with inline "
                     f"marker lines {sorted(inline_union)}"))
+                mismatched = True
             (only,) = inline
             inline[only] |= header
         elif not inline:
             warnings.warn(AnnotationMismatch(
                 f"header declares lines {sorted(header)} but no inline markers are present"))
+            mismatched = True
         else:
             stray = header - inline_union
             if stray:
                 warnings.warn(AnnotationMismatch(
                     f"header lines {sorted(stray)} match no inline marker "
                     "in a multi-class file"))
+                mismatched = True
 
-    return {cid: frozenset(lines) for cid, lines in inline.items()}
+    return {cid: frozenset(lines) for cid, lines in inline.items()}, mismatched
 
 
 def dedup(cases: Iterable[ContractCase]) -> tuple[list[ContractCase], int]:
@@ -379,12 +411,36 @@ def _read_source(path: str, origin: str) -> str:
 
 def load_labelled(root: str | Path, fields: Collection[str] = DERIVED) -> list[ContractCase]:
     """Load ``<root>/<class_dir>/*.sol`` (including ``safe/``), sorted by id,
-    with the derived ``fields`` (see :func:`scan_case`)."""
+    with the derived ``fields`` (see :func:`_load`)."""
     root = os.fspath(root)
     if not os.path.isdir(root):
         raise ScbenchError(f"corpus root {root} is not a directory")
-    return [scan_case(rel.removesuffix(".sol"), _read_source(path, rel), fields, rel)
-            for rel, path in _labelled_files(root)]
+    return _load(root, _labelled_files(root), fields)
+
+
+def _load(root: str, files: Iterable[tuple[str, str]],
+          fields: Collection[str]) -> list[ContractCase]:
+    """The case of each ``(origin, path)`` of ``files``, its id ``origin``
+    less ``.sol``, with the derived ``fields`` (see :func:`scan_case`). A
+    load that derives a field reads the scan cache of ``root`` (see
+    :mod:`.cache`): a contract whose text it holds with every field is not
+    scanned, and the load keeps each clean scan there."""
+    if not fields:
+        return [ContractCase._make((origin[:-4] or origin, _read_source(path, origin),
+                                    None, None, None, None)) for origin, path in files]
+    from .cache import ScanCache
+
+    cache = ScanCache(root, fields)
+    cases = []
+    for origin, path in files:
+        source, derived = cache.get(origin, _read_source(path, origin))
+        if derived is None:
+            derived, clean = _derive(source, fields, origin)
+            if clean:
+                cache.put(origin, source, derived)
+        cases.append(ContractCase._make((origin[:-4] or origin, source, *derived)))
+    cache.save()
+    return cases
 
 
 def _is_labelled(root: str) -> bool:
@@ -418,37 +474,49 @@ def load_flat(directory: str | Path, fields: Collection[str] = DERIVED) -> list[
     case's id is its file name less ``.sol``, as ``Path.stem`` gives it."""
     directory = os.fspath(directory)
     prefix = os.path.join(directory, "")
-    return [scan_case(name[:-4] or name, _read_source(prefix + name, name), fields, name)
-            for name in _sources(directory)]
+    return _load(directory, [(name, prefix + name) for name in _sources(directory)], fields)
 
 
 def scan_problems(root: str | Path) -> list[str]:
     """Validation sweep over a labelled corpus; returns human-readable issues.
 
     Checks alias totality, annotation line bounds, directory/label
-    agreement, missing pragma directives, and annotation mismatches.
+    agreement, missing pragma directives, and annotation mismatches. A
+    clean contract whose labels and pragma flag the scan cache holds is
+    not scanned (see :func:`_load`).
     """
+    from .cache import ScanCache
+
+    root = os.fspath(root)
     taxonomy = default_taxonomy()
+    cache = ScanCache(root, ("expected", "pragma"))
     problems: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for rel, path in _labelled_files(os.fspath(root)):
+        for rel, path in _labelled_files(root):
             try:
                 source = _read_source(path, rel)
             except ScbenchError as exc:
                 problems.append(str(exc))
                 continue
-            stripped, lex_error = _strip(source)
-            if lex_error is not None:
-                problems.append(f"{rel}: line {_line(source, lex_error.position)}: "
-                                f"{lex_error}")
-            caught.clear()  # a contract whose labels raise drops its warnings
-            try:
-                expected = _annotations(source, stripped)
-            except ScbenchError as exc:
-                problems.append(f"{rel}: {exc}")
-                continue
-            problems.extend(f"{rel}: {w.message}" for w in caught)
+            source, derived = cache.get(rel, source)
+            if derived is None:
+                stripped, lex_error = _strip(source)
+                if lex_error is not None:
+                    problems.append(f"{rel}: line {_line(source, lex_error.position)}: "
+                                    f"{lex_error}")
+                caught.clear()  # a contract whose labels raise drops its warnings
+                try:
+                    expected, mismatched = _annotations(source, stripped)
+                except ScbenchError as exc:
+                    problems.append(f"{rel}: {exc}")
+                    continue
+                problems.extend(f"{rel}: {w.message}" for w in caught)
+                pragma = _pragma(stripped)
+                if lex_error is None and not mismatched:
+                    cache.put(rel, source, (expected, None, pragma, None))
+            else:
+                expected, _, pragma, _ = derived
             # the last line need not end in LF
             n_lines = source.count("\n") + (source[-1:] not in ("", "\n"))
             for cid, lines in expected.items():
@@ -465,6 +533,7 @@ def scan_problems(root: str | Path) -> list[str]:
             elif dir_class is not None and dir_class.id not in expected:
                 problems.append(f"{rel}: directory says {dir_class.id} but labels are "
                                 f"{sorted(expected) or 'empty'}")
-            if not _pragma(stripped):
+            if not pragma:
                 problems.append(f"{rel}: no pragma solidity directive")
+    cache.save()
     return problems

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,28 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LABELLED_DIR = REPO_ROOT / "datasets" / "labelled"
 REPLAY_DIR = REPO_ROOT / "datasets" / "replay" / "labelled"
 LISTING_FIXTURE = LABELLED_DIR / "reentrancy" / "reentrancy_insecure.sol"
+
+
+# the directory of the suite's scan caches, and the XDG_CACHE_HOME it replaces
+_CACHE_HOME = pytest.StashKey[tuple]()
+
+
+def pytest_configure(config):
+    """Give the session a cache directory of its own before any corpus load,
+    so no test (nor a command it starts) reads or writes the user's scan
+    cache (``$XDG_CACHE_HOME/scbench``)."""
+    home = tempfile.mkdtemp(prefix="scbench-cache-")
+    config.stash[_CACHE_HOME] = (home, os.environ.get("XDG_CACHE_HOME"))
+    os.environ["XDG_CACHE_HOME"] = home
+
+
+def pytest_unconfigure(config):
+    home, saved = config.stash[_CACHE_HOME]
+    if saved is None:
+        os.environ.pop("XDG_CACHE_HOME", None)
+    else:
+        os.environ["XDG_CACHE_HOME"] = saved
+    shutil.rmtree(home, ignore_errors=True)
 
 
 def scored(records, registry, corpus):

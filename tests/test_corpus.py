@@ -3,6 +3,7 @@ import json
 import os
 import re
 import textwrap
+import time
 import warnings
 from datetime import datetime, timezone
 
@@ -56,6 +57,19 @@ class TestParseAnnotations:
             """
         )
         assert parse_annotations(src) == {"V8": frozenset({5})}
+
+    def test_a_large_file_of_many_markers_is_scanned_in_linear_time(self):
+        # 60,000 markers over 4.7 MB, each target below a block comment and
+        # a blank line. A scan that counts or copies the text from its start
+        # or to its end once per marker took 3 s to minutes on a 2-core VM;
+        # this one takes under half a second
+        src = "pragma solidity ^0.5.0;\n" + "".join(
+            f"// <yes> <report> REENTRANCY\n/* c */\n\nx.call.value({i})(); // pad pad\n"
+            for i in range(60_000))
+        started = time.perf_counter()
+        labels = parse_annotations(src)
+        assert time.perf_counter() - started < 2.0
+        assert labels == {"V1": frozenset(range(5, 4 * 60_000 + 2, 4))}
 
     def test_header_inline_disagreement_warns_but_returns_union(self):
         src = textwrap.dedent(
@@ -509,8 +523,10 @@ def _checksum(source: str) -> str:
 
 class TestOneScanPerContract:
     @pytest.fixture
-    def scans(self, monkeypatch):
-        """Every source the lexer kernel is called on, in call order."""
+    def scans(self, monkeypatch, tmp_path_factory):
+        """Every source the lexer kernel is called on, in call order; the
+        loads meet an empty scan cache."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         calls = []
         kernel = lexer._scan
 
@@ -527,9 +543,23 @@ class TestOneScanPerContract:
         dedup(pragma_filter(cases))
         assert len(scans) == len(cases) == 389
 
+    def test_warm_curation_scans_no_contract(self, scans):
+        load_labelled(LABELLED_DIR)
+        scans.clear()
+        cases = load_labelled(LABELLED_DIR)
+        stats(cases)
+        dedup(pragma_filter(cases))
+        assert len(scans) == 0 and len(cases) == 389
+
     def test_scan_problems_scans_each_file_once(self, scans):
         scan_problems(LABELLED_DIR)
         assert len(scans) == 389
+
+    def test_warm_scan_problems_scans_no_file(self, scans):
+        problems = scan_problems(LABELLED_DIR)
+        scans.clear()
+        assert scan_problems(LABELLED_DIR) == problems
+        assert len(scans) == 0
 
     def test_flat_load_scans_each_file_once(self, scans, tmp_path):
         sources = sorted((LABELLED_DIR / "reentrancy").glob("*.sol"))
@@ -537,6 +567,15 @@ class TestOneScanPerContract:
             (tmp_path / path.name).write_bytes(path.read_bytes())
         cases = load_flat(tmp_path)
         assert len(scans) == len(cases) == len(sources) > 1
+
+    def test_warm_flat_load_scans_no_file(self, scans, tmp_path):
+        sources = sorted((LABELLED_DIR / "reentrancy").glob("*.sol"))
+        for path in sources:
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        load_flat(tmp_path)
+        scans.clear()
+        cases = load_flat(tmp_path)
+        assert len(scans) == 0 and len(cases) == len(sources) > 1
 
     def test_hand_built_case_derives_fields_from_one_scan(self, scans):
         source = "pragma solidity ^0.5.0;\n// note\ncontract C {  }\n"
@@ -577,6 +616,25 @@ class TestOneScanPerContract:
         assert len(scans) == scanned and len(cases) == 389
         for name in ("expected", "loc", "pragma", "checksum"):
             assert all((getattr(c, name) is None) == (name not in fields) for c in cases)
+
+    @pytest.mark.parametrize("fields", [
+        (), ("checksum",), ("pragma", "checksum"), ("expected",), ("expected", "loc")])
+    def test_a_warm_load_scans_nothing_for_the_fields_it_derives(self, scans, fields):
+        load_directory(LABELLED_DIR, fields=fields)
+        scans.clear()
+        cases = load_directory(LABELLED_DIR, fields=fields)
+        assert len(scans) == 0 and len(cases) == 389
+        for name in ("expected", "loc", "pragma", "checksum"):
+            assert all((getattr(c, name) is None) == (name not in fields) for c in cases)
+
+    def test_loads_of_other_fields_merge_in_the_cache(self, scans):
+        # the command order of a campaign: stats, dedup, then validation
+        load_directory(LABELLED_DIR, fields=("expected", "loc"))
+        load_directory(LABELLED_DIR, fields=("checksum", "pragma"))
+        scans.clear()
+        load_directory(LABELLED_DIR)
+        scan_problems(LABELLED_DIR)
+        assert len(scans) == 0
 
     def test_fields_left_underived_are_refused(self):
         cases = load_directory(LABELLED_DIR, fields=("expected",))

@@ -185,7 +185,7 @@ class TestRendering:
 
 
 # ``scbench`` modules beside ``cli`` and ``errors`` that a command loads
-CORPUS_LAYERS = {"corpus", "corpus.lexer", "taxonomy", "tables"}
+CORPUS_LAYERS = {"corpus", "corpus.lexer", "corpus.cache", "taxonomy", "tables"}
 SCORING_LAYERS = {"mcdm", "metrics", "reference", "report"}
 
 _LIST_LAYERS = (
@@ -222,11 +222,13 @@ def src_env() -> dict[str, str]:
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
-def modules_loaded(argv, paths) -> set[str]:
+def modules_loaded(argv, paths, env=None) -> set[str]:
     """Every module in ``sys.modules`` after ``cli.main(argv)`` ran in a
-    fresh interpreter; the command must succeed."""
+    fresh interpreter, with ``env`` added to its environment; the command
+    must succeed."""
     argv = [arg.format(**paths) for arg in argv]
-    proc = subprocess.run([sys.executable, "-c", _LIST_LAYERS, *argv], env=src_env(),
+    proc = subprocess.run([sys.executable, "-c", _LIST_LAYERS, *argv],
+                          env=dict(src_env(), **(env or {})),
                           capture_output=True, text=True, timeout=120)
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0, (argv, proc.stderr)
@@ -501,9 +503,10 @@ class TestCli:
          {"runner", "logging", "traceback", "datetime"}),
         (["report", "--records", "{records}", "--corpus", str(LABELLED_DIR),
           "--timeseries", "--out-dir", "{bundle}"], {"runner", "logging", "traceback"}),
+        # a load that derives no field reads no scan cache
         (["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
           "--tools", "Slither", "--out", "{out}"],
-         {"tables", *SCORING_LAYERS, "logging", "traceback"}),
+         {"tables", *SCORING_LAYERS, "corpus.cache", "logging", "traceback"}),
         # the registry loads ``adapters``, which reads no record here
         (COMMANDS["ewm"], {"corpus", "records", "runner", "logging", "traceback"}),
         (COMMANDS["ahp"], {"corpus", "records", "runner", "logging", "traceback"}),
@@ -550,10 +553,17 @@ class TestCli:
             assert loaded & {"fractions", "decimal"} == set()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_only_dedup_loads_hashlib(self, campaign, bare_modules, command):
-        # only ``corpus dedup`` reads a checksum
+    def test_only_dedup_loads_hashlib(self, campaign, bare_modules, command, tmp_path):
+        # only ``corpus dedup`` reads a checksum, and computes one only when
+        # the scan cache holds none: here the cache is empty
         assert "hashlib" not in bare_modules
-        assert ("hashlib" in modules_loaded(COMMANDS[command], campaign)) == (command == "dedup")
+        loaded = modules_loaded(COMMANDS[command], campaign, {"XDG_CACHE_HOME": str(tmp_path)})
+        assert ("hashlib" in loaded) == (command == "dedup")
+
+    def test_warm_dedup_loads_no_hashlib(self, campaign, tmp_path):
+        cache = {"XDG_CACHE_HOME": str(tmp_path)}
+        assert "hashlib" in modules_loaded(COMMANDS["dedup"], campaign, cache)
+        assert "hashlib" not in modules_loaded(COMMANDS["dedup"], campaign, cache)
 
     def test_closed_stdout_ends_quietly(self):
         argv = [sys.executable, "-m", "scbench.cli", "corpus", "dedup", str(LABELLED_DIR),
@@ -649,6 +659,18 @@ class TestCli:
                      "--corpus", str(LABELLED_DIR)]) == 1
         assert capsys.readouterr().err == (f"error: cannot read records {records}: "
                                            "No such file or directory\n")
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank"])
+    @pytest.mark.parametrize("command", ["metrics", "report"])
+    def test_records_file_that_holds_no_record_is_an_error(self, tmp_path, capsys, command,
+                                                           text):
+        records = tmp_path / "records.jsonl"
+        records.write_text(text)
+        bundle = tmp_path / "bundle"
+        argv = [command, "--records", str(records), "--corpus", str(LABELLED_DIR)]
+        assert main(argv + (["--out-dir", str(bundle)] if command == "report" else [])) == 1
+        assert capsys.readouterr() == ("", f"error: {records}: holds no record\n")
+        assert not bundle.exists()
 
     def test_malformed_replay_entries_fail_the_run(self, tmp_path, capsys):
         replay = tmp_path / "replay"
