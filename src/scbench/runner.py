@@ -2,9 +2,9 @@
 
 A campaign runs every (tool, contract) pair exactly once. Replay and stub
 tools are answered inline from a fixture or payload loaded once per tool;
-command tools spawn one process group per task under a bounded worker
-pool. Determinism is defined on the *set* of records, never their order,
-and individual task failures are recorded, not fatal.
+command tools spawn one process group per task from one selector loop.
+Determinism is defined on the *set* of records, never their order, and
+individual task failures are recorded, not fatal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -34,6 +33,7 @@ from .taxonomy import Registry, ToolDescriptor
 # The modules that only command tools need are imported where those run,
 # so that a replay or stub campaign does not load them.
 if TYPE_CHECKING:
+    import selectors
     import subprocess
 
 __all__ = ["RecordSet", "execute_campaign", "read_records", "write_records"]
@@ -41,9 +41,6 @@ __all__ = ["RecordSet", "execute_campaign", "read_records", "write_records"]
 logger = Logger(__name__)
 
 _SPAWNED = ("json", "text")  # adapter kinds that run a process per task
-# spawned tasks in flight per worker: every worker stays busy, and a
-# failing sink stops the campaign after a handful
-_WINDOW_PER_WORKER = 2
 # A command runs in a process group of its own, so that a timeout kills its
 # descendants too. Before Python 3.11 only a new session does that, which
 # rules out vfork and costs about 1 ms more per spawn.
@@ -128,46 +125,6 @@ def _decode(data: bytes, errors: str = "strict") -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _communicate(proc: subprocess.Popen, cap: float) -> tuple[bytes, bytes]:
-    """Both pipes of ``proc`` read to EOF and the tool reaped, within ``cap``
-    seconds of wall clock; :class:`subprocess.TimeoutExpired` past it.
-
-    Where ``os.pidfd_open`` works, one selector waits on the two pipes and
-    on the tool's exit, so the task wakes on each of those events and never
-    on a timer. Elsewhere ``Popen.communicate`` waits, which sleep-polls for
-    the exit once the pipes are closed.
-    """
-    import selectors
-    import subprocess
-
-    try:
-        pidfd = os.pidfd_open(proc.pid)
-    except (AttributeError, OSError):  # not Linux, or a kernel without pidfds
-        return proc.communicate(timeout=cap)
-    deadline = time.monotonic() + cap
-    chunks: dict[int, list[bytes]] = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
-    try:
-        with selectors.PollSelector() as selector:
-            for fd in (*chunks, pidfd):
-                selector.register(fd, selectors.EVENT_READ)
-            while selector.get_map():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise subprocess.TimeoutExpired(proc.args, cap)
-                for key, _ in selector.select(remaining):
-                    if key.fd == pidfd:  # the tool has exited
-                        selector.unregister(pidfd)
-                    elif data := os.read(key.fd, 32768):
-                        chunks[key.fd].append(data)
-                    else:  # EOF
-                        selector.unregister(key.fd)
-    finally:
-        os.close(pidfd)
-    proc.wait()  # an exited child: reaped at once
-    out, err = chunks.values()
-    return b"".join(out), b"".join(err)
-
-
 class _TaskDirs:
     """The input directories of one campaign's spawned tasks, under ``root``.
 
@@ -180,7 +137,7 @@ class _TaskDirs:
 
     def __init__(self, root: str):
         self._root = root
-        self._free: list[str] = []  # one pop or append per task: atomic under the GIL
+        self._free: list[str] = []
 
     def take(self) -> str:
         try:
@@ -213,92 +170,127 @@ def _command(tool: ToolDescriptor) -> tuple[tuple[str, ...], str]:
     return template, os.path.abspath(program)
 
 
-def _spawn_scan(tool: ToolDescriptor, template: tuple[str, ...], program: str,
-                case: ContractCase, timeout: float | None, raw_dir: str | Path | None,
-                live: set[int], dirs: _TaskDirs) -> ScanRecord:
-    """Execute one scan task of a command tool and classify its outcome.
+class _Task:
+    """One scan task of a command tool, from its spawn to its record.
 
     The tool runs ``program`` with the ``template`` arguments, ``{input}``
-    naming a ``contract.sol`` alone in a directory taken from ``dirs``.
-    Spawn or I/O failures on our side are ``harness_error``; a non-zero
-    exit from the tool is ``tool_error``; the wall clock is capped at
-    ``timeout`` (default: the adapter's), after which the tool's whole
-    process group is killed. Raw output is persisted under ``raw_dir`` when
-    given. ``live`` holds the process groups of the campaign's running
-    tools, for an abort to kill.
+    naming a ``contract.sol`` alone in a directory taken from ``dirs``, for
+    at most ``cap`` seconds. Its pipes and, where ``os.pidfd_open`` works, a
+    pidfd of it are registered in ``selector``; ``waiting`` holds those not
+    yet at EOF or exit. Raw output is kept under ``raw_dir`` when given.
     """
-    import subprocess
 
-    config = tool.adapter
-    cap = timeout if timeout is not None else config.timeout
+    def __init__(self, tool: ToolDescriptor, template: tuple[str, ...], program: str,
+                 case: ContractCase, cap: float, raw_dir: str | Path | None,
+                 dirs: _TaskDirs, selector: selectors.BaseSelector):
+        self.tool, self.template, self.program, self.case = tool, template, program, case
+        self.cap, self.raw_dir, self.dirs, self.selector = cap, raw_dir, dirs, selector
+        self.dir = self.proc = self.pidfd = None  # until started
+        self.waiting: set[int] = set()
 
-    task_dir = dirs.take()
-    input_path = os.path.join(task_dir, "contract.sol")
-    reusable = False  # the tool exited by itself: no timeout, kill or interrupt
-    try:
-        with open(input_path, "w", encoding="utf-8") as fh:
+    def start(self, case: ContractCase) -> ScanRecord | None:
+        """Spawn the tool on ``case`` and register its descriptors; a
+        ``harness_error`` record when it cannot be spawned."""
+        import selectors
+        import subprocess
+
+        self.dir = self.dirs.take()
+        self.input = os.path.join(self.dir, "contract.sol")
+        with open(self.input, "w", encoding="utf-8") as fh:
             fh.write(case.source)
-        argv = [part.replace("{input}", input_path) for part in template]
-        start = time.monotonic()
+        argv = [part.replace("{input}", self.input) for part in self.template]
+        self.began = time.monotonic()
+        self.deadline = self.began + self.cap
         try:
-            proc = subprocess.Popen(argv, executable=program, stdout=subprocess.PIPE,
-                                    stderr=subprocess.PIPE, **_OWN_GROUP)
+            self.proc = subprocess.Popen(argv, executable=self.program, stdout=subprocess.PIPE,
+                                         stderr=subprocess.PIPE, **_OWN_GROUP)
         except (OSError, ValueError) as exc:
-            logger.error("failed to spawn %s: %s", tool.name, exc)
-            return ScanRecord(tool.name, case.id, "harness_error", 0)
-        live.add(proc.pid)
+            logger.error("failed to spawn %s: %s", self.tool.name, exc)
+            return ScanRecord(self.tool.name, case.id, "harness_error", 0)
+        self.chunks = {self.proc.stdout.fileno(): [], self.proc.stderr.fileno(): []}
         try:
-            stdout, stderr = _communicate(proc, cap)
-        except BaseException as exc:  # a timeout or an interrupt
-            if proc.returncode is None:  # a reaped pid may name another group
+            self.pidfd = os.pidfd_open(self.proc.pid)
+        except (AttributeError, OSError):  # not Linux, or a kernel without pidfds
+            pass
+        for fd in (*self.chunks, self.pidfd):
+            if fd is not None:
+                self.selector.register(fd, selectors.EVENT_READ, self)
+                self.waiting.add(fd)
+        return None
+
+    def end(self, case: ContractCase) -> ScanRecord:
+        """The record of ``case`` once nothing is ``waiting``, or a ``timeout``
+        at the cap, which kills the tool's process group. I/O failures on our
+        side are ``harness_error``; a non-zero exit is ``tool_error``."""
+        import subprocess
+
+        tool, config = self.tool, self.tool.adapter
+        timed_out = bool(self.waiting)
+        if not timed_out:  # the tool has exited, or has no pidfd to say so
+            try:
+                self.proc.wait(max(self.deadline - time.monotonic(), 0))
+            except subprocess.TimeoutExpired:
+                timed_out = True
+        elapsed_ms = int((time.monotonic() - self.began) * 1000)
+        self.close(kill=timed_out)
+        if timed_out:
+            return ScanRecord(tool.name, case.id, "timeout", int(self.cap * 1000))
+        stdout, stderr = (b"".join(chunks) for chunks in self.chunks.values())
+
+        raw_ref = None
+        if self.raw_dir is not None:
+            try:
+                out_dir = Path(self.raw_dir) / tool.name
+                out_dir.mkdir(parents=True, exist_ok=True)
+                raw_path = out_dir / (case.id.replace("/", "__") + ".out")
+                # stdout is decoded strictly below; here a bad byte is U+FFFD
+                raw_path.write_text(_decode(stdout, "replace") + _decode(stderr, "replace"),
+                                    "utf-8")
+                raw_ref = str(raw_path)
+            except OSError as exc:
+                logger.error("could not persist raw output for %s: %s",
+                             tool.name, exc)
+                return ScanRecord(tool.name, case.id, "harness_error", elapsed_ms)
+
+        if self.proc.returncode != 0:
+            return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
+                              raw_ref=raw_ref)
+        try:
+            text = _decode(stdout)
+            if config.kind == "json":
+                findings = parse_json_output(text, config.rule_map)
+            else:
+                findings = parse_text_output(text, config.rule_map,
+                                             config.line_pattern)
+        except ValueError as exc:  # a Unicode- or JSONDecodeError too
+            logger.error("unparseable output from %s: %s", tool.name, exc)
+            return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
+                              raw_ref=raw_ref)
+        return ScanRecord(tool.name, case.id, "ok", elapsed_ms, findings, raw_ref)
+
+    def close(self, kill: bool) -> None:
+        """Reap the tool, first killing its process group if ``kill``, close
+        the task's descriptors and give back its directory: for reuse only
+        when the tool exited by itself. Once closed, it does nothing."""
+        if self.dir is None:
+            return
+        proc = self.proc
+        if proc is not None:
+            for fd in self.waiting:
+                self.selector.unregister(fd)
+            if kill and proc.returncode is None:  # a reaped pid may name another group
                 _kill_group(proc.pid)
             proc.wait()
-            if isinstance(exc, subprocess.TimeoutExpired):
-                return ScanRecord(tool.name, case.id, "timeout", int(cap * 1000))
-            raise
-        finally:
-            live.discard(proc.pid)
             proc.stdout.close()
             proc.stderr.close()
-        elapsed_ms = int((time.monotonic() - start) * 1000)
-        reusable = proc.returncode >= 0  # no signal ended it: an abort's kill, say
-    finally:
-        dirs.give_back(task_dir, input_path, reusable)
-
-    raw_ref = None
-    if raw_dir is not None:
-        try:
-            out_dir = Path(raw_dir) / tool.name
-            out_dir.mkdir(parents=True, exist_ok=True)
-            raw_path = out_dir / (case.id.replace("/", "__") + ".out")
-            # stdout is decoded strictly below; here a bad byte is U+FFFD
-            raw_path.write_text(_decode(stdout, "replace") + _decode(stderr, "replace"),
-                                "utf-8")
-            raw_ref = str(raw_path)
-        except OSError as exc:
-            logger.error("could not persist raw output for %s: %s",
-                         tool.name, exc)
-            return ScanRecord(tool.name, case.id, "harness_error", elapsed_ms)
-
-    if proc.returncode != 0:
-        return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
-                          raw_ref=raw_ref)
-    try:
-        text = _decode(stdout)
-        if config.kind == "json":
-            findings = parse_json_output(text, config.rule_map)
-        else:
-            findings = parse_text_output(text, config.rule_map,
-                                         config.line_pattern)
-    except ValueError as exc:  # a Unicode- or JSONDecodeError too
-        logger.error("unparseable output from %s: %s", tool.name, exc)
-        return ScanRecord(tool.name, case.id, "tool_error", elapsed_ms,
-                          raw_ref=raw_ref)
-    return ScanRecord(tool.name, case.id, "ok", elapsed_ms, findings, raw_ref)
+            if self.pidfd is not None:
+                os.close(self.pidfd)
+        self.dirs.give_back(self.dir, self.input, not kill and proc.returncode >= 0)
+        self.dir = None
 
 
-def _guarded(scan: Callable[[ContractCase], ScanRecord], tool: ToolDescriptor,
-             case: ContractCase) -> ScanRecord:
+def _guarded(scan: Callable[[ContractCase], ScanRecord | None], tool: ToolDescriptor,
+             case: ContractCase) -> ScanRecord | None:
     try:
         return scan(case)
     except Exception:  # record, never abort the campaign
@@ -307,34 +299,66 @@ def _guarded(scan: Callable[[ContractCase], ScanRecord], tool: ToolDescriptor,
 
 
 def _run_spawned(jobs: list, parallelism: int, sink: Callable[[ScanRecord], None],
-                 live: set[int]) -> None:
-    """Run the spawned ``jobs`` in order at ``parallelism`` 1, else on a
-    pool with a window of tasks in flight, sinking each record as its task
-    completes. An exception from the sink, or an interrupt, cancels the
-    queued tasks and kills the running tools in ``live``; the pool's exit
-    then waits for their workers."""
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
+                 dirs: _TaskDirs) -> None:
+    """Run the spawned ``jobs`` in order, at most ``parallelism`` at once,
+    from one selector that wakes on a tool's output, EOF or exit, or at the
+    nearest cap. Each record is sunk when its task ends, before another
+    starts. An exception, from the sink or an interrupt, kills and reaps
+    every running tool, gives back its directory and starts no other task."""
+    import selectors
 
-    if parallelism == 1:
-        for job in jobs:
-            sink(_guarded(*job))
-        return
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        in_flight: set = set()
+    running: list[_Task] = []
+    pending = iter(jobs)
+    with selectors.DefaultSelector() as selector:
         try:
-            for job in jobs:
-                if len(in_flight) >= _WINDOW_PER_WORKER * parallelism:
-                    done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        sink(future.result())
-                in_flight.add(pool.submit(_guarded, *job))
-            for future in as_completed(in_flight):
-                sink(future.result())
+            while True:
+                while len(running) < parallelism and (job := next(pending, None)):
+                    running.append(task := _Task(*job, dirs, selector))
+                    if (record := _guarded(task.start, task.tool, task.case)) is not None:
+                        task.close(kill=True)  # it did not start
+                        running.remove(task)
+                        sink(record)
+                if not running:
+                    return
+                wait = min(task.deadline for task in running) - time.monotonic()
+                for key, _ in selector.select(max(wait, 0)):
+                    task, fd = key.data, key.fd
+                    if fd != task.pidfd and (data := os.read(fd, 32768)):
+                        task.chunks[fd].append(data)
+                    else:  # EOF, or the tool's exit
+                        selector.unregister(fd)
+                        task.waiting.discard(fd)
+                now = time.monotonic()
+                for task in [task for task in running
+                             if not task.waiting or task.deadline <= now]:
+                    record = _guarded(task.end, task.tool, task.case)
+                    task.close(kill=True)  # only a crashed end has left it open
+                    running.remove(task)
+                    sink(record)
         except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            for pgid in list(live):
-                _kill_group(pgid)
+            for task in running:
+                task.close(kill=True)
             raise
+
+
+def _check_open_files(parallelism: int) -> None:
+    """Raise :class:`ScbenchError` when ``parallelism`` running tools cannot
+    fit under the soft open-file limit beside the descriptors open now.
+    Each running tool holds two pipe ends and a pidfd. The last one's spawn
+    holds six (both ends of its two pipes and of its exec-error pipe), and
+    the selector one."""
+    import resource
+
+    soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    try:
+        in_use = len(os.listdir("/dev/fd")) - 1  # less the listing's own
+    except OSError:  # no way to count them here
+        return
+    need = 3 * (parallelism - 1) + 6 + 1
+    if soft != resource.RLIM_INFINITY and in_use + need > soft:
+        raise ScbenchError(f"--jobs {parallelism} needs {need} file descriptors beside "
+                           f"the {in_use} open, over the soft open-file limit of {soft} "
+                           f"(ulimit -n)")
 
 
 def execute_campaign(
@@ -351,16 +375,17 @@ def execute_campaign(
 
     A ``timeout`` that is not a finite number of seconds above 0 raises
     :class:`ScbenchError` before any task runs. So does the program of a
-    command tool that is not installed: each is found first. Stub and replay
-    tools then run inline, before the command tools; those run on
-    ``parallelism`` worker threads (no pool at 1) with a bounded window of
-    tasks in flight, and their records are sunk as they complete. Their
-    input directories live under one temporary root, removed at the end.
-    ``on_record`` is the sink hook (e.g. a JSONL appender), called in this
-    thread. An exception it raises, or an interrupt, aborts the campaign:
-    queued tasks are cancelled and running tools killed. Nothing else does.
-    Findings outside a tool's capabilities are dropped, and one count per
-    tool is logged at the end. A contract that a replay fixture does not
+    command tool that is not installed: each is found first. So does a
+    ``parallelism`` whose running tools would not fit under the soft
+    open-file limit, when a command tool exists. Stub and replay tools then
+    run inline, before the command tools; those run from one selector in
+    this thread, at most ``parallelism`` at once, and each record is sunk
+    when its task ends. Their input directories live under one temporary
+    root, removed at the end. ``on_record`` is the sink hook (e.g. a JSONL
+    appender). An exception it raises, or an interrupt, aborts the
+    campaign: running tools are killed and no other task starts. Nothing
+    else does. Findings outside a tool's capabilities are dropped, and one
+    count per tool is logged at the end. A contract that a replay fixture does not
     record, or records in a malformed entry, gets a ``harness_error``
     record; ``problems``, when given, receives per such tool the messages
     that say so, and per command tool whose every task ended in a
@@ -374,6 +399,8 @@ def execute_campaign(
         raise ScbenchError(f"timeout {timeout!r} is not a positive number of seconds")
     commands = {tool.name: _command(tool) for tool in tools
                 if tool.adapter.kind in _SPAWNED}
+    if commands:
+        _check_open_files(parallelism)
     records: list[ScanRecord] = []
     by_name = {tool.name: tool for tool in tools}
     dropped: Counter = Counter()
@@ -398,17 +425,12 @@ def execute_campaign(
             if failed and problems is not None:
                 problems[tool.name] = _replay_problems(tool.name, failed, len(corpus))
     if commands and corpus:
-        live: set[int] = set()  # one add or discard per task: atomic under the GIL
         with tempfile.TemporaryDirectory(prefix="scbench-",
                                          ignore_cleanup_errors=True) as root:
-            dirs = _TaskDirs(root)
-            jobs = []
-            for tool in tools:
-                if tool.name in commands:
-                    scan = partial(_spawn_scan, tool, *commands[tool.name], timeout=timeout,
-                                   raw_dir=raw_dir, live=live, dirs=dirs)
-                    jobs += [(scan, tool, case) for case in corpus]
-            _run_spawned(jobs, parallelism, sink, live)
+            jobs = [(tool, *commands[tool.name], case,
+                     timeout if timeout is not None else tool.adapter.timeout, raw_dir)
+                    for tool in tools if tool.name in commands for case in corpus]
+            _run_spawned(jobs, parallelism, sink, _TaskDirs(root))
     for name, count in sorted(dropped.items()):
         logger.warning("adapter bug: dropped %d finding(s) of %s outside its "
                        "capability set", count, name)

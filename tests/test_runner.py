@@ -1,10 +1,12 @@
-import concurrent.futures
 import errno
 import gc
 import importlib
 import io
 import json
 import os
+import re
+import resource
+import selectors
 import shutil
 import subprocess
 import sys
@@ -57,23 +59,23 @@ def alive(pid: int) -> bool:
 def wait_path(request, monkeypatch):
     """Run the test on each way a spawned task can wait for its tool; the
     fallback is forced by making ``os.pidfd_open`` fail, as it does on a
-    kernel without pidfds. Checks that the chosen path is the one taken."""
+    kernel without pidfds. Checks that the chosen path is the one taken:
+    a pidfd opened for each tool, or none."""
+    opened = []  # a pidfd per spawn, or None where pidfd_open failed
     if request.param == "fallback":
-        def no_pidfd(pid):
+        def pidfd_open(pid):
+            opened.append(None)
             raise OSError(errno.ENOSYS, "pidfd_open unavailable")
-        monkeypatch.setattr(os, "pidfd_open", no_pidfd, raising=False)
     elif not hasattr(os, "pidfd_open"):
         pytest.skip("os.pidfd_open is Linux-only")
-    calls = []
-    communicate = subprocess.Popen.communicate
-
-    def spy(self, *args, **kwargs):
-        calls.append(kwargs.get("timeout"))
-        return communicate(self, *args, **kwargs)
-
-    monkeypatch.setattr(subprocess.Popen, "communicate", spy)
+    else:
+        def pidfd_open(pid, real=os.pidfd_open):
+            opened.append(real(pid))
+            return opened[-1]
+    monkeypatch.setattr(os, "pidfd_open", pidfd_open, raising=False)
     yield request.param
-    assert bool(calls) == (request.param == "fallback"), calls
+    assert opened and all((fd is None) == (request.param == "fallback")
+                          for fd in opened), opened
 
 
 @pytest.fixture
@@ -518,8 +520,7 @@ class TestCampaign:
         with pytest.raises(RuntimeError, match="sink is full"):
             execute_campaign([tool], [make_case(i) for i in range(20)],
                              parallelism=jobs, on_record=sink)
-        window = 1 if jobs == 1 else runner._WINDOW_PER_WORKER * jobs
-        assert len(started.read_text().splitlines()) <= window
+        assert len(started.read_text().splitlines()) <= jobs
         assert list(private_tempdir.iterdir()) == []
 
     def test_abort_kills_running_tools(self, tmp_path, private_tempdir):
@@ -547,6 +548,102 @@ class TestCampaign:
         assert time.monotonic() - start < 10
         assert not alive(int(pid_file.read_text()))
         assert list(private_tempdir.iterdir()) == []
+
+    def test_abort_kills_a_tool_spawned_while_the_sink_fails(self, tmp_path,
+                                                             private_tempdir, monkeypatch):
+        # contract_1's spawn takes 0.3 s, and contract_0 ends and fails the
+        # sink meanwhile: the abort must kill the tool that spawn starts
+        pid_file = tmp_path / "slow.pid"
+        tool = make_tool("Slow", AdapterConfig(
+            kind="json", timeout=60.0,
+            command=f"sh -c 'grep -q contract_1 {{input}} || exit 0; "
+                    f"echo $$ > {pid_file}; exec sleep 30'",
+        ))
+        cases = [ContractCase(id=f"contract_{i}", source=f"// contract_{i}\n")
+                 for i in range(2)]
+        init = subprocess.Popen.__init__
+
+        def slow_spawn(self, args, *rest, **kwargs):
+            # the input path sits inside the -c script, not at an argument's end
+            for path in re.findall(r"\S*/contract\.sol", " ".join(args)):
+                with open(path) as fh:
+                    if "contract_1" in fh.read():
+                        time.sleep(0.3)
+            init(self, args, *rest, **kwargs)
+
+        def sink(record):
+            raise RuntimeError("sink is full")
+
+        monkeypatch.setattr(subprocess.Popen, "__init__", slow_spawn)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="sink is full"):
+            execute_campaign([tool], cases, parallelism=2, on_record=sink)
+        assert time.monotonic() - start < 10
+        if pid_file.exists() and pid_file.read_text():
+            assert not alive(int(pid_file.read_text()))
+        assert list(private_tempdir.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    def test_at_most_jobs_tools_run_at_once(self, tmp_path, monkeypatch, jobs):
+        log = tmp_path / "log"
+        tool = make_tool("Sleeper", AdapterConfig(
+            kind="json", timeout=10.0,
+            command=f"sh -c 'echo start >> {log}; sleep 0.5; echo end >> {log}; echo {{}}'",
+        ))
+        made = []
+
+        class CountedSelector(selectors.DefaultSelector):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(selectors, "DefaultSelector", CountedSelector)
+        records = execute_campaign([tool], [make_case(i) for i in range(2 * jobs)],
+                                   parallelism=jobs)
+        assert [r.status for r in records] == ["ok"] * 2 * jobs
+        assert len(made) == 1  # one selector for the whole campaign
+        running = most = 0
+        for event in log.read_text().split():
+            running += 1 if event == "start" else -1
+            most = max(most, running)
+        assert most == jobs
+
+    def test_jobs_beyond_the_open_file_limit_are_refused(self, tmp_path):
+        soft, hard = 40, resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        if hard != resource.RLIM_INFINITY and hard < soft:
+            pytest.skip(f"hard open-file limit {hard} is below {soft}")
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [{
+            "name": "Echo", "capabilities": ["V1"], "max_solidity": "0.8",
+            "adapter": {"kind": "json", "command": "sh -c 'echo {}' echo {input}"}}]}))
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        for i in range(3):
+            (corpus / f"c{i}.sol").write_text("contract C {}\n")
+        # lowers only its own soft limit, then runs the command
+        code = ("import resource, sys\n"
+                "limit = resource.RLIMIT_NOFILE\n"
+                f"resource.setrlimit(limit, ({soft}, resource.getrlimit(limit)[1]))\n"
+                "from scbench.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        results = {}
+        for jobs in ("16", "4"):
+            out = tmp_path / f"j{jobs}.jsonl"
+            proc = subprocess.run([PY, "-c", code, "run", "--corpus", str(corpus),
+                                   "--registry", str(registry), "--jobs", jobs,
+                                   "--out", str(out)],
+                                  env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                                  text=True, timeout=60)
+            results[jobs] = proc.returncode, proc.stderr, out
+        rc, err, out = results["16"]
+        assert rc == 1
+        assert re.fullmatch(r"error: --jobs 16 needs 52 file descriptors beside the \d+ "
+                            r"open, over the soft open-file limit of 40 \(ulimit -n\)\n", err)
+        assert not out.exists()
+        rc, err, out = results["4"]  # four tools fit
+        assert (rc, err) == (0, "")
+        assert [r.status for r in read_records(out)] == ["ok"] * 3
 
     def test_spawn_pool_under_fast_thread_switching(self):
         # each tool reports the line number its input names: the task saw
@@ -632,15 +729,6 @@ class TestCampaign:
         assert len(records) == len(registry) * len(labelled_corpus)
         assert calls.count("resolve") == calls.count("load") == len(registry)
 
-    def test_no_pool_without_spawned_tools(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was created")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        records = execute_campaign(self._stub_registry(),
-                                   [make_case(i) for i in range(3)], parallelism=8)
-        assert len(records) == 6
-
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_replay_run_loads_no_spawn_module(self, tmp_path, jobs):
         """``scbench run`` of a replay campaign, in a fresh interpreter,
@@ -698,6 +786,63 @@ class TestTaskDirectory:
         # in it or timed out, as three do; no more exist than tasks run at once
         assert len(used) <= jobs + 3
         assert list(private_tempdir.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+class TestHygiene:
+    """However a campaign ends, it leaves no descriptor open and no tool
+    running."""
+
+    TOOL = ("import sys, time\n"
+            "source = open(sys.argv[1]).read()\n"
+            "if 'fail' in source: sys.exit(3)\n"
+            "if 'hang' in source: time.sleep(5)\n"
+            "if 'big' in source: sys.stderr.write('e' * 2**20); sys.stdout.write(' ' * 2**20)\n"
+            "print('{\"findings\": []}')\n")
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_no_descriptor_or_tool_outlives_a_campaign(self, tmp_path, private_tempdir,
+                                                       monkeypatch, wait_path, jobs):
+        script = tmp_path / "tool.py"
+        script.write_text(self.TOOL)
+        broken = tmp_path / "broken"  # its interpreter does not exist
+        broken.write_text("#!/no-such-interpreter\n")
+        broken.chmod(0o755)
+        tool = make_tool("Tool", AdapterConfig(kind="json", timeout=0.5,
+                                               command=f"{PY} {script} {{input}}"))
+        absent = make_tool("Absent", AdapterConfig(kind="json", command=f"{broken} {{input}}"))
+        pids = []
+        init = subprocess.Popen.__init__
+
+        def spawn(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            pids.append(self.pid)
+
+        def failing(record):
+            raise RuntimeError("sink is full")
+
+        def corpus(*tags):
+            return [ContractCase(f"contract_{i}", f"// {tag}\n") for i, tag in enumerate(tags)]
+
+        monkeypatch.setattr(subprocess.Popen, "__init__", spawn)
+        campaigns = [
+            ([tool], corpus("ok", "fail", "hang", "big"), None,
+             ["ok", "tool_error", "timeout", "ok"]),
+            ([absent], corpus("ok"), None, ["harness_error"]),
+            ([tool], corpus("ok", "hang", "hang", "hang"), failing, None),
+        ]
+        for tools, cases, sink, statuses in campaigns:
+            open_before = len(os.listdir("/proc/self/fd"))
+            try:
+                records = execute_campaign(tools, cases, parallelism=jobs, on_record=sink)
+            except RuntimeError:
+                assert sink is failing
+            else:
+                assert sorted(r.status for r in records) == sorted(statuses)
+            assert len(os.listdir("/proc/self/fd")) == open_before
+            assert [pid for pid in pids if alive(pid)] == []
+            assert list(private_tempdir.iterdir()) == []
+        assert len(pids) >= 5
 
 
 class TestNeverStarted:
