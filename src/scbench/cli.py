@@ -11,12 +11,12 @@ only ``mcdm`` and ``tables`` (without it, ``reference`` too, and the
 registry and ``metrics`` through it). No command imports ``logging``
 before its first message (``scbench.Logger``), ``cli`` imports ``json``
 only for ``--format json``, and only ``report --timeseries`` loads
-``datetime``. Likewise each command asks the corpus load for the derived
-fields it reads: ``corpus stats`` and ``report`` the labels and LoC,
-``metrics`` the labels, ``corpus dedup`` the checksum (and the pragma flag
-with ``--pragma``), and ``run`` none, so it reads no scan cache
-(``corpus.cache``). Only ``report --timeseries`` reads the metadata
-sidecar: ``--metadata``, else the corpus's own ``metadata.csv``.
+``datetime``. Every command that reads the corpus scans it, through the
+scan cache (``corpus.cache``), for all four derived fields at once, so a
+new root is scanned once whichever command reads it first; only ``run``,
+which needs ids and sources, scans nothing and reads no cache. Only
+``report --timeseries`` reads the metadata sidecar: ``--metadata``, else
+the corpus's own ``metadata.csv``.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ def _cmd_corpus(args) -> int:
     from .tables import stats_table
 
     if args.corpus_cmd == "stats":
-        cases = corpus_mod.load_directory(args.dir, ("expected", "loc"))
+        cases = corpus_mod.load_directory(args.dir)
         header, rows = stats_table(corpus_mod.stats(cases))
         _emit(header, rows, args.format, args.out)
         return 0
     if args.corpus_cmd == "dedup":
-        fields = ("pragma", "checksum") if args.pragma else ("checksum",)
-        cases = corpus_mod.load_directory(args.dir, fields)
+        cases = corpus_mod.load_directory(args.dir)
         cases = corpus_mod.pragma_filter(cases) if args.pragma else cases
         kept, removed = corpus_mod.dedup(cases)
         header = ["Survivors", "Removed"]
@@ -89,7 +88,7 @@ def _cmd_run(args) -> int:
     registry = Registry.load(args.registry)
     if args.tools:
         registry = registry.subset(_tool_names("--tools", args.tools))
-    cases = load_directory(args.corpus, ())  # ids and sources
+    cases = load_directory(args.corpus, scan=False)  # ids and sources
     check_records_dir(args.out)
     problems: dict[str, list[str]] = {}
     records = execute_campaign(
@@ -137,9 +136,8 @@ def _campaign_registry(args, series: list[str] | None = None):
     return registry
 
 
-def _score_campaign(args, registry, fields, series: list[str] | None = None):
-    """Load the campaign and score it once: the corpus (with the labels and
-    the other derived ``fields`` the command reads), the recorded tools,
+def _score_campaign(args, registry, series: list[str] | None = None):
+    """Load the campaign and score it once: the corpus, the recorded tools,
     their scores, the indicator matrix and the four tables that ``metrics``
     prints and ``report`` bundles. Each ``series`` tool must be recorded,
     and a records file that holds no record is an error. The records file
@@ -149,7 +147,7 @@ def _score_campaign(args, registry, fields, series: list[str] | None = None):
     from .corpus import load_directory
     from .records import load_outcomes
 
-    cases = load_directory(args.corpus, fields)
+    cases = load_directory(args.corpus)
     outcomes = load_outcomes(args.records, cases)
     if not outcomes.tools:  # no tool to score
         raise ScbenchError(f"{args.records}: holds no record")
@@ -176,7 +174,7 @@ def _cmd_metrics(args) -> int:
     from . import report
     from .tables import to_markdown
 
-    *_, tables = _score_campaign(args, _campaign_registry(args), ("expected",))
+    *_, tables = _score_campaign(args, _campaign_registry(args))
     if args.out_dir:
         manifest = report.write_bundle(args.out_dir, tables, notes=[])
         print(f"wrote {manifest}")
@@ -244,8 +242,7 @@ def _cmd_report(args) -> int:
     registry = _campaign_registry(args, series)
     # the time series is the metadata's only reader
     metadata = corpus_mod.load_sidecar(args.corpus, args.metadata) if args.timeseries else None
-    cases, registry, scores, indicator, tables = _score_campaign(
-        args, registry, ("expected", "loc"), series)
+    cases, registry, scores, indicator, tables = _score_campaign(args, registry, series)
     ewm = mcdm.ewm_weights(indicator.values)
     tables.update({
         "stats": stats_table(corpus_mod.stats(cases)),

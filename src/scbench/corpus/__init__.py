@@ -4,11 +4,12 @@ A corpus is a list of :class:`ContractCase`. The labelled layout is
 ``<root>/<class_dir>/<name>.sol`` plus ``<root>/safe/``; scaled corpora
 are flat directories. A load reads each file (bytes, UTF-8, CRLF and lone
 CR turned into LF) and then scans it (:func:`scan_case`): one
-comment-stripping pass yields only the derived fields the caller names,
-and no pass runs when it names none. Lines, labels and LoC follow the
-line model of :mod:`.lexer`: a line is LF-delimited.
+comment-stripping pass yields all four derived fields, the labels, LoC,
+pragma flag and checksum. A load with ``scan=False`` (``run``, which
+needs only ids and sources) runs no pass. Lines, labels and LoC follow
+the line model of :mod:`.lexer`: a line is LF-delimited.
 
-A load that derives a field (``corpus stats``, ``dedup`` and ``validate``,
+A load that scans (``corpus stats``, ``dedup`` and ``validate``,
 ``metrics`` and ``report``; not ``run``) goes through the scan cache of
 :mod:`.cache`, one file per corpus root under
 ``$XDG_CACHE_HOME/scbench`` (``~/.cache/scbench`` by default). It is keyed
@@ -32,9 +33,9 @@ import warnings
 from collections import namedtuple
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from ..errors import AnnotationMismatch, ScbenchError, UnknownMarker
+from ..errors import AnnotationMismatch, ScbenchError, SourceLexError, UnknownMarker
 from ..taxonomy import default_taxonomy
 from .lexer import (BACKEND, _checksum, _line, _loc, _pragma, _strip,
                     normalize_source, strip_comments)
@@ -47,7 +48,6 @@ if TYPE_CHECKING:
 # stops asking for it.
 __all__ = [
     "BACKEND",
-    "DERIVED",
     "ContractCase",
     "ClassStat",
     "CorpusStats",
@@ -77,8 +77,8 @@ class ContractCase(namedtuple("ContractCase", "id source expected loc pragma che
     """One corpus entry: source text plus its ground-truth labels
     (``expected``; a new empty dict when left out). ``loc``, ``pragma``
     and ``checksum`` (the dedup key) derive from the comment-stripped
-    source; :func:`scan_case` fills those a command reads, and one it does
-    not stays None, as does ``expected`` when the labels were not parsed.
+    source. :func:`scan_case` derives all four fields, the labels with
+    them, from one scan; a load that scans nothing leaves all four None.
     The derived fields take no part in equality, which holds only between
     cases."""
 
@@ -102,52 +102,33 @@ class ContractCase(namedtuple("ContractCase", "id source expected loc pragma che
         return not self.expected
 
 
-# The fields of a ContractCase that a scan derives from its source; each
-# command names those it reads (the labels are ``expected``).
-DERIVED = ("expected", "loc", "pragma", "checksum")
+def scan_case(case_id: str, source: str, origin: str | None = None) -> ContractCase:
+    """The case of ``source`` with its four derived fields from one
+    comment-stripping scan. ``origin`` names the source (its file) in a
+    label error; it defaults to ``case_id``."""
+    return ContractCase._make((case_id, source, *_derive(source, origin or case_id)[0]))
 
 
-def scan_case(case_id: str, source: str, fields: Collection[str] = DERIVED,
-              origin: str | None = None) -> ContractCase:
-    """The case of ``source`` with the derived ``fields`` (of
-    :data:`DERIVED`) from one comment-stripping scan, or from none when
-    ``fields`` is empty; the others stay None. ``origin`` names the source
-    (its file) in a label error; it defaults to ``case_id``."""
-    return ContractCase._make((case_id, source, *_derive(source, fields, origin or case_id)[0]))
-
-
-def _derive(source: str, fields: Collection[str], origin: str) -> tuple[tuple, bool]:
-    """The derived ``fields`` of ``source`` in :data:`DERIVED` order, each
-    field left out None, and whether ``source`` is clean: it lexes without
-    error and its labels, when derived, warn of no mismatch. A label error
-    names ``origin``."""
-    expected = loc = pragma = checksum = None
-    clean = True
-    if fields:
-        stripped, lex_error = _strip(source)
-        clean = lex_error is None
-        if "expected" in fields:
-            try:
-                expected, mismatched = _annotations(source, stripped)
-            except ScbenchError as exc:  # an unknown marker or header number
-                raise type(exc)(f"{origin}: {exc}") from None
-            clean = clean and not mismatched
-        if "loc" in fields:
-            loc = _loc(stripped)
-        if "pragma" in fields:
-            pragma = _pragma(stripped)
-        if "checksum" in fields:
-            checksum = _checksum(stripped)
-    return (expected, loc, pragma, checksum), clean
+def _derive(source: str, origin: str) -> tuple[tuple, SourceLexError | None, bool]:
+    """The labels, LoC, pragma flag and checksum of ``source`` from one
+    scan, the error a strict scan raises (or None), and whether its labels
+    warned of a mismatch. A label error names ``origin``."""
+    stripped, lex_error = _strip(source)
+    try:
+        expected, mismatched = _annotations(source, stripped)
+    except ScbenchError as exc:  # an unknown marker or header number
+        raise type(exc)(f"{origin}: {exc}") from None
+    derived = expected, _loc(stripped), _pragma(stripped), _checksum(stripped)
+    return derived, lex_error, mismatched
 
 
 def _derived(case: ContractCase, field: str):
-    """``field`` of ``case``; one its load did not derive is an error, never
-    a None that would count as a value."""
+    """``field`` of ``case``; one its load did not derive (``scan=False``)
+    is an error, never a None that would count as a value."""
     value = getattr(case, field)
     if value is None:
         raise ScbenchError(f"case {case.id}: {field} was not derived; "
-                           "scan it with that field")
+                           "load the corpus with a scan")
     return value
 
 
@@ -409,34 +390,33 @@ def _read_source(path: str, origin: str) -> str:
     return text
 
 
-def load_labelled(root: str | Path, fields: Collection[str] = DERIVED) -> list[ContractCase]:
+def load_labelled(root: str | Path, scan: bool = True) -> list[ContractCase]:
     """Load ``<root>/<class_dir>/*.sol`` (including ``safe/``), sorted by id,
-    with the derived ``fields`` (see :func:`_load`)."""
+    scanned unless ``scan`` is false (see :func:`_load`)."""
     root = os.fspath(root)
     if not os.path.isdir(root):
         raise ScbenchError(f"corpus root {root} is not a directory")
-    return _load(root, _labelled_files(root), fields)
+    return _load(root, _labelled_files(root), scan)
 
 
-def _load(root: str, files: Iterable[tuple[str, str]],
-          fields: Collection[str]) -> list[ContractCase]:
+def _load(root: str, files: Iterable[tuple[str, str]], scan: bool) -> list[ContractCase]:
     """The case of each ``(origin, path)`` of ``files``, its id ``origin``
-    less ``.sol``, with the derived ``fields`` (see :func:`scan_case`). A
-    load that derives a field reads the scan cache of ``root`` (see
-    :mod:`.cache`): a contract whose text it holds with every field is not
+    less ``.sol``: with its derived fields (see :func:`scan_case`), or
+    with none when ``scan`` is false. A scanning load reads the scan cache
+    of ``root`` (see :mod:`.cache`): a contract whose text it holds is not
     scanned, and the load keeps each clean scan there."""
-    if not fields:
+    if not scan:
         return [ContractCase._make((origin[:-4] or origin, _read_source(path, origin),
                                     None, None, None, None)) for origin, path in files]
     from .cache import ScanCache
 
-    cache = ScanCache(root, fields)
+    cache = ScanCache(root)
     cases = []
     for origin, path in files:
         source, derived = cache.get(origin, _read_source(path, origin))
         if derived is None:
-            derived, clean = _derive(source, fields, origin)
-            if clean:
+            derived, lex_error, mismatched = _derive(source, origin)
+            if lex_error is None and not mismatched:
                 cache.put(origin, source, derived)
         cases.append(ContractCase._make((origin[:-4] or origin, source, *derived)))
     cache.save()
@@ -457,24 +437,23 @@ def _is_labelled(root: str) -> bool:
     return False
 
 
-def load_directory(directory: str | Path,
-                   fields: Collection[str] = DERIVED) -> list[ContractCase]:
+def load_directory(directory: str | Path, scan: bool = True) -> list[ContractCase]:
     """Load a corpus directory in its layout: labelled (:func:`load_labelled`)
     when a subdirectory holds a ``*.sol`` file, else flat (:func:`load_flat`)."""
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise ScbenchError(f"{directory} is not a directory")
     if _is_labelled(directory):
-        return load_labelled(directory, fields)
-    return load_flat(directory, fields)
+        return load_labelled(directory, scan)
+    return load_flat(directory, scan)
 
 
-def load_flat(directory: str | Path, fields: Collection[str] = DERIVED) -> list[ContractCase]:
+def load_flat(directory: str | Path, scan: bool = True) -> list[ContractCase]:
     """Load a flat directory of ``*.sol`` files (scaled-corpus layout); a
     case's id is its file name less ``.sol``, as ``Path.stem`` gives it."""
     directory = os.fspath(directory)
     prefix = os.path.join(directory, "")
-    return _load(directory, [(name, prefix + name) for name in _sources(directory)], fields)
+    return _load(directory, [(name, prefix + name) for name in _sources(directory)], scan)
 
 
 def scan_problems(root: str | Path) -> list[str]:
@@ -482,14 +461,14 @@ def scan_problems(root: str | Path) -> list[str]:
 
     Checks alias totality, annotation line bounds, directory/label
     agreement, missing pragma directives, and annotation mismatches. A
-    clean contract whose labels and pragma flag the scan cache holds is
-    not scanned (see :func:`_load`).
+    clean contract that the scan cache holds is not scanned (see
+    :func:`_load`).
     """
     from .cache import ScanCache
 
     root = os.fspath(root)
     taxonomy = default_taxonomy()
-    cache = ScanCache(root, ("expected", "pragma"))
+    cache = ScanCache(root)
     problems: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -501,22 +480,22 @@ def scan_problems(root: str | Path) -> list[str]:
                 continue
             source, derived = cache.get(rel, source)
             if derived is None:
-                stripped, lex_error = _strip(source)
+                caught.clear()  # a contract whose labels raise drops its warnings
+                try:
+                    derived, lex_error, mismatched = _derive(source, rel)
+                    label_error = None
+                except ScbenchError as exc:  # a rare fault: scan again for the lex error
+                    lex_error, label_error = _strip(source)[1], str(exc)
                 if lex_error is not None:
                     problems.append(f"{rel}: line {_line(source, lex_error.position)}: "
                                     f"{lex_error}")
-                caught.clear()  # a contract whose labels raise drops its warnings
-                try:
-                    expected, mismatched = _annotations(source, stripped)
-                except ScbenchError as exc:
-                    problems.append(f"{rel}: {exc}")
+                if label_error is not None:
+                    problems.append(label_error)
                     continue
                 problems.extend(f"{rel}: {w.message}" for w in caught)
-                pragma = _pragma(stripped)
                 if lex_error is None and not mismatched:
-                    cache.put(rel, source, (expected, None, pragma, None))
-            else:
-                expected, _, pragma, _ = derived
+                    cache.put(rel, source, derived)
+            expected, _, pragma, _ = derived
             # the last line need not end in LF
             n_lines = source.count("\n") + (source[-1:] not in ("", "\n"))
             for cid, lines in expected.items():

@@ -3,24 +3,23 @@ commands.
 
 A corpus root has one file under ``$XDG_CACHE_HOME/scbench`` (or
 ``~/.cache/scbench``), named after the root's absolute path, holding the
-entries of the root's last load: per contract its text and the derived
-fields (of :data:`~scbench.corpus.DERIVED`) scanned from it so far. The
-file is UTF-8: one line of JSON (the root, the scanner fingerprint, and
-per contract the length of its text and its fields), then the texts back
-to back, so they are neither escaped nor parsed, and each is read as it
-is cut. An
-entry is used only when the file's text equals the cached text, and the
-whole file only when its scanner fingerprint equals the running one: the
-Python version and the exact text of the modules and data the scan reads.
-So an edited contract, or an edited scanner, is scanned again, and no
-digest can collide. Only a clean contract has an entry: it lexes without
-error, and its labels, once derived, raise nothing and warn of no
-mismatch; every other contract is scanned at every load, so its messages
-repeat. A cache file that cannot be read, decoded or written, or that
-another scanner wrote, changes no output: the load scans as without it.
-The file of a root that is gone is deleted by the first write of a new
-root's file, once a day has passed since its own last write. Deleting the
-directory clears the cache.
+entries of the root's last load: per contract its text and the four
+fields one scan derives from it, the labels, LoC, pragma flag and
+checksum. The file is UTF-8: one line of JSON (the root, the scanner
+fingerprint, and per contract the length of its text and its fields),
+then the texts back to back, so they are neither escaped nor parsed, and
+each is read as it is cut. An entry is used only when the file's text
+equals the cached text, and the whole file only when its scanner
+fingerprint equals the running one: the Python version and the exact
+text of the modules and data the scan reads. So an edited contract, or
+an edited scanner, is scanned again, and no digest can collide. Only a
+clean contract has an entry: it lexes without error, and its labels
+raise nothing and warn of no mismatch; every other contract is scanned
+at every load, so its messages repeat. A cache file that cannot be read,
+decoded or written, or that another scanner wrote, changes no output:
+the load scans as without it. The file of a root that is gone is deleted
+by the first write of a new root's file, once a day has passed since its
+own last write. Deleting the directory clears the cache.
 """
 
 from __future__ import annotations
@@ -30,14 +29,9 @@ import os
 import sys
 import time
 
-from . import DERIVED
-
 # what a scan reads, relative to the package: its text is the fingerprint
 _SCANNER = ("corpus/lexer.py", "corpus/__init__.py", "corpus/cache.py", "taxonomy.py",
             "data/aliases.json")
-# the position of each derived field in an entry; the text is at 0
-_SLOTS = {field: i for i, field in enumerate(DERIVED, 1)}
-_LABELS = _SLOTS["expected"]  # held as {class id: sorted lines}
 _SUFFIX = ".scan"
 # a cache file unwritten this long, whose root is not a directory here, is
 # deleted when the file of a new root is written: a root on a drive not
@@ -77,16 +71,19 @@ def _fingerprint() -> list[str]:
 
 
 def _entries(fh, root: str, scanner: list[str]) -> dict[str, list]:
-    """The entries of the cache file open as ``fh``, each text read after
-    the JSON line, or none when the file was written for another root or
-    scanner, or is not in the cache's shape."""
+    """The entries of the cache file open as ``fh``, each
+    ``[text, labels, loc, pragma, checksum]`` with its text read after the
+    JSON line, or none when the file was written for another root or
+    scanner, or is not in the cache's shape: an entry of another length,
+    or with a field that is null."""
     meta = json.loads(fh.readline())
     if not (type(meta) is dict and meta.get("root") == root and meta.get("scanner") == scanner
             and type(meta.get("entries")) is dict):
         return {}
     entries = meta["entries"]
     for entry in entries.values():
-        if not (type(entry) is list and len(entry) == 5 and type(entry[0]) is int):
+        if not (type(entry) is list and len(entry) == 5 and type(entry[0]) is int
+                and None not in entry):
             return {}
         entry[0] = fh.read(entry[0])  # a text cut short or askew matches no file
     return entries
@@ -103,14 +100,13 @@ def _sweep(directory: str) -> None:
 
 
 class ScanCache:
-    """The cache file of one corpus root, for one load of the derived
-    ``fields``: :meth:`get` each contract, :meth:`put` each clean scan of
-    one it missed, then :meth:`save`, which rewrites the file with the
-    entries of this load when they differ from those read."""
+    """The cache file of one corpus root, for one load: :meth:`get` each
+    contract, :meth:`put` each clean scan of one it missed, then
+    :meth:`save`, which rewrites the file with the entries of this load
+    when they differ from those read."""
 
-    def __init__(self, root: str, fields):
+    def __init__(self, root: str):
         self._root = os.path.abspath(root)
-        self._slots = [_SLOTS[f] for f in DERIVED if f in fields]
         self._path = self._scanner = None
         self._old: dict[str, list] = {}
         self._new: dict[str, list] = {}
@@ -135,34 +131,20 @@ class ScanCache:
         """``(text, derived)`` of the contract ``rel`` read as ``source``.
         ``text`` is the cached copy of ``source`` when the entry holds one,
         so that a load keeps one copy, else ``source``. ``derived`` is the
-        entry's fields in :data:`DERIVED` order, each field this load does
-        not ask for None, or None when the entry lacks a field of this load
-        or holds another text."""
+        entry's labels, LoC, pragma flag and checksum, or None when there
+        is no entry for ``rel`` or it holds another text."""
         entry = self._old.get(rel)
         if entry is None or entry[0] != source:
             return source, None
-        for i in self._slots:
-            if entry[i] is None:
-                return entry[0], None
         self._new[rel] = entry
-        derived = [None] * len(DERIVED)
-        for i in self._slots:
-            value = entry[i]
-            derived[i - 1] = ({cid: frozenset(lines) for cid, lines in value.items()}
-                              if i == _LABELS else value)
-        return entry[0], derived
+        text, labels, *rest = entry
+        return text, ({cid: frozenset(lines) for cid, lines in labels.items()}, *rest)
 
     def put(self, rel: str, source: str, derived) -> None:
-        """Keep the fields of this load from a clean scan of ``source``
-        (``derived`` in :data:`DERIVED` order), merged into the entry of
-        ``rel`` when its text is unchanged."""
-        old = self._old.get(rel)
-        entry = old[:] if old is not None and old[0] == source else [source, None, None, None, None]
-        for i in self._slots:
-            value = derived[i - 1]
-            entry[i] = ({cid: sorted(lines) for cid, lines in value.items()}
-                        if i == _LABELS else value)
-        self._new[rel] = entry
+        """Keep a clean scan of ``source``: its labels, LoC, pragma flag
+        and checksum (``derived``)."""
+        labels, *rest = derived
+        self._new[rel] = [source, {cid: sorted(lines) for cid, lines in labels.items()}, *rest]
         self._changed = True
 
     def save(self) -> None:

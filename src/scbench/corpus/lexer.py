@@ -110,7 +110,7 @@ def _squeeze(stripped: str) -> str:
 def _checksum(stripped: str) -> str:
     """The dedup key of comment-stripped text: the MD5 of its checksum form.
     It is a dedup key, not a security boundary, so MD5 will do; ``hashlib``
-    is imported here, as only ``corpus dedup`` reads a checksum."""
+    is imported here, so a command that scans no contract loads none."""
     import hashlib
 
     return hashlib.md5(_squeeze(stripped).encode("utf-8")).hexdigest()

@@ -608,44 +608,33 @@ class TestOneScanPerContract:
         assert case == ContractCase(case.id, case.source, case.expected, loc=0,
                                     pragma=False, checksum="")
 
-    @pytest.mark.parametrize("fields, scanned", [
-        ((), 0), (("checksum",), 389), (("pragma", "checksum"), 389),
-        (("expected",), 389), (("expected", "loc"), 389)])
-    def test_a_load_scans_only_for_the_fields_it_derives(self, scans, fields, scanned):
-        cases = load_directory(LABELLED_DIR, fields=fields)
-        assert len(scans) == scanned and len(cases) == 389
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_a_load_scans_only_when_asked(self, scans, scan):
+        cases = load_directory(LABELLED_DIR, scan=scan)
+        assert len(scans) == (389 if scan else 0) and len(cases) == 389
         for name in ("expected", "loc", "pragma", "checksum"):
-            assert all((getattr(c, name) is None) == (name not in fields) for c in cases)
+            assert all((getattr(c, name) is None) != scan for c in cases)
 
-    @pytest.mark.parametrize("fields", [
-        (), ("checksum",), ("pragma", "checksum"), ("expected",), ("expected", "loc")])
-    def test_a_warm_load_scans_nothing_for_the_fields_it_derives(self, scans, fields):
-        load_directory(LABELLED_DIR, fields=fields)
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_a_warm_load_scans_nothing(self, scans, scan):
+        load_directory(LABELLED_DIR, scan=scan)
         scans.clear()
-        cases = load_directory(LABELLED_DIR, fields=fields)
+        cases = load_directory(LABELLED_DIR, scan=scan)
         assert len(scans) == 0 and len(cases) == 389
         for name in ("expected", "loc", "pragma", "checksum"):
-            assert all((getattr(c, name) is None) == (name not in fields) for c in cases)
-
-    def test_loads_of_other_fields_merge_in_the_cache(self, scans):
-        # the command order of a campaign: stats, dedup, then validation
-        load_directory(LABELLED_DIR, fields=("expected", "loc"))
-        load_directory(LABELLED_DIR, fields=("checksum", "pragma"))
-        scans.clear()
-        load_directory(LABELLED_DIR)
-        scan_problems(LABELLED_DIR)
-        assert len(scans) == 0
+            assert all((getattr(c, name) is None) != scan for c in cases)
 
     def test_fields_left_underived_are_refused(self):
-        cases = load_directory(LABELLED_DIR, fields=("expected",))
+        cases = load_directory(LABELLED_DIR, scan=False)
         with pytest.raises(ScbenchError, match="^case arithmetic/.*: checksum was not derived"):
             dedup(cases)
         with pytest.raises(ScbenchError, match="pragma was not derived"):
             pragma_filter(cases)
-        with pytest.raises(ScbenchError, match="loc was not derived"):
-            stats(cases)
+        # ``expected`` is read first; a hand-built case has labels but no LoC
         with pytest.raises(ScbenchError, match="expected was not derived"):
-            stats(load_directory(LABELLED_DIR, fields=("loc",)))
+            stats(cases)
+        with pytest.raises(ScbenchError, match="loc was not derived"):
+            stats([ContractCase("c", "contract C {}")])
 
 
 _ORACLE_LINES = st.sampled_from([

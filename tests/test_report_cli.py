@@ -266,6 +266,8 @@ COMMANDS = {
     "ewm": ["score", "--method", "ewm"],
     "ahp": ["score", "--method", "ahp", "--matrix", str(pairwise_path("a2"))],
 }
+# the commands that scan the corpus they read, when the scan cache misses
+SCANNING = ("stats", "dedup", "validate", "metrics", "report")
 
 
 # each command that reads no metadata, over a corpus ``{corpus}``
@@ -358,8 +360,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["stats", "metrics", "report", "run", "dedup"])
     def test_unknown_marker_names_file_and_line(self, tmp_path, capsys, command):
-        # only a command that reads the labels parses them: ``run`` and
-        # ``corpus dedup`` give what they give with a known marker
+        # every command that scans the corpus parses its labels: ``run``,
+        # which scans nothing, gives what it gives with a known marker
         def corpus(name, marker):
             (tmp_path / name / "reentrancy").mkdir(parents=True)
             (tmp_path / name / "reentrancy" / "a.sol").write_text(
@@ -391,7 +393,7 @@ class TestCli:
             out, err = capsys.readouterr()
             return rc, out, err, records.read_bytes()
 
-        if command in ("run", "dedup"):
+        if command == "run":
             assert outcome(bad) == outcome(good)
             assert outcome(bad)[0] == 0
         else:
@@ -503,7 +505,7 @@ class TestCli:
          {"runner", "logging", "traceback", "datetime"}),
         (["report", "--records", "{records}", "--corpus", str(LABELLED_DIR),
           "--timeseries", "--out-dir", "{bundle}"], {"runner", "logging", "traceback"}),
-        # a load that derives no field reads no scan cache
+        # a load that scans nothing reads no scan cache
         (["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
           "--tools", "Slither", "--out", "{out}"],
          {"tables", *SCORING_LAYERS, "corpus.cache", "logging", "traceback"}),
@@ -553,12 +555,20 @@ class TestCli:
             assert loaded & {"fractions", "decimal"} == set()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_only_dedup_loads_hashlib(self, campaign, bare_modules, command, tmp_path):
-        # only ``corpus dedup`` reads a checksum, and computes one only when
-        # the scan cache holds none: here the cache is empty
+    def test_a_command_that_scans_no_contract_loads_no_hashlib(self, campaign, bare_modules,
+                                                               command, tmp_path):
+        # only a scan computes a checksum: a command that reads no corpus,
+        # ``run``, and a corpus command on a warm scan cache scan nothing
         assert "hashlib" not in bare_modules
+        cache = {"XDG_CACHE_HOME": str(tmp_path)}
+        if command in SCANNING:
+            modules_loaded(COMMANDS[command], campaign, cache)  # warms the cache
+        assert "hashlib" not in modules_loaded(COMMANDS[command], campaign, cache)
+
+    @pytest.mark.parametrize("command", sorted(SCANNING))
+    def test_a_cold_scanning_command_loads_hashlib(self, campaign, command, tmp_path):
         loaded = modules_loaded(COMMANDS[command], campaign, {"XDG_CACHE_HOME": str(tmp_path)})
-        assert ("hashlib" in loaded) == (command == "dedup")
+        assert "hashlib" in loaded
 
     def test_warm_dedup_loads_no_hashlib(self, campaign, tmp_path):
         cache = {"XDG_CACHE_HOME": str(tmp_path)}

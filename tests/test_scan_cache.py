@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbench.cli import main
-from scbench.corpus import DERIVED, lexer, load_flat, load_labelled, scan_case, scan_problems
+from scbench.corpus import lexer, load_flat, load_labelled, scan_case, scan_problems
 from scbench.errors import ScbenchError
+from scbench.reference import pairwise_path
 
 from .conftest import LABELLED_DIR, REPLAY_DIR
 from .test_corpus import annotated_sources
@@ -90,28 +91,33 @@ def scans(monkeypatch):
     return calls
 
 
+# the loads of a corpus, given the loader of its layout
+LOADS = {
+    "scan": lambda load, root: load(root),
+    "no scan": lambda load, root: load(root, scan=False),
+    "validate": lambda load, root: scan_problems(root),
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(annotated_sources(), min_size=1, max_size=4),
-       st.lists(st.sets(st.sampled_from(DERIVED)), min_size=1, max_size=4),
+       st.lists(st.sampled_from(sorted(LOADS)), min_size=1, max_size=4),
        st.sampled_from(["labelled", "flat"]))
-def test_a_load_through_the_cache_equals_a_cold_one(sources, field_sets, layout):
-    """Each load, with whatever the earlier loads of other field sets left
-    in the cache, and again with its own, equals the same load against an
-    empty cache; so does validation."""
+def test_a_load_through_the_cache_equals_a_cold_one(sources, kinds, layout):
+    """Each load (one that scans, one that scans nothing, or validation),
+    with whatever the earlier loads left in the cache, and again with its
+    own, equals the same load against an empty cache."""
     load = load_labelled if layout == "labelled" else load_flat
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         root = os.path.join(tmp, "corpus")
         write_corpus(root, sources, layout)
         warm = os.path.join(tmp, "warm")
-        runs = [(load, tuple(fields)) for fields in field_sets]
-        if layout == "labelled":
-            runs.append((lambda r, _: scan_problems(r), ()))
-        for i, (run, fields) in enumerate(runs):
+        for i, kind in enumerate(kinds):
             mp.setenv("XDG_CACHE_HOME", os.path.join(tmp, f"cold{i}"))
-            cold = outcome(run, root, fields)
+            cold = outcome(LOADS[kind], load, root)
             mp.setenv("XDG_CACHE_HOME", warm)
-            assert outcome(run, root, fields) == cold
-            assert outcome(run, root, fields) == cold
+            assert outcome(LOADS[kind], load, root) == cold
+            assert outcome(LOADS[kind], load, root) == cold
 
 
 def test_an_edited_contract_is_scanned_again(tmp_path, home, scans):
@@ -139,15 +145,16 @@ def test_the_cache_keeps_only_the_last_load_and_live_roots(tmp_path, home):
     assert sorted(cache_entries(home)) == ["reentrancy/c0.sol"]
     (old,) = cache_files(home)
     shutil.rmtree(first)
-    load_flat(second, ("loc",))
+    load_flat(second)
     # the file of a root that is gone is kept while it is young
     assert old in cache_files(home) and len(cache_files(home)) == 2
     a_day_ago = time.time() - 24 * 3600 - 60
     for name in cache_files(home):
         os.utime(home / "scbench" / name, (a_day_ago, a_day_ago))
-    load_flat(second, ("pragma",))  # a write of a known root sweeps nothing
+    write_corpus(second, [CLEAN, CLEAN], "flat")  # a new contract: the next load writes
+    load_flat(second)  # a write of a known root sweeps nothing
     assert old in cache_files(home)
-    load_flat(third, ("loc",))  # a new root's first write sweeps the old file
+    load_flat(third)  # a new root's first write sweeps the old file
     assert old not in cache_files(home) and len(cache_files(home)) == 2
 
 
@@ -230,12 +237,20 @@ def foreign(path):
     write_cache(path, meta, texts)
 
 
+def nulls(path):
+    """This scanner's file, the LoC of its first entry null: a None that
+    must not reach ``stats`` as a value."""
+    meta, texts = read_cache(path)
+    next(iter(meta["entries"].values()))[2] = None
+    write_cache(path, meta, texts)
+
+
 def make_directory(path):
     path.unlink()
     path.mkdir()
 
 
-@pytest.mark.parametrize("spoil", [truncate, garble, reshape, shift, foreign,
+@pytest.mark.parametrize("spoil", [truncate, garble, reshape, shift, foreign, nulls,
                                    make_directory])
 def test_a_spoilt_cache_file_changes_no_output(home, capsys, spoil):
     cold = curation_outputs(capsys)
@@ -268,3 +283,19 @@ def test_commands_that_derive_no_field_make_no_cache(home, tmp_path, capsys, arg
     assert not (home / "scbench").exists()
     assert main(CURATION[0]) == 0
     assert (home / "scbench").is_dir()
+
+
+def test_a_cold_campaign_scans_each_contract_once(home, scans, tmp_path, capsys):
+    """The commands of a campaign that read the shipped corpus, in campaign
+    order on an empty cache: the first scans every contract for all four
+    fields, and the others read them from the cache."""
+    records = str(tmp_path / "records.jsonl")
+    assert main(["run", "--corpus", str(LABELLED_DIR), "--replay", str(REPLAY_DIR),
+                 "--out", records]) == 0
+    assert len(scans) == 0
+    campaign = ["--records", records, "--corpus", str(LABELLED_DIR)]
+    for argv in (*CURATION, ["metrics", *campaign],
+                 ["report", *campaign, "--matrix", str(pairwise_path("a1")), "--timeseries",
+                  "--out-dir", str(tmp_path / "bundle")]):
+        assert main(argv) == 0, argv
+    assert len(scans) == 389

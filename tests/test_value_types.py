@@ -156,11 +156,10 @@ def test_checks(build, message):
 
 
 def test_derived_fields():
-    # a hand-built case derives nothing; scan_case derives what it is asked for
+    # a hand-built case derives nothing; scan_case derives all four fields
     assert ContractCase("c", SOURCE)[3:] == (None, None, None)
     case = scan_case("c", SOURCE)
     assert (case.loc, case.pragma) == (2, True) and len(case.checksum) == 32
-    assert scan_case("c", SOURCE, ("pragma",))[2:] == (None, None, True, None)
     kept = ContractCase("c", SOURCE, loc=9, pragma=False, checksum="k")
     assert (kept.loc, kept.pragma, kept.checksum) == (9, False, "k")
     adapter = AdapterConfig(kind="text", command="tool --in {input}")
