@@ -9,8 +9,10 @@ pragma flag and checksum. A load with ``scan=False`` (``run``, which
 needs only ids and sources) runs no pass. Lines, labels and LoC follow
 the line model of :mod:`.lexer`: a line is LF-delimited.
 
-A load that scans (``corpus stats``, ``dedup`` and ``validate``,
-``metrics`` and ``report``; not ``run``) goes through the scan cache of
+Every command that scans (``corpus stats``, ``dedup`` and ``validate``,
+``metrics`` and ``report``; not ``run``) reads the corpus through one
+walk (:func:`_scans`), which reads, scans and caches each file, in the
+layout :func:`load_directory` picks. It goes through the scan cache of
 :mod:`.cache`, one file per corpus root under
 ``$XDG_CACHE_HOME/scbench`` (``~/.cache/scbench`` by default). It is keyed
 by each contract's text and the scanner's own: a contract whose text
@@ -106,20 +108,26 @@ def scan_case(case_id: str, source: str, origin: str | None = None) -> ContractC
     """The case of ``source`` with its four derived fields from one
     comment-stripping scan. ``origin`` names the source (its file) in a
     label error; it defaults to ``case_id``."""
-    return ContractCase._make((case_id, source, *_derive(source, origin or case_id)[0]))
+    fields, faults, _ = _derive(source, origin or case_id)
+    if fields is None:
+        raise faults[-1]
+    return ContractCase._make((case_id, source, *fields))
 
 
-def _derive(source: str, origin: str) -> tuple[tuple, SourceLexError | None, bool]:
+def _derive(source: str, origin: str) -> tuple[tuple | None, list[ScbenchError], bool]:
     """The labels, LoC, pragma flag and checksum of ``source`` from one
-    scan, the error a strict scan raises (or None), and whether its labels
-    warned of a mismatch. A label error names ``origin``."""
+    scan, its faults, and whether its labels warned of a mismatch. The
+    faults are the error a strict scan raises, then the label error (an
+    unknown marker or header number, naming ``origin``), which leaves
+    no fields."""
     stripped, lex_error = _strip(source)
+    faults = [] if lex_error is None else [lex_error]
     try:
         expected, mismatched = _annotations(source, stripped)
-    except ScbenchError as exc:  # an unknown marker or header number
-        raise type(exc)(f"{origin}: {exc}") from None
-    derived = expected, _loc(stripped), _pragma(stripped), _checksum(stripped)
-    return derived, lex_error, mismatched
+    except ScbenchError as exc:
+        faults.append(type(exc)(f"{origin}: {exc}"))
+        return None, faults, False
+    return (expected, _loc(stripped), _pragma(stripped), _checksum(stripped)), faults, mismatched
 
 
 def _derived(case: ContractCase, field: str):
@@ -336,9 +344,10 @@ def _is_dir(entry: os.DirEntry) -> bool:
         return False
 
 
-def _sources(directory: str) -> list[str]:
-    """The names of the ``*.sol`` entries of ``directory``, sorted."""
-    return sorted(e.name for e in _entries(directory) if e.name.endswith(".sol"))
+def _sources(directory: str) -> list[tuple[str, str]]:
+    """``(name, path)`` of each ``*.sol`` entry of ``directory``, sorted by
+    name."""
+    return sorted((e.name, e.path) for e in _entries(directory) if e.name.endswith(".sol"))
 
 
 def _class_dirs(root: str) -> list[str]:
@@ -356,10 +365,8 @@ def _labelled_files(root: str) -> Iterator[tuple[str, str]]:
     A directory that cannot be listed is a :class:`ScbenchError`.
     """
     for class_dir in _class_dirs(root):
-        directory = os.path.join(root, class_dir)
-        prefix = os.path.join(directory, "")
-        for name in _sources(directory):
-            yield f"{class_dir}/{name}", prefix + name
+        for name, path in _sources(os.path.join(root, class_dir)):
+            yield f"{class_dir}/{name}", path
 
 
 def _read_source(path: str, origin: str) -> str:
@@ -401,26 +408,44 @@ def load_labelled(root: str | Path, scan: bool = True) -> list[ContractCase]:
 
 def _load(root: str, files: Iterable[tuple[str, str]], scan: bool) -> list[ContractCase]:
     """The case of each ``(origin, path)`` of ``files``, its id ``origin``
-    less ``.sol``: with its derived fields (see :func:`scan_case`), or
-    with none when ``scan`` is false. A scanning load reads the scan cache
-    of ``root`` (see :mod:`.cache`): a contract whose text it holds is not
-    scanned, and the load keeps each clean scan there."""
+    less ``.sol``: with its derived fields (see :func:`scan_case`), read
+    through the scan cache of ``root`` (see :func:`_scans`), or with none
+    when ``scan`` is false. A file left with no fields raises its last
+    fault, and the cache is then not written."""
     if not scan:
         return [ContractCase._make((origin[:-4] or origin, _read_source(path, origin),
                                     None, None, None, None)) for origin, path in files]
+    cases = []
+    for origin, text, fields, faults in _scans(root, files):
+        if fields is None:
+            raise faults[-1]
+        cases.append(ContractCase._make((origin[:-4] or origin, text, *fields)))
+    return cases
+
+
+def _scans(root: str, files: Iterable[tuple[str, str]]) -> Iterator[tuple]:
+    """``(origin, text, fields, faults)`` of each ``(origin, path)`` of
+    ``files``: its text, the fields and faults of its scan (see
+    :func:`_derive`), or a read error as its only fault and neither text
+    nor fields. A contract whose text the scan cache of ``root`` holds (see
+    :mod:`.cache`) is not scanned and has no fault; each clean scan is kept
+    there, and the cache is saved once the walk ends."""
     from .cache import ScanCache
 
     cache = ScanCache(root)
-    cases = []
     for origin, path in files:
-        source, derived = cache.get(origin, _read_source(path, origin))
-        if derived is None:
-            derived, lex_error, mismatched = _derive(source, origin)
-            if lex_error is None and not mismatched:
-                cache.put(origin, source, derived)
-        cases.append(ContractCase._make((origin[:-4] or origin, source, *derived)))
+        try:
+            text, fields = cache.get(origin, _read_source(path, origin))
+        except ScbenchError as exc:
+            yield origin, None, None, [exc]
+            continue
+        faults: list[ScbenchError] = []
+        if fields is None:
+            fields, faults, mismatched = _derive(text, origin)
+            if not faults and not mismatched:
+                cache.put(origin, text, fields)
+        yield origin, text, fields, faults
     cache.save()
-    return cases
 
 
 def _is_labelled(root: str) -> bool:
@@ -452,50 +477,37 @@ def load_flat(directory: str | Path, scan: bool = True) -> list[ContractCase]:
     """Load a flat directory of ``*.sol`` files (scaled-corpus layout); a
     case's id is its file name less ``.sol``, as ``Path.stem`` gives it."""
     directory = os.fspath(directory)
-    prefix = os.path.join(directory, "")
-    return _load(directory, [(name, prefix + name) for name in _sources(directory)], scan)
+    return _load(directory, _sources(directory), scan)
 
 
 def scan_problems(root: str | Path) -> list[str]:
-    """Validation sweep over a labelled corpus; returns human-readable issues.
+    """Validation sweep over a corpus in the layout :func:`load_directory`
+    picks; returns human-readable issues.
 
-    Checks alias totality, annotation line bounds, directory/label
-    agreement, missing pragma directives, and annotation mismatches. A
-    clean contract that the scan cache holds is not scanned (see
-    :func:`_load`).
+    Lists each contract's read, lex and label errors, then checks alias
+    totality, annotation line bounds, missing pragma directives,
+    annotation mismatches and, in a labelled layout, directory/label
+    agreement. It reads through the walk of every scanning load
+    (:func:`_scans`), so a clean contract that the scan cache holds is not
+    scanned, and no contract is scanned twice.
     """
-    from .cache import ScanCache
-
     root = os.fspath(root)
     taxonomy = default_taxonomy()
-    cache = ScanCache(root)
+    files = _labelled_files(root) if _is_labelled(root) else _sources(root)
     problems: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for rel, path in _labelled_files(root):
-            try:
-                source = _read_source(path, rel)
-            except ScbenchError as exc:
-                problems.append(str(exc))
-                continue
-            source, derived = cache.get(rel, source)
-            if derived is None:
-                caught.clear()  # a contract whose labels raise drops its warnings
-                try:
-                    derived, lex_error, mismatched = _derive(source, rel)
-                    label_error = None
-                except ScbenchError as exc:  # a rare fault: scan again for the lex error
-                    lex_error, label_error = _strip(source)[1], str(exc)
-                if lex_error is not None:
-                    problems.append(f"{rel}: line {_line(source, lex_error.position)}: "
-                                    f"{lex_error}")
-                if label_error is not None:
-                    problems.append(label_error)
+        for rel, source, fields, faults in _scans(root, files):
+            if faults or caught:  # a contract the cache holds has neither
+                problems.extend(f"{rel}: line {_line(source, fault.position)}: {fault}"
+                                if isinstance(fault, SourceLexError) else str(fault)
+                                for fault in faults)
+                if fields is None:  # a contract whose labels raise drops its warnings
+                    caught.clear()
                     continue
                 problems.extend(f"{rel}: {w.message}" for w in caught)
-                if lex_error is None and not mismatched:
-                    cache.put(rel, source, derived)
-            expected, _, pragma, _ = derived
+                caught.clear()
+            expected, _, pragma, _ = fields
             # the last line need not end in LF
             n_lines = source.count("\n") + (source[-1:] not in ("", "\n"))
             for cid, lines in expected.items():
@@ -503,6 +515,7 @@ def scan_problems(root: str | Path) -> list[str]:
                 if past_end:
                     problems.append(f"{rel}: {cid} annotates lines {sorted(past_end)} "
                                     f"beyond the {n_lines}-line source")
+            # a flat file's name has no "/", so it names no class directory
             dir_name = rel.partition("/")[0]
             dir_class = taxonomy.by_dir(dir_name)
             if dir_name == "safe":
@@ -514,5 +527,4 @@ def scan_problems(root: str | Path) -> list[str]:
                                 f"{sorted(expected) or 'empty'}")
             if not pragma:
                 problems.append(f"{rel}: no pragma solidity directive")
-    cache.save()
     return problems

@@ -75,17 +75,25 @@ def _entries(fh, root: str, scanner: list[str]) -> dict[str, list]:
     ``[text, labels, loc, pragma, checksum]`` with its text read after the
     JSON line, or none when the file was written for another root or
     scanner, or is not in the cache's shape: an entry of another length,
-    or with a field that is null."""
+    or with a field of another type (null, a string LoC, a number for the
+    pragma flag), labels included."""
     meta = json.loads(fh.readline())
     if not (type(meta) is dict and meta.get("root") == root and meta.get("scanner") == scanner
             and type(meta.get("entries")) is dict):
         return {}
     entries = meta["entries"]
     for entry in entries.values():
-        if not (type(entry) is list and len(entry) == 5 and type(entry[0]) is int
-                and None not in entry):
+        # its text's length, labels, LoC, pragma flag and checksum; a bool
+        # is no int here
+        if type(entry) is not list or list(map(type, entry)) != [int, dict, int, bool, str]:
             return {}
         entry[0] = fh.read(entry[0])  # a text cut short or askew matches no file
+    # the labels map each class to a list of line numbers; one set of types
+    # over all entries is checked faster than a set per entry
+    labels = [lines for entry in entries.values() for lines in entry[1].values()]
+    if {type(lines) for lines in labels} - {list} or {
+            type(line) for lines in labels for line in lines} - {int}:
+        return {}
     return entries
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import textwrap
 import time
 import warnings
@@ -555,6 +556,21 @@ class TestOneScanPerContract:
         scan_problems(LABELLED_DIR)
         assert len(scans) == 389
 
+    def test_scan_problems_scans_a_contract_whose_labels_raise_once(self, scans, tmp_path):
+        (tmp_path / "reentrancy").mkdir()
+        raises = PRAGMA + "// <yes> <report> FRONTRUN\nf();\nstring s = \"open\n"
+        (tmp_path / "reentrancy" / "a.sol").write_text(raises)
+        (tmp_path / "reentrancy" / "b.sol").write_text(
+            PRAGMA + "// <yes> <report> REENTRANCY\nf();\n")
+        problems = scan_problems(tmp_path)
+        quote = raises.index('"')
+        assert problems == [
+            f"reentrancy/a.sol: line 4: unterminated string literal at offset {quote}",
+            "reentrancy/a.sol: line 2: marker 'FRONTRUN' matches no class alias"]
+        assert len(scans) == 2
+        assert scan_problems(tmp_path) == problems
+        assert scans[2:] == [raises]  # only the contract that is never cached
+
     def test_warm_scan_problems_scans_no_file(self, scans):
         problems = scan_problems(LABELLED_DIR)
         scans.clear()
@@ -675,6 +691,27 @@ def scanned_fields(source: str):
     assert all(w.category is AnnotationMismatch for w in caught)
     return (case.expected, case.loc, case.pragma, case.checksum,
             [str(w.message) for w in caught])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(annotated_sources(), min_size=1, max_size=4))
+def test_validate_checks_a_flat_corpus_as_a_labelled_one(sources):
+    """The same sources written as a labelled corpus (under
+    ``reentrancy/``) and as a flat one: validation lists the same problems
+    of each, but for the labelled layout's directory checks and path
+    prefix."""
+    with tempfile.TemporaryDirectory() as tmp:
+        labelled, flat = os.path.join(tmp, "labelled"), os.path.join(tmp, "flat")
+        for directory in (os.path.join(labelled, "reentrancy"), flat):
+            os.makedirs(directory)
+            for i, source in enumerate(sources):
+                with open(os.path.join(directory, f"c{i}.sol"), "wb") as fh:
+                    fh.write(source.encode("utf-8"))
+        want = scan_problems(labelled)
+        assert all(p.startswith("reentrancy/c") for p in want)
+        assert scan_problems(flat) == [
+            p.removeprefix("reentrancy/") for p in want
+            if not re.match(r"reentrancy/c[0-9]+\.sol: directory says ", p)]
 
 
 @settings(max_examples=300, deadline=None)

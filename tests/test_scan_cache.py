@@ -166,26 +166,40 @@ def run_cli(argv) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_a_contract_that_is_not_clean_is_never_cached(tmp_path, home):
+@pytest.mark.parametrize("layout", ["labelled", "flat"])
+def test_a_contract_that_is_not_clean_is_never_cached(tmp_path, home, layout):
     # src_env() copies the environment, so the commands use ``home``
     corpus = tmp_path / "corpus"
-    (corpus / "reentrancy").mkdir(parents=True)
-    for name, source in (("clean", CLEAN), ("warns", WARNS), ("lex", LEX_ERROR)):
-        (corpus / "reentrancy" / f"{name}.sol").write_text(source)
+    where, rel = ((corpus / "reentrancy", "reentrancy/") if layout == "labelled"
+                  else (corpus, ""))
+    where.mkdir(parents=True)
+    for name, source in (("clean", CLEAN), ("no_pragma", CLEAN.partition("\n")[2]),
+                         ("warns", WARNS), ("lex", LEX_ERROR)):
+        (where / f"{name}.sol").write_text(source)
+    cached = [f"{rel}clean.sol", f"{rel}no_pragma.sol"]
     stats = run_cli(["corpus", "stats", str(corpus)])
     assert stats[0] == 0 and "AnnotationMismatch: header lines [9]" in stats[2]
+    assert sorted(cache_entries(home)) == cached
+    entries = cache_entries(home)
     validate = run_cli(["corpus", "validate", str(corpus)])
-    assert validate[0] == 1 and "unterminated string literal" in validate[1]
+    assert cache_entries(home) == entries  # validate walks the files stats read
+    assert validate[0] == 1 and validate[1].splitlines() == [
+        f"{rel}lex.sol: line 4: unterminated string literal at offset {len(CLEAN) + 11}",
+        f"{rel}no_pragma.sol: no pragma solidity directive",
+        f"{rel}warns.sol: header lines [9] disagree with inline marker lines [4]",
+        f"{rel}warns.sol: V1 annotates lines [9] beyond the 4-line source",
+        "4 problem(s) found"]
     for argv, first in ((["corpus", "stats", str(corpus)], stats),
                         (["corpus", "validate", str(corpus)], validate)):
         assert run_cli(argv) == first
-        assert sorted(cache_entries(home)) == ["reentrancy/clean.sol"]
-    (corpus / "reentrancy" / "unknown.sol").write_text(UNKNOWN_MARKER)
-    argv = ["corpus", "stats", str(corpus)]
-    first = run_cli(argv)
-    assert first[0] == 1 and "error: reentrancy/unknown.sol: line 2: marker" in first[2]
-    assert run_cli(argv) == first
-    assert sorted(cache_entries(home)) == ["reentrancy/clean.sol"]
+        assert cache_entries(home) == entries
+    (where / "unknown.sol").write_text(UNKNOWN_MARKER)
+    for argv in (["corpus", "stats", str(corpus)], ["corpus", "validate", str(corpus)]):
+        first = run_cli(argv)
+        assert first[0] == 1
+        assert f"{rel}unknown.sol: line 2: marker 'FRONTRUN'" in first[1] + first[2]
+        assert run_cli(argv) == first
+        assert cache_entries(home) == entries
 
 
 CURATION = [["corpus", "stats", str(LABELLED_DIR)],
@@ -245,12 +259,41 @@ def nulls(path):
     write_cache(path, meta, texts)
 
 
+def string_loc(path):
+    """This scanner's file, the LoC of its first entry a string, which
+    ``stats`` would add to a number."""
+    meta, texts = read_cache(path)
+    entry = next(iter(meta["entries"].values()))
+    entry[2] = str(entry[2])
+    write_cache(path, meta, texts)
+
+
+def string_pragma(path):
+    """This scanner's file, the pragma flag of its first entry a string,
+    an empty one, which ``pragma_filter`` and ``validate`` would take for
+    false without a word."""
+    meta, texts = read_cache(path)
+    next(iter(meta["entries"].values()))[3] = ""
+    write_cache(path, meta, texts)
+
+
+def string_lines(path):
+    """This scanner's file, the labelled lines of its first entry strings,
+    which ``validate`` would compare with a line count."""
+    meta, texts = read_cache(path)
+    labels = next(iter(meta["entries"].values()))[1]
+    for cid, lines in labels.items():
+        labels[cid] = [str(line) for line in lines]
+    write_cache(path, meta, texts)
+
+
 def make_directory(path):
     path.unlink()
     path.mkdir()
 
 
 @pytest.mark.parametrize("spoil", [truncate, garble, reshape, shift, foreign, nulls,
+                                   string_loc, string_pragma, string_lines,
                                    make_directory])
 def test_a_spoilt_cache_file_changes_no_output(home, capsys, spoil):
     cold = curation_outputs(capsys)
