@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import scbench
@@ -335,22 +336,30 @@ _DISPATCH = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as ``warning: MESSAGE`` on standard error: an annotation
+    mismatch names its contract, not the line of ``scbench`` that warned."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # applied at the first message: a command that logs none loads no ``logging``
     scbench.LOG_LEVEL = "DEBUG" if args.verbose else "WARNING"
-    try:
-        rc = _DISPATCH[args.cmd](args)
-        sys.stdout.flush()  # a closed pipe is met here, not at exit
-        return rc
-    except ScbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # the reader left (``| head``): what is still buffered goes nowhere,
-        # and the exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            rc = _DISPATCH[args.cmd](args)
+            sys.stdout.flush()  # a closed pipe is met here, not at exit
+            return rc
+        except ScbenchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # the reader left (``| head``): what is still buffered goes nowhere,
+            # and the exit is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
 
 
 if __name__ == "__main__":

@@ -108,22 +108,23 @@ def scan_case(case_id: str, source: str, origin: str | None = None) -> ContractC
     """The case of ``source`` with its four derived fields from one
     comment-stripping scan. ``origin`` names the source (its file) in a
     label error; it defaults to ``case_id``."""
-    fields, faults, _ = _derive(source, origin or case_id)
+    fields, faults, _ = _derive(source, origin or case_id, named=False)
     if fields is None:
         raise faults[-1]
     return ContractCase._make((case_id, source, *fields))
 
 
-def _derive(source: str, origin: str) -> tuple[tuple | None, list[ScbenchError], bool]:
+def _derive(source: str, origin: str,
+            named: bool = True) -> tuple[tuple | None, list[ScbenchError], bool]:
     """The labels, LoC, pragma flag and checksum of ``source`` from one
-    scan, its faults, and whether its labels warned of a mismatch. The
-    faults are the error a strict scan raises, then the label error (an
-    unknown marker or header number, naming ``origin``), which leaves
-    no fields."""
+    scan, its faults, and whether its labels warned of a mismatch (a
+    warning that names ``origin`` when ``named``). The faults are the
+    error a strict scan raises, then the label error (an unknown marker or
+    header number, naming ``origin``), which leaves no fields."""
     stripped, lex_error = _strip(source)
     faults = [] if lex_error is None else [lex_error]
     try:
-        expected, mismatched = _annotations(source, stripped)
+        expected, mismatched = _annotations(source, stripped, f"{origin}: " if named else "")
     except ScbenchError as exc:
         faults.append(type(exc)(f"{origin}: {exc}"))
         return None, faults, False
@@ -155,12 +156,20 @@ def parse_annotations(source: str) -> dict[str, frozenset[int]]:
     return _annotations(source, strip_comments(source, strict=False))[0]
 
 
-def _annotations(source: str, stripped: str) -> tuple[dict[str, frozenset[int]], bool]:
+def _annotations(source: str, stripped: str,
+                 prefix: str = "") -> tuple[dict[str, frozenset[int]], bool]:
     """The labels of ``source`` (see :func:`parse_annotations`), given its
-    comment-stripped text, and whether it warned of a mismatch."""
+    comment-stripped text, and whether it warned of a mismatch, in a
+    message that starts with ``prefix``."""
     taxonomy = default_taxonomy()
     inline: dict[str, set[int]] = {}
     mismatched = False
+
+    def mismatch(message: str) -> None:
+        nonlocal mismatched
+        warnings.warn(AnnotationMismatch(prefix + message))
+        mismatched = True
+
     line = 0  # the line of the last marker that counted
     below = 0  # the offset in ``stripped`` of the line after ``line``
     idx, at = 1, 0  # the line of offset ``at`` in ``source``
@@ -180,9 +189,7 @@ def _annotations(source: str, stripped: str) -> tuple[dict[str, frozenset[int]],
         line = idx
         code = _CODE_RE.search(stripped, below) if below else None
         if code is None:
-            warnings.warn(AnnotationMismatch(
-                f"marker {m.group(1)!r} on line {idx} has no following statement"))
-            mismatched = True
+            mismatch(f"marker {m.group(1)!r} on line {idx} has no following statement")
             continue
         target = idx + 1 + stripped.count("\n", below, code.start())
         inline.setdefault(cls.id, set()).add(target)
@@ -202,23 +209,18 @@ def _annotations(source: str, stripped: str) -> tuple[dict[str, frozenset[int]],
         inline_union = set().union(*inline.values()) if inline else set()
         if len(inline) == 1:
             if header != inline_union:
-                warnings.warn(AnnotationMismatch(
-                    f"header lines {sorted(header)} disagree with inline "
-                    f"marker lines {sorted(inline_union)}"))
-                mismatched = True
+                mismatch(f"header lines {sorted(header)} disagree with inline "
+                         f"marker lines {sorted(inline_union)}")
             (only,) = inline
             inline[only] |= header
         elif not inline:
-            warnings.warn(AnnotationMismatch(
-                f"header declares lines {sorted(header)} but no inline markers are present"))
-            mismatched = True
+            mismatch(f"header declares lines {sorted(header)} but no inline markers "
+                     "are present")
         else:
             stray = header - inline_union
             if stray:
-                warnings.warn(AnnotationMismatch(
-                    f"header lines {sorted(stray)} match no inline marker "
-                    "in a multi-class file"))
-                mismatched = True
+                mismatch(f"header lines {sorted(stray)} match no inline marker "
+                         "in a multi-class file")
 
     return {cid: frozenset(lines) for cid, lines in inline.items()}, mismatched
 
@@ -505,7 +507,7 @@ def scan_problems(root: str | Path) -> list[str]:
                 if fields is None:  # a contract whose labels raise drops its warnings
                     caught.clear()
                     continue
-                problems.extend(f"{rel}: {w.message}" for w in caught)
+                problems.extend(str(w.message) for w in caught)  # each names ``rel``
                 caught.clear()
             expected, _, pragma, _ = fields
             # the last line need not end in LF

@@ -2,9 +2,10 @@
 
 A campaign runs every (tool, contract) pair exactly once. Replay and stub
 tools are answered inline from a fixture or payload loaded once per tool;
-command tools spawn one process group per task from one selector loop.
-Determinism is defined on the *set* of records, never their order, and
-individual task failures are recorded, not fatal.
+command tools spawn one process group per task from one selector loop,
+slowest tool first (see :func:`_pick`). Determinism is defined on the
+*set* of records, never their order, nor do ``--raw-dir`` trees or exit
+codes hang on it; individual task failures are recorded, not fatal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import shutil
 import sys
 import tempfile
 import time
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -298,28 +299,46 @@ def _guarded(scan: Callable[[ContractCase], ScanRecord | None], tool: ToolDescri
         return ScanRecord(tool.name, case.id, "harness_error", 0)
 
 
-def _run_spawned(jobs: list, parallelism: int, sink: Callable[[ScanRecord], None],
-                 dirs: _TaskDirs) -> None:
-    """Run the spawned ``jobs`` in order, at most ``parallelism`` at once,
-    from one selector that wakes on a tool's output, EOF or exit, or at the
-    nearest cap. Each record is sunk when its task ends, before another
+def _pick(queues: dict[str, deque], statuses: dict[str, Counter],
+          seconds: Counter) -> str | None:
+    """The tool whose pending task starts next, so that a slow or hung task
+    starts early and overlaps the rest (Graham's longest processing time
+    first): one with no ended task in ``statuses``, the fewest started (the
+    longest queue: all start equally long) first, else the largest mean of
+    ``seconds`` per ended task. Ties go in ``queues`` order."""
+    def rank(name: str) -> tuple:
+        ended = sum(statuses[name].values())
+        return (1, -seconds[name] / ended) if ended else (0, -len(queues[name]))
+    return min((name for name, queue in queues.items() if queue), key=rank, default=None)
+
+
+def _run_spawned(queues: dict[str, deque], parallelism: int,
+                 sink: Callable[[ScanRecord], None], dirs: _TaskDirs) -> tuple[dict, Counter]:
+    """Run the tasks of ``queues`` (per tool, in order; the next from the tool
+    :func:`_pick` names), at most ``parallelism`` at once, from one selector
+    that wakes on a tool's output, EOF or exit, or at the nearest cap.
+    Returns the count per status of each tool's tasks and their seconds
+    from spawn to end: a ``timeout`` counts at its cap, one that failed to
+    start at 0. Each record is sunk when its task ends, before another
     starts. An exception, from the sink or an interrupt, kills and reaps
     every running tool, gives back its directory and starts no other task."""
     import selectors
 
     running: list[_Task] = []
-    pending = iter(jobs)
+    statuses, seconds = {name: Counter() for name in queues}, Counter()
     with selectors.DefaultSelector() as selector:
         try:
             while True:
-                while len(running) < parallelism and (job := next(pending, None)):
-                    running.append(task := _Task(*job, dirs, selector))
+                while len(running) < parallelism and (
+                        name := _pick(queues, statuses, seconds)) is not None:
+                    running.append(task := _Task(*queues[name].popleft(), dirs, selector))
                     if (record := _guarded(task.start, task.tool, task.case)) is not None:
                         task.close(kill=True)  # it did not start
                         running.remove(task)
+                        statuses[name][record.status] += 1
                         sink(record)
                 if not running:
-                    return
+                    return statuses, seconds
                 wait = min(task.deadline for task in running) - time.monotonic()
                 for key, _ in selector.select(max(wait, 0)):
                     task, fd = key.data, key.fd
@@ -334,6 +353,9 @@ def _run_spawned(jobs: list, parallelism: int, sink: Callable[[ScanRecord], None
                     record = _guarded(task.end, task.tool, task.case)
                     task.close(kill=True)  # only a crashed end has left it open
                     running.remove(task)
+                    statuses[task.tool.name][record.status] += 1
+                    seconds[task.tool.name] += (task.cap if record.status == "timeout"
+                                                else time.monotonic() - task.began)
                     sink(record)
         except BaseException:
             for task in running:
@@ -379,19 +401,22 @@ def execute_campaign(
     ``parallelism`` whose running tools would not fit under the soft
     open-file limit, when a command tool exists. Stub and replay tools then
     run inline, before the command tools; those run from one selector in
-    this thread, at most ``parallelism`` at once, and each record is sunk
-    when its task ends. Their input directories live under one temporary
-    root, removed at the end. ``on_record`` is the sink hook (e.g. a JSONL
+    this thread, at most ``parallelism`` at once, the next task from the
+    slowest tool so far (:func:`_pick`), which no record, raw output or
+    problem depends on. Each record is sunk when its task ends, and each
+    command tool's task count, statuses and mean time are logged (info) at
+    the end. Their input directories live under one temporary root,
+    removed at the end. ``on_record`` is the sink hook (e.g. a JSONL
     appender). An exception it raises, or an interrupt, aborts the
     campaign: running tools are killed and no other task starts. Nothing
     else does. Findings outside a tool's capabilities are dropped, and one
-    count per tool is logged at the end. A contract that a replay fixture does not
-    record, or records in a malformed entry, gets a ``harness_error``
-    record; ``problems``, when given, receives per such tool the messages
-    that say so, and per command tool whose every task ended in a
-    ``harness_error`` (its program could not start) a message naming the
-    first task. The inline tools run with the cyclic garbage collector
-    paused: their records hold no reference cycles.
+    count per tool is logged at the end. A contract that a replay fixture
+    does not record, or records in a malformed entry, gets a
+    ``harness_error`` record; ``problems``, when given, receives per such
+    tool the messages that say so, and per command tool whose every task
+    ended in a ``harness_error`` (its program could not start) a message
+    naming the first task. The inline tools run with the cyclic garbage
+    collector paused: their records hold no reference cycles.
     """
     if parallelism < 1:
         raise ScbenchError("parallelism must be >= 1")
@@ -404,13 +429,10 @@ def execute_campaign(
     records: list[ScanRecord] = []
     by_name = {tool.name: tool for tool in tools}
     dropped: Counter = Counter()
-    harness_errors: Counter = Counter()
 
     def sink(record: ScanRecord) -> None:
         record = _filter_to_capabilities(by_name[record.tool], record, dropped)
         records.append(record)
-        if record.status == "harness_error":
-            harness_errors[record.tool] += 1
         if on_record is not None:
             on_record(record)
 
@@ -427,16 +449,20 @@ def execute_campaign(
     if commands and corpus:
         with tempfile.TemporaryDirectory(prefix="scbench-",
                                          ignore_cleanup_errors=True) as root:
-            jobs = [(tool, *commands[tool.name], case,
-                     timeout if timeout is not None else tool.adapter.timeout, raw_dir)
-                    for tool in tools if tool.name in commands for case in corpus]
-            _run_spawned(jobs, parallelism, sink, _TaskDirs(root))
+            queues = {tool.name: deque((tool, *commands[tool.name], case,
+                                        timeout if timeout is not None else tool.adapter.timeout,
+                                        raw_dir) for case in corpus)
+                      for tool in tools if tool.name in commands}
+            statuses, seconds = _run_spawned(queues, parallelism, sink, _TaskDirs(root))
+        for name, counts in statuses.items():
+            ended = sum(counts.values())  # every task of the tool
+            logger.info("%s: %d task(s), %s, mean %.1f ms", name, ended,
+                        ", ".join(f"{n} {status}" for status, n in sorted(counts.items())),
+                        1000 * seconds[name] / ended)
+            if problems is not None and counts["harness_error"] == ended:
+                problems[name] = [f"tool {name}: all {ended} task(s) ended in "
+                                  f"harness_error (first: {corpus[0].id})"]
     for name, count in sorted(dropped.items()):
         logger.warning("adapter bug: dropped %d finding(s) of %s outside its "
                        "capability set", count, name)
-    if problems is not None and corpus:
-        for tool in tools:
-            if tool.name in commands and harness_errors[tool.name] == len(corpus):
-                problems[tool.name] = [f"tool {tool.name}: all {len(corpus)} task(s) ended "
-                                       f"in harness_error (first: {corpus[0].id})"]
     return records

@@ -815,6 +815,32 @@ class TestCli:
             f"file or directory: '{fixture}'\n"
             f"error: replay fixture for T does not cover 1 of 1 contract(s) (first: a)\n")
 
+    def test_verbose_run_logs_each_command_tool(self, tmp_path):
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [
+            {"name": name, "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "json", "command": f"sh -c '{script}' sh {{input}}"}}
+            for name, script in (("Echo", "echo {}"), ("Fails", "exit 3"))]}))
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        for name in "ab":
+            shutil.copy(LISTING_FIXTURE, corpus / f"{name}.sol")
+        results = {}
+        for verbose in ([], ["-v"]):
+            out = tmp_path / f"records{len(verbose)}.jsonl"
+            results[len(verbose)] = subprocess.run(
+                [sys.executable, "-m", "scbench.cli", *verbose, "run", "--corpus",
+                 str(corpus), "--registry", str(registry), "--out", str(out)],
+                env=src_env(), capture_output=True, text=True, timeout=120)
+        quiet, verbose = results[0], results[1]
+        assert (quiet.returncode, quiet.stderr) == (0, "")
+        assert verbose.returncode == 0 and verbose.stdout == quiet.stdout.replace(
+            "records0", "records1")
+        assert [line.partition(", mean ")[0] for line in verbose.stderr.splitlines()] == [
+            "INFO scbench.runner: Echo: 2 task(s), 2 ok",
+            "INFO scbench.runner: Fails: 2 task(s), 2 tool_error"]
+        assert all(line.endswith(" ms") for line in verbose.stderr.splitlines())
+
     def test_missing_analyzer_program_fails_the_run(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"
         registry.write_text(json.dumps({"tools": [

@@ -15,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -427,9 +428,11 @@ class TestCommandAdapters:
         assert [r.status for r in records] == ["ok"] * 6
         assert looked_up == ["sh", "./tool.sh"]
         sh = os.path.abspath(which("sh"))
-        assert [(args[:-1], exe) for args, exe in spawned] == (
-            [(["sh", "-c", ":", "x", "0.8.x"], sh)] * 3
-            + [(["./tool.sh"], str(tmp_path / "tool.sh"))] * 3)
+        per_tool = {}  # the dispatch interleaves the tools
+        for args, exe in spawned:
+            per_tool.setdefault(args[0], []).append((args[:-1], exe))
+        assert per_tool == {"sh": [(["sh", "-c", ":", "x", "0.8.x"], sh)] * 3,
+                            "./tool.sh": [(["./tool.sh"], str(tmp_path / "tool.sh"))] * 3}
         assert all(args[-1].endswith("/contract.sol") for args, _ in spawned)
 
     def test_unparseable_json_is_tool_error(self, tmp_path):
@@ -752,6 +755,100 @@ class TestCampaign:
         assert "scbench.runner" in loaded
         spawn_only = {"subprocess", "selectors", "signal", "concurrent.futures"}
         assert spawn_only.isdisjoint(loaded)
+
+
+class TestDispatch:
+    def test_pick_unknown_tools_first_then_longest_mean(self):
+        queues = {name: deque(range(3)) for name in "ABCD"}
+        statuses, seconds = {name: Counter() for name in queues}, Counter()
+
+        def pick():
+            return runner._pick(queues, statuses, seconds)
+
+        def end(name, status, secs):
+            statuses[name][status] += 1
+            seconds[name] += secs
+
+        assert pick() == "A"  # every tool unknown: registry order
+        queues["A"].popleft()
+        assert pick() == "B"  # an unknown tool with fewer started first
+        queues["B"].popleft()
+        end("A", "ok", 1.0)
+        end("B", "timeout", 3.0)
+        assert pick() == "C"  # an unknown tool before any known one
+        queues["C"].popleft()
+        assert pick() == "D"
+        queues["D"].popleft()
+        end("C", "tool_error", 2.0)
+        end("D", "harness_error", 0.0)
+        assert pick() == "B"  # means: B 3.0, C 2.0, A 1.0, D 0.0
+        end("B", "ok", 1.0)
+        assert pick() == "B"  # a tie at 2.0 goes in registry order
+        queues["B"].clear()
+        assert pick() == "C"  # only tools with a pending task
+        for queue in queues.values():
+            queue.clear()
+        assert pick() is None
+
+    def test_slowest_tool_dispatched_first(self, monkeypatch):
+        spawned = []
+
+        class SpyPopen(subprocess.Popen):
+            def __init__(self, args, **kwargs):
+                spawned.append(args[2])  # the tool's script
+                super().__init__(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", SpyPopen)
+        fast = make_tool("Fast", AdapterConfig(kind="json", command="sh -c 'echo {}'",
+                                               timeout=10.0))
+        slow = make_tool("Slow", AdapterConfig(kind="json", command="sh -c 'sleep 0.05; echo {}'",
+                                               timeout=10.0))
+        records = execute_campaign([fast, slow], [make_case(i) for i in range(4)],
+                                   parallelism=2)
+        assert sorted(r.status for r in records) == ["ok"] * 8
+        order = ["Slow" if "sleep" in script else "Fast" for script in spawned]
+        # each tool's first task probes it, then the slow one keeps the slots
+        assert order == ["Fast", "Slow", "Slow", "Slow", "Slow", "Fast", "Fast", "Fast"]
+
+    def test_mixed_campaign_identical_across_jobs(self, tmp_path, caplog):
+        broken = tmp_path / "broken"  # resolves, but its interpreter does not exist
+        broken.write_text("#!/no-such-interpreter\n")
+        broken.chmod(0o755)
+        tools = [
+            make_tool("Ok", AdapterConfig(kind="json", command="sh -c 'echo {}'")),
+            make_tool("Fails", AdapterConfig(kind="json", command="sh -c 'exit 3'")),
+            make_tool("Hangs", AdapterConfig(kind="json", command="sleep 5", timeout=0.3)),
+            make_tool("Broken", AdapterConfig(kind="json", command=f"{broken} {{input}}")),
+        ]
+        corpus = [make_case(i) for i in range(3)]
+        outputs, raw_files, all_problems = [], [], []
+        for jobs in (1, 2, 8):
+            out, raw, problems = tmp_path / f"j{jobs}.jsonl", tmp_path / f"raw{jobs}", {}
+            caplog.clear()
+            with caplog.at_level("INFO", logger="scbench.runner"):
+                records = execute_campaign(tools, corpus, parallelism=jobs, raw_dir=raw,
+                                           problems=problems)
+            write_records([r._replace(duration_ms=0, raw_ref=r.raw_ref and os.path.relpath(
+                r.raw_ref, raw)) for r in records], out)
+            outputs.append(out.read_bytes())
+            raw_files.append({path.relative_to(raw): path.read_bytes()
+                              for path in raw.rglob("*") if path.is_file()})
+            all_problems.append(problems)
+            summary = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+            assert [line.partition(", mean")[0] for line in summary] == [
+                "Ok: 3 task(s), 3 ok", "Fails: 3 task(s), 3 tool_error",
+                "Hangs: 3 task(s), 3 timeout", "Broken: 3 task(s), 3 harness_error"]
+            # a timeout counts at its cap, a task that did not start at 0
+            assert summary[2].endswith("mean 300.0 ms") and summary[3].endswith("mean 0.0 ms")
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert raw_files[0] == raw_files[1] == raw_files[2]
+        assert sorted(map(str, raw_files[0])) == [
+            f"{tool}/contract_{i}.out" for tool in ("Fails", "Ok") for i in range(3)]
+        assert all_problems[0] == all_problems[1] == all_problems[2] == {
+            "Broken": ["tool Broken: all 3 task(s) ended in harness_error (first: contract_0)"]}
+        assert {(r.tool, r.status) for r in read_records(out)} == {
+            ("Ok", "ok"), ("Fails", "tool_error"), ("Hangs", "timeout"),
+            ("Broken", "harness_error")}
 
 
 class TestTaskDirectory:
