@@ -5,7 +5,6 @@ An adapter tells the runner how to obtain findings for one tool:
 * ``replay`` — look the contract up in a pre-recorded fixture file
   (deterministic, no process spawn); the fixture is a JSON object keyed
   by contract id.
-* ``stub`` — return the findings configured inline (test plumbing).
 * ``json`` — spawn ``command`` and parse stdout as
   ``{"findings": [{"check": <rule id>, "line": <int?>}, ...]}``.
 * ``text`` — spawn ``command`` and scan stdout lines for rule-map keys.
@@ -32,7 +31,7 @@ if TYPE_CHECKING:
 
 logger = Logger(__name__)
 
-ADAPTER_KINDS = ("replay", "stub", "json", "text")
+ADAPTER_KINDS = ("replay", "json", "text")
 
 DEFAULT_TIMEOUT = 300.0  # seconds per scan task
 
@@ -41,24 +40,22 @@ Findings = dict[str, frozenset[int]]
 
 
 class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map fixture "
-                                              "findings line_pattern argv")):
+                                              "line_pattern argv")):
     """How to run one tool and turn its output into taxonomy findings.
 
     ``command`` is a template with ``{input}`` and ``{solc}``; ``fixture``
-    (replay) a file, or a directory resolved per tool; ``findings`` the
-    stub payload, class ids with integer lines; ``line_pattern`` (text) a
-    regex with one group, the line number; ``timeout`` positive seconds, a
-    float. ``argv`` is no argument: it is the command template split into
-    arguments, once per tool. A ``rule_map`` left out is a new empty dict.
-    The fields are checked when it is built, by ``_replace`` too."""
+    (replay) a file, or a directory resolved per tool; ``line_pattern``
+    (text) a regex with one group, the line number; ``timeout`` positive
+    seconds, a float. ``argv`` is no argument: it is the command template
+    split into arguments, once per tool. A ``rule_map`` left out is a new
+    empty dict. The fields are checked when it is built, by ``_replace``
+    too."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str = "replay", command: str | None = None,
                 timeout: float = DEFAULT_TIMEOUT, rule_map: Mapping[str, str] | None = None,
-                fixture: str | None = None,
-                findings: tuple[tuple[str, tuple[int, ...]], ...] = (),
-                line_pattern: str | None = None) -> "AdapterConfig":
+                fixture: str | None = None, line_pattern: str | None = None) -> "AdapterConfig":
         timeout = float(timeout)
         if not 0 < timeout < math.inf:  # nan too
             raise ScbenchError(f"adapter timeout {timeout!r} is not a positive number "
@@ -75,10 +72,6 @@ class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map f
             raise ScbenchError(f"rule_map targets outside V1..V10: {sorted(bad)}")
         if fixture is not None and type(fixture) is not str:
             raise ScbenchError(f"fixture {fixture!r} is not a path")
-        for cid, lines in findings:
-            if cid not in CLASS_IDS or not all(type(n) is int for n in lines):
-                raise ScbenchError(f"stub finding {cid!r} {lines!r} is not a class V1..V10 "
-                                   f"with integer lines")
         if line_pattern is not None:
             try:
                 groups = re.compile(line_pattern).groups
@@ -93,8 +86,8 @@ class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map f
         except ValueError as exc:  # an unterminated quote or escape
             raise ScbenchError(f"command template {command!r} cannot be split: "
                                f"{exc}") from None
-        return tuple.__new__(cls, (kind, command, timeout, rule_map, fixture, findings,
-                                   line_pattern, argv))
+        return tuple.__new__(cls, (kind, command, timeout, rule_map, fixture, line_pattern,
+                                   argv))
 
     @classmethod
     def _make(cls, iterable) -> "AdapterConfig":
@@ -192,10 +185,10 @@ class ReplayFixture:
             findings: Findings = {}
             for f in entry.get("findings", ()):
                 merge_finding(findings, f["class"], f.get("lines", ()))
-            status, duration_ms = entry.get("status", "ok"), int(entry.get("duration_ms", 0))
+            status, duration_ms = entry.get("status", "ok"), entry.get("duration_ms", 0)
         except KeyError as exc:
             raise ScbenchError(f"missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        except (AttributeError, TypeError) as exc:
             raise ScbenchError(str(exc)) from None
         if status != "ok" and findings:
             self._records.check_findings(findings)  # the record checks only those it keeps

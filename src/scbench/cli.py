@@ -90,6 +90,8 @@ def _cmd_run(args) -> int:
     if args.tools:
         registry = registry.subset(_tool_names("--tools", args.tools))
     cases = load_directory(args.corpus, scan=False)  # ids and sources
+    if not cases:
+        raise ScbenchError(f"{args.corpus} holds no contract")
     check_records_dir(args.out)
     problems: dict[str, list[str]] = {}
     records = execute_campaign(

@@ -121,7 +121,7 @@ def _fields(doc) -> tuple:
     :class:`ScanRecord` holds them (:func:`_checked`); a class listed twice
     raises too."""
     tool, contract, found = doc["tool"], doc["contract"], doc.get("findings", ())
-    status, duration_ms, findings = doc["status"], int(doc["duration_ms"]), {}
+    status, duration_ms, findings = doc["status"], doc["duration_ms"], {}
     for f in found:  # a loop, not a comprehension: most lines list no finding
         cid = f["class"]
         findings[cid] = frozenset(f.get("lines", ()))

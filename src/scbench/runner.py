@@ -1,9 +1,9 @@
 """Scan campaign execution.
 
-A campaign runs every (tool, contract) pair exactly once. Replay and stub
-tools are answered inline from a fixture or payload loaded once per tool;
-command tools spawn one process group per task from one selector loop,
-slowest tool first (see :func:`_pick`). Determinism is defined on the
+A campaign runs every (tool, contract) pair exactly once. Replay tools
+are answered inline from a fixture loaded once per tool; command tools
+spawn one process group per task from one selector loop, slowest tool
+first (see :func:`_pick`). Determinism is defined on the
 *set* of records, never their order, nor do ``--raw-dir`` trees or exit
 codes hang on it; individual task failures are recorded, not fatal.
 """
@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import Logger
-from .adapters import (Findings, ReplayFixture, merge_finding, parse_json_output,
-                       parse_text_output, resolve_replay_fixture)
+from .adapters import (ReplayFixture, parse_json_output, parse_text_output,
+                       resolve_replay_fixture)
 from .corpus import ContractCase
 from .errors import ScbenchError
 # RecordSet, read_records and write_records are not used here: their one
@@ -32,7 +32,7 @@ from .records import RecordSet, ScanRecord, gc_paused, read_records, write_recor
 from .taxonomy import Registry, ToolDescriptor
 
 # The modules that only command tools need are imported where those run,
-# so that a replay or stub campaign does not load them.
+# so that a replay campaign does not load them.
 if TYPE_CHECKING:
     import selectors
     import subprocess
@@ -64,19 +64,13 @@ def _inline_scanner(
     tool: ToolDescriptor, replay_dir: str | Path | None,
     failed: list[tuple[str, str | None]],
 ) -> Callable[[ContractCase], ScanRecord]:
-    """Scan function of a stub or replay tool: the payload or fixture is
-    loaded once, then each case is a lookup. A case the fixture does not
-    record, or records in a malformed entry, is a ``harness_error``;
-    ``failed`` receives its id and, for a malformed entry, a message naming
-    the fixture, the entry and the fault."""
-    config = tool.adapter
-    if config.kind == "stub":
-        payload: Findings = {}
-        for cid, lines in config.findings:
-            merge_finding(payload, cid, lines)
-        return lambda case: ScanRecord(tool.name, case.id, "ok", 0, dict(payload))
+    """Scan function of a replay tool: the fixture is loaded once, then each
+    case is a lookup. A case the fixture does not record, or records in a
+    malformed entry, is a ``harness_error``; ``failed`` receives its id and,
+    for a malformed entry, a message naming the fixture, the entry and the
+    fault."""
     try:
-        path = resolve_replay_fixture(config, tool.name, replay_dir)
+        path = resolve_replay_fixture(tool.adapter, tool.name, replay_dir)
         fixture = ReplayFixture.load(path)
     except (ScbenchError, OSError, ValueError, TypeError) as exc:
         logger.error("replay fixture for %s unavailable: %s", tool.name, exc)
@@ -399,8 +393,8 @@ def execute_campaign(
     :class:`ScbenchError` before any task runs. So does the program of a
     command tool that is not installed: each is found first. So does a
     ``parallelism`` whose running tools would not fit under the soft
-    open-file limit, when a command tool exists. Stub and replay tools then
-    run inline, before the command tools; those run from one selector in
+    open-file limit, when a command tool exists. Replay tools then run
+    inline, before the command tools; those run from one selector in
     this thread, at most ``parallelism`` at once, the next task from the
     slowest tool so far (:func:`_pick`), which no record, raw output or
     problem depends on. Each record is sunk when its task ends, and each

@@ -225,9 +225,6 @@ class Registry(Frozen):
                 unknown = [key for key in entry if key not in _ENTRY_KEYS]
                 if unknown:
                     raise ScbenchError(f"unknown key {unknown[0]!r}")
-                if "findings" in adapter:  # the stub payload, as tuples
-                    adapter["findings"] = tuple((f["class"], tuple(f.get("lines", ())))
-                                                for f in adapter["findings"])
                 methods, capabilities = entry.get("methods", []), entry["capabilities"]
                 if type(methods) is not list or type(capabilities) is not list:
                     raise ScbenchError("methods and capabilities must be lists")

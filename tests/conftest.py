@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import tempfile
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from scbench.adapters import AdapterConfig
 from scbench.corpus import load_labelled
 from scbench.metrics import score_campaign
 from scbench.records import load_outcomes, write_records
 from scbench.runner import execute_campaign
-from scbench.taxonomy import Registry, default_taxonomy
+from scbench.taxonomy import Registry, ToolDescriptor, VersionId, default_taxonomy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LABELLED_DIR = REPO_ROOT / "datasets" / "labelled"
@@ -49,6 +51,15 @@ def scored(records, registry, corpus):
         path = os.path.join(tmp, "records.jsonl")
         write_records(records, path)
         return score_campaign(load_outcomes(path, corpus), registry)
+
+
+def replay_tool(directory, name, entries, capabilities=("V1", "V2")) -> ToolDescriptor:
+    """A tool ``name`` that replays ``entries`` (contract id -> fixture
+    entry), written as its fixture ``directory/NAME.json``."""
+    fixture = Path(directory) / f"{name}.json"
+    fixture.write_text(json.dumps(entries), "utf-8")
+    return ToolDescriptor(name, frozenset({"SA"}), frozenset(capabilities), VersionId(8),
+                          AdapterConfig(fixture=str(fixture)))
 
 
 def deny_listing(monkeypatch, directory):

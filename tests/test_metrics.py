@@ -23,7 +23,7 @@ def make_tool(name="T", capabilities=("V1",)):
         name=name, methods=frozenset({"SA"}),
         capabilities=frozenset(capabilities),
         max_solidity=VersionId(8),
-        adapter=AdapterConfig(kind="stub"),
+        adapter=AdapterConfig(),
     )
 
 

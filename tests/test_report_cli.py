@@ -31,7 +31,7 @@ def make_tool(name, capabilities):
     return ToolDescriptor(
         name=name, methods=frozenset({"SA"}),
         capabilities=frozenset(capabilities),
-        max_solidity=VersionId(8), adapter=AdapterConfig(kind="stub"),
+        max_solidity=VersionId(8), adapter=AdapterConfig(),
     )
 
 
@@ -751,25 +751,24 @@ class TestCli:
         ({"capabilities": "V1"}, "methods and capabilities must be lists"),
         ({"methods": "SA"}, "methods and capabilities must be lists"),
         ({"name": 5}, "tool name 5 is not a string"),
-        ({"adapter": {"kind": "stub", "timout": 5}},
+        ({"adapter": {"kind": "replay", "timout": 5}},
          "AdapterConfig.__new__() got an unexpected keyword argument 'timout'"),
         ({"adapter": {**TEXT_ADAPTER, "line_pattern": "("}},
          "line_pattern '(' is not a regex: missing ), unterminated subpattern at position 0"),
         ({"adapter": {**TEXT_ADAPTER, "line_pattern": "e"}},
          "line_pattern 'e' has 0 groups, not 1"),
-        ({"adapter": {"kind": "stub", "findings": [{"class": "V1", "lines": "ab"}]}},
-         "stub finding 'V1' ('a', 'b') is not a class V1..V10 with integer lines"),
+        ({"adapter": {"kind": "stub"}}, "unknown adapter kind 'stub'"),
         ({"metods": ["XX"]}, "unknown key 'metods'"),
     ], ids=["old-version", "capabilities-string", "methods-string", "name-number",
             "unknown-adapter-key", "pattern-not-a-regex", "pattern-without-group",
-            "lines-string", "unknown-key"])
+            "stub-kind", "unknown-key"])
     def test_malformed_registry_entry_fails_before_any_task(self, tmp_path, capsys, fault,
                                                             detail):
         started = tmp_path / "started"  # the second tool's first task makes it
         registry = tmp_path / "registry.json"
         registry.write_text(json.dumps({"tools": [
             {"name": "A", "methods": ["SA"], "capabilities": ["V1"], "max_solidity": "0.8",
-             "adapter": {"kind": "stub"}, **fault},
+             "adapter": {"kind": "replay"}, **fault},
             {"name": "Touch", "capabilities": ["V1"], "max_solidity": "0.8",
              "adapter": {"kind": "json", "command": f"touch {started} {{input}}"}}]}))
         corpus = tmp_path / "flat"
@@ -846,8 +845,8 @@ class TestCli:
         registry.write_text(json.dumps({"tools": [
             {"name": "Absent", "capabilities": ["V1"], "max_solidity": "0.8",
              "adapter": {"kind": "json", "command": "no-such-analyzer-binary {input}"}},
-            {"name": "Stub", "capabilities": ["V1"], "max_solidity": "0.8",
-             "adapter": {"kind": "stub"}}]}))
+            {"name": "Replay", "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "replay"}}]}))
         corpus = tmp_path / "flat"
         corpus.mkdir()
         for name, path in zip("ab", sorted((LABELLED_DIR / "reentrancy").glob("*.sol"))):
@@ -857,6 +856,16 @@ class TestCli:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: tool Absent: program 'no-such-analyzer-binary' not found\n")
+        assert not out.exists()
+
+    def test_corpus_without_a_contract_fails_the_run(self, tmp_path, capsys):
+        corpus = tmp_path / "empty"
+        corpus.mkdir()
+        (corpus / "README.md").write_text("no contract here\n")
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(corpus), "--replay", str(REPLAY_DIR),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {corpus} holds no contract\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -882,7 +891,7 @@ class TestCli:
         (json.dumps({"tools": [{"name": "T", "max_solidity": "0.8"}]}),
          "registry {}: tool #1: missing 'capabilities'"),
         (json.dumps({"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8",
-                                "adapter": {"kind": "stub", "timeout": 0}}]}),
+                                "adapter": {"kind": "replay", "timeout": 0}}]}),
          "registry {}: tool #1: adapter timeout 0.0 is not a positive number of seconds"),
     ], ids=["missing-file", "bad-json", "missing-key", "zero-timeout"])
     def test_registry_that_cannot_be_loaded(self, tmp_path, capsys, command, content,

@@ -31,7 +31,7 @@ from scbench.records import (STATUSES, RecordSet, ScanRecord, _fields, gc_paused
 from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
-from .conftest import LABELLED_DIR, REPLAY_DIR
+from .conftest import LABELLED_DIR, REPLAY_DIR, replay_tool
 
 PY = sys.executable
 
@@ -140,7 +140,7 @@ class TestReplayAdapter:
         fixture = tmp_path / "Echo.json"
         fixture.write_text(json.dumps({"contract_1": {"status": "ok"}}))
         tools = [make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture))),
-                 make_tool("Stub", AdapterConfig(kind="stub")),
+                 replay_tool(tmp_path, "Full", {f"contract_{i}": {} for i in range(3)}),
                  make_tool("Ghost", AdapterConfig(kind="replay"))]  # no fixture
         problems = {}
         records = execute_campaign(tools, [make_case(i) for i in range(3)],
@@ -157,6 +157,8 @@ class TestReplayAdapter:
             ("Echo", "contract_1", "ok"),
             ("Echo", "contract_2", "harness_error"),
         ]
+        assert [(r.status, r.duration_ms) for r in records if r.tool == "Full"] == [
+            ("ok", 0)] * 3
 
     def test_missing_fixture_is_harness_error(self):
         tool = make_tool("Ghost", AdapterConfig(kind="replay"))
@@ -175,7 +177,7 @@ class TestReplayAdapter:
 
     @pytest.mark.parametrize("entry, detail", [
         ({"status": "finished"}, "unknown status 'finished'"),
-        ({"duration_ms": "soon"}, "invalid literal for int() with base 10: 'soon'"),
+        ({"duration_ms": "soon"}, "duration_ms 'soon' is not an integer"),
         ({"duration_ms": -1}, "negative duration"),
         ({"findings": [{"class": "V1", "lines": ["7"]}]}, "line '7' of V1 is not an integer"),
         ({"findings": [{"class": "V1", "lines": "7"}]}, "line '7' of V1 is not an integer"),
@@ -184,6 +186,9 @@ class TestReplayAdapter:
         ({"findings": [{"lines": [7]}]}, "missing field 'class'"),
         ([1, 2], "'list' object has no attribute 'get'"),
         (None, "'NoneType' object has no attribute 'get'"),
+        ({"duration_ms": 1.5}, "duration_ms 1.5 is not an integer"),
+        ({"duration_ms": "12"}, "duration_ms '12' is not an integer"),
+        ({"status": "timeout", "duration_ms": True}, "duration_ms True is not an integer"),
     ])
     def test_malformed_entry_fails_only_its_own_task(self, tmp_path, entry, detail):
         fixture = tmp_path / "Echo.json"
@@ -206,25 +211,18 @@ class TestReplayAdapter:
             "Echo": [f"replay fixture {fixture}: entry contract_1: {detail}"]}
 
 
-class TestStubAdapter:
-    def test_configured_findings_returned(self):
-        tool = make_tool("Stub", AdapterConfig(
-            kind="stub", findings=(("V1", (17,)),)
-        ))
-        rec = scan_one(tool, make_case())
-        assert rec.status == "ok"
-        assert rec.findings == {"V1": frozenset({17})}
-
-    def test_each_record_has_its_own_findings(self):
-        tool = make_tool("Stub", AdapterConfig(kind="stub", findings=(("V1", (3,)),)))
+    def test_each_record_has_its_own_findings(self, tmp_path):
+        entry = {"findings": [{"class": "V1", "lines": [3]}]}
+        tool = replay_tool(tmp_path, "Echo", {"contract_0": entry, "contract_1": entry})
         first, second = execute_campaign([tool], [make_case(0), make_case(1)])
         assert first.findings == second.findings == {"V1": frozenset({3})}
         assert first.findings is not second.findings
 
-    def test_out_of_capability_findings_dropped_and_counted(self, caplog):
-        tool = make_tool("Stub", AdapterConfig(
-            kind="stub", findings=(("V1", (17,)), ("V3", (4,)), ("V5", (9,)))
-        ), capabilities=("V1",))
+    def test_out_of_capability_findings_dropped_and_counted(self, tmp_path, caplog):
+        entry = {"findings": [{"class": cid, "lines": [line]}
+                              for cid, line in (("V1", 17), ("V3", 4), ("V5", 9))]}
+        tool = replay_tool(tmp_path, "Stub", {f"contract_{i}": entry for i in range(3)},
+                           capabilities=("V1",))
         with caplog.at_level("WARNING", logger="scbench.runner"):
             records = execute_campaign(Registry((tool,)),
                                        [make_case(i) for i in range(3)])
@@ -397,11 +395,11 @@ class TestCommandAdapters:
         tool = make_tool("Ghost", AdapterConfig(
             kind="json", command="definitely-not-a-binary-xyz {input}",
         ))
-        stub = make_tool("Stub", AdapterConfig(kind="stub"))
+        inline = make_tool("Echo", AdapterConfig())
         seen = []
         with pytest.raises(ScbenchError, match="^tool Ghost: program "
                                                "'definitely-not-a-binary-xyz' not found$"):
-            execute_campaign([stub, tool], [make_case()], on_record=seen.append)
+            execute_campaign([inline, tool], [make_case()], on_record=seen.append)
         assert seen == []  # not even the inline tool ran
 
     def test_program_resolved_once_per_tool_and_argv_kept(self, tmp_path, monkeypatch):
@@ -476,37 +474,41 @@ class TestCommandAdapters:
 
 
 class TestCampaign:
-    def _stub_registry(self):
+    @staticmethod
+    def _registry(directory):
+        """Replay tools A, which flags V1 at line 1 of contracts 0..2, and B,
+        which flags nothing in them."""
+        flagged = {"findings": [{"class": "V1", "lines": [1]}]}
         return Registry((
-            make_tool("A", AdapterConfig(kind="stub", findings=(("V1", (1,)),))),
-            make_tool("B", AdapterConfig(kind="stub", findings=())),
+            replay_tool(directory, "A", {f"contract_{i}": flagged for i in range(3)}),
+            replay_tool(directory, "B", {f"contract_{i}": {} for i in range(3)}),
         ))
 
-    def test_every_pair_enumerated(self):
+    def test_every_pair_enumerated(self, tmp_path):
         corpus = [make_case(i) for i in range(3)]
-        records = execute_campaign(self._stub_registry(), corpus)
+        records = execute_campaign(self._registry(tmp_path), corpus)
         assert len(records) == 6
         pairs = {(r.tool, r.contract) for r in records}
         assert len(pairs) == 6
 
-    def test_zero_cases_zero_records(self):
-        assert execute_campaign(self._stub_registry(), []) == []
+    def test_zero_cases_zero_records(self, tmp_path):
+        assert execute_campaign(self._registry(tmp_path), []) == []
 
     def test_parallelism_invariant_content(self, tmp_path):
         corpus = [make_case(i) for i in range(3)]
         seq = tmp_path / "seq.jsonl"
         par = tmp_path / "par.jsonl"
-        write_records(execute_campaign(self._stub_registry(), corpus, 1), seq)
-        write_records(execute_campaign(self._stub_registry(), corpus, 4), par)
+        write_records(execute_campaign(self._registry(tmp_path), corpus, 1), seq)
+        write_records(execute_campaign(self._registry(tmp_path), corpus, 4), par)
         assert seq.read_bytes() == par.read_bytes()
 
-    def test_parallelism_must_be_positive(self):
+    def test_parallelism_must_be_positive(self, tmp_path):
         with pytest.raises(ScbenchError):
-            execute_campaign(self._stub_registry(), [], parallelism=0)
+            execute_campaign(self._registry(tmp_path), [], parallelism=0)
 
-    def test_sink_receives_every_record(self):
+    def test_sink_receives_every_record(self, tmp_path):
         seen = []
-        execute_campaign(self._stub_registry(), [make_case(0)],
+        execute_campaign(self._registry(tmp_path), [make_case(0)],
                          on_record=seen.append)
         assert len(seen) == 2
 
@@ -686,9 +688,10 @@ class TestCampaign:
         )
         registry = Registry((
             make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture))),
+            replay_tool(tmp_path, "Flags", {f"contract_{i}": {
+                "findings": [{"class": "V1", "lines": [1]}]} for i in range(4)}),
             make_tool("Json", AdapterConfig(kind="json", command=f"{PY} {script} {{input}}",
                                             rule_map={"reentrancy": "V1"})),
-            make_tool("Stub", AdapterConfig(kind="stub", findings=(("V1", (1,)),))),
         ))
         corpus = [make_case(i) for i in range(4)]
         outputs, raw_files = [], []
@@ -1109,11 +1112,15 @@ REJECTED_LAYOUTS = [
     (record_line("c1").replace("[]", '[{"class": "V1", "lines": [true]}]') + "\n", 1,
      "line True of V1 is not an integer"),
     (record_line("c1").replace("10", "Infinity") + "\n", 1,
-     "cannot convert float infinity to integer"),
+     "duration_ms inf is not an integer"),
+    *((record_line("c1").replace("10", value) + "\n", 1,
+       f"duration_ms {shown} is not an integer")
+      for value, shown in (("1.5", "1.5"), ("true", "True"), ('"12"', "'12'"))),
 ]
 REJECTED_IDS = ["two-on-a-line-spaced", "two-on-a-line", "split-after-comma",
                 "split-after-colon", "non-json-space-before", "trailing-garbage",
-                "string-line", "bool-line", "infinite-duration"]
+                "string-line", "bool-line", "infinite-duration", "float-duration",
+                "bool-duration", "string-duration"]
 
 
 class TestRecordCodec:

@@ -115,14 +115,12 @@ JSON_VALUES = _SCALARS | st.recursive(
                              | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
     max_leaves=6)
 VALID_ENTRY = {"name": "T", "methods": ["SA"], "capabilities": ["V1"], "max_solidity": "0.8",
-               "adapter": {"kind": "stub", "findings": [{"class": "V1", "lines": [3]}]}}
+               "adapter": {"kind": "replay", "fixture": "T.json"}}
 # each field of an entry, as the path of keys that leads to it; "extra" is no field
 ENTRY_FIELDS = [
     *((key,) for key in (*VALID_ENTRY, "extra")),
     *(("adapter", key) for key in ("kind", "command", "timeout", "rule_map", "fixture",
-                                   "findings", "line_pattern", "argv", "extra")),
-    ("adapter", "findings", "0"), ("adapter", "findings", "0", "class"),
-    ("adapter", "findings", "0", "lines"), ("adapter", "findings", "0", "lines", "0"),
+                                   "line_pattern", "argv", "extra")),
 ]
 
 
@@ -149,7 +147,7 @@ class TestRegistryValidation:
         path.write_text(
             '{"tools": [{"name": "T", "methods": ["SA"], '
             '"capabilities": ["V1"], "max_solidity": "0.8", '
-            '"adapter": {"kind": "stub"}}]}'
+            '"adapter": {"kind": "replay"}}]}'
         )
         reg = Registry.load(path)
         assert reg.names() == ["T"]
@@ -160,10 +158,10 @@ class TestRegistryValidation:
         (b'{"tools": {}}', "registry {}: 'tools' is not a list"),
         (b'{"tools": ["T"]}', "registry {}: tool #1: string indices must be integers"),
         (b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
-         b'"adapter": {"kind": "stub", "timeout": "soon"}}]}',
+         b'"adapter": {"kind": "replay", "timeout": "soon"}}]}',
          "registry {}: tool #1: could not convert string to float: 'soon'"),
         *((b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '
-           b'"adapter": {"kind": "stub", "timeout": %s}}]}' % value,
+           b'"adapter": {"kind": "replay", "timeout": %s}}]}' % value,
            f"registry {{}}: tool #1: adapter timeout {float(value)!r} is not a positive "
            f"number of seconds") for value in (b"-1", b"NaN", b"Infinity")),
         (b'{"tools": [{"name": "T", "capabilities": ["V1"], "max_solidity": "0.8", '

@@ -14,8 +14,8 @@ from scbench.mcdm import (ConsistencyReport, IndicatorMatrix, ScoreRow, ScoreTab
 from scbench.metrics import ConfusionMatrix, MetricSet, TimingSummary, ToolScores
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId, VulnClass
 
-STUB = AdapterConfig(kind="stub")
-TOOL = ToolDescriptor("T", frozenset({"SA"}), frozenset({"V1"}), VersionId(8), STUB)
+ADAPTER = AdapterConfig()
+TOOL = ToolDescriptor("T", frozenset({"SA"}), frozenset({"V1"}), VersionId(8), ADAPTER)
 METRICS = MetricSet(0.5, 0.25, 1.0, 0.4)
 SOURCE = "pragma solidity ^0.5.0;\ncontract C {}\n"
 
@@ -27,11 +27,10 @@ VALUE_TYPES = {
     VersionId: ({"minor": 8}, {"patch": None}, ("patch", 1)),
     ToolDescriptor: ({"name": "T", "methods": frozenset({"SA"}),
                       "capabilities": frozenset({"V1"}), "max_solidity": VersionId(8),
-                      "adapter": STUB}, {}, ("name", "U")),
+                      "adapter": ADAPTER}, {}, ("name", "U")),
     Registry: ({}, {"tools": ()}, ("tools", (TOOL,))),
     AdapterConfig: ({}, {"kind": "replay", "command": None, "timeout": DEFAULT_TIMEOUT,
-                         "rule_map": {}, "fixture": None, "findings": (),
-                         "line_pattern": None}, ("timeout", 5.0)),
+                         "rule_map": {}, "fixture": None, "line_pattern": None}, ("timeout", 5.0)),
     ContractCase: ({"id": "c", "source": SOURCE}, {"expected": {}},
                    ("expected", {"V1": frozenset({2})})),
     ClassStat: ({"class_id": "V1", "name": "Reentrancy", "count": 3, "loc": 40}, {},
@@ -98,11 +97,11 @@ def test_left_out_dicts_are_new_per_instance():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ToolDescriptor("T", frozenset(), frozenset(), VersionId(8), STUB),
+    (lambda: ToolDescriptor("T", frozenset(), frozenset(), VersionId(8), ADAPTER),
      "tool T: empty capability set"),
-    (lambda: ToolDescriptor("T", frozenset(), frozenset({"V11"}), VersionId(8), STUB),
+    (lambda: ToolDescriptor("T", frozenset(), frozenset({"V11"}), VersionId(8), ADAPTER),
      r"tool T: unknown classes \['V11'\]"),
-    (lambda: ToolDescriptor("T", frozenset({"XX"}), frozenset({"V1"}), VersionId(8), STUB),
+    (lambda: ToolDescriptor("T", frozenset({"XX"}), frozenset({"V1"}), VersionId(8), ADAPTER),
      r"tool T: unknown methods \['XX'\]"),
     (lambda: TOOL._replace(capabilities=frozenset()), "tool T: empty capability set"),
     (lambda: Registry((TOOL, TOOL)), "duplicate tool names in registry"),
@@ -110,16 +109,16 @@ def test_left_out_dicts_are_new_per_instance():
     (lambda: AdapterConfig(kind="json"), "json adapter requires a command"),
     (lambda: AdapterConfig(command="slither {input}"),
      "replay adapter takes a fixture, not a command"),
-    (lambda: AdapterConfig(kind="stub", rule_map={"r": "V11"}),
+    (lambda: AdapterConfig(rule_map={"r": "V11"}),
      r"rule_map targets outside V1..V10: \['V11'\]"),
     (lambda: AdapterConfig(kind="text", command="run 'x"),
      "command template \"run 'x\" cannot be split: No closing quotation"),
-    (lambda: STUB._replace(kind="json"), "json adapter requires a command"),
+    (lambda: ADAPTER._replace(kind="json"), "json adapter requires a command"),
     (lambda: AdapterConfig(kind="json", command="x {input}", timeout=0),
      "adapter timeout 0.0 is not a positive number of seconds"),
-    (lambda: STUB._replace(timeout=-5),
+    (lambda: ADAPTER._replace(timeout=-5),
      "adapter timeout -5.0 is not a positive number of seconds"),
-    (lambda: STUB._replace(timeout=float("nan")),
+    (lambda: ADAPTER._replace(timeout=float("nan")),
      "adapter timeout nan is not a positive number of seconds"),
     (lambda: AdapterConfig(kind="text", command="x", line_pattern="("),
      r"line_pattern '\(' is not a regex: missing \), unterminated subpattern at position 0"),
@@ -127,14 +126,8 @@ def test_left_out_dicts_are_new_per_instance():
      "line_pattern 'e' has 0 groups, not 1"),
     (lambda: AdapterConfig(kind="text", command="x", line_pattern="(a)(b)"),
      r"line_pattern '\(a\)\(b\)' has 2 groups, not 1"),
-    (lambda: AdapterConfig(kind="stub", findings=(("V1", ("a", "b")),)),
-     r"stub finding 'V1' \('a', 'b'\) is not a class V1..V10 with integer lines"),
-    (lambda: AdapterConfig(kind="stub", findings=(("V1", (True,)),)),
-     r"stub finding 'V1' \(True,\) is not a class V1..V10 with integer lines"),
-    (lambda: AdapterConfig(kind="stub", findings=(("V11", (3,)),)),
-     r"stub finding 'V11' \(3,\) is not a class V1..V10 with integer lines"),
     (lambda: AdapterConfig(fixture=5), "fixture 5 is not a path"),
-    (lambda: ToolDescriptor(5, frozenset(), frozenset({"V1"}), VersionId(8), STUB),
+    (lambda: ToolDescriptor(5, frozenset(), frozenset({"V1"}), VersionId(8), ADAPTER),
      "tool name 5 is not a string"),
     (lambda: ConfusionMatrix(1, -1, 0, 0), "confusion matrix counts must be non-negative"),
     (lambda: ConfusionMatrix(1, 0, 0, 0)._replace(tn=-1),
