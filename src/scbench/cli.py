@@ -239,9 +239,13 @@ def _cmd_report(args) -> int:
     from . import mcdm, reference, report
     from .tables import score_table_rows, stats_table, weights_table
 
+    for option, value in (("--series-tools", args.series_tools),
+                          ("--metadata", args.metadata)):
+        if value is not None and not args.timeseries:
+            print(f"report: {option} requires --timeseries", file=sys.stderr)
+            return 2
     ahp = _ahp_weights(args.matrix)[0] if args.matrix else None
-    series = (_tool_names("--series-tools", args.series_tools)
-              if args.timeseries and args.series_tools else None)
+    series = _tool_names("--series-tools", args.series_tools) if args.series_tools else None
     registry = _campaign_registry(args, series)
     # the time series is the metadata's only reader
     metadata = corpus_mod.load_sidecar(args.corpus, args.metadata) if args.timeseries else None

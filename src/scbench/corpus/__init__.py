@@ -9,17 +9,23 @@ pragma flag and checksum. A load with ``scan=False`` (``run``, which
 needs only ids and sources) runs no pass. Lines, labels and LoC follow
 the line model of :mod:`.lexer`: a line is LF-delimited.
 
+A scan (:func:`_derive`) has no side effect: it returns the fields,
+faults and annotation mismatches it found. A load warns each mismatch,
+naming its file, then raises the last fault of a file left with no
+fields; :func:`scan_case` warns them unprefixed; :func:`scan_problems`
+lists them.
+
 Every command that scans (``corpus stats``, ``dedup`` and ``validate``,
 ``metrics`` and ``report``; not ``run``) reads the corpus through one
 walk (:func:`_scans`), which reads, scans and caches each file, in the
-layout :func:`load_directory` picks. It goes through the scan cache of
+layout :func:`_files` picks. It goes through the scan cache of
 :mod:`.cache`, one file per corpus root under
 ``$XDG_CACHE_HOME/scbench`` (``~/.cache/scbench`` by default). It is keyed
 by each contract's text and the scanner's own: a contract whose text
 equals the cached one is not scanned, and a changed text or scanner
-scans again. Only a clean contract is cached, one that lexes without
-error and whose labels raise and warn nothing, so the others are scanned,
-and report, at every load. Deleting the directory clears the cache.
+scans again. Only a clean contract is cached, one with no fault and no
+mismatch, so the others are scanned, and report, at every load.
+Deleting the directory clears the cache.
 
 An optional ``metadata.csv`` sidecar (id, ISO-8601 timestamp, wei value)
 feeds the time series of a report, its only reader; no corpus load
@@ -60,7 +66,6 @@ __all__ = [
     "load_metadata",
     "load_sidecar",
     "normalize_source",
-    "parse_annotations",
     "pragma_filter",
     "scan_case",
     "scan_problems",
@@ -104,31 +109,32 @@ class ContractCase(namedtuple("ContractCase", "id source expected loc pragma che
         return not self.expected
 
 
-def scan_case(case_id: str, source: str, origin: str | None = None) -> ContractCase:
+def scan_case(case_id: str, source: str) -> ContractCase:
     """The case of ``source`` with its four derived fields from one
-    comment-stripping scan. ``origin`` names the source (its file) in a
-    label error; it defaults to ``case_id``."""
-    fields, faults, _ = _derive(source, origin or case_id, named=False)
+    comment-stripping scan. Each annotation mismatch is warned; a label
+    error, naming ``case_id``, raises."""
+    fields, faults, notes = _derive(source, case_id)
+    for note in notes:
+        warnings.warn(AnnotationMismatch(note))
     if fields is None:
         raise faults[-1]
     return ContractCase._make((case_id, source, *fields))
 
 
-def _derive(source: str, origin: str,
-            named: bool = True) -> tuple[tuple | None, list[ScbenchError], bool]:
+def _derive(source: str, origin: str) -> tuple[tuple | None, list[ScbenchError], list[str]]:
     """The labels, LoC, pragma flag and checksum of ``source`` from one
-    scan, its faults, and whether its labels warned of a mismatch (a
-    warning that names ``origin`` when ``named``). The faults are the
-    error a strict scan raises, then the label error (an unknown marker or
-    header number, naming ``origin``), which leaves no fields."""
+    scan, its faults, and its annotation mismatches. The faults are the
+    error a strict scan raises, then the label error (naming ``origin``),
+    which leaves no fields but keeps the mismatches found before it."""
     stripped, lex_error = _strip(source)
     faults = [] if lex_error is None else [lex_error]
+    notes: list[str] = []
     try:
-        expected, mismatched = _annotations(source, stripped, f"{origin}: " if named else "")
+        expected = _annotations(source, stripped, notes)
     except ScbenchError as exc:
         faults.append(type(exc)(f"{origin}: {exc}"))
-        return None, faults, False
-    return (expected, _loc(stripped), _pragma(stripped), _checksum(stripped)), faults, mismatched
+        return None, faults, notes
+    return (expected, _loc(stripped), _pragma(stripped), _checksum(stripped)), faults, notes
 
 
 def _derived(case: ContractCase, field: str):
@@ -141,35 +147,22 @@ def _derived(case: ContractCase, field: str):
     return value
 
 
-def parse_annotations(source: str) -> dict[str, frozenset[int]]:
-    """Extract ground-truth labels from an annotated contract.
+def _annotations(source: str, stripped: str, notes: list[str]) -> dict[str, frozenset[int]]:
+    """The ground-truth labels of ``source``, given its comment-stripped
+    text; each annotation mismatch is appended to ``notes``.
 
     Lines are those of :mod:`.lexer`: LF-delimited. An inline ``<yes>
     <report> MARKER`` comment labels the first line below its own that
     holds code once comments are stripped; only the first marker on a
-    line counts. A ``@vulnerable_at_lines`` header contributes extra line
-    numbers. Header lines fold into the single inline class when there is
-    exactly one; otherwise unattributable header lines trigger an
-    :class:`AnnotationMismatch` warning, as does any header whose line set
-    disagrees with the inline markers.
+    line counts, and one with no such line below is a mismatch. A
+    ``@vulnerable_at_lines`` header contributes extra line numbers. Header
+    lines fold into the single inline class when there is exactly one;
+    otherwise unattributable header lines are a mismatch, as is any header
+    whose line set disagrees with the inline markers. An unknown marker,
+    or a header entry that is not a line number, raises.
     """
-    return _annotations(source, strip_comments(source, strict=False))[0]
-
-
-def _annotations(source: str, stripped: str,
-                 prefix: str = "") -> tuple[dict[str, frozenset[int]], bool]:
-    """The labels of ``source`` (see :func:`parse_annotations`), given its
-    comment-stripped text, and whether it warned of a mismatch, in a
-    message that starts with ``prefix``."""
     taxonomy = default_taxonomy()
     inline: dict[str, set[int]] = {}
-    mismatched = False
-
-    def mismatch(message: str) -> None:
-        nonlocal mismatched
-        warnings.warn(AnnotationMismatch(prefix + message))
-        mismatched = True
-
     line = 0  # the line of the last marker that counted
     below = 0  # the offset in ``stripped`` of the line after ``line``
     idx, at = 1, 0  # the line of offset ``at`` in ``source``
@@ -189,7 +182,7 @@ def _annotations(source: str, stripped: str,
         line = idx
         code = _CODE_RE.search(stripped, below) if below else None
         if code is None:
-            mismatch(f"marker {m.group(1)!r} on line {idx} has no following statement")
+            notes.append(f"marker {m.group(1)!r} on line {idx} has no following statement")
             continue
         target = idx + 1 + stripped.count("\n", below, code.start())
         inline.setdefault(cls.id, set()).add(target)
@@ -209,20 +202,20 @@ def _annotations(source: str, stripped: str,
         inline_union = set().union(*inline.values()) if inline else set()
         if len(inline) == 1:
             if header != inline_union:
-                mismatch(f"header lines {sorted(header)} disagree with inline "
-                         f"marker lines {sorted(inline_union)}")
+                notes.append(f"header lines {sorted(header)} disagree with inline "
+                             f"marker lines {sorted(inline_union)}")
             (only,) = inline
             inline[only] |= header
         elif not inline:
-            mismatch(f"header declares lines {sorted(header)} but no inline markers "
-                     "are present")
+            notes.append(f"header declares lines {sorted(header)} but no inline "
+                         "markers are present")
         else:
             stray = header - inline_union
             if stray:
-                mismatch(f"header lines {sorted(stray)} match no inline marker "
-                         "in a multi-class file")
+                notes.append(f"header lines {sorted(stray)} match no inline marker "
+                             "in a multi-class file")
 
-    return {cid: frozenset(lines) for cid, lines in inline.items()}, mismatched
+    return {cid: frozenset(lines) for cid, lines in inline.items()}
 
 
 def dedup(cases: Iterable[ContractCase]) -> tuple[list[ContractCase], int]:
@@ -412,13 +405,16 @@ def _load(root: str, files: Iterable[tuple[str, str]], scan: bool) -> list[Contr
     """The case of each ``(origin, path)`` of ``files``, its id ``origin``
     less ``.sol``: with its derived fields (see :func:`scan_case`), read
     through the scan cache of ``root`` (see :func:`_scans`), or with none
-    when ``scan`` is false. A file left with no fields raises its last
-    fault, and the cache is then not written."""
+    when ``scan`` is false. Each annotation mismatch is warned, naming its
+    file; a file left with no fields then raises its last fault, and the
+    cache is not written."""
     if not scan:
         return [ContractCase._make((origin[:-4] or origin, _read_source(path, origin),
                                     None, None, None, None)) for origin, path in files]
     cases = []
-    for origin, text, fields, faults in _scans(root, files):
+    for origin, text, fields, faults, notes in _scans(root, files):
+        for note in notes:
+            warnings.warn(AnnotationMismatch(f"{origin}: {note}"))
         if fields is None:
             raise faults[-1]
         cases.append(ContractCase._make((origin[:-4] or origin, text, *fields)))
@@ -426,12 +422,12 @@ def _load(root: str, files: Iterable[tuple[str, str]], scan: bool) -> list[Contr
 
 
 def _scans(root: str, files: Iterable[tuple[str, str]]) -> Iterator[tuple]:
-    """``(origin, text, fields, faults)`` of each ``(origin, path)`` of
-    ``files``: its text, the fields and faults of its scan (see
-    :func:`_derive`), or a read error as its only fault and neither text
-    nor fields. A contract whose text the scan cache of ``root`` holds (see
-    :mod:`.cache`) is not scanned and has no fault; each clean scan is kept
-    there, and the cache is saved once the walk ends."""
+    """``(origin, text, fields, faults, notes)`` of each ``(origin, path)``
+    of ``files``: its text, the fields, faults and mismatches of its scan
+    (see :func:`_derive`), or a read error as its only fault. A contract
+    whose text the scan cache of ``root`` holds (see :mod:`.cache`) is not
+    scanned; each scan with no fault and no mismatch is kept there, and
+    the cache is saved once the walk ends."""
     from .cache import ScanCache
 
     cache = ScanCache(root)
@@ -439,40 +435,40 @@ def _scans(root: str, files: Iterable[tuple[str, str]]) -> Iterator[tuple]:
         try:
             text, fields = cache.get(origin, _read_source(path, origin))
         except ScbenchError as exc:
-            yield origin, None, None, [exc]
+            yield origin, None, None, [exc], []
             continue
-        faults: list[ScbenchError] = []
+        faults, notes = [], []
         if fields is None:
-            fields, faults, mismatched = _derive(text, origin)
-            if not faults and not mismatched:
+            fields, faults, notes = _derive(text, origin)
+            if not faults and not notes:
                 cache.put(origin, text, fields)
-        yield origin, text, fields, faults
+        yield origin, text, fields, faults, notes
     cache.save()
 
 
-def _is_labelled(root: str) -> bool:
-    """Whether a subdirectory of ``root`` holds a ``*.sol`` entry. One that
+def _files(directory: str) -> Iterable[tuple[str, str]]:
+    """``(origin, path)`` of each contract of a corpus directory in its
+    layout: labelled (:func:`_labelled_files`) when a subdirectory holds a
+    ``*.sol`` entry, else flat (:func:`_sources`). A subdirectory that
     cannot be listed holds none: in a flat corpus it is no part of the
-    corpus (a ``lost+found``, say). The walk stops at the first that holds
-    one."""
-    for class_dir in _class_dirs(root):
+    corpus (a ``lost+found``, say). The search stops at the first
+    subdirectory that holds one."""
+    if not os.path.isdir(directory):
+        raise ScbenchError(f"{directory} is not a directory")
+    for class_dir in _class_dirs(directory):
         try:
-            if _sources(os.path.join(root, class_dir)):
-                return True
+            if _sources(os.path.join(directory, class_dir)):
+                return _labelled_files(directory)
         except ScbenchError:
             continue
-    return False
+    return _sources(directory)
 
 
 def load_directory(directory: str | Path, scan: bool = True) -> list[ContractCase]:
-    """Load a corpus directory in its layout: labelled (:func:`load_labelled`)
-    when a subdirectory holds a ``*.sol`` file, else flat (:func:`load_flat`)."""
+    """Load a corpus directory in its layout (see :func:`_files`), as
+    :func:`load_labelled` or :func:`load_flat` would."""
     directory = os.fspath(directory)
-    if not os.path.isdir(directory):
-        raise ScbenchError(f"{directory} is not a directory")
-    if _is_labelled(directory):
-        return load_labelled(directory, scan)
-    return load_flat(directory, scan)
+    return _load(directory, _files(directory), scan)
 
 
 def load_flat(directory: str | Path, scan: bool = True) -> list[ContractCase]:
@@ -483,8 +479,8 @@ def load_flat(directory: str | Path, scan: bool = True) -> list[ContractCase]:
 
 
 def scan_problems(root: str | Path) -> list[str]:
-    """Validation sweep over a corpus in the layout :func:`load_directory`
-    picks; returns human-readable issues.
+    """Validation sweep over a corpus in the layout :func:`_files` picks;
+    returns human-readable issues.
 
     Lists each contract's read, lex and label errors, then checks alias
     totality, annotation line bounds, missing pragma directives,
@@ -495,38 +491,32 @@ def scan_problems(root: str | Path) -> list[str]:
     """
     root = os.fspath(root)
     taxonomy = default_taxonomy()
-    files = _labelled_files(root) if _is_labelled(root) else _sources(root)
     problems: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for rel, source, fields, faults in _scans(root, files):
-            if faults or caught:  # a contract the cache holds has neither
-                problems.extend(f"{rel}: line {_line(source, fault.position)}: {fault}"
-                                if isinstance(fault, SourceLexError) else str(fault)
-                                for fault in faults)
-                if fields is None:  # a contract whose labels raise drops its warnings
-                    caught.clear()
-                    continue
-                problems.extend(str(w.message) for w in caught)  # each names ``rel``
-                caught.clear()
-            expected, _, pragma, _ = fields
-            # the last line need not end in LF
-            n_lines = source.count("\n") + (source[-1:] not in ("", "\n"))
-            for cid, lines in expected.items():
-                past_end = [ln for ln in lines if ln > n_lines]
-                if past_end:
-                    problems.append(f"{rel}: {cid} annotates lines {sorted(past_end)} "
-                                    f"beyond the {n_lines}-line source")
-            # a flat file's name has no "/", so it names no class directory
-            dir_name = rel.partition("/")[0]
-            dir_class = taxonomy.by_dir(dir_name)
-            if dir_name == "safe":
-                if expected:
-                    problems.append(f"{rel}: file under safe/ carries labels "
-                                    f"{sorted(expected)}")
-            elif dir_class is not None and dir_class.id not in expected:
-                problems.append(f"{rel}: directory says {dir_class.id} but labels are "
-                                f"{sorted(expected) or 'empty'}")
-            if not pragma:
-                problems.append(f"{rel}: no pragma solidity directive")
+    for rel, source, fields, faults, notes in _scans(root, _files(root)):
+        problems.extend(f"{rel}: line {_line(source, fault.position)}: {fault}"
+                        if isinstance(fault, SourceLexError) else str(fault)
+                        for fault in faults)
+        if fields is None:  # a contract whose labels raise drops its mismatches
+            continue
+        problems.extend(f"{rel}: {note}" for note in notes)
+        expected, _, pragma, _ = fields
+        # the last line need not end in LF
+        n_lines = source.count("\n") + (source[-1:] not in ("", "\n"))
+        for cid, lines in expected.items():
+            past_end = [ln for ln in lines if ln > n_lines]
+            if past_end:
+                problems.append(f"{rel}: {cid} annotates lines {sorted(past_end)} "
+                                f"beyond the {n_lines}-line source")
+        # a flat file's name has no "/", so it names no class directory
+        dir_name = rel.partition("/")[0]
+        dir_class = taxonomy.by_dir(dir_name)
+        if dir_name == "safe":
+            if expected:
+                problems.append(f"{rel}: file under safe/ carries labels "
+                                f"{sorted(expected)}")
+        elif dir_class is not None and dir_class.id not in expected:
+            problems.append(f"{rel}: directory says {dir_class.id} but labels are "
+                            f"{sorted(expected) or 'empty'}")
+        if not pragma:
+            problems.append(f"{rel}: no pragma solidity directive")
     return problems

@@ -407,10 +407,11 @@ def execute_campaign(
     count per tool is logged at the end. A contract that a replay fixture
     does not record, or records in a malformed entry, gets a
     ``harness_error`` record; ``problems``, when given, receives per such
-    tool the messages that say so, and per command tool whose every task
-    ended in a ``harness_error`` (its program could not start) a message
-    naming the first task. The inline tools run with the cyclic garbage
-    collector paused: their records hold no reference cycles.
+    tool the messages that say so, and per command tool with no ``ok``
+    task (its program could not start, failed or hung on every contract)
+    a message naming its count per status and the first task. The inline
+    tools run with the cyclic garbage collector paused: their records
+    hold no reference cycles.
     """
     if parallelism < 1:
         raise ScbenchError("parallelism must be >= 1")
@@ -450,12 +451,12 @@ def execute_campaign(
             statuses, seconds = _run_spawned(queues, parallelism, sink, _TaskDirs(root))
         for name, counts in statuses.items():
             ended = sum(counts.values())  # every task of the tool
-            logger.info("%s: %d task(s), %s, mean %.1f ms", name, ended,
-                        ", ".join(f"{n} {status}" for status, n in sorted(counts.items())),
+            tally = ", ".join(f"{n} {status}" for status, n in sorted(counts.items()))
+            logger.info("%s: %d task(s), %s, mean %.1f ms", name, ended, tally,
                         1000 * seconds[name] / ended)
-            if problems is not None and counts["harness_error"] == ended:
-                problems[name] = [f"tool {name}: all {ended} task(s) ended in "
-                                  f"harness_error (first: {corpus[0].id})"]
+            if problems is not None and not counts["ok"]:
+                problems[name] = [f"tool {name}: none of {ended} task(s) ended ok "
+                                  f"({tally}; first: {corpus[0].id})"]
     for name, count in sorted(dropped.items()):
         logger.warning("adapter bug: dropped %d finding(s) of %s outside its "
                        "capability set", count, name)

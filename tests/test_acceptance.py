@@ -21,8 +21,7 @@ import pytest
 
 from scbench import reference
 from scbench.adapters import AdapterConfig
-from scbench.corpus import (dedup, load_labelled, normalize_source,
-                            parse_annotations, stats)
+from scbench.corpus import dedup, load_labelled, normalize_source, scan_case, stats
 from scbench.mcdm import (INDICATOR_COLUMNS, ahp_weights, ewm_weights, load_pairwise,
                           overall_scores)
 from scbench.metrics import (ConfusionMatrix, efficiency_scores, functional_score, prf,
@@ -255,7 +254,7 @@ def test_c09_campaign_shape_and_statistics(tmp_path):
 
 def test_c10_annotation_round_trip(tmp_path):
     source = LISTING_FIXTURE.read_text("utf-8")
-    expected = parse_annotations(source)
+    expected = scan_case("c", source).expected
     assert expected == {"V1": frozenset({17})}
 
     case_id = "reentrancy/reentrancy_insecure"

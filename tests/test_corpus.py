@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scbench import corpus as corpus_mod
 from scbench.corpus import (ContractCase, dedup, lexer, load_directory, load_flat,
                             load_labelled, load_sidecar, normalize_source,
-                            parse_annotations, pragma_filter, scan_case,
-                            scan_problems, stats)
+                            pragma_filter, scan_case, scan_problems, stats)
 from scbench.errors import AnnotationMismatch, ScbenchError, UnknownMarker
 
 from .conftest import LABELLED_DIR, LISTING_FIXTURE, deny_listing
@@ -27,12 +27,13 @@ def make_case(idx: int, source: str) -> ContractCase:
 
 
 class TestParseAnnotations:
+    # the annotation rules, through the scan of one contract
     def test_listing_fixture_round_trip(self):
         source = LISTING_FIXTURE.read_text("utf-8")
-        assert parse_annotations(source) == {"V1": frozenset({17})}
+        assert scan_case("c", source).expected == {"V1": frozenset({17})}
 
     def test_no_markers_means_safe(self):
-        assert parse_annotations("pragma solidity ^0.5.0;\ncontract C {}\n") == {}
+        assert scan_case("c", "pragma solidity ^0.5.0;\ncontract C {}\n").expected == {}
 
     def test_two_inline_markers_without_header(self):
         # markers on lines 9 and 19 annotate the statements on 10 and 20
@@ -44,7 +45,7 @@ class TestParseAnnotations:
         lines.append("    n.call.value(2)();")
         lines.append("}")
         src = "\n".join(lines) + "\n"
-        assert parse_annotations(src) == {"V1": frozenset({10, 20})}
+        assert scan_case("c", src).expected == {"V1": frozenset({10, 20})}
 
     def test_marker_skips_comment_and_blank_lines(self):
         src = textwrap.dedent(
@@ -57,7 +58,7 @@ class TestParseAnnotations:
             }
             """
         )
-        assert parse_annotations(src) == {"V8": frozenset({5})}
+        assert scan_case("c", src).expected == {"V8": frozenset({5})}
 
     def test_a_large_file_of_many_markers_is_scanned_in_linear_time(self):
         # 60,000 markers over 4.7 MB, each target below a block comment and
@@ -68,7 +69,7 @@ class TestParseAnnotations:
             f"// <yes> <report> REENTRANCY\n/* c */\n\nx.call.value({i})(); // pad pad\n"
             for i in range(60_000))
         started = time.perf_counter()
-        labels = parse_annotations(src)
+        labels = scan_case("c", src).expected
         assert time.perf_counter() - started < 2.0
         assert labels == {"V1": frozenset(range(5, 4 * 60_000 + 2, 4))}
 
@@ -83,13 +84,13 @@ class TestParseAnnotations:
             """
         )
         with pytest.warns(AnnotationMismatch):
-            result = parse_annotations(src)
+            result = scan_case("c", src).expected
         assert result == {"V9": frozenset({4, 9})}
 
     def test_header_without_markers_warns(self):
         src = "// @vulnerable_at_lines: 3\ncontract C {\n    f();\n}\n"
         with pytest.warns(AnnotationMismatch):
-            assert parse_annotations(src) == {}
+            assert scan_case("c", src).expected == {}
 
     def test_multi_class_stray_header_line_warns(self):
         src = textwrap.dedent(
@@ -104,17 +105,17 @@ class TestParseAnnotations:
             """
         )
         with pytest.warns(AnnotationMismatch):
-            result = parse_annotations(src)
+            result = scan_case("c", src).expected
         assert result == {"V1": frozenset({4}), "V6": frozenset({6})}
 
     def test_unknown_marker_raises(self):
         with pytest.raises(UnknownMarker):
-            parse_annotations("// <yes> <report> FRONTRUN\nf();\n")
+            scan_case("c", "// <yes> <report> FRONTRUN\nf();\n")
 
     @pytest.mark.parametrize("brk", ["\n", "\x1c", "\x85", "\u2028", " \x1c\t"])
     def test_header_number_before_any_line_break(self, brk):
         src = f"// <yes> <report> REENTRANCY\nf();\n// @vulnerable_at_lines: 2{brk}g();\n"
-        assert parse_annotations(src) == {"V1": frozenset({2})}
+        assert scan_case("c", src).expected == {"V1": frozenset({2})}
 
     @pytest.mark.parametrize("tail", [
         "// @vulnerable_at_lines: 2\n5;\n", "/* @vulnerable_at_lines: 2\n   3 */\n",
@@ -125,41 +126,41 @@ class TestParseAnnotations:
         src = "// <yes> <report> REENTRANCY\nf();\n" + tail
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert parse_annotations(src) == {"V1": frozenset({2})}
+            assert scan_case("c", src).expected == {"V1": frozenset({2})}
 
     def test_header_entry_that_is_not_a_line_number_names_its_line(self):
         # "\x1c" starts no line: the header sits on LF line 2
         src = "pragma solidity ^0.5.0;\x1c\n/* x */ // @vulnerable_at_lines: 2,3 5\nf();\n"
         with pytest.raises(ScbenchError, match=(
-                "^line 2: @vulnerable_at_lines entry '3 5' is not a line number$")):
-            parse_annotations(src)
+                "^c: line 2: @vulnerable_at_lines entry '3 5' is not a line number$")):
+            scan_case("c", src)
 
     def test_break_in_a_comment_above_a_marker_keeps_its_label(self):
         src = "pragma solidity ^0.5.0;\n// a\x1cb\n// <yes> <report> REENTRANCY\nf();\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert parse_annotations(src) == {"V1": frozenset({4})}
+            assert scan_case("c", src).expected == {"V1": frozenset({4})}
 
     @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\r", "\x85", "\u2028", "\u2029"])
     def test_line_comment_ends_at_any_solidity_line_break(self, brk):
         # the text after the break is code on the marker's own LF line, so
         # the label falls on the next line that holds code
         src = f"// <yes> <report> REENTRANCY{brk}f();\n\ng();\n"
-        assert parse_annotations(src) == {"V1": frozenset({3})}
+        assert scan_case("c", src).expected == {"V1": frozenset({3})}
         assert scan_case("c", src).loc == 2
 
     def test_only_the_first_marker_on_a_line_counts(self):
         src = "// <yes> <report> REENTRANCY <yes> <report> NO_SUCH_CLASS\nf();\n"
-        assert parse_annotations(src) == {"V1": frozenset({2})}
+        assert scan_case("c", src).expected == {"V1": frozenset({2})}
 
     def test_marker_stays_within_its_line(self):
         with pytest.warns(AnnotationMismatch, match="on line 1 has no following"):
-            assert parse_annotations("f(); // <yes> <report> REENTRANCY\n") == {}
-        assert parse_annotations("// <yes>\n// <report> REENTRANCY\nf();\n") == {}
+            assert scan_case("c", "f(); // <yes> <report> REENTRANCY\n").expected == {}
+        assert scan_case("c", "// <yes>\n// <report> REENTRANCY\nf();\n").expected == {}
 
     def test_trailing_marker_at_eof_warns(self):
         with pytest.warns(AnnotationMismatch):
-            assert parse_annotations("f();\n// <yes> <report> REENTRANCY\n") == {}
+            assert scan_case("c", "f();\n// <yes> <report> REENTRANCY\n").expected == {}
 
 
 class TestDedup:
@@ -314,6 +315,22 @@ class TestLoaders:
         assert (f"reentrancy/comment.sol: line 4: unterminated block comment "
                 f"at offset {len(head)}") in problems
         assert not [p for p in problems if "fine.sol" in p]
+
+    def test_a_warning_raised_during_the_walk_is_no_problem(self, monkeypatch):
+        # the walk's own mismatches are data: any warning it meets goes on
+        # to the caller, and validation lists none of them
+        read = corpus_mod._read_source
+
+        def warning_read(path, origin):
+            warnings.warn(DeprecationWarning(f"read {origin}"))
+            return read(path, origin)
+
+        monkeypatch.setattr(corpus_mod, "_read_source", warning_read)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert scan_problems(LABELLED_DIR) == []
+        assert all(w.category is DeprecationWarning for w in caught)
+        assert len(caught) == len({str(w.message) for w in caught}) == 389
 
     def test_scan_problems_keeps_each_contracts_warnings_apart(self, tmp_path):
         # a.sol warns and then raises, so only its error is a problem

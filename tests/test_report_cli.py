@@ -347,8 +347,25 @@ class TestCli:
     def test_validate_of_a_missing_directory_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         assert main(["corpus", "validate", str(missing)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: cannot list {missing}: No such file or directory\n")
+        assert capsys.readouterr().err == f"error: {missing} is not a directory\n"
+
+    def test_mismatch_is_warned_before_the_label_error_of_its_contract(self, tmp_path,
+                                                                        capsys):
+        (tmp_path / "reentrancy").mkdir()
+        (tmp_path / "reentrancy" / "a.sol").write_text(
+            "pragma solidity ^0.5.0;\n// <yes> <report> REENTRANCY\n"
+            "// @vulnerable_at_lines: 3 5\n")
+        (tmp_path / "reentrancy" / "b.sol").write_text(
+            "pragma solidity ^0.5.0;\n// <yes> <report> REENTRANCY\nf();\n")
+        error = ("reentrancy/a.sol: line 3: @vulnerable_at_lines entry '3 5' "
+                 "is not a line number")
+        for _ in range(2):  # cold, then with b.sol in the cache that validate writes
+            assert main(["corpus", "stats", str(tmp_path)]) == 1
+            assert capsys.readouterr() == ("", (
+                "warning: reentrancy/a.sol: marker 'REENTRANCY' on line 2 has no "
+                f"following statement\nerror: {error}\n"))
+            assert main(["corpus", "validate", str(tmp_path)]) == 1
+            assert capsys.readouterr() == (f"{error}\n1 problem(s) found\n", "")
 
     def test_flat_corpus_beside_a_directory_that_cannot_be_listed(self, tmp_path,
                                                                   capsys, monkeypatch):
@@ -723,8 +740,10 @@ class TestCli:
         shutil.copy(sorted((LABELLED_DIR / "reentrancy").glob("*.sol"))[0], corpus / "a.sol")
         out = tmp_path / "records.jsonl"
         assert main(["run", "--corpus", str(corpus), "--registry", str(registry),
-                     "--out", str(out)]) == 0
-        assert "statuses: tool_error" in capsys.readouterr().out
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            f"wrote 1 records to {out} (statuses: tool_error)\n",
+            "error: tool JsonTool: none of 1 task(s) ended ok (1 tool_error; first: a)\n")
         assert json.loads(out.read_text())["status"] == "tool_error"
 
     def test_command_template_that_cannot_be_split_fails_before_any_task(self, tmp_path,
@@ -832,13 +851,40 @@ class TestCli:
                  str(corpus), "--registry", str(registry), "--out", str(out)],
                 env=src_env(), capture_output=True, text=True, timeout=120)
         quiet, verbose = results[0], results[1]
-        assert (quiet.returncode, quiet.stderr) == (0, "")
-        assert verbose.returncode == 0 and verbose.stdout == quiet.stdout.replace(
+        failed = "error: tool Fails: none of 2 task(s) ended ok (2 tool_error; first: a)\n"
+        assert (quiet.returncode, quiet.stderr) == (1, failed)
+        assert verbose.returncode == 1 and verbose.stdout == quiet.stdout.replace(
             "records0", "records1")
-        assert [line.partition(", mean ")[0] for line in verbose.stderr.splitlines()] == [
+        logged = verbose.stderr.removesuffix(failed).splitlines()
+        assert [line.partition(", mean ")[0] for line in logged] == [
             "INFO scbench.runner: Echo: 2 task(s), 2 ok",
             "INFO scbench.runner: Fails: 2 task(s), 2 tool_error"]
-        assert all(line.endswith(" ms") for line in verbose.stderr.splitlines())
+        assert all(line.endswith(" ms") for line in logged)
+
+    @pytest.mark.parametrize("script, timeout, err", [
+        ("exit 3", [], "2 tool_error"),
+        ("sleep 30", ["--timeout", "0.2"], "2 timeout"),
+        ('grep -q OK "$1" || exit 3; echo {}', [], None),
+    ], ids=["tool-error", "timeout", "one-ok"])
+    def test_a_command_tool_with_no_ok_task_fails_the_run(self, tmp_path, capsys, script,
+                                                          timeout, err):
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [
+            {"name": "T", "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "json", "command": f"sh -c '{script}' sh {{input}}"}}]}))
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        (corpus / "a.sol").write_text("pragma solidity ^0.5.0;\n")
+        (corpus / "b.sol").write_text("pragma solidity ^0.5.0; // OK\n")
+        out = tmp_path / "records.jsonl"
+        rc = main(["run", "--corpus", str(corpus), "--registry", str(registry), *timeout,
+                   "--out", str(out)])
+        assert len(read_records(out)) == 2
+        if err is None:  # b.sol ends ok, a.sol in a tool_error
+            assert (rc, capsys.readouterr().err) == (0, "")
+        else:
+            assert (rc, capsys.readouterr().err) == (
+                1, f"error: tool T: none of 2 task(s) ended ok ({err}; first: a)\n")
 
     def test_missing_analyzer_program_fails_the_run(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"
@@ -1201,6 +1247,16 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["corpus"])  # missing subcommand
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", ["--series-tools", "--metadata"])
+    def test_time_series_option_without_the_time_series_is_a_usage_error(
+            self, tmp_path, capsys, option):
+        bundle = tmp_path / "bundle"
+        assert main(["report", "--records", str(tmp_path / "absent.jsonl"),
+                     "--corpus", str(LABELLED_DIR), option, "NoSuchTool",
+                     "--out-dir", str(bundle)]) == 2
+        assert capsys.readouterr() == ("", f"report: {option} requires --timeseries\n")
+        assert not bundle.exists()
 
     def test_report_bundle_is_reproducible(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"

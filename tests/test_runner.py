@@ -848,7 +848,9 @@ class TestDispatch:
         assert sorted(map(str, raw_files[0])) == [
             f"{tool}/contract_{i}.out" for tool in ("Fails", "Ok") for i in range(3)]
         assert all_problems[0] == all_problems[1] == all_problems[2] == {
-            "Broken": ["tool Broken: all 3 task(s) ended in harness_error (first: contract_0)"]}
+            name: [f"tool {name}: none of 3 task(s) ended ok (3 {status}; first: contract_0)"]
+            for name, status in (("Fails", "tool_error"), ("Hangs", "timeout"),
+                                 ("Broken", "harness_error"))}
         assert {(r.tool, r.status) for r in read_records(out)} == {
             ("Ok", "ok"), ("Fails", "tool_error"), ("Hangs", "timeout"),
             ("Broken", "harness_error")}
@@ -958,8 +960,11 @@ class TestNeverStarted:
         problems = {}
         records = execute_campaign([absent, failing], [make_case(0), make_case(1)],
                                    problems=problems)
-        assert problems == {"Absent": ["tool Absent: all 2 task(s) ended in "
-                                       "harness_error (first: contract_0)"]}
+        assert problems == {
+            "Absent": ["tool Absent: none of 2 task(s) ended ok "
+                       "(2 harness_error; first: contract_0)"],
+            "Failing": ["tool Failing: none of 2 task(s) ended ok "
+                        "(2 tool_error; first: contract_0)"]}
         assert sorted((r.tool, r.status) for r in records) == [
             ("Absent", "harness_error")] * 2 + [("Failing", "tool_error")] * 2
 
