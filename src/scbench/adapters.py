@@ -40,16 +40,15 @@ Findings = dict[str, frozenset[int]]
 
 
 class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map fixture "
-                                              "line_pattern argv")):
+                                              "line_pattern")):
     """How to run one tool and turn its output into taxonomy findings.
 
-    ``command`` is a template with ``{input}`` and ``{solc}``; ``fixture``
-    (replay) a file, or a directory resolved per tool; ``line_pattern``
-    (text) a regex with one group, the line number; ``timeout`` positive
-    seconds, a float. ``argv`` is no argument: it is the command template
-    split into arguments, once per tool. A ``rule_map`` left out is a new
-    empty dict. The fields are checked when it is built, by ``_replace``
-    too."""
+    ``command`` is a template with ``{input}`` and ``{solc}`` that splits
+    into arguments as a shell would; ``fixture`` (replay) a file, or a
+    directory resolved per tool; ``line_pattern`` (text) a regex with one
+    group, the line number; ``timeout`` positive seconds, a float. A
+    ``rule_map`` left out is a new empty dict. The fields are checked when
+    it is built, by ``_replace`` too."""
 
     __slots__ = ()
 
@@ -82,19 +81,15 @@ class AdapterConfig(namedtuple("AdapterConfig", "kind command timeout rule_map f
                 raise ScbenchError(f"line_pattern {line_pattern!r} has {groups} groups, "
                                    f"not 1")
         try:
-            argv = tuple(shlex.split(command)) if command else ()
+            shlex.split(command or "")
         except ValueError as exc:  # an unterminated quote or escape
             raise ScbenchError(f"command template {command!r} cannot be split: "
                                f"{exc}") from None
-        return tuple.__new__(cls, (kind, command, timeout, rule_map, fixture, line_pattern,
-                                   argv))
+        return tuple.__new__(cls, (kind, command, timeout, rule_map, fixture, line_pattern))
 
     @classmethod
     def _make(cls, iterable) -> "AdapterConfig":
-        return cls(*tuple(iterable)[:-1])  # argv split again
-
-    def __getnewargs__(self):
-        return tuple(self)[:-1]
+        return cls(*iterable)
 
 
 def merge_finding(findings: Findings, class_id: str, lines=()) -> None:
@@ -169,7 +164,16 @@ class ReplayFixture:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReplayFixture":
-        return cls(json.loads(Path(path).read_text("utf-8")))
+        """The fixture in the JSON object at ``path``; a file that cannot be
+        read or decoded, or holds no object, raises :class:`ScbenchError`."""
+        try:
+            entries = json.loads(Path(path).read_text("utf-8"))
+            if type(entries) is not dict:
+                raise ValueError(f"top level is a {type(entries).__name__}, not an object")
+        except (OSError, ValueError) as exc:  # a Unicode- or JSONDecodeError too
+            raise ScbenchError(f"cannot read replay fixture {path}: "
+                               f"{getattr(exc, 'strerror', None) or exc}") from None
+        return cls(entries)
 
     def record(self, tool: str, contract_id: str) -> ScanRecord | None:
         """The record of ``tool``'s scan of a contract, or None for an id

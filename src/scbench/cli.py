@@ -207,6 +207,12 @@ def _cmd_score(args) -> int:
     from . import mcdm
     from .tables import score_table_rows, weights_table
 
+    if args.method == "ahp" and not args.matrix:
+        print("score: --method ahp requires --matrix FILE", file=sys.stderr)
+        return 2
+    if args.method == "ewm" and args.matrix is not None:
+        print("score: --matrix requires --method ahp", file=sys.stderr)
+        return 2
     if args.indicators:
         indicators = mcdm.load_indicators_csv(args.indicators)
     else:
@@ -217,9 +223,6 @@ def _cmd_score(args) -> int:
         weights = mcdm.ewm_weights(indicators.values)
         consistency = None
     else:
-        if not args.matrix:
-            print("score: --method ahp requires --matrix FILE", file=sys.stderr)
-            return 2
         weights, consistency = _ahp_weights(args.matrix)
     table = mcdm.overall_scores(
         indicators, weights, standardize_indicators=args.standardize
@@ -240,7 +243,7 @@ def _cmd_report(args) -> int:
     from .tables import score_table_rows, stats_table, weights_table
 
     for option, value in (("--series-tools", args.series_tools),
-                          ("--metadata", args.metadata)):
+                          ("--metadata", args.metadata), ("--bucket", args.bucket)):
         if value is not None and not args.timeseries:
             print(f"report: {option} requires --timeseries", file=sys.stderr)
             return 2
@@ -260,8 +263,8 @@ def _cmd_report(args) -> int:
     if ahp is not None:
         tables["scores_ahp"] = score_table_rows(mcdm.overall_scores(indicator, ahp))
     if args.timeseries:
-        tables["timeseries"] = report.time_series(scores, metadata, bucket=args.bucket,
-                                                  tools=series)
+        bucket = {"bucket": args.bucket} if args.bucket else {}  # else time_series' own
+        tables["timeseries"] = report.time_series(scores, metadata, tools=series, **bucket)
     manifest = report.write_bundle(args.out_dir, tables,
                                    notes=reference.validation_notes())
     print(f"wrote {manifest}")
@@ -327,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--metadata", default=None)
     p_report.add_argument("--matrix", default=None)
     p_report.add_argument("--timeseries", action="store_true")
-    p_report.add_argument("--bucket", choices=scbench.BUCKETS, default="quarter")
+    p_report.add_argument("--bucket", choices=scbench.BUCKETS, default=None)
     p_report.add_argument("--series-tools", default=None)
     p_report.add_argument("--out-dir", required=True)
     return parser

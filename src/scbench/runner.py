@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import shlex
 import shutil
 import sys
 import tempfile
@@ -60,45 +61,28 @@ def _filter_to_capabilities(tool: ToolDescriptor, record: ScanRecord,
     return record._replace(findings=kept)
 
 
-def _inline_scanner(
-    tool: ToolDescriptor, replay_dir: str | Path | None,
-    failed: list[tuple[str, str | None]],
-) -> Callable[[ContractCase], ScanRecord]:
-    """Scan function of a replay tool: the fixture is loaded once, then each
-    case is a lookup. A case the fixture does not record, or records in a
-    malformed entry, is a ``harness_error``; ``failed`` receives its id and,
-    for a malformed entry, a message naming the fixture, the entry and the
-    fault."""
-    try:
-        path = resolve_replay_fixture(tool.adapter, tool.name, replay_dir)
-        fixture = ReplayFixture.load(path)
-    except (ScbenchError, OSError, ValueError, TypeError) as exc:
-        logger.error("replay fixture for %s unavailable: %s", tool.name, exc)
-        fixture = ReplayFixture({})  # covers no contract
-
-    def replay(case: ContractCase) -> ScanRecord:
+def _replay(tool: ToolDescriptor, replay_dir: str | Path | None,
+            corpus: Sequence[ContractCase], sink: Callable[[ScanRecord], None]) -> list[str]:
+    """Sink each case's record from ``tool``'s fixture, loaded once: a
+    ``harness_error`` for a case it does not record, or records in a
+    malformed entry. Returns the messages that say so: one for the missed
+    cases, and the first malformed entry's, naming the fixture."""
+    path = resolve_replay_fixture(tool.adapter, tool.name, replay_dir)
+    fixture = ReplayFixture.load(path)
+    missed, fault = [], None
+    for case in corpus:
         try:
             record = fixture.record(tool.name, case.id)
+            if record is None:
+                missed.append(case.id)
         except ScbenchError as exc:
-            failed.append((case.id, f"replay fixture {path}: entry {case.id}: {exc}"))
-        else:
-            if record is not None:
-                return record
-            failed.append((case.id, None))
-        return ScanRecord(tool.name, case.id, "harness_error", 0)
-    return replay
-
-
-def _replay_problems(tool: str, failed: list[tuple[str, str | None]],
-                     n_cases: int) -> list[str]:
-    """Messages for the failed cases of an inline tool: one for the cases
-    its fixture does not record, and the first malformed entry's."""
-    missed = [contract for contract, fault in failed if fault is None]
-    faults = [fault for _, fault in failed if fault is not None]
-    problems = faults[:1]
+            record = None
+            fault = fault or f"replay fixture {path}: entry {case.id}: {exc}"
+        sink(record or ScanRecord(tool.name, case.id, "harness_error", 0))
+    problems = [fault] if fault else []
     if missed:
-        problems.insert(0, f"replay fixture for {tool} does not cover {len(missed)} "
-                           f"of {n_cases} contract(s) (first: {missed[0]})")
+        problems.insert(0, f"replay fixture for {tool.name} does not cover {len(missed)} "
+                           f"of {len(corpus)} contract(s) (first: {missed[0]})")
     return problems
 
 
@@ -152,39 +136,43 @@ class _TaskDirs:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def _command(tool: ToolDescriptor) -> tuple[tuple[str, ...], str]:
-    """The tool's command template with its ``{solc}`` filled in, and the
-    absolute path of the program it runs: ``argv[0]`` searched on ``PATH``,
-    or taken as given when it names a path."""
+def _command(tool: ToolDescriptor, timeout: float | None,
+             raw_dir: str | Path | None) -> tuple:
+    """A command tool's invocation, once per campaign: the tool, its template
+    split with ``{solc}`` filled in, the absolute path of ``argv[0]`` (found
+    on ``PATH`` unless it names a path), the cap of a task in seconds, and
+    the directory for its raw output under ``raw_dir``, when given."""
     solc = str(tool.max_solidity)
-    template = tuple(part.replace("{solc}", solc) for part in tool.adapter.argv)
+    template = tuple(part.replace("{solc}", solc) for part in shlex.split(tool.adapter.command))
     name = template[0] if template else ""
     program = shutil.which(name)
     if program is None:
         raise ScbenchError(f"tool {tool.name}: program {name!r} not found")
-    return template, os.path.abspath(program)
+    raw = None if raw_dir is None else Path(raw_dir) / tool.name
+    return tool, template, os.path.abspath(program), timeout or tool.adapter.timeout, raw
 
 
 class _Task:
     """One scan task of a command tool, from its spawn to its record.
 
-    The tool runs ``program`` with the ``template`` arguments, ``{input}``
-    naming a ``contract.sol`` alone in a directory taken from ``dirs``, for
-    at most ``cap`` seconds. Its pipes and, where ``os.pidfd_open`` works, a
+    ``command`` is the tool's invocation (:func:`_command`): the tool runs
+    ``program`` with the ``template`` arguments, ``{input}`` naming a
+    ``contract.sol`` that holds ``case`` alone in a directory taken from
+    ``dirs``, for at most ``cap`` seconds, and its raw output is kept under
+    ``raw`` when given. Its pipes and, where ``os.pidfd_open`` works, a
     pidfd of it are registered in ``selector``; ``waiting`` holds those not
-    yet at EOF or exit. Raw output is kept under ``raw_dir`` when given.
+    yet at EOF or exit.
     """
 
-    def __init__(self, tool: ToolDescriptor, template: tuple[str, ...], program: str,
-                 case: ContractCase, cap: float, raw_dir: str | Path | None,
-                 dirs: _TaskDirs, selector: selectors.BaseSelector):
-        self.tool, self.template, self.program, self.case = tool, template, program, case
-        self.cap, self.raw_dir, self.dirs, self.selector = cap, raw_dir, dirs, selector
+    def __init__(self, command: tuple, case: ContractCase, dirs: _TaskDirs,
+                 selector: selectors.BaseSelector):
+        self.tool, self.template, self.program, self.cap, self.raw = command
+        self.case, self.dirs, self.selector = case, dirs, selector
         self.dir = self.proc = self.pidfd = None  # until started
         self.waiting: set[int] = set()
 
-    def start(self, case: ContractCase) -> ScanRecord | None:
-        """Spawn the tool on ``case`` and register its descriptors; a
+    def start(self) -> ScanRecord | None:
+        """Spawn the tool on its case and register its descriptors; a
         ``harness_error`` record when it cannot be spawned."""
         import selectors
         import subprocess
@@ -192,7 +180,7 @@ class _Task:
         self.dir = self.dirs.take()
         self.input = os.path.join(self.dir, "contract.sol")
         with open(self.input, "w", encoding="utf-8") as fh:
-            fh.write(case.source)
+            fh.write(self.case.source)
         argv = [part.replace("{input}", self.input) for part in self.template]
         self.began = time.monotonic()
         self.deadline = self.began + self.cap
@@ -201,7 +189,7 @@ class _Task:
                                          stderr=subprocess.PIPE, **_OWN_GROUP)
         except (OSError, ValueError) as exc:
             logger.error("failed to spawn %s: %s", self.tool.name, exc)
-            return ScanRecord(self.tool.name, case.id, "harness_error", 0)
+            return ScanRecord(self.tool.name, self.case.id, "harness_error", 0)
         self.chunks = {self.proc.stdout.fileno(): [], self.proc.stderr.fileno(): []}
         try:
             self.pidfd = os.pidfd_open(self.proc.pid)
@@ -213,13 +201,13 @@ class _Task:
                 self.waiting.add(fd)
         return None
 
-    def end(self, case: ContractCase) -> ScanRecord:
-        """The record of ``case`` once nothing is ``waiting``, or a ``timeout``
+    def end(self) -> ScanRecord:
+        """Its case's record once nothing is ``waiting``, or a ``timeout``
         at the cap, which kills the tool's process group. I/O failures on our
         side are ``harness_error``; a non-zero exit is ``tool_error``."""
         import subprocess
 
-        tool, config = self.tool, self.tool.adapter
+        tool, config, case = self.tool, self.tool.adapter, self.case
         timed_out = bool(self.waiting)
         if not timed_out:  # the tool has exited, or has no pidfd to say so
             try:
@@ -233,11 +221,9 @@ class _Task:
         stdout, stderr = (b"".join(chunks) for chunks in self.chunks.values())
 
         raw_ref = None
-        if self.raw_dir is not None:
+        if self.raw is not None:
             try:
-                out_dir = Path(self.raw_dir) / tool.name
-                out_dir.mkdir(parents=True, exist_ok=True)
-                raw_path = out_dir / (case.id.replace("/", "__") + ".out")
+                raw_path = self.raw / (case.id.replace("/", "__") + ".out")
                 # stdout is decoded strictly below; here a bad byte is U+FFFD
                 raw_path.write_text(_decode(stdout, "replace") + _decode(stderr, "replace"),
                                     "utf-8")
@@ -284,13 +270,13 @@ class _Task:
         self.dir = None
 
 
-def _guarded(scan: Callable[[ContractCase], ScanRecord | None], tool: ToolDescriptor,
-             case: ContractCase) -> ScanRecord | None:
+def _guarded(task: _Task, step: Callable[[], ScanRecord | None]) -> ScanRecord | None:
+    """``step()`` of ``task`` (its start or end), or a ``harness_error`` if it crashes."""
     try:
-        return scan(case)
+        return step()
     except Exception:  # record, never abort the campaign
-        logger.exception("scan task crashed: %s on %s", tool.name, case.id)
-        return ScanRecord(tool.name, case.id, "harness_error", 0)
+        logger.exception("scan task crashed: %s on %s", task.tool.name, task.case.id)
+        return ScanRecord(task.tool.name, task.case.id, "harness_error", 0)
 
 
 def _pick(queues: dict[str, deque], statuses: dict[str, Counter],
@@ -306,18 +292,21 @@ def _pick(queues: dict[str, deque], statuses: dict[str, Counter],
     return min((name for name, queue in queues.items() if queue), key=rank, default=None)
 
 
-def _run_spawned(queues: dict[str, deque], parallelism: int,
-                 sink: Callable[[ScanRecord], None], dirs: _TaskDirs) -> tuple[dict, Counter]:
-    """Run the tasks of ``queues`` (per tool, in order; the next from the tool
-    :func:`_pick` names), at most ``parallelism`` at once, from one selector
-    that wakes on a tool's output, EOF or exit, or at the nearest cap.
-    Returns the count per status of each tool's tasks and their seconds
-    from spawn to end: a ``timeout`` counts at its cap, one that failed to
-    start at 0. Each record is sunk when its task ends, before another
-    starts. An exception, from the sink or an interrupt, kills and reaps
-    every running tool, gives back its directory and starts no other task."""
+def _run_spawned(commands: dict[str, tuple], corpus: Sequence[ContractCase],
+                 parallelism: int, sink: Callable[[ScanRecord], None],
+                 dirs: _TaskDirs) -> tuple[dict, Counter]:
+    """Run each ``commands`` tool on each case of ``corpus`` (per tool, in
+    order; the next from the tool :func:`_pick` names), at most
+    ``parallelism`` at once, from one selector that wakes on a tool's
+    output, EOF or exit, or at the nearest cap. Returns the count per
+    status of each tool's tasks and their seconds from spawn to end: a
+    ``timeout`` counts at its cap, one that failed to start at 0. Each
+    record is sunk when its task ends, before another starts. An
+    exception, from the sink or an interrupt, kills and reaps every
+    running tool, gives back its directory and starts no other task."""
     import selectors
 
+    queues = {name: deque(corpus) for name in commands}
     running: list[_Task] = []
     statuses, seconds = {name: Counter() for name in queues}, Counter()
     with selectors.DefaultSelector() as selector:
@@ -325,8 +314,9 @@ def _run_spawned(queues: dict[str, deque], parallelism: int,
             while True:
                 while len(running) < parallelism and (
                         name := _pick(queues, statuses, seconds)) is not None:
-                    running.append(task := _Task(*queues[name].popleft(), dirs, selector))
-                    if (record := _guarded(task.start, task.tool, task.case)) is not None:
+                    running.append(task := _Task(commands[name], queues[name].popleft(),
+                                                 dirs, selector))
+                    if (record := _guarded(task, task.start)) is not None:
                         task.close(kill=True)  # it did not start
                         running.remove(task)
                         statuses[name][record.status] += 1
@@ -344,7 +334,7 @@ def _run_spawned(queues: dict[str, deque], parallelism: int,
                 now = time.monotonic()
                 for task in [task for task in running
                              if not task.waiting or task.deadline <= now]:
-                    record = _guarded(task.end, task.tool, task.case)
+                    record = _guarded(task, task.end)
                     task.close(kill=True)  # only a crashed end has left it open
                     running.remove(task)
                     statuses[task.tool.name][record.status] += 1
@@ -390,22 +380,24 @@ def execute_campaign(
     """Run every (tool, contract) pair; returns |tools| x |corpus| records.
 
     A ``timeout`` that is not a finite number of seconds above 0 raises
-    :class:`ScbenchError` before any task runs. So does the program of a
-    command tool that is not installed: each is found first. So does a
-    ``parallelism`` whose running tools would not fit under the soft
-    open-file limit, when a command tool exists. Replay tools then run
-    inline, before the command tools; those run from one selector in
-    this thread, at most ``parallelism`` at once, the next task from the
-    slowest tool so far (:func:`_pick`), which no record, raw output or
-    problem depends on. Each record is sunk when its task ends, and each
-    command tool's task count, statuses and mean time are logged (info) at
-    the end. Their input directories live under one temporary root,
-    removed at the end. ``on_record`` is the sink hook (e.g. a JSONL
+    :class:`ScbenchError` before any task runs. So does a command tool whose
+    program is not installed or whose ``raw_dir`` directory cannot be made
+    (each invocation is resolved first, once), and a ``parallelism`` whose
+    running tools would not fit under the soft open-file limit. Replay tools
+    then run inline, each fixture loaded at its tool's turn, before any
+    command tool starts: one that cannot be found, read or parsed as a JSON
+    object raises :class:`ScbenchError` too. The command tools run from one
+    selector in this thread, at most ``parallelism`` at once, the next task
+    from the slowest tool so far (:func:`_pick`), which no record, raw
+    output or problem depends on. Each record is sunk when its task ends,
+    and each command tool's task count, statuses and mean time are logged
+    (info) at the end. Their input directories live under one temporary
+    root, removed at the end. ``on_record`` is the sink hook (e.g. a JSONL
     appender). An exception it raises, or an interrupt, aborts the
     campaign: running tools are killed and no other task starts. Nothing
-    else does. Findings outside a tool's capabilities are dropped, and one
-    count per tool is logged at the end. A contract that a replay fixture
-    does not record, or records in a malformed entry, gets a
+    else does once tasks run. Findings outside a tool's capabilities are
+    dropped, and one count per tool is logged at the end. A contract that a
+    replay fixture does not record, or records in a malformed entry, gets a
     ``harness_error`` record; ``problems``, when given, receives per such
     tool the messages that say so, and per command tool with no ``ok``
     task (its program could not start, failed or hung on every contract)
@@ -417,10 +409,16 @@ def execute_campaign(
         raise ScbenchError("parallelism must be >= 1")
     if timeout is not None and not 0 < timeout < math.inf:  # nan too
         raise ScbenchError(f"timeout {timeout!r} is not a positive number of seconds")
-    commands = {tool.name: _command(tool) for tool in tools
+    commands = {tool.name: _command(tool, timeout, raw_dir) for tool in tools
                 if tool.adapter.kind in _SPAWNED}
     if commands:
         _check_open_files(parallelism)
+    if raw_dir is not None:
+        for *_, raw in commands.values():  # once every other check has passed
+            try:
+                raw.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ScbenchError(f"cannot write raw output {raw}: {exc.strerror}") from None
     records: list[ScanRecord] = []
     by_name = {tool.name: tool for tool in tools}
     dropped: Counter = Counter()
@@ -433,22 +431,15 @@ def execute_campaign(
 
     with gc_paused():
         for tool in tools:
-            if tool.name in commands:
-                continue
-            failed: list[tuple[str, str | None]] = []
-            scan = _inline_scanner(tool, replay_dir, failed)
-            for case in corpus:
-                sink(_guarded(scan, tool, case))
-            if failed and problems is not None:
-                problems[tool.name] = _replay_problems(tool.name, failed, len(corpus))
+            if tool.name not in commands:
+                found = _replay(tool, replay_dir, corpus, sink)
+                if found and problems is not None:
+                    problems[tool.name] = found
     if commands and corpus:
         with tempfile.TemporaryDirectory(prefix="scbench-",
                                          ignore_cleanup_errors=True) as root:
-            queues = {tool.name: deque((tool, *commands[tool.name], case,
-                                        timeout if timeout is not None else tool.adapter.timeout,
-                                        raw_dir) for case in corpus)
-                      for tool in tools if tool.name in commands}
-            statuses, seconds = _run_spawned(queues, parallelism, sink, _TaskDirs(root))
+            statuses, seconds = _run_spawned(commands, corpus, parallelism, sink,
+                                             _TaskDirs(root))
         for name, counts in statuses.items():
             ended = sum(counts.values())  # every task of the tool
             tally = ", ".join(f"{n} {status}" for status, n in sorted(counts.items()))

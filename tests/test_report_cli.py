@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -621,6 +622,67 @@ class TestCli:
         assert statuses == ["harness_error"] * 2 * n
         assert "statuses: harness_error" in captured.out
 
+    @pytest.mark.parametrize("content, detail", [
+        (None, "No such file or directory"),
+        ("dir", "Is a directory"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{"contract": ', "Expecting value: line 1 column 14 (char 13)"),
+        (b"[]", "top level is a list, not an object"),
+    ], ids=["missing", "directory", "not-utf8", "not-json", "not-an-object"])
+    def test_unreadable_fixture_fails_before_any_task(self, tmp_path, capsys, content,
+                                                      detail):
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        fixture = replay / "A.json"
+        if content == "dir":
+            fixture.mkdir()
+        elif content is not None:
+            fixture.write_bytes(content)
+        assert self._mixed_run(tmp_path, capsys, ["--replay", str(replay)]) == (
+            f"error: cannot read replay fixture {fixture}: {detail}\n")
+
+    def test_replay_tool_without_a_fixture_fails_before_any_task(self, tmp_path, capsys):
+        assert self._mixed_run(tmp_path, capsys, []) == (
+            "error: replay adapter for A has no fixture and no --replay dir was given\n")
+
+    @staticmethod
+    def _mixed_run(tmp_path, capsys, options) -> str:
+        """The standard error of a failed ``run`` of a command tool, then a
+        replay tool A, over one contract; it must write no records and
+        start no command tool."""
+        started = tmp_path / "started"  # the command tool's first task makes it
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [
+            {"name": "Touch", "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "json", "command": f"touch {started} {{input}}"}},
+            {"name": "A", "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "replay"}}]}))
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        shutil.copy(LISTING_FIXTURE, corpus / "a.sol")
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(corpus), "--registry", str(registry), *options,
+                     "--out", str(out)]) == 1
+        assert not out.exists() and not started.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_raw_dir_that_cannot_be_made_fails_before_any_task(self, tmp_path, capsys):
+        started = tmp_path / "started"
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"tools": [
+            {"name": "Touch", "capabilities": ["V1"], "max_solidity": "0.8",
+             "adapter": {"kind": "json", "command": f"touch {started} {{input}}"}}]}))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--corpus", str(LABELLED_DIR), "--registry", str(registry),
+                     "--raw-dir", str(afile / "raw"), "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write raw output {afile / 'raw' / 'Touch'}: Not a directory\n")
+        assert not out.exists() and not started.exists()
+
     def test_score_matrix_that_is_not_a_file(self, capsys):
         assert main(["score", "--method", "ahp", "--matrix", "a1"]) == 1
         captured = capsys.readouterr()
@@ -814,11 +876,12 @@ class TestCli:
     @pytest.mark.parametrize("verbose", [[], ["-v"]], ids=["quiet", "verbose"])
     def test_first_message_configures_logging(self, tmp_path, verbose):
         # a fresh interpreter, whose root logger has no handler yet
-        fixture = tmp_path / "missing.json"
+        script = tmp_path / "tool.py"
+        script.write_text("print('{\"findings\": [{\"check\": \"nope\"}]}')\n")
         registry = tmp_path / "registry.json"
         registry.write_text(json.dumps({"tools": [{
             "name": "T", "capabilities": ["V1"], "max_solidity": "0.8",
-            "adapter": {"kind": "replay", "fixture": str(fixture)}}]}))
+            "adapter": {"kind": "json", "command": f"{sys.executable} {script} {{input}}"}}]}))
         corpus = tmp_path / "flat"
         corpus.mkdir()
         shutil.copy(LISTING_FIXTURE, corpus / "a.sol")
@@ -827,11 +890,12 @@ class TestCli:
                                "--corpus", str(corpus), "--registry", str(registry),
                                "--out", str(out)],
                               env=src_env(), capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr == (
-            f"ERROR scbench.runner: replay fixture for T unavailable: [Errno 2] No such "
-            f"file or directory: '{fixture}'\n"
-            f"error: replay fixture for T does not cover 1 of 1 contract(s) (first: a)\n")
+        assert proc.returncode == 0
+        first, *rest = proc.stderr.splitlines()
+        assert first == "WARNING scbench.adapters: adapter emitted unmapped rule id 'nope'"
+        assert len(rest) == len(verbose)  # the tool's summary, at INFO
+        assert all(re.fullmatch(r"INFO scbench\.runner: T: 1 task\(s\), 1 ok, "
+                                r"mean \d+\.\d ms", line) for line in rest)
 
     def test_verbose_run_logs_each_command_tool(self, tmp_path):
         registry = tmp_path / "registry.json"
@@ -1216,6 +1280,12 @@ class TestCli:
     def test_score_ahp_without_matrix_is_usage_error(self, capsys):
         assert main(["score", "--method", "ahp"]) == 2
 
+    def test_score_ewm_with_matrix_is_usage_error(self, tmp_path, capsys):
+        # before any input is read: the matrix is never opened
+        assert main(["score", "--method", "ewm", "--matrix", str(tmp_path / "absent"),
+                     "--indicators", str(tmp_path / "absent.csv")]) == 2
+        assert capsys.readouterr() == ("", "score: --matrix requires --method ahp\n")
+
     def test_cli_options_are_pinned(self):
         # a new option shows up here, in review
         def options(parser, command=()):
@@ -1248,12 +1318,13 @@ class TestCli:
             main(["corpus"])  # missing subcommand
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("option", ["--series-tools", "--metadata"])
+    @pytest.mark.parametrize("option", ["--series-tools", "--metadata", "--bucket"])
     def test_time_series_option_without_the_time_series_is_a_usage_error(
             self, tmp_path, capsys, option):
         bundle = tmp_path / "bundle"
+        value = "year" if option == "--bucket" else "NoSuchTool"
         assert main(["report", "--records", str(tmp_path / "absent.jsonl"),
-                     "--corpus", str(LABELLED_DIR), option, "NoSuchTool",
+                     "--corpus", str(LABELLED_DIR), option, value,
                      "--out-dir", str(bundle)]) == 2
         assert capsys.readouterr() == ("", f"report: {option} requires --timeseries\n")
         assert not bundle.exists()

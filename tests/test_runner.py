@@ -7,6 +7,7 @@ import os
 import re
 import resource
 import selectors
+import shlex
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from scbench.runner import execute_campaign
 from scbench.taxonomy import Registry, ToolDescriptor, VersionId
 
 from .conftest import LABELLED_DIR, REPLAY_DIR, replay_tool
+from .test_taxonomy import JSON_VALUES
 
 PY = sys.executable
 
@@ -140,16 +142,13 @@ class TestReplayAdapter:
         fixture = tmp_path / "Echo.json"
         fixture.write_text(json.dumps({"contract_1": {"status": "ok"}}))
         tools = [make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture))),
-                 replay_tool(tmp_path, "Full", {f"contract_{i}": {} for i in range(3)}),
-                 make_tool("Ghost", AdapterConfig(kind="replay"))]  # no fixture
+                 replay_tool(tmp_path, "Full", {f"contract_{i}": {} for i in range(3)})]
         problems = {}
         records = execute_campaign(tools, [make_case(i) for i in range(3)],
                                    problems=problems)
         assert problems == {
             "Echo": ["replay fixture for Echo does not cover 2 of 3 contract(s) "
                      "(first: contract_0)"],
-            "Ghost": ["replay fixture for Ghost does not cover 3 of 3 contract(s) "
-                      "(first: contract_0)"],
         }
         assert sorted((r.tool, r.contract, r.status) for r in records
                       if r.tool == "Echo") == [
@@ -160,10 +159,35 @@ class TestReplayAdapter:
         assert [(r.status, r.duration_ms) for r in records if r.tool == "Full"] == [
             ("ok", 0)] * 3
 
-    def test_missing_fixture_is_harness_error(self):
-        tool = make_tool("Ghost", AdapterConfig(kind="replay"))
-        rec = scan_one(tool, make_case())
-        assert rec.status == "harness_error"
+    def test_missing_fixture_fails_the_campaign(self, tmp_path):
+        ghost, seen = make_tool("Ghost", AdapterConfig(kind="replay")), []
+        with pytest.raises(ScbenchError, match="^replay adapter for Ghost has no fixture "
+                                               "and no --replay dir was given$"):
+            execute_campaign([ghost], [make_case()], on_record=seen.append)
+        missing = tmp_path / "Ghost.json"
+        with pytest.raises(ScbenchError, match=f"^cannot read replay fixture "
+                                               f"{re.escape(str(missing))}: No such file "
+                                               f"or directory$"):
+            execute_campaign([ghost], [make_case()], replay_dir=tmp_path,
+                             on_record=seen.append)
+        assert seen == []
+
+    @pytest.mark.parametrize("content, detail", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"[]", "top level is a list, not an object"),
+        (b"null", "top level is a NoneType, not an object"),
+        (b'"x"', "top level is a str, not an object"),
+        (b'[["contract_0", {}]]', "top level is a list, not an object"),
+    ], ids=["not-utf8", "not-json", "list", "null", "string", "pairs"])
+    def test_fixture_that_is_not_an_object_fails_the_campaign(self, tmp_path, content,
+                                                              detail):
+        fixture = tmp_path / "Echo.json"
+        fixture.write_bytes(content)
+        tool = make_tool("Echo", AdapterConfig(kind="replay", fixture=str(fixture)))
+        with pytest.raises(ScbenchError) as exc:
+            execute_campaign([tool], [make_case()])
+        assert str(exc.value) == f"cannot read replay fixture {fixture}: {detail}"
 
     def test_non_ok_fixture_status_drops_findings(self, tmp_path):
         fixture = tmp_path / "Echo.json"
@@ -210,6 +234,30 @@ class TestReplayAdapter:
         assert problems == {
             "Echo": [f"replay fixture {fixture}: entry contract_1: {detail}"]}
 
+    # an entry of the fixture's shape, or any JSON value
+    _FINDINGS = st.lists(st.dictionaries(
+        st.sampled_from(["class", "lines"]),
+        st.sampled_from(["V1", "V11"]) | st.lists(st.integers(), max_size=2) | JSON_VALUES,
+        max_size=2) | JSON_VALUES, max_size=2)
+    ENTRIES = st.dictionaries(
+        st.sampled_from(["status", "duration_ms", "findings"]),
+        st.sampled_from(STATUSES) | st.integers(min_value=-1) | _FINDINGS | JSON_VALUES,
+        max_size=3) | JSON_VALUES
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.dictionaries(st.sampled_from(["c0", "c1"]), ENTRIES))
+    def test_any_entry_is_a_record_none_or_a_scbench_error(self, entries):
+        # so the replay loop needs no catch-all: only ScbenchError is caught
+        fixture = ReplayFixture(entries)
+        for contract in ("c0", "c1"):
+            try:
+                record = fixture.record("T", contract)
+            except ScbenchError:
+                continue
+            if contract in entries:
+                assert type(record) is ScanRecord and record.contract == contract
+            else:
+                assert record is None
 
     def test_each_record_has_its_own_findings(self, tmp_path):
         entry = {"findings": [{"class": "V1", "lines": [3]}]}
@@ -391,16 +439,19 @@ class TestCommandAdapters:
         assert rec.status == "ok"
         assert rec.findings == {"V1": frozenset({17})}
 
-    def test_missing_binary_fails_before_any_task(self):
+    def test_missing_binary_fails_before_any_task(self, tmp_path):
         tool = make_tool("Ghost", AdapterConfig(
             kind="json", command="definitely-not-a-binary-xyz {input}",
         ))
         inline = make_tool("Echo", AdapterConfig())
+        found = make_tool("Sh", AdapterConfig(kind="json", command="sh {input}"))
         seen = []
         with pytest.raises(ScbenchError, match="^tool Ghost: program "
                                                "'definitely-not-a-binary-xyz' not found$"):
-            execute_campaign([inline, tool], [make_case()], on_record=seen.append)
+            execute_campaign([inline, found, tool], [make_case()], on_record=seen.append,
+                             raw_dir=tmp_path / "raw")
         assert seen == []  # not even the inline tool ran
+        assert not (tmp_path / "raw").exists()  # nor a raw output directory made
 
     def test_program_resolved_once_per_tool_and_argv_kept(self, tmp_path, monkeypatch):
         script = tmp_path / "tool.sh"
@@ -462,10 +513,19 @@ class TestCommandAdapters:
         assert parse_json_output(out, {"r": "V1"}) == {"V1": frozenset({2})}
 
     def test_template_split_once_per_tool(self, monkeypatch):
-        config = AdapterConfig(kind="text", command="sh -c 'echo \"$0 {input}\"' x")
-        assert config.argv == ("sh", "-c", 'echo "$0 {input}"', "x")
-        monkeypatch.setattr("shlex.split", None)  # a task splits nothing
-        assert scan_one(make_tool("Echo", config), make_case()).status == "ok"
+        config = AdapterConfig(kind="text", command="sh -c 'echo \"$0 {input}\"' x",
+                               rule_map={"contract.sol": "V1"})
+        tools = [make_tool("Echo", config), make_tool("Again", config)]
+        split, calls = shlex.split, []
+
+        def counting_split(*args, **kwargs):
+            calls.append(args[0])
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(shlex, "split", counting_split)
+        records = execute_campaign(tools, [make_case(i) for i in range(3)], parallelism=2)
+        assert [(r.status, r.findings) for r in records] == [("ok", {"V1": frozenset()})] * 6
+        assert calls == [config.command] * 2  # once per tool, none per task
 
     @pytest.mark.parametrize("command", ["sh -c 'unterminated {input}", "echo \\"])
     def test_template_that_cannot_be_split_is_rejected(self, command):

@@ -155,9 +155,6 @@ def test_derived_fields():
     assert (case.loc, case.pragma) == (2, True) and len(case.checksum) == 32
     kept = ContractCase("c", SOURCE, loc=9, pragma=False, checksum="k")
     assert (kept.loc, kept.pragma, kept.checksum) == (9, False, "k")
-    adapter = AdapterConfig(kind="text", command="tool --in {input}")
-    assert adapter.argv == ("tool", "--in", "{input}")
-    assert adapter._replace(command="other {input}").argv == ("other", "{input}")
     matrix = IndicatorMatrix(("A",), [[1, 0, 0.5, 0]])
     assert matrix.values == ((1.0, 0.0, 0.5, 0.0),) and matrix.row("A") == matrix.values[0]
 
